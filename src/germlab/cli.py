@@ -15,6 +15,7 @@ identical inputs give byte-identical bytes.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
 EXIT_PARSE_ERROR = 2
 EXIT_UNRECOGNIZED = 3
+
+# The largest sweep grid ``perturb --grid`` accepts, in points.
+MAX_GRID_POINTS = 10000
 
 
 class UnrecognizedError(Exception):
@@ -181,23 +185,25 @@ def _parse_params(text):
 
 
 def _parse_grid(text, nparams):
-    """--grid 'lo:hi:step[,lo:hi:step...]' -> list of parameter tuples."""
+    """--grid 'lo:hi:step[,lo:hi:step...]' -> list of parameter tuples.
+    The number of points is computed from lo/hi/step first, and a grid of
+    more than MAX_GRID_POINTS is rejected before any list is built."""
     ranges = []
     for chunk in text.split(","):
         lo, hi, step = (Fraction(v) for v in chunk.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v += step
-        ranges.append(vals)
+        ranges.append((lo, step, max(0, (hi - lo) // step + 1)))
     while len(ranges) < nparams:
-        ranges.append(list(ranges[-1]))
+        ranges.append(ranges[-1])
+    ranges = ranges[:nparams]
+    size = math.prod(count for _, _, count in ranges)
+    if size > MAX_GRID_POINTS:
+        raise ValueError("grid has %d points, more than the cap of %d"
+                         % (size, MAX_GRID_POINTS))
     grid = [()]
-    for vals in ranges[:nparams]:
-        grid = [g + (v,) for g in grid for v in vals]
+    for lo, step, count in ranges:
+        grid = [g + (lo + i * step,) for g in grid for i in range(count)]
     return grid
 
 

@@ -1,11 +1,26 @@
 """Map-germ container and the shared geometric primitives:
 Jacobian, lambda (= det Jacobian), rank/corank at the origin,
-the adjugate-based null vector field, and point translation."""
+the adjugate-based null vector field, and point translation.
+
+lambda and eta are kept only as jets.  The classifiers read the values
+eta^j lambda(0) for j <= n, the gradients at 0 of eta^j lambda for j < n,
+eta^3 lambda(0) on the plane route and the Hessian of lambda at 0 on the
+plane and corank-two routes.  Each derivative lowers the degree by one,
+so all of these are exact given lambda mod m^(D+1) and eta mod m^D with
+D = jet_degree(n) = max(n, 3), m the ideal of the origin.
+"""
 
 from fractions import Fraction
 
 from .polyring import (Poly, PolyMatrix, DimensionError, dir_deriv, rat,
                        rational_rank)
+
+
+def jet_degree(n):
+    """D = max(n, 3): lambda is kept mod m^(D+1) and eta mod m^D.  Morin
+    recognition reads lambda to degree n; the plane route reads
+    eta^3 lambda(0), i.e. lambda to degree 3 and eta to degree 2."""
+    return max(n, 3)
 
 
 class GermError(Exception):
@@ -56,9 +71,10 @@ class VecField:
         origin = [Fraction(0)] * (self.components[0].nvars if n else 0)
         return [c.eval(origin) for c in self.components]
 
-    def apply(self, p):
-        """Directional derivative of p along this field."""
-        return dir_deriv(p, self)
+    def apply(self, p, cap=None):
+        """Directional derivative of p along this field, truncated at
+        degree ``cap`` when one is given."""
+        return dir_deriv(p, self, cap)
 
     def __eq__(self, other):
         if not isinstance(other, VecField):
@@ -119,7 +135,9 @@ class MapGerm:
 
 
 class GermAnalysis:
-    """Jacobian, lambda (when equidimensional), and rank data at 0."""
+    """Exact Jacobian and rank data at 0.  ``lam`` is the jet of
+    lambda = det J at degree D = jet_degree(n), i.e. det J mod m^(D+1)
+    (None when n != m)."""
 
     __slots__ = ("germ", "jacobian", "lam", "rank0", "corank0")
 
@@ -144,9 +162,12 @@ def jacobian(f):
 
 
 def analyze(f):
-    """Exact Jacobian, lambda (= det J when n = m) and rank of df(0)."""
+    """Exact Jacobian, the jet of lambda = det J (when n = m) and the rank
+    of df(0)."""
     J = jacobian(f)
-    lam = J.det() if f.src_dim == f.tgt_dim else None
+    lam = None
+    if f.src_dim == f.tgt_dim:
+        lam = J.det(cap=jet_degree(f.src_dim))
     J0 = J.eval(f.origin())
     rank0 = rational_rank(J0)
     return GermAnalysis(f, J, lam, rank0)
@@ -155,22 +176,24 @@ def analyze(f):
 def null_field(f, analysis=None):
     """Null vector field for an equidimensional corank-one germ.
 
-    Returns the first adjugate column of the Jacobian that is nonzero at
-    the origin (ties broken by lowest column index).  The contract
-    J * eta = lambda * e_j holds as a polynomial identity, so eta(p) lies
-    in ker df(p) along the singular set and eta(0) != 0.
+    Returns the first adjugate column j of the Jacobian that is nonzero at
+    the origin, kept mod m^D with D = jet_degree(n).  Column j of
+    adj(J)(0) = adj(J(0)) holds the maximal minors of J(0) without row j,
+    so it is nonzero exactly when those rows have rank n - 1.  The
+    contract is J * eta = lambda * e_j mod m^D, so eta(0) != 0 lies in
+    ker df(0), and eta is exact wherever the classifiers read it.
     """
     if f.src_dim != f.tgt_dim:
         raise NotCorankOneError("null field needs an equidimensional germ")
     ana = analysis or analyze(f)
     if ana.corank0 != 1:
         raise NotCorankOneError("not corank one at 0 (corank %d)" % ana.corank0)
-    adj = ana.jacobian.adjugate()
-    origin = f.origin()
-    for j in range(adj.cols):
-        col = adj.column(j)
-        if any(p.eval(origin) != 0 for p in col):
-            return VecField(col)
+    n = f.src_dim
+    J = ana.jacobian
+    J0 = J.eval(f.origin())
+    for j in range(n):
+        if rational_rank(J0[:j] + J0[j + 1:]) == n - 1:
+            return VecField(J.adjugate_column(j, jet_degree(n) - 1))
     # cannot happen at corank one: adj(J)(0) has rank one, hence a nonzero column
     raise DegenerateGermError("adjugate vanishes at 0")  # pragma: no cover
 

@@ -13,7 +13,7 @@ signed normal-form representative is attached for reference.
 
 from fractions import Fraction
 
-from .polyring import Poly, PolyMatrix, rational_det
+from .polyring import Poly, PolyMatrix, rational_det, rational_rank
 from .germ import (MapGerm, VecField, analyze, null_field,
                    GermError, NotCorankOneError, DegenerateGermError)
 
@@ -126,10 +126,13 @@ def normal_form(k, n, eps1=1, eps2=1):
 
 
 def eta_lambda_chain(lam, eta, count):
-    """[lambda, eta lambda, ..., eta^count lambda]."""
-    chain = [lam]
-    for _ in range(count):
-        chain.append(eta.apply(chain[-1]))
+    """[lambda, eta lambda, ..., eta^count lambda], link j kept to degree
+    count - j.  Each application of eta lowers the degree by one, so link j
+    is exact to that degree, and the values at 0 of every link and the
+    gradients at 0 of links j < count are exact."""
+    chain = [lam.truncate(count)]
+    for j in range(1, count + 1):
+        chain.append(eta.apply(chain[-1], count - j))
     return chain
 
 
@@ -165,7 +168,6 @@ def recognize_morin(f, analysis=None, eta=None):
         raise DegenerateGermError(
             "no k <= n with eta^k lambda(0) != 0; not a Morin singularity")
     grad_rows = [chain[j].gradient_at(origin) for j in range(k)]
-    from .polyring import rational_rank
     if rational_rank(grad_rows) != k:
         raise DegenerateGermError(
             "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")

@@ -6,7 +6,10 @@ are stored sparsely keyed by exponent vector, so every sign and rank test
 is exact -- there are no tolerances anywhere in the classification paths.
 """
 
+import operator
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 
 Rat = Fraction
@@ -66,6 +69,15 @@ class Poly:
         expo = [0] * nvars
         expo[i - 1] = 1
         return cls(nvars, {tuple(expo): Fraction(1)})
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """A Poly on ``terms`` as given, unchecked: tuple exponents of
+        length nvars and nonzero Fractions only."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     @classmethod
     def zero(cls, nvars):
@@ -128,17 +140,14 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        return self.mul(other)
+
+    def mul(self, other, cap=None):
+        """Product with ``other``.  With a degree ``cap`` it is the product
+        in Q[x]/m^(cap+1): terms of total degree above ``cap`` are never
+        formed, so the result is the exact product truncated at ``cap``."""
         other = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(expo, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return Poly(self.nvars, out)
+        return _sum_of_products(self.nvars, [(self, other)], cap)
 
     __rmul__ = __mul__
 
@@ -157,6 +166,13 @@ class Poly:
     def scale(self, c):
         c = rat(c)
         return Poly(self.nvars, {e: coef * c for e, coef in self.terms.items()})
+
+    def truncate(self, cap):
+        """The terms of total degree <= ``cap``: self mod m^(cap+1)."""
+        if cap is None or self.total_degree() <= cap:
+            return self
+        return Poly(self.nvars, {e: c for e, c in self.terms.items()
+                                 if sum(e) <= cap})
 
     # ---- calculus / evaluation ----------------------------------------
     def partial(self, i):
@@ -185,8 +201,11 @@ class Poly:
             v = coef
             for p, e in zip(pt, expo):
                 if e:
+                    if not p:
+                        break       # the term vanishes at this point
                     v *= p ** e
-            total += v
+            else:
+                total += v
         return total
 
     def subs(self, replacements):
@@ -208,14 +227,16 @@ class Poly:
                 cache[e] = power(idx, e - 1) * replacements[idx]
             return cache[e]
 
-        total = Poly.zero(m)
+        pairs = []
         for expo, coef in self.terms.items():
-            term = Poly.const(coef, m)
+            monomial = None
             for idx, e in enumerate(expo):
                 if e:
-                    term = term * power(idx, e)
-            total = total + term
-        return total
+                    factor = power(idx, e)
+                    monomial = factor if monomial is None else monomial * factor
+            pairs.append((Poly.const(coef, m),
+                          Poly.one(m) if monomial is None else monomial))
+        return _sum_of_products(m, pairs)
 
     def compose_linear(self, A):
         """p(A x) for a square rational matrix A of size nvars."""
@@ -282,29 +303,80 @@ class Poly:
         return text
 
 
+def _packed_terms(p, weights):
+    """(d, [(degree, packed exponent, integer coefficient)]) for d * p,
+    with d the least common denominator of p's coefficients."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return d, [(sum(e), sum(map(operator.mul, e, weights)),
+                c.numerator * (d // c.denominator))
+               for e, c in p.terms.items()]
+
+
+def _sum_of_products(nvars, pairs, cap=None):
+    """The sum of a * b over the (a, b) pairs of Polys in ``nvars``
+    variables; with a degree ``cap``, truncated at ``cap`` (terms above it
+    are never formed).  This is the one product loop of the package.
+
+    Each factor is scaled to integer coefficients, and each exponent
+    vector e is packed into the int sum_i e_i * base^i.  No exponent of a
+    product exceeds the sum of the factors' degrees, which is below
+    ``base``, so packed vectors add without carries and the inner loop
+    only adds and multiplies ints.  Each coefficient of the sum is
+    divided by the common scale once, at the end."""
+    base = max([2] + [a.total_degree() + b.total_degree() + 1
+                      for a, b in pairs])
+    weights = [base ** i for i in range(nvars)]
+    scaled = []
+    for a, b in pairs:
+        da, left = _packed_terms(a, weights)
+        db, right = _packed_terms(b, weights)
+        right.sort()
+        scaled.append((da * db, left, right, [t[0] for t in right]))
+    d = lcm(*(t[0] for t in scaled))
+    out = {}
+    get = out.get
+    for s, left, right, degrees in scaled:
+        k = d // s
+        for deg, p1, c1 in left:
+            c1 *= k
+            part = right
+            if cap is not None:
+                part = right[:bisect_right(degrees, cap - deg)]
+            for _, p2, c2 in part:
+                key = p1 + p2
+                out[key] = get(key, 0) + c1 * c2
+    terms = {}
+    for key, c in out.items():
+        if c:
+            expo = []
+            for _ in range(nvars):
+                key, e = divmod(key, base)
+                expo.append(e)
+            terms[tuple(expo)] = Fraction(c) if d == 1 else Fraction(c, d)
+    return Poly._trusted(nvars, terms)
+
+
 def _rat_str(c):
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def dir_deriv(p, v):
+def dir_deriv(p, v, cap=None):
     """Directional derivative sum_i v_i * dp/dx_i; v is a sequence of Polys
-    (or anything with .components, e.g. a vector field)."""
+    or rationals (or anything with .components, e.g. a vector field).
+    With a degree ``cap`` the result is truncated at ``cap``."""
     comps = getattr(v, "components", v)
     if len(comps) != p.nvars:
         raise DimensionError("vector field has %d components, poly has %d vars"
                              % (len(comps), p.nvars))
-    total = Poly.zero(p.nvars)
+    pairs = []
     for i, vi in enumerate(comps, start=1):
-        if isinstance(vi, Poly):
-            if not vi.is_zero():
-                total = total + vi * p.partial(i)
-        else:
-            c = rat(vi)
-            if c != 0:
-                total = total + p.partial(i).scale(c)
-    return total
+        if not isinstance(vi, Poly):
+            vi = Poly.const(vi, p.nvars)
+        if not vi.is_zero():
+            pairs.append((vi, p.partial(i)))
+    return _sum_of_products(p.nvars, pairs, cap)
 
 
 class PolyMatrix:
@@ -339,32 +411,57 @@ class PolyMatrix:
     def column(self, j):
         return [self.entry(i, j) for i in range(self.rows)]
 
-    def minor(self, drop_i, drop_j):
-        ents = [self.entry(i, j)
-                for i in range(self.rows) if i != drop_i
-                for j in range(self.cols) if j != drop_j]
-        return PolyMatrix(self.rows - 1, self.cols - 1, ents)
+    def _minor_det(self, rows, cols, memo, cap):
+        """Determinant of the square submatrix on the last len(cols) of
+        ``rows`` and on ``cols`` (both increasing tuples), by cofactor
+        expansion along its first row.  Every minor it reaches has the
+        same trailing rows, so ``memo`` keys it by its column set alone;
+        a minor is reached only through a nonzero entry, and computed once."""
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        if not cols:
+            return Poly.one(self.entries[0].nvars if self.entries else 0)
+        r = rows[len(rows) - len(cols)]
+        if len(cols) == 1:
+            total = self.entry(r, cols[0]).truncate(cap)
+        else:
+            pairs = []
+            for idx, c in enumerate(cols):
+                a = self.entry(r, c)
+                if a.is_zero():
+                    continue
+                sub = self._minor_det(rows, cols[:idx] + cols[idx + 1:],
+                                      memo, cap)
+                if not sub.is_zero():
+                    pairs.append((-a if idx % 2 else a, sub))
+            total = _sum_of_products(self.entries[0].nvars, pairs, cap)
+        memo[cols] = total
+        return total
 
-    def det(self):
-        """Exact determinant by cofactor expansion (fine at size <= 5)."""
+    def det(self, cap=None):
+        """Exact determinant: cofactor expansion along the rows with each
+        minor memoized by its column set, at most 2^n minors and far fewer
+        for a sparse matrix.  With a degree ``cap`` every product is
+        truncated at ``cap``, which gives det mod m^(cap+1)."""
         if self.rows != self.cols:
             raise DimensionError("determinant needs a square matrix")
+        every = tuple(range(self.rows))
+        return self._minor_det(every, every, {}, cap)
+
+    def adjugate_column(self, j, cap=None):
+        """Column j of the adjugate: (-1)^{i+j} det(M without row j and
+        column i) for each i.  These minors all drop row j, so they share
+        one memo.  ``cap`` truncates as in ``det``."""
         n = self.rows
-        if n == 0:
-            return Poly.one(0)
-        if n == 1:
-            return self.entry(0, 0)
-        nv = self.entries[0].nvars
-        total = Poly.zero(nv)
-        for j in range(n):
-            a = self.entry(0, j)
-            if a.is_zero():
-                continue
-            cof = self.minor(0, j).det()
-            if j % 2:
-                cof = -cof
-            total = total + a * cof
-        return total
+        rows = tuple(i for i in range(n) if i != j)
+        memo = {}
+        column = []
+        for i in range(n):
+            cols = tuple(c for c in range(n) if c != i)
+            cof = self._minor_det(rows, cols, memo, cap)
+            column.append(-cof if (i + j) % 2 else cof)
+        return column
 
     def adjugate(self):
         """Classical adjugate: adj(M)[i][j] = (-1)^{i+j} det(minor(j, i)).
@@ -372,17 +469,9 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise DimensionError("adjugate needs a square matrix")
         n = self.rows
-        nv = self.entries[0].nvars if self.entries else 0
-        if n == 1:
-            return PolyMatrix(1, 1, [Poly.one(nv)])
-        ents = []
-        for i in range(n):
-            for j in range(n):
-                cof = self.minor(j, i).det()
-                if (i + j) % 2:
-                    cof = -cof
-                ents.append(cof)
-        return PolyMatrix(n, n, ents)
+        columns = [self.adjugate_column(j) for j in range(n)]
+        return PolyMatrix(n, n, [columns[j][i] for i in range(n)
+                                 for j in range(n)])
 
     def eval(self, point):
         """Rational matrix (list of rows) of exact values at a point."""

@@ -52,6 +52,21 @@ def random_gl_pos(rng, n):
         return A
 
 
+def sparse_gl_pos(rng, n):
+    """Random cyclic shear with det > 0: the identity plus one entry +-1
+    per row, at column i+1 (mod n)."""
+    while True:
+        A = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            A[i][(i + 1) % n] += rng.choice([-1, 1])
+        d = rational_det(A)
+        if d == 0:
+            continue
+        if d < 0:
+            A[0] = [-v for v in A[0]]
+        return A
+
+
 def change_coordinates(f, A, B):
     """B o f o A for linear A (source, n x n) and B (target, m x m)."""
     comps = [c.compose_linear(A) for c in f.components]

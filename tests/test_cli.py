@@ -1,10 +1,13 @@
 """CLI: dispatch, exit codes, deterministic JSON, tables."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from germlab.cli import main, classify_any, UnrecognizedError
+from germlab.cli import (main, classify_any, UnrecognizedError, _parse_grid,
+                         MAX_GRID_POINTS)
 from germlab.germparse import parse_map
 
 
@@ -122,6 +125,28 @@ def test_perturb_sweep(capsys):
                        "--l", "2", "--grid=-2:2:1")
     assert code == 0
     assert "attained" in out
+
+
+def test_parse_grid_points():
+    half = Fraction(1, 2)
+    assert _parse_grid("-1:1:1/2", 1) == [(v,) for v in
+                                          (-2 * half, -half, 0, half, 1)]
+    assert _parse_grid("0:1:1,5:6:1", 2) == [(0, 5), (0, 6), (1, 5), (1, 6)]
+    assert _parse_grid("0:1:1", 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert _parse_grid("1:0:1", 1) == []
+    assert len(_parse_grid("1:100:1,1:100:1", 2)) == MAX_GRID_POINTS
+
+
+def test_perturb_grid_over_cap_rejected_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "perturb", "--family", "B", "--n", "3",
+                       "--grid=0:1:1/100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "100000001 points" in err and "cap of 10000" in err
+    code, _, err = run(capsys, "perturb", "--family", "C", "--n", "3",
+                       "--grid=0:100:1")
+    assert code == 3 and "10201 points" in err
 
 
 def test_perturb_family_a_needs_l(capsys):

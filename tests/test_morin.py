@@ -10,7 +10,8 @@ from germlab.germ import (MapGerm, analyze, null_field, translate,
                           NotCorankOneError, DegenerateGermError)
 from germlab.morin import (recognize_morin, isotopy_class, normal_form,
                            class_count, invariant_kind, eta_lambda_chain)
-from conftest import signed_morin_forms, random_gl_pos, change_coordinates
+from conftest import (signed_morin_forms, random_gl_pos, sparse_gl_pos,
+                      change_coordinates)
 
 
 def all_signed(k, n):
@@ -151,6 +152,22 @@ def test_label_stable_under_coordinate_changes():
                 A = random_gl_pos(rng, n)
                 B = random_gl_pos(rng, n)
                 assert isotopy_class(change_coordinates(f, A, B)) == base
+
+
+def test_generic_n5_forms_get_their_labels():
+    """All four signed k = n = 5 forms under dense changes on both sides."""
+    rng = random.Random(5)
+    for f in signed_morin_forms(5):
+        g = change_coordinates(f, random_gl_pos(rng, 5), random_gl_pos(rng, 5))
+        assert isotopy_class(g) == isotopy_class(f)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_sparse_changed_forms_beyond_5_get_their_labels(n):
+    rng = random.Random(n)
+    f = normal_form(n, n, -1, -1)
+    g = change_coordinates(f, sparse_gl_pos(rng, n), sparse_gl_pos(rng, n))
+    assert isotopy_class(g) == isotopy_class(f)
 
 
 def test_recognition_away_from_origin():

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: examples, ring axioms, calculus, linear
 algebra, and a float finite-difference bridge for the formal derivative."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,65 @@ def test_nullspace_vectors_annihilate(rows):
         for row in rows:
             assert sum(rat(a) * b for a, b in zip(row, v)) == 0
     assert rational_rank(rows) + len(rational_nullspace(rows)) == 4
+
+
+# ---- memoized expansion and truncated products ---------------------------
+
+def _rational_minor(mat, drop_i, drop_j):
+    return [[v for j, v in enumerate(row) if j != drop_j]
+            for i, row in enumerate(mat) if i != drop_i]
+
+
+def _sparse_poly_matrix(rng, n):
+    """n x n matrix of Polys in 2 variables, about half of its entries
+    zero, whose determinant is not identically zero."""
+    while True:
+        ents = []
+        for _ in range(n * n):
+            terms = {}
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(1, 3)):
+                    expo = (rng.randint(0, 2), rng.randint(0, 2))
+                    terms[expo] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            ents.append(Poly(2, terms))
+        M = PolyMatrix(n, n, ents)
+        if rational_det(M.eval([Fraction(1, 3), Fraction(-2, 7)])) != 0:
+            return M
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_det_and_adjugate_match_rational_values(n):
+    """det() and adjugate() of sparse polynomial matrices, evaluated at
+    random rational points, against Gaussian elimination of the values."""
+    rng = random.Random(n)
+    for _ in range(4):
+        M = _sparse_poly_matrix(rng, n)
+        d, adj = M.det(), M.adjugate()
+        for _ in range(3):
+            pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for _ in range(2)]
+            vals = M.eval(pt)
+            assert d.eval(pt) == rational_det(vals)
+            for i in range(n):
+                for j in range(n):
+                    cof = rational_det(_rational_minor(vals, j, i))
+                    assert adj.entry(i, j).eval(pt) == \
+                        (-cof if (i + j) % 2 else cof)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, st.integers(0, 7))
+def test_capped_product_is_truncated_product(p, q, cap):
+    assert p.mul(q, cap) == (p * q).truncate(cap)
+    assert all(sum(e) <= cap for e in p.mul(q, cap).terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.dictionaries(expo, coef, max_size=3), min_size=9, max_size=9),
+       st.integers(0, 6))
+def test_capped_det_is_truncated_det(term_dicts, cap):
+    M = PolyMatrix(3, 3, [Poly(2, d) for d in term_dicts])
+    assert M.det(cap) == M.det().truncate(cap)
+    for j in range(3):
+        assert M.adjugate_column(j, cap) == \
+            [c.truncate(cap) for c in M.adjugate().column(j)]
