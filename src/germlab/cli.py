@@ -14,6 +14,7 @@ identical inputs give byte-identical bytes.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,7 +22,8 @@ import sys
 from fractions import Fraction
 
 from .polyring import rat
-from .germ import analyze, NotCorankOneError, DegenerateGermError, GermError
+from .germ import (analyze, null_field, NotCorankOneError,
+                   DegenerateGermError, GermError)
 from .morin import recognize_morin, class_count, normal_form
 from .lowdim import classify_plane, classify_surface
 from .sigma20 import classify_sigma20, DegenerateSigmaError
@@ -88,17 +90,19 @@ def classify_any(f):
             % (f.src_dim, f.tgt_dim))
     ana = analyze(f)
     if ana.corank0 <= 1:
+        eta = null_field(f, ana) if ana.corank0 == 1 else None
         try:
-            return recognize_morin(f, analysis=ana).class_label, "morin"
+            return (recognize_morin(f, analysis=ana, eta=eta).class_label,
+                    "morin")
         except DegenerateGermError:
             if f.src_dim == 2:
-                label = classify_plane(f)
+                label = classify_plane(f, eta=eta, analysis=ana)
                 if label.family != "unrecognized":
                     return label, "plane"
             raise UnrecognizedError("degenerate germ: no criterion matched")
     if ana.corank0 == 2 and f.src_dim == 4:
         try:
-            return classify_sigma20(f).class_label, "sigma20"
+            return classify_sigma20(f, analysis=ana).class_label, "sigma20"
         except DegenerateSigmaError as e:
             raise UnrecognizedError(str(e))
     raise UnrecognizedError("corank %d at the origin: out of scope"
@@ -292,19 +296,21 @@ def cmd_tables(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then shared.  It holds
+    no per-call state: ``--precision`` defaults to None, and ``main``
+    resolves that from GERMLAB_PRECISION on every call."""
     ap = argparse.ArgumentParser(
         prog="germlab",
         description="Exact classification of polynomial map-germs up to "
                     "orientation-preserving A-equivalence.")
-    default_prec = int(os.environ.get("GERMLAB_PRECISION",
-                                      pt.DEFAULT_PRECISION_BITS))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, germ_arg=False):
         p.add_argument("--json", action="store_true",
                        help="deterministic JSON output")
-        p.add_argument("--precision", type=int, default=default_prec,
+        p.add_argument("--precision", type=int, default=None,
                        help="root isolation precision exponent (bits, 20-120)")
         if germ_arg:
             p.add_argument("germ", nargs="?", help="inline germ text")
@@ -336,6 +342,15 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.precision is None:
+        env = os.environ.get("GERMLAB_PRECISION")
+        if env is None:
+            args.precision = pt.DEFAULT_PRECISION_BITS
+        else:
+            try:
+                args.precision = int(env)
+            except ValueError:
+                ap.error("GERMLAB_PRECISION must be an integer, got %r" % env)
     if not 20 <= args.precision <= 120:
         ap.error("--precision must be in [20, 120]")
     try:

@@ -17,7 +17,10 @@ All failures raise ParseError with a line/column position -- the parser
 never escapes with anything else, whatever the input bytes.
 """
 
+import re
 from fractions import Fraction
+from math import comb
+from operator import add
 
 from .polyring import Poly
 from .germ import MapGerm
@@ -33,148 +36,260 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+# A token is a run of decimal digits, a run of word characters, or any
+# other character but a blank; newlines only separate tokens.
+_TOKEN = r"\d+|\w+|[^ \t\r\n]"
+_PUNCT = frozenset("+-*^();,:/|")
+# in ASCII text, the characters that start no token
+_OTHER = r"[^\w \t\r\n+\-*^();,:/|]"
+_EOF = ""
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^();,:/|":
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("eof", None, line, col))
+    """The token strings of ``text`` followed by _EOF.  Positions are
+    worked out only for an error, by ``_position``."""
+    tokens = re.findall(_TOKEN, text)
+    if not text.isascii() or re.search(_OTHER, text):
+        for k, t in enumerate(tokens):
+            if t not in _PUNCT and not t[0].isdecimal() and \
+                    not (t[0].isalpha() or t[0] == "_"):
+                raise ParseError("unexpected character %r" % t[0],
+                                 *_position(text, k))
+    tokens.append(_EOF)
     return tokens
 
 
+def _position(text, k):
+    """1-based (line, column) of token k of ``text``; the end of the text
+    for the _EOF token."""
+    i = len(text)
+    for j, m in enumerate(re.finditer(_TOKEN, text)):
+        if j == k:
+            i = m.start()
+            break
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+
+
+def _shown(t):
+    """What an error message quotes for token t."""
+    if t.isdecimal():
+        return int(t)
+    return None if t == _EOF else t
+
+
+# Expansion budgets, per parse_map call.  Products of one-term operands
+# take time linear in the text; the work that can outgrow the text is
+# expanding a product or power with a multi-term operand, and raising a
+# coefficient to a power.  Both are estimated before they are done, and
+# an estimate over budget is a ParseError at the '*' or '^' token.
+#
+# MAX_TERM_PRODUCTS bounds the coefficient products of expansion: a
+# product a*b with |a|, |b| terms costs |a|*|b|, and a power the sum of
+# that over the products of binary powering, with the term count of p^j
+# bounded by the multisets of j terms of p and by the monomials of
+# degree j*deg p.  A product of coefficients longer than COEFFICIENT_BITS
+# counts once per pair of COEFFICIENT_BITS-bit blocks.
+# MAX_POWER_BITS bounds the sum, over the powers of the text, of the bit
+# length their coefficients can reach: k * (log2 |c| + log2 of the
+# number of terms) for a power ^k, with log2 |c| the largest coefficient
+# size in numerator and denominator bits.  Products only add coefficient
+# sizes, so every coefficient stays within the text's own size plus
+# this budget.
+MAX_TERM_PRODUCTS = 10 ** 6
+MAX_POWER_BITS = 10 ** 5
+COEFFICIENT_BITS = 1024
+
+_ONE = Fraction(1)      # the coefficient of a variable, shared
+
+
+def _bits(c):
+    """An upper bound on log2 of |numerator| plus log2 of denominator."""
+    return (abs(c.numerator) - 1).bit_length() + \
+        (c.denominator - 1).bit_length()
+
+
+def _size(p):
+    """(term count, largest coefficient bits, lowest and highest degree)
+    of a polynomial given as {exponent tuple: coefficient}."""
+    degrees = [sum(e) for e in p]
+    return (len(p), max(_bits(c) for c in p.values()),
+            min(degrees), max(degrees))
+
+
+def _blocks(bits):
+    return 1 + bits // COEFFICIENT_BITS
+
+
 class _Parser:
-    def __init__(self, tokens, varmap, nvars):
+    """Recursive descent straight to {exponent tuple: Fraction} dicts.
+
+    Every method returns a dict that no one else holds, so expr adds its
+    terms in place.  Only a product or power with a multi-term operand
+    goes through Poly's product loop."""
+
+    def __init__(self, text, tokens, varmap, nvars):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
-        self.varmap = varmap  # name -> 1-based index, or None (inference mode)
         self.nvars = nvars
+        self.zero = (0,) * nvars
+        # variable name -> its exponent tuple; varmap gives 1-based indices
+        self.units = {name: tuple(int(j == i - 1) for j in range(nvars))
+                      for name, i in varmap.items()}
+        self.term_products = 0
+        self.power_bits = 0
 
     def peek(self):
         return self.tokens[self.pos]
 
     def next(self):
-        t = self.tokens[self.pos]
         self.pos += 1
-        return t
+        return self.tokens[self.pos - 1]
+
+    def fail(self, message, at=None):
+        """ParseError at token index ``at``, by default the next token."""
+        raise ParseError(message, *_position(
+            self.text, self.pos if at is None else at))
 
     def expect(self, kind):
         t = self.next()
-        if t.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, t.value),
-                             t.line, t.col)
+        if not (t.isdecimal() if kind == "int" else t == kind):
+            self.fail("expected %r, found %r" % (kind, _shown(t)),
+                      self.pos - 1)
         return t
 
-    def fail(self, message, token=None):
-        t = token or self.peek()
-        raise ParseError(message, t.line, t.col)
+    def charge(self, term_products, power_bits, at):
+        """Spend the estimated work of the product or power at token
+        index ``at``."""
+        self.term_products += term_products
+        self.power_bits += power_bits
+        if self.term_products > MAX_TERM_PRODUCTS:
+            self.fail("expansion too large: about %d term products, over "
+                      "the budget of %d" % (self.term_products,
+                                            MAX_TERM_PRODUCTS), at)
+        if self.power_bits > MAX_POWER_BITS:
+            self.fail("coefficients too large: about %d bits from powers, "
+                      "over the budget of %d" % (self.power_bits,
+                                                 MAX_POWER_BITS), at)
+
+    def poly(self, p):
+        return Poly._trusted(self.nvars, p)
 
     # expr := term (("+" | "-") term)*
     def expr(self):
-        if self.peek().kind == "+":  # allow a leading +
-            self.next()
-        p = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            q = self.term()
-            p = p + q if op.kind == "+" else p - q
-        return p
+        if self.peek() == "+":  # allow a leading +
+            self.pos += 1
+        acc = self.term()
+        get = acc.get
+        while self.peek() in ("+", "-"):
+            minus = self.next() == "-"
+            for e, c in self.term().items():
+                s = get(e, 0) - c if minus else get(e, 0) + c
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        return acc
 
     # term := factor ("*" factor)*
     def term(self):
         p = self.factor()
-        while self.peek().kind == "*":
-            self.next()
-            p = p * self.factor()
+        while self.peek() == "*":
+            at = self.pos
+            self.pos += 1
+            q = self.factor()
+            if len(p) == 1 and len(q) == 1:
+                (e1, c1), = p.items()
+                (e2, c2), = q.items()
+                c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
+                p = {tuple(map(add, e1, e2)): c}
+            elif p and q:
+                ta, ba = _size(p)[:2]
+                tb, bb = _size(q)[:2]
+                self.charge(ta * tb * _blocks(ba) * _blocks(bb), 0, at)
+                p = (self.poly(p) * self.poly(q)).terms
+            else:
+                p = {}
         return p
 
     # factor := "-" factor | power
     def factor(self):
-        if self.peek().kind == "-":
-            self.next()
-            return -self.factor()
+        if self.peek() == "-":
+            self.pos += 1
+            return {e: -c for e, c in self.factor().items()}
         return self.power()
 
     # power := atom ("^" nonnegative-integer)?
     def power(self):
         p = self.atom()
-        if self.peek().kind == "^":
-            self.next()
-            t = self.peek()
-            if t.kind != "int":
-                self.fail("exponent must be a nonnegative integer literal")
-            self.next()
-            return p ** t.value
-        return p
+        if self.peek() != "^":
+            return p
+        at = self.pos
+        self.pos += 1
+        if not self.peek().isdecimal():
+            self.fail("exponent must be a nonnegative integer literal")
+        k = int(self.next())
+        if k == 0:
+            return {self.zero: _ONE}
+        if k == 1 or not p:
+            return p
+        if len(p) == 1:
+            (e, c), = p.items()
+            if c is not _ONE:
+                self.charge(0, k * _bits(c), at)
+                c = c ** k
+            return {tuple(k * i for i in e): c}
+        self.charge(*self.power_cost(p, k), at)
+        return (self.poly(p) ** k).terms
+
+    def power_cost(self, p, k):
+        """(term products, coefficient bits) estimated for p^k by the
+        binary powering of Poly.__pow__, which multiplies p^have by
+        p^step for each set bit of k and squares p^step in between."""
+        terms, bits, low, high = _size(p)
+        bits += (terms - 1).bit_length()
+        n = self.nvars
+
+        def bound(j):       # term count times coefficient blocks of p^j
+            count = min(comb(j + terms - 1, terms - 1),
+                        comb(n + j * high, n) - comb(n + j * low - 1, n))
+            return count * _blocks(j * bits)
+
+        cost, have, step, rest = 0, 0, 1, k
+        while cost <= MAX_TERM_PRODUCTS:
+            if rest & 1:
+                cost += bound(have) * bound(step)
+                have += step
+            rest >>= 1
+            if not rest:
+                break
+            cost += bound(step) ** 2
+            step *= 2
+        return cost, k * bits
 
     # atom := number | variable | "(" expr ")"
     def atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            value = Fraction(t.value)
-            if self.peek().kind == "/":
-                self.next()
-                d = self.expect("int")
-                if d.value == 0:
-                    self.fail("zero denominator", d)
-                value = Fraction(t.value, d.value)
-            return Poly.const(value, self.nvars)
-        if t.kind == "ident":
-            self.next()
-            idx = self.varmap.get(t.value)
-            if idx is None:
-                self.fail("unknown identifier %r" % t.value, t)
-            return Poly.var(idx, self.nvars)
-        if t.kind == "(":
-            self.next()
+        t = self.next()
+        if t.isdecimal():
+            value = int(t)
+            if self.peek() == "/":
+                self.pos += 1
+                d = int(self.expect("int"))
+                if d == 0:
+                    self.fail("zero denominator", self.pos - 1)
+                return {self.zero: Fraction(value, d)} if value else {}
+            return {self.zero: Fraction(value)} if value else {}
+        if t == "(":
             p = self.expr()
             self.expect(")")
             return p
-        self.fail("expected a number, variable or parenthesized expression", t)
+        if t not in _PUNCT and t != _EOF:
+            unit = self.units.get(t)
+            if unit is None:
+                self.fail("unknown identifier %r" % t, self.pos - 1)
+            return {unit: _ONE}
+        self.fail("expected a number, variable or parenthesized expression",
+                  self.pos - 1)
 
 
 def _split_header(text):
@@ -203,19 +318,18 @@ def _split_header(text):
     return names, body
 
 
-def _infer_vars(tokens):
+def _infer_vars(text, tokens):
     """Without a header every identifier must be x<k>; nvars = max k."""
     nvars = 0
-    for t in tokens:
-        if t.kind != "ident":
+    for k, t in enumerate(tokens):
+        if t in _PUNCT or t == _EOF or t.isdecimal():
             continue
-        name = t.value
-        if not (name.startswith("x") and name[1:].isdigit() and
-                not name[1:].startswith("0")):
+        if not (t.startswith("x") and t[1:].isdigit() and
+                not t[1:].startswith("0")):
             raise ParseError(
                 "identifier %r needs a 'vars:' header (only x1, x2, ... "
-                "can be inferred)" % name, t.line, t.col)
-        nvars = max(nvars, int(name[1:]))
+                "can be inferred)" % t, *_position(text, k))
+        nvars = max(nvars, int(t[1:]))
     if nvars == 0:
         # no variables at all; still need a positive dimension
         nvars = 1
@@ -235,26 +349,27 @@ def parse_map(text):
         nvars = len(names)
         varmap = {name: i + 1 for i, name in enumerate(names)}
     else:
-        nvars = _infer_vars(tokens)
+        nvars = _infer_vars(body, tokens)
         varmap = {"x%d" % i: i for i in range(1, nvars + 1)}
-    parser = _Parser(tokens, varmap, nvars)
+    parser = _Parser(body, tokens, varmap, nvars)
     comps = []
-    spans = []
+    starts = []
     while True:
-        start = parser.peek()
-        comps.append(parser.expr())
-        spans.append(start)
+        starts.append(parser.pos)
+        try:
+            comps.append(parser.expr())
+        except RecursionError:
+            parser.fail("expression nested too deeply")
         t = parser.next()
-        if t.kind == "eof":
+        if t == _EOF:
             break
-        if t.kind != ";":
-            raise ParseError("expected ';' or end of input, found %r"
-                             % t.value, t.line, t.col)
-    for i, (p, tok) in enumerate(zip(comps, spans)):
-        if p.constant_term() != 0:
-            raise ParseError("nonzero constant term in component %d" % (i + 1),
-                             tok.line, tok.col)
-    return MapGerm(comps, src_dim=nvars)
+        if t != ";":
+            parser.fail("expected ';' or end of input, found %r" % _shown(t),
+                        parser.pos - 1)
+    for i, (p, at) in enumerate(zip(comps, starts)):
+        if parser.zero in p:
+            parser.fail("nonzero constant term in component %d" % (i + 1), at)
+    return MapGerm([Poly._trusted(nvars, p) for p in comps], src_dim=nvars)
 
 
 def render_map(f, names=None):

@@ -54,7 +54,7 @@ def _plane_normal_form(family, eps):
     return MapGerm([first, x2], src_dim=2)
 
 
-def classify_plane(f, eta=None):
+def classify_plane(f, eta=None, analysis=None):
     """Isotopy class of a corank-one plane-to-plane germ.
 
     Morin germs (fold, cusp) are delegated to the Morin classifier.
@@ -65,10 +65,11 @@ def classify_plane(f, eta=None):
       planar swallowtail: d lambda(0) != 0,
               eta lambda(0) = eta eta lambda(0) = 0, eta^3 lambda(0) != 0;
               eps = sign(xi lambda(0) * eta^3 lambda(0))
+    ``analysis``, when given, is analyze(f).
     """
     if f.src_dim != 2 or f.tgt_dim != 2:
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
-    ana = analyze(f)
+    ana = analysis or analyze(f)
     if ana.corank0 == 0:
         return ClassLabel("regular", (None, None), None, 0, ("none",))
     if ana.corank0 != 1:

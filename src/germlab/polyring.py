@@ -156,12 +156,13 @@ class Poly:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.one(self.nvars)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def scale(self, c):
         c = rat(c)
@@ -196,6 +197,8 @@ class Poly:
             raise DimensionError("point length %d != nvars %d"
                                  % (len(point), self.nvars))
         pt = [rat(p) for p in point]
+        if not any(pt):
+            return self.constant_term()
         total = Fraction(0)
         for expo, coef in self.terms.items():
             v = coef
@@ -256,8 +259,13 @@ class Poly:
         return self.subs(reps)
 
     def gradient_at(self, point):
-        """Row vector of exact partial-derivative values at a point."""
-        return [self.partial(i).eval(point) for i in range(1, self.nvars + 1)]
+        """Row vector of exact partial-derivative values at a point.  At
+        the origin these are the coefficients of the linear terms."""
+        n = self.nvars
+        if len(point) == n and not any(rat(p) for p in point):
+            return [self.terms.get(tuple(int(i == j) for j in range(n)),
+                                   Fraction(0)) for i in range(n)]
+        return [self.partial(i).eval(point) for i in range(1, n + 1)]
 
     # ---- comparisons / display ----------------------------------------
     def __eq__(self, other):

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .polyring import (Poly, PolyMatrix, rat, rational_det, rational_rank,
                        rational_nullspace, rational_rref)
-from .germ import MapGerm, VecField, analyze, GermError
+from .germ import (MapGerm, VecField, GermAnalysis, analyze, jacobian,
+                   GermError)
 from .morin import ClassLabel, _sign
 
 
@@ -60,13 +61,14 @@ class Sigma20Result:
         raise AttributeError("Sigma20Result is immutable")
 
 
-def target_normalize(f):
+def target_normalize(f, analysis=None):
     """Orientation-preserving linear target change B (det B > 0) so that
     the first two components of B o f have vanishing differential at 0.
-    Returns (B o f, B).  Requires rank df(0) = 2."""
+    Returns (B o f, B).  Requires rank df(0) = 2.  ``analysis``, when
+    given, is analyze(f)."""
     if f.src_dim != 4 or f.tgt_dim != 4:
         raise GermError("needs a germ (R^4,0) -> (R^4,0)")
-    ana = analyze(f)
+    ana = analysis or analyze(f)
     if ana.rank0 != 2:
         raise GermError("rank df(0) must be 2, got %d" % ana.rank0)
     J0 = ana.jacobian.eval(f.origin())
@@ -107,12 +109,17 @@ def kernel_frame(f, analysis=None):
     return (VecField.constant(basis[0], 4), VecField.constant(basis[1], 4))
 
 
-def classify_sigma20(f):
+def classify_sigma20(f, analysis=None):
     """Classify a rank-2 germ (R^4,0) -> (R^4,0) as a signed hyperbolic
     or elliptic umbilic; raises DegenerateSigmaError if any criterion
-    quantity vanishes."""
-    g, B = target_normalize(f)
-    ana = analyze(g)
+    quantity vanishes.  ``analysis``, when given, is analyze(f).
+
+    g = B o f is analyzed from f's analysis: J_g = B J_f, so the jet of
+    lambda_g is det B times that of lambda_f and rank dg(0) = rank df(0)."""
+    ana_f = analysis or analyze(f)
+    g, B = target_normalize(f, ana_f)
+    ana = GermAnalysis(g, jacobian(g), ana_f.lam.scale(rational_det(B)),
+                       ana_f.rank0)
     xi, eta = kernel_frame(g, ana)
     lam = ana.lam
     origin = g.origin()

@@ -197,3 +197,102 @@ def test_classify_any_dispatch_errors():
     # (R^3, 0) -> (R^2, 0): no classifier route
     with pytest.raises(UnrecognizedError):
         classify_any(parse_map("x1 ; x2*x3"))
+
+
+# ---- GERMLAB_PRECISION and the shared parser -----------------------------
+
+def _record_precision(monkeypatch):
+    """Replace cmd_classify by a stub that records args.precision."""
+    import germlab.cli as cli
+    seen = []
+
+    def stub(args):
+        seen.append(args.precision)
+        return 0
+    monkeypatch.setattr(cli, "cmd_classify", stub)
+    return seen
+
+
+def test_precision_env_read_on_every_call(monkeypatch):
+    seen = _record_precision(monkeypatch)
+    monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+    assert main(["classify", "x1 ; x2"]) == 0
+    monkeypatch.setenv("GERMLAB_PRECISION", "30")
+    assert main(["classify", "x1 ; x2"]) == 0
+    monkeypatch.setenv("GERMLAB_PRECISION", "90")
+    assert main(["classify", "x1 ; x2"]) == 0
+    assert main(["classify", "--precision", "50", "x1 ; x2"]) == 0
+    assert seen == [40, 30, 90, 50]
+
+
+@pytest.mark.parametrize("value,message", [
+    ("abc", "GERMLAB_PRECISION must be an integer, got 'abc'"),
+    ("", "GERMLAB_PRECISION must be an integer, got ''"),
+    ("500", "--precision must be in [20, 120]"),
+    ("19", "--precision must be in [20, 120]"),
+])
+def test_bad_precision_env_is_a_usage_error(capsys, monkeypatch, value,
+                                            message):
+    monkeypatch.setenv("GERMLAB_PRECISION", value)
+    with pytest.raises(SystemExit) as info:
+        main(["tables"])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_help_text_does_not_depend_on_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for env in (None, "90", "abc"):
+        if env is None:
+            monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+        else:
+            monkeypatch.setenv("GERMLAB_PRECISION", env)
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--help"])
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0].startswith(
+        "usage: germlab classify [-h] [--json] [--precision PRECISION]")
+    assert "root isolation precision exponent (bits, 20-120)\n" in texts[0]
+    assert "None" not in texts[0]
+
+
+# ---- one analyze per germ ------------------------------------------------
+
+def _count_analyze(monkeypatch):
+    """Wrap germ.analyze in every germlab module that holds it; return the
+    list of the germs it is called on."""
+    import sys
+    import germlab.germ as germ
+    original = germ.analyze
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("germlab") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,family", [
+    ("x1^3 + x1*x2^2 ; x2", "lips"),
+    ("x1^3 - x1*x2^2 ; x2", "beaks"),
+    ("x1*x2 + x1^4 ; x2", "planar-swallowtail"),
+    ("x1*x2 - x1^2*x3 - x1^3*x4 - x1^5 ; -x2 ; x3 ; x4", "butterfly"),
+    ("vars: x1,x2,x3,x4 | x1^2 + x2*x3 ; x2^2 + x1*x4 ; x3 ; x4",
+     "sigma20-hyp"),
+    ("x1^2 - x2^2 + x1*x3 + x2*x4 ; x1*x2 + x1*x4 - x2*x3 ; x3 ; x4",
+     "sigma20-elli"),
+])
+def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
+    calls = _count_analyze(monkeypatch)
+    code, out, _ = run(capsys, "classify", "--json", text)
+    assert code == 0
+    assert json.loads(out)["label"]["family"] == family
+    assert len(calls) == 1

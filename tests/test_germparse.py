@@ -1,11 +1,15 @@
 """Parser: grammar examples, round-trip property, fuzz robustness."""
 
+import importlib.util
+import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germlab import germparse
 from germlab.polyring import Poly
 from germlab.germparse import parse_map, render_map, ParseError
 from germlab.germ import MapGerm
@@ -130,3 +134,180 @@ def test_fuzz_never_crashes():
             pass
     # a few random strings should even parse
     assert n_ok >= 0
+
+
+# ---- exact errors -------------------------------------------------------
+
+# (text, message, line, column), recorded before the parser was rewritten
+# to build terms directly; the rewrite must report each one unchanged.
+MALFORMED = [
+    ("", "expected a number, variable or parenthesized expression", 1, 1),
+    ("x1 +", "expected a number, variable or parenthesized expression",
+     1, 5),
+    ("x1 ^ x2", "exponent must be a nonnegative integer literal", 1, 6),
+    ("x1^(1/2) ; x2", "exponent must be a nonnegative integer literal",
+     1, 4),
+    ("x1^-2", "exponent must be a nonnegative integer literal", 1, 4),
+    ("vars: x1 | y1", "unknown identifier 'y1'", 1, 12),
+    ("t^2", "identifier 't' needs a 'vars:' header (only x1, x2, ... "
+     "can be inferred)", 1, 1),
+    ("x0 ; x1", "identifier 'x0' needs a 'vars:' header (only x1, x2, "
+     "... can be inferred)", 1, 1),
+    ("x1 ;\n x2 + @", "unexpected character '@'", 2, 7),
+    ("1/0*x1", "zero denominator", 1, 3),
+    ("x1 * * x2", "expected a number, variable or parenthesized expression",
+     1, 6),
+    ("(x1 + x2 ; x2", "expected ')', found ';'", 1, 10),
+    ("x1 + x2) ; x2", "expected ';' or end of input, found ')'", 1, 8),
+    ("x1^2 + 1 ; x2", "nonzero constant term in component 1", 1, 1),
+    ("x1 ; x2 ; 3/4", "nonzero constant term in component 3", 1, 11),
+    ("vars x1 | x1", "header must look like 'vars: x1,x2 | ...'", 1, 1),
+    ("vars: x1,,x2 | x1", "empty variable name in header", 1, 1),
+    ("vars: a,a | a", "duplicate variable name in header", 1, 1),
+    ("vars: x1 x1", "header must end with '|'", 1, 1),
+    ("x1 x2", "expected ';' or end of input, found 'x2'", 1, 4),
+    ("x1 / x2", "expected ';' or end of input, found '/'", 1, 4),
+    ("x1 ^ 2 ^ 3", "expected ';' or end of input, found '^'", 1, 8),
+    ("2/x1", "expected 'int', found 'x1'", 1, 3),
+    ("x1 +\n\t(x2 ; x2", "expected ')', found ';'", 2, 6),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", MALFORMED)
+def test_malformed_input_reports_exact_position(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_map(text)
+    assert (info.value.message, info.value.line, info.value.col) == \
+        (message, line, col)
+
+
+@pytest.mark.parametrize("text,message,col", [
+    ("²", "unexpected character '²'", 1),      # a digit, not decimal
+    ("x1 ; 3*½x2", "unexpected character '½'", 8),
+    ("-" * 5000 + "x1", "expression nested too deeply", None),
+    ("(" * 5000 + "x1" + ")" * 5000, "expression nested too deeply", None),
+])
+def test_odd_input_is_a_parse_error(text, message, col):
+    with pytest.raises(ParseError) as info:
+        parse_map(text)
+    assert info.value.message == message
+    assert col is None or info.value.col == col
+
+
+# ---- expression trees: the parse equals the Poly computation ------------
+
+def _trees(nvars):
+    """(text, Poly, precedence) for random expression trees over x1..x<nvars>.
+    Precedence: 0 sum, 1 product, 2 negation, 3 power, 4 atom."""
+    def var(i):
+        return ("x%d" % i, Poly.var(i, nvars), 4)
+
+    def integer(k):
+        return (str(k), Poly.const(k, nvars), 4)
+
+    def ratio(pq):
+        p, q = pq
+        return ("%d/%d" % (p, q), Poly.const(Fraction(p, q), nvars), 4)
+
+    leaves = st.one_of(st.integers(1, nvars).map(var),
+                       st.integers(0, 12).map(integer),
+                       st.tuples(st.integers(0, 12),
+                                 st.integers(1, 9)).map(ratio))
+
+    def wrap(node, level):
+        text, _, prec = node
+        return text if prec >= level else "(%s)" % text
+
+    def grow(children):
+        add = st.tuples(children, children, st.sampled_from("+-")).map(
+            lambda t: ("%s %s %s" % (wrap(t[0], 0), t[2], wrap(t[1], 1)),
+                       t[0][1] + t[1][1] if t[2] == "+" else t[0][1] - t[1][1],
+                       0))
+        mul = st.tuples(children, children).map(
+            lambda t: ("%s*%s" % (wrap(t[0], 1), wrap(t[1], 2)),
+                       t[0][1] * t[1][1], 1))
+        neg = children.map(lambda c: ("-" + wrap(c, 2), -c[1], 2))
+        power = st.tuples(children, st.integers(0, 4)).map(
+            lambda t: ("%s^%d" % (wrap(t[0], 4), t[1]), t[0][1] ** t[1], 3))
+        paren = children.map(lambda c: ("(+%s)" % c[0], c[1], 4))
+        return st.one_of(add, mul, neg, power, paren)
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+_TREES = {nvars: _trees(nvars) for nvars in (1, 2, 3)}
+
+
+@st.composite
+def _germ_texts(draw):
+    """(text, source dimension, component Polys), with or without a
+    'vars:' header."""
+    nvars = draw(st.integers(1, 3))
+    comps = draw(st.lists(_TREES[nvars], min_size=1, max_size=3))
+    body = " ; ".join(text for text, _, _ in comps)
+    values = [p for _, p, _ in comps]
+    if draw(st.booleans()):
+        names = ",".join("x%d" % i for i in range(1, nvars + 1))
+        return "vars: %s | %s" % (names, body), nvars, values
+    # without a header the dimension is the largest x<k> in the text, and
+    # the variables above it appear in no Poly
+    dim = max([i for i in range(1, nvars + 1) if "x%d" % i in body],
+              default=1)
+    return body, dim, [Poly(dim, {e[:dim]: c for e, c in p.terms.items()})
+                       for p in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_germ_texts())
+def test_expression_trees_parse_to_the_poly_they_denote(case):
+    text, dim, values = case
+    bad = [i for i, p in enumerate(values, 1) if p.constant_term() != 0]
+    if bad:
+        with pytest.raises(ParseError,
+                           match="nonzero constant term in component %d"
+                           % bad[0]):
+            parse_map(text)
+        return
+    f = parse_map(text)
+    assert f.src_dim == dim
+    assert f.components == tuple(values)
+
+
+# ---- expansion budgets --------------------------------------------------
+
+@pytest.mark.parametrize("text,column", [
+    ("(x1+x2+x3+x4)^40 + x1 ; x2 ; x3 ; x4", 14),
+    ("(x1+x2)^3000 ; x2", 8),
+    ("((3^9999)^9999)^9999*x1 ; x2", 10),
+    ("(x1+x2+x3)^30*(x1+x2+x3)^30*(x1+x2+x3)^30 ; x2", 28),
+])
+def test_expansion_over_budget_is_a_quick_parse_error(text, column):
+    from germlab.cli import main
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="too large") as info:
+        parse_map(text)
+    assert info.value.col == column
+    assert main(["classify", text]) == 2
+    assert time.perf_counter() - start < 2
+
+
+def test_bench_inputs_stay_ten_times_below_the_budgets(monkeypatch):
+    """Every classify input of the benchmark (corpus and Morin ladder up to
+    n = 7, two seeds) parses with each budget cut to a tenth."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench",
+                        "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    monkeypatch.setattr(germparse, "MAX_TERM_PRODUCTS",
+                        germparse.MAX_TERM_PRODUCTS // 10)
+    monkeypatch.setattr(germparse, "MAX_POWER_BITS",
+                        germparse.MAX_POWER_BITS // 10)
+    texts = []
+    for seed in (1, 2):
+        texts += [r["argv"][-1] for r in inputs.classify_corpus(seed)]
+        for rung in inputs.morin_ladder(seed).values():
+            texts += [r["argv"][-1] for r in rung]
+    assert len(texts) > 300
+    for text in texts:
+        parse_map(text)

@@ -155,3 +155,17 @@ def test_surface_eta_reversal():
             base = classify_surface(f, eta=eta)
             assert classify_surface(f, eta=-eta) == base
             assert classify_surface(f, eta=eta.scale(3)) == base
+
+
+def test_given_analysis_gives_the_same_label():
+    rng = random.Random(23)
+    forms = [_plane_normal_form(fam, s)
+             for fam in ("lips", "beaks", "planar-swallowtail")
+             for s in (1, -1)]
+    forms += [g2(X1 ** 2, X2), g2(X1 ** 3 + X1 * X2, X2), g2(X1 * X2 ** 2, X2)]
+    for f in forms:
+        f = change_coordinates(f, random_gl_pos(rng, 2), random_gl_pos(rng, 2))
+        label = classify_plane(f)
+        assert classify_plane(f, analysis=analyze(f)) == label
+        assert classify_plane(f, analysis=analyze(f)).describe() == \
+            label.describe()

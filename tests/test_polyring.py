@@ -270,3 +270,25 @@ def test_capped_det_is_truncated_det(term_dicts, cap):
     for j in range(3):
         assert M.adjugate_column(j, cap) == \
             [c.truncate(cap) for c in M.adjugate().column(j)]
+
+
+def _value_by_definition(p, point):
+    """sum of c * prod(x_i^e_i), with 0^0 = 1."""
+    total = Fraction(0)
+    for expo, c in p.terms.items():
+        for x, e in zip(point, expo):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_eval_and_gradient_at_origin_match_the_general_path(p, point):
+    origin = [Fraction(0)] * 2
+    assert p.eval(origin) == _value_by_definition(p, origin)
+    assert p.eval(point) == _value_by_definition(p, point)
+    assert p.gradient_at([0, 0]) == p.gradient_at(origin) == [
+        _value_by_definition(p.partial(i), origin) for i in (1, 2)]
+    assert p.gradient_at(point) == [
+        _value_by_definition(p.partial(i), point) for i in (1, 2)]

@@ -90,3 +90,20 @@ def test_labels_stable_under_changes():
             A = random_gl_pos(rng, 4)
             B = random_gl_pos(rng, 4)
             assert classify_sigma20(change_coordinates(f, A, B)).class_label == base
+
+
+def test_normalized_germ_analysis_is_derived_exactly():
+    """classify_sigma20 builds the analysis of g = B o f from f's: the
+    same Jacobian, lambda jet and rank as analyzing g afresh."""
+    from germlab.germ import GermAnalysis, jacobian
+    rng = random.Random(29)
+    for f in (hyp_normal_form(1), elli_normal_form(-1, 1)):
+        f = change_coordinates(f, random_gl_pos(rng, 4), random_gl_pos(rng, 4))
+        ana_f = analyze(f)
+        g, B = target_normalize(f, ana_f)
+        fresh = analyze(g)
+        assert fresh.jacobian == jacobian(g)
+        assert fresh.lam == ana_f.lam.scale(rational_det(B))
+        assert fresh.rank0 == ana_f.rank0
+        assert classify_sigma20(f, analysis=ana_f).class_label == \
+            classify_sigma20(f).class_label
