@@ -19,7 +19,6 @@ never escapes with anything else, whatever the input bytes.
 
 import re
 from fractions import Fraction
-from math import comb
 from operator import add
 
 from .polyring import Poly
@@ -79,22 +78,20 @@ def _shown(t):
 
 # Expansion budgets, per parse_map call.  Products of one-term operands
 # take time linear in the text; the work that can outgrow the text is
-# expanding a product or power with a multi-term operand, and raising a
-# coefficient to a power.  Both are estimated before they are done, and
-# an estimate over budget is a ParseError at the '*' or '^' token.
+# expanding a product with a multi-term operand (powers of one expand by
+# repeated squaring) and raising a coefficient to a power.  Each is
+# charged before it is done, and going over budget is a ParseError at the
+# '*' or '^' token.
 #
 # MAX_TERM_PRODUCTS bounds the coefficient products of expansion: a
-# product a*b with |a|, |b| terms costs |a|*|b|, and a power the sum of
-# that over the products of binary powering, with the term count of p^j
-# bounded by the multisets of j terms of p and by the monomials of
-# degree j*deg p.  A product of coefficients longer than COEFFICIENT_BITS
-# counts once per pair of COEFFICIENT_BITS-bit blocks.
-# MAX_POWER_BITS bounds the sum, over the powers of the text, of the bit
-# length their coefficients can reach: k * (log2 |c| + log2 of the
-# number of terms) for a power ^k, with log2 |c| the largest coefficient
-# size in numerator and denominator bits.  Products only add coefficient
-# sizes, so every coefficient stays within the text's own size plus
-# this budget.
+# product a*b with |a|, |b| terms costs |a|*|b|, counted once per pair of
+# COEFFICIENT_BITS-bit blocks of the largest coefficients of a and b.
+# MAX_POWER_BITS bounds the sum over the powers c*x^e ^ k of a single
+# term of k * log2 |c|, the bits they can make, with log2 |c| counted as
+# numerator plus denominator bits.  Products of single terms only add
+# coefficient sizes, and the block count keeps expansion from multiplying
+# coefficients of more than COEFFICIENT_BITS * sqrt(MAX_TERM_PRODUCTS)
+# bits, so no coefficient outgrows the text by more than these bounds.
 MAX_TERM_PRODUCTS = 10 ** 6
 MAX_POWER_BITS = 10 ** 5
 COEFFICIENT_BITS = 1024
@@ -108,16 +105,9 @@ def _bits(c):
         (c.denominator - 1).bit_length()
 
 
-def _size(p):
-    """(term count, largest coefficient bits, lowest and highest degree)
-    of a polynomial given as {exponent tuple: coefficient}."""
-    degrees = [sum(e) for e in p]
-    return (len(p), max(_bits(c) for c in p.values()),
-            min(degrees), max(degrees))
-
-
-def _blocks(bits):
-    return 1 + bits // COEFFICIENT_BITS
+def _blocks(p):
+    """COEFFICIENT_BITS-bit blocks of the largest coefficient of p."""
+    return 1 + max(map(_bits, p.values())) // COEFFICIENT_BITS
 
 
 class _Parser:
@@ -127,15 +117,15 @@ class _Parser:
     terms in place.  Only a product or power with a multi-term operand
     goes through Poly's product loop."""
 
-    def __init__(self, text, tokens, varmap, nvars):
+    def __init__(self, text, tokens, names):
         self.text = text
         self.tokens = tokens
         self.pos = 0
-        self.nvars = nvars
+        self.nvars = nvars = len(names)
         self.zero = (0,) * nvars
-        # variable name -> its exponent tuple; varmap gives 1-based indices
-        self.units = {name: tuple(int(j == i - 1) for j in range(nvars))
-                      for name, i in varmap.items()}
+        # variable name -> its exponent tuple
+        self.units = {name: tuple(int(j == i) for j in range(nvars))
+                      for i, name in enumerate(names)}
         self.term_products = 0
         self.power_bits = 0
 
@@ -159,8 +149,7 @@ class _Parser:
         return t
 
     def charge(self, term_products, power_bits, at):
-        """Spend the estimated work of the product or power at token
-        index ``at``."""
+        """Charge the work of the product or power at token index ``at``."""
         self.term_products += term_products
         self.power_bits += power_bits
         if self.term_products > MAX_TERM_PRODUCTS:
@@ -172,8 +161,12 @@ class _Parser:
                       "over the budget of %d" % (self.power_bits,
                                                  MAX_POWER_BITS), at)
 
-    def poly(self, p):
-        return Poly._trusted(self.nvars, p)
+    def product(self, p, q, at):
+        """p * q, of which one has several terms, by Poly's product loop,
+        once its term products are charged at token index ``at``."""
+        self.charge(len(p) * len(q) * _blocks(p) * _blocks(q), 0, at)
+        return (Poly._trusted(self.nvars, p) *
+                Poly._trusted(self.nvars, q)).terms
 
     # expr := term (("+" | "-") term)*
     def expr(self):
@@ -204,10 +197,7 @@ class _Parser:
                 c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
                 p = {tuple(map(add, e1, e2)): c}
             elif p and q:
-                ta, ba = _size(p)[:2]
-                tb, bb = _size(q)[:2]
-                self.charge(ta * tb * _blocks(ba) * _blocks(bb), 0, at)
-                p = (self.poly(p) * self.poly(q)).terms
+                p = self.product(p, q, at)
             else:
                 p = {}
         return p
@@ -239,33 +229,15 @@ class _Parser:
                 self.charge(0, k * _bits(c), at)
                 c = c ** k
             return {tuple(k * i for i in e): c}
-        self.charge(*self.power_cost(p, k), at)
-        return (self.poly(p) ** k).terms
-
-    def power_cost(self, p, k):
-        """(term products, coefficient bits) estimated for p^k by the
-        binary powering of Poly.__pow__, which multiplies p^have by
-        p^step for each set bit of k and squares p^step in between."""
-        terms, bits, low, high = _size(p)
-        bits += (terms - 1).bit_length()
-        n = self.nvars
-
-        def bound(j):       # term count times coefficient blocks of p^j
-            count = min(comb(j + terms - 1, terms - 1),
-                        comb(n + j * high, n) - comb(n + j * low - 1, n))
-            return count * _blocks(j * bits)
-
-        cost, have, step, rest = 0, 0, 1, k
-        while cost <= MAX_TERM_PRODUCTS:
-            if rest & 1:
-                cost += bound(have) * bound(step)
-                have += step
-            rest >>= 1
-            if not rest:
-                break
-            cost += bound(step) ** 2
-            step *= 2
-        return cost, k * bits
+        # binary powering, so that each product is charged before it is made
+        result = None
+        while True:
+            if k & 1:
+                result = p if result is None else self.product(result, p, at)
+            k >>= 1
+            if not k:
+                return result
+            p = self.product(p, p, at)
 
     # atom := number | variable | "(" expr ")"
     def atom(self):
@@ -324,7 +296,7 @@ def _infer_vars(text, tokens):
     for k, t in enumerate(tokens):
         if t in _PUNCT or t == _EOF or t.isdecimal():
             continue
-        if not (t.startswith("x") and t[1:].isdigit() and
+        if not (t.startswith("x") and t[1:].isdecimal() and
                 not t[1:].startswith("0")):
             raise ParseError(
                 "identifier %r needs a 'vars:' header (only x1, x2, ... "
@@ -345,13 +317,9 @@ def parse_map(text):
             raise ParseError("input is not valid UTF-8 text", 1, 1)
     names, body = _split_header(text)
     tokens = _tokenize(body)
-    if names is not None:
-        nvars = len(names)
-        varmap = {name: i + 1 for i, name in enumerate(names)}
-    else:
-        nvars = _infer_vars(body, tokens)
-        varmap = {"x%d" % i: i for i in range(1, nvars + 1)}
-    parser = _Parser(body, tokens, varmap, nvars)
+    if names is None:
+        names = ["x%d" % i for i in range(1, _infer_vars(body, tokens) + 1)]
+    parser = _Parser(body, tokens, names)
     comps = []
     starts = []
     while True:
@@ -369,6 +337,7 @@ def parse_map(text):
     for i, (p, at) in enumerate(zip(comps, starts)):
         if parser.zero in p:
             parser.fail("nonzero constant term in component %d" % (i + 1), at)
+    nvars = parser.nvars
     return MapGerm([Poly._trusted(nvars, p) for p in comps], src_dim=nvars)
 
 

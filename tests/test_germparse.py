@@ -184,6 +184,8 @@ def test_malformed_input_reports_exact_position(text, message, line, col):
 @pytest.mark.parametrize("text,message,col", [
     ("²", "unexpected character '²'", 1),      # a digit, not decimal
     ("x1 ; 3*½x2", "unexpected character '½'", 8),
+    ("x² ; x1", "identifier 'x²' needs a 'vars:' header (only x1, x2, ... "
+     "can be inferred)", 1),
     ("-" * 5000 + "x1", "expression nested too deeply", None),
     ("(" * 5000 + "x1" + ")" * 5000, "expression nested too deeply", None),
 ])
@@ -289,6 +291,31 @@ def test_expansion_over_budget_is_a_quick_parse_error(text, column):
     assert info.value.col == column
     assert main(["classify", text]) == 2
     assert time.perf_counter() - start < 2
+
+
+def test_long_coefficients_count_per_block():
+    """Squaring 961 terms of about 10^5 bits each is 923 521 term products,
+    under the budget, but each one multiplies 98 * 98 blocks of 1024 bits:
+    rejected at once rather than run for minutes."""
+    terms = " + ".join("x1^%d*x2^%d" % (i, j)
+                       for i in range(1, 32) for j in range(1, 32))
+    text = "(2^99999*(%s))^2 ; x2" % terms
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="expansion too large") as info:
+        parse_map(text)
+    assert time.perf_counter() - start < 2
+    assert info.value.col == text.rindex("^") + 1
+
+
+def test_cheap_nested_powers_are_within_budget():
+    """Nested powers whose terms collide are charged what they cost, not
+    what their term counts alone would suggest."""
+    x = [Poly.var(i, 4) for i in range(1, 5)]
+    f = parse_map("vars: x1,x2,x3,x4 | ((x3 - x1)^42)^4 ; "
+                  "((x3^3 + 7*x4^3*x2 + 2*x1)^3)^10")
+    assert f.components == (
+        ((x[2] - x[0]) ** 42) ** 4,
+        ((x[2] ** 3 + 7 * x[3] ** 3 * x[1] + 2 * x[0]) ** 3) ** 10)
 
 
 def test_bench_inputs_stay_ten_times_below_the_budgets(monkeypatch):
