@@ -21,11 +21,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .polyring import rat
+from .polyring import rat, _rat_str
 from .germ import (analyze, null_field, NotCorankOneError,
                    DegenerateGermError, GermError)
-from .morin import recognize_morin, class_count, normal_form
-from .lowdim import classify_plane, classify_surface
+from .morin import recognize_morin, class_count
+from .lowdim import classify_degenerate_plane, classify_surface
 from .sigma20 import classify_sigma20, DegenerateSigmaError
 from .germparse import parse_map, render_map, ParseError
 from . import perturb as pt
@@ -57,21 +57,11 @@ def _label_dict(label):
         "family": label.family,
         "k": label.k,
         "signs": list(label.signs),
-        "invariant": _inv_json(label.invariant),
+        "invariant": pt.inv_to_json(label.invariant),
         "normal_form": (render_map(label.normal_form)
                         if label.normal_form is not None else None),
         "describe": label.describe(),
     }
-
-
-def _inv_json(inv):
-    kind = inv[0]
-    if kind == "none":
-        return {"kind": "none"}
-    value = inv[1]
-    if isinstance(value, tuple):
-        return {"kind": kind, "value": list(value)}
-    return {"kind": kind, "value": value}
 
 
 def classify_any(f):
@@ -96,7 +86,7 @@ def classify_any(f):
                     "morin")
         except DegenerateGermError:
             if f.src_dim == 2:
-                label = classify_plane(f, eta=eta, analysis=ana)
+                label = classify_degenerate_plane(f, ana, eta)
                 if label.family != "unrecognized":
                     return label, "plane"
             raise UnrecognizedError("degenerate germ: no criterion matched")
@@ -213,11 +203,8 @@ def _parse_grid(text, nparams):
 
 def cmd_perturb(args):
     family = args.family.upper()
-    nparams = {"B": 1, "C": 2}.get(family, (args.l - 1) if args.l else None)
-    if nparams is None:
-        raise ValueError("family A needs --l")
     if args.grid:
-        grid = _parse_grid(args.grid, nparams)
+        grid = _parse_grid(args.grid, pt.param_count(family, args.l))
         reports, summary = pt.sweep(family, args.n, grid, l=args.l,
                                     precision_bits=args.precision)
         payload = {"summary": summary,
@@ -274,12 +261,12 @@ def cmd_tables(args):
             families.append({
                 "family": fam,
                 "n": n,
-                "u": [pt._rat_repr(v) for v in spec.u],
+                "u": [_rat_str(v) for v in spec.u],
                 "l": spec.l,
                 "count": rep.count,
                 "c_f_bound": rep.c_f_bound,
                 "inv_formula": _INV_FORMULAS[(fam, n)],
-                "invariants": [_inv_json(p.invariant_value)
+                "invariants": [pt.inv_to_json(p.invariant_value)
                                for p in rep.points],
                 "all_verified": all(p.verified for p in rep.points),
             })

@@ -20,9 +20,7 @@ det hess w(0) > 0, which is the reading consistent with the normal forms
 and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 """
 
-from fractions import Fraction
-
-from .polyring import Poly, PolyMatrix, dir_deriv, rational_det, rational_nullspace
+from .polyring import Poly, PolyMatrix, rational_det, rational_nullspace
 from .germ import (MapGerm, VecField, analyze, null_field,
                    GermError, NotCorankOneError, DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
@@ -74,12 +72,18 @@ def classify_plane(f, eta=None, analysis=None):
         return ClassLabel("regular", (None, None), None, 0, ("none",))
     if ana.corank0 != 1:
         raise NotCorankOneError("not corank one at 0")
+    eta = eta or null_field(f, ana)
     try:
         return recognize_morin(f, analysis=ana, eta=eta).class_label
     except DegenerateGermError:
-        pass
-    eta = eta or null_field(f, ana)
-    lam = ana.lam
+        return classify_degenerate_plane(f, ana, eta)
+
+
+def classify_degenerate_plane(f, analysis, eta):
+    """The lips / beaks / planar-swallowtail criteria of ``classify_plane``
+    for a corank-one plane germ that is not Morin; ``analysis`` is
+    analyze(f) and ``eta`` its null field."""
+    lam = analysis.lam
     origin = f.origin()
     dlam0 = lam.gradient_at(origin)
     eel = eta.apply(eta.apply(lam))

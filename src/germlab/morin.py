@@ -11,11 +11,9 @@ Class equality is decided purely by comparing the invariant tuples; the
 signed normal-form representative is attached for reference.
 """
 
-from fractions import Fraction
-
-from .polyring import Poly, PolyMatrix, rational_det, rational_rank
-from .germ import (MapGerm, VecField, analyze, null_field,
-                   GermError, NotCorankOneError, DegenerateGermError)
+from .polyring import Poly, rational_det, rational_rank
+from .germ import (MapGerm, analyze, null_field,
+                   NotCorankOneError, DegenerateGermError)
 
 
 def _sign(x):
@@ -171,10 +169,10 @@ def recognize_morin(f, analysis=None, eta=None):
     if rational_rank(grad_rows) != k:
         raise DegenerateGermError(
             "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")
-    return morin_invariants(f, k, analysis=ana, eta=eta, chain=chain)
+    return morin_invariants(f, k, eta, chain)
 
 
-def morin_invariants(f, k, analysis=None, eta=None, chain=None):
+def morin_invariants(f, k, eta, chain):
     """Populate the invariant combination for a recognized k-Morin germ
     and build the class label.  See Tables of class counts:
       k = n:  n=1 -> sign of the second derivative of f1;
@@ -183,10 +181,7 @@ def morin_invariants(f, k, analysis=None, eta=None, chain=None):
               n%4==3 -> sign(eta^n lambda * det grad).
       k < n:  k even -> sign eta^k lambda (2 classes); k odd -> none (1 class).
     """
-    ana = analysis or analyze(f)
     n = f.src_dim
-    eta = eta or null_field(f, ana)
-    chain = chain or eta_lambda_chain(ana.lam, eta, n)
     origin = f.origin()
     s_etak = _sign(chain[k].eval(origin))
     grad_det_sign = None

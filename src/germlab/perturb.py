@@ -16,8 +16,9 @@ field is d/dt and lambda = q_t):
 Morin points are found exactly: the defining equations
 lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated by back
 substitution into a one-parameter curve sigma(t) plus a single univariate
-constraint; real roots of the constraint are found by the rational-root
-theorem plus Sturm-sequence isolation.  Every point is verified against
+constraint; real roots of the constraint are isolated by Sturm sequences,
+and the rational ones found exactly inside their isolating intervals (see
+``rational_roots``).  Every point is verified against
 the Morin classifier (exactly at rational roots; through exact sign
 isolation along the curve at irrational ones).
 
@@ -28,9 +29,10 @@ derived, so discrepancies are surfaced rather than silently absorbed.
 """
 
 from fractions import Fraction
+from math import ceil, lcm
 
-from .polyring import Poly, PolyMatrix, rat, rational_det
-from .germ import MapGerm, VecField, analyze, translate, GermError
+from .polyring import Poly, PolyMatrix, rat, _rat_str
+from .germ import MapGerm, translate, GermError
 from .morin import recognize_morin, invariant_kind, _sign
 
 DEFAULT_PRECISION_BITS = 40
@@ -62,20 +64,8 @@ def up_deriv(c):
     return [i * coef for i, coef in enumerate(c)][1:]
 
 
-def up_scale(c, s):
-    s = rat(s)
-    return up_trim([coef * s for coef in c])
-
-
 def up_neg(c):
     return [-coef for coef in c]
-
-
-def up_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-           for i in range(n)]
-    return up_trim(out)
 
 
 def up_mul(a, b):
@@ -172,47 +162,26 @@ def up_root_bound(c):
 
 
 def rational_roots(c):
-    """All rational roots (each once) of a nonzero univariate polynomial,
-    by the rational-root theorem on the primitive integer form."""
+    """All rational roots (each once, sorted) of a nonzero univariate
+    polynomial.  A root p/q in lowest terms has q | A, A = lcm of the
+    denominators times the leading coefficient, so it lies on (1/A)Z: each
+    Sturm isolating interval is refined below 1/(2|A|), where it holds at
+    most one such point, and that one candidate is tested exactly."""
     c = up_trim(c)
     if up_deg(c) <= 0:
         return []
-    # strip the root at 0
     roots = []
-    while c and c[0] == 0:
-        if 0 not in roots:
-            roots.append(Fraction(0))
-        c = c[1:]
-    if up_deg(c) <= 0:
-        return sorted(roots)
-    from math import gcd
-    denom = 1
-    for x in c:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in c]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-
-    def divisors(m):
-        m = abs(m)
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return sorted(set(out))
-
-    a0, an = ints[0], ints[-1]
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and up_eval(c, cand) == 0:
-                    roots.append(cand)
+    if c[0] == 0:
+        roots.append(Fraction(0))
+        while c[0] == 0:
+            c = c[1:]
+    sf = up_squarefree(c)
+    a = abs(int(c[-1] * lcm(*(x.denominator for x in c))))
+    for lo, hi in isolate_real_roots(sf):
+        lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * a))
+        cand = Fraction(ceil(lo * a), a)
+        if cand <= hi and up_eval(sf, cand) == 0:
+            roots.append(cand)
     return sorted(roots)
 
 
@@ -314,15 +283,21 @@ def poly_to_coeffs(p):
     return up_trim(out)
 
 
-def coeffs_to_poly(c):
-    return Poly(1, {(i,): coef for i, coef in enumerate(c) if coef != 0})
-
-
 # ---------------------------------------------------------------------------
 # unfolding construction
 # ---------------------------------------------------------------------------
 
 FAMILY_B_CN = {2: 6, 3: 10, 4: 15, 5: 21}
+
+
+def param_count(family, l):
+    """Number of unfolding parameters of a family ('A', 'B' or 'C'):
+    l - 1 for family A (which needs l >= 2), one for B, two for C."""
+    if family == "A":
+        if l is None or l < 2:
+            raise ValueError("family A needs l >= 2")
+        return l - 1
+    return {"B": 1, "C": 2}[family]
 
 
 class UnfoldingSpec:
@@ -338,19 +313,11 @@ class UnfoldingSpec:
         if not 2 <= n <= 5:
             raise ValueError("n must be in 2..5")
         u = tuple(rat(v) for v in u)
-        if family == "A":
-            if l is None or l < 2:
-                raise ValueError("family A needs l >= 2")
-            if len(u) != l - 1:
-                raise ValueError("family A with l=%d needs %d parameters"
-                                 % (l, l - 1))
-        elif family == "B":
-            if len(u) != 1:
-                raise ValueError("family B needs exactly one parameter")
-            l = None
-        else:
-            if len(u) != 2:
-                raise ValueError("family C needs exactly two parameters")
+        count = param_count(family, l)
+        if len(u) != count:
+            raise ValueError("family %s needs %d parameter(s), got %d"
+                             % (family, count, len(u)))
+        if family != "A":
             l = None
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "n", n)
@@ -479,23 +446,23 @@ def eliminate_curve(spec, symbolic=False):
         if len(present) != 1:
             raise GermError("equation involves several unknowns: %s" % present)
         j = present[0]
-        if e.degree_in(j) != 1:
-            raise GermError("equation not linear in x%d" % j)
-        a = Poly.zero(nvars)
-        b = Poly.zero(nvars)
-        for expo, coef in e.terms.items():
-            if expo[j - 1] == 1:
-                rest = list(expo)
-                rest[j - 1] = 0
-                a = a + Poly(nvars, {tuple(rest): coef})
-            else:
-                b = b + Poly(nvars, {expo: coef})
-        if not a.is_constant():
-            raise GermError("leading coefficient of x%d is not constant" % j)
-        coords[j] = b.scale(Fraction(-1) / a.constant_term())
+        coords[j] = _solve_linear(e, j, "x%d" % j)
     if constraint is None:
         raise GermError("elimination produced no constraint")
     return coords, constraint
+
+
+def _solve_linear(e, i, name):
+    """The solution x_i = -b/a of e = a*x_i + b = 0 (i is 1-based), where
+    a must be a nonzero constant."""
+    if e.degree_in(i) != 1:
+        raise GermError("equation not linear in %s" % name)
+    a = e.partial(i)
+    if not a.is_constant():
+        raise GermError("coefficient of %s is not constant" % name)
+    b = Poly(e.nvars, {expo: coef for expo, coef in e.terms.items()
+                       if expo[i - 1] == 0})
+    return b.scale(Fraction(-1) / a.constant_term())
 
 
 def _drop_x_vars(p, n, npar):
@@ -752,23 +719,6 @@ def sweep(family, n, grid, l=None, precision_bits=DEFAULT_PRECISION_BITS):
     return reports, summary
 
 
-def default_grid(family, l=None, lo=-4, hi=4, step=1):
-    """Fixed deterministic rational lattice of parameter tuples."""
-    values = []
-    v = rat(lo)
-    step = rat(step)
-    while v <= hi:
-        values.append(v)
-        v += step
-    nparams = {"B": 1, "C": 2}.get(family, (l - 1) if l else 1)
-    if nparams == 1:
-        return [(v,) for v in values]
-    grids = [(v,) for v in values]
-    for _ in range(nparams - 1):
-        grids = [g + (v,) for g in grids for v in values]
-    return grids
-
-
 def family_b_symbolic_identity(n):
     """Symbolic check of the family B curve: with u0 kept symbolic, the
     whole chain lambda, ..., eta^{n-1} lambda composed with the solved
@@ -837,25 +787,6 @@ _PRINTED_B = {
 }
 
 
-def _u0_from_constraint(constraint, nvars, u0_index):
-    """Solve a constraint that is linear in u0 for u0; returns the Poly
-    u0 = expr(t, u1)."""
-    a = Poly.zero(nvars)
-    b = Poly.zero(nvars)
-    for expo, coef in constraint.terms.items():
-        if expo[u0_index] == 1:
-            rest = list(expo)
-            rest[u0_index] = 0
-            a = a + Poly(nvars, {tuple(rest): coef})
-        elif expo[u0_index] == 0:
-            b = b + Poly(nvars, {expo: coef})
-        else:
-            raise GermError("constraint not linear in u0")
-    if not a.is_constant():
-        raise GermError("u0 coefficient not constant")
-    return b.scale(Fraction(-1) / a.constant_term())
-
-
 def table_discrepancy_report():
     """Re-derive, symbolically, every constraint equation and coordinate
     formula of the family B and C tables, and compare with the printed
@@ -878,7 +809,7 @@ def table_discrepancy_report():
                 printed_con = _normalize_primitive(_parse_tu(printed["constraint"], npar))
                 entries.append(_compare(family, n, "constraint",
                                         printed_con, derived_con))
-            u0_expr = _u0_from_constraint(constraint, nvars, u0_index)
+            u0_expr = _solve_linear(constraint, u0_index + 1, "u0")
             reps = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
             reps[u0_index] = u0_expr
             for j in range(2, n + 1):
@@ -946,13 +877,6 @@ def _tu_names(nvars):
 # report serialization (deterministic, JSON-compatible)
 # ---------------------------------------------------------------------------
 
-def _rat_repr(x):
-    x = rat(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
 def _rat_decimal(x, places=12):
     """Fixed-precision decimal string of a rational (deterministic)."""
     x = rat(x)
@@ -966,24 +890,24 @@ def _rat_decimal(x, places=12):
 
 def point_to_dict(p):
     if p.exact:
-        t_field = {"exact": _rat_repr(p.t), "approx": _rat_decimal(p.t)}
-        loc = [_rat_repr(v) for v in p.location]
+        t_field = {"exact": _rat_str(p.t), "approx": _rat_decimal(p.t)}
+        loc = [_rat_str(v) for v in p.location]
     else:
         lo, hi = p.t
-        t_field = {"interval": [_rat_repr(lo), _rat_repr(hi)],
+        t_field = {"interval": [_rat_str(lo), _rat_str(hi)],
                    "approx": _rat_decimal((lo + hi) / 2)}
         loc = None
     return {
         "t": t_field,
         "location": loc,
         "k": p.k,
-        "invariant": _inv_to_json(p.invariant_value),
-        "table_invariant": _inv_to_json(p.table_value),
+        "invariant": inv_to_json(p.invariant_value),
+        "table_invariant": inv_to_json(p.table_value),
         "verified": p.verified,
     }
 
 
-def _inv_to_json(inv):
+def inv_to_json(inv):
     kind = inv[0]
     if kind == "none":
         return {"kind": "none"}
@@ -999,7 +923,7 @@ def report_to_dict(r):
             "family": r.spec.family,
             "n": r.spec.n,
             "l": r.spec.l,
-            "u": [_rat_repr(v) for v in r.spec.u],
+            "u": [_rat_str(v) for v in r.spec.u],
             "genotype": r.spec.genotype,
         },
         "count": r.count,

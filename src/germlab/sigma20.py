@@ -16,8 +16,8 @@ choice suffices; the invariance is exercised by the tests.
 
 from fractions import Fraction
 
-from .polyring import (Poly, PolyMatrix, rat, rational_det, rational_rank,
-                       rational_nullspace, rational_rref)
+from .polyring import (Poly, rational_det, rational_rank,
+                       rational_nullspace)
 from .germ import (MapGerm, VecField, GermAnalysis, analyze, jacobian,
                    GermError)
 from .morin import ClassLabel, _sign

@@ -149,6 +149,20 @@ def test_perturb_grid_over_cap_rejected_at_once(capsys):
     assert code == 3 and "10201 points" in err
 
 
+@pytest.mark.parametrize("family,n,params", [
+    ("B", "3", "-123456789012345678"),
+    ("C", "4", "-98765432109876543/7,3"),
+])
+def test_perturb_huge_parameter_ends_quickly(capsys, family, n, params):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "perturb", "--json", "--family", family,
+                       "--n", n, "--params=" + params)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert len(points) == 2 and all(p["verified"] for p in points)
+
+
 def test_perturb_family_a_needs_l(capsys):
     code, _, err = run(capsys, "perturb", "--family", "A", "--n", "2",
                        "--params", "-1")
@@ -261,17 +275,15 @@ def test_help_text_does_not_depend_on_the_environment(capsys, monkeypatch):
 
 # ---- one analyze per germ ------------------------------------------------
 
-def _count_analyze(monkeypatch):
-    """Wrap germ.analyze in every germlab module that holds it; return the
-    list of the germs it is called on."""
+def _count_calls(monkeypatch, original):
+    """Wrap ``original`` in every germlab module that holds it; return the
+    list of the first arguments it is called with."""
     import sys
-    import germlab.germ as germ
-    original = germ.analyze
     calls = []
 
-    def counted(f):
-        calls.append(f)
-        return original(f)
+    def counted(first, *args):
+        calls.append(first)
+        return original(first, *args)
     for name, mod in list(sys.modules.items()):
         if name.startswith("germlab") and mod is not None:
             for attr, value in list(vars(mod).items()):
@@ -291,8 +303,13 @@ def _count_analyze(monkeypatch):
      "sigma20-elli"),
 ])
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
-    calls = _count_analyze(monkeypatch)
+    import germlab.germ as germ
+    import germlab.morin as morin
+    calls = _count_calls(monkeypatch, germ.analyze)
+    chains = _count_calls(monkeypatch, morin.eta_lambda_chain)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
     assert len(calls) == 1
+    # the corank-two umbilics have no eta-chain
+    assert len(chains) == (0 if family.startswith("sigma20") else 1)

@@ -61,14 +61,19 @@ def test_sign_at_root_exact_and_interval():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
-def test_isolation_finds_exactly_the_constructed_roots(roots):
-    p = [F(1)]
+@given(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+                min_size=1, max_size=4, unique=True),
+       st.sampled_from([([F(1)], 0), ([F(-2), F(0), F(1)], 2),
+                        ([F(1), F(0), F(1)], 0)]))
+def test_isolation_finds_exactly_the_constructed_roots(roots, factor):
+    """Rational roots p/q (q <= 6), times 1, x^2 - 2 or x^2 + 1 (with
+    their number of irrational real roots)."""
+    p, irrational = factor
     for r in roots:
-        p = pt.up_mul(p, [F(-r), F(1)])
-    assert pt.rational_roots(p) == sorted(F(r) for r in roots)
+        p = pt.up_mul(p, [-r, F(1)])
+    assert pt.rational_roots(p) == sorted(roots)
     found = pt.isolate_real_roots(p, width=F(1, 256))
-    assert len(found) == len(roots)
+    assert len(found) == len(roots) + irrational
 
 
 def test_sturm_count_interval():
@@ -186,7 +191,7 @@ def test_degenerate_parameter_flagged():
 
 
 def test_sweep_summary():
-    grid = pt.default_grid("B", lo=-8, hi=-2, step=3)
+    grid = [(F(-8),), (F(-5),), (F(-2),)]
     reports, summary = pt.sweep("B", 3, grid)
     assert summary["grid_size"] == len(grid)
     assert summary["c_f_bound"] == 2
