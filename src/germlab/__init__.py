@@ -6,10 +6,10 @@ that enumerates the Morin points of stable perturbations of simple germs.
 from .polyring import Poly, PolyMatrix, Rat, rat, dir_deriv, DimensionError
 from .germ import (MapGerm, VecField, GermAnalysis, analyze, null_field,
                    translate, GermError, NotCorankOneError, DegenerateGermError)
-from .morin import (ClassLabel, MorinResult, recognize_morin, morin_invariants,
-                    isotopy_class, normal_form, class_count, invariant_kind)
+from .morin import (ClassLabel, recognize_morin, morin_invariants,
+                    normal_form, class_count, invariant_kind)
 from .lowdim import classify_plane, classify_surface
-from .sigma20 import (classify_sigma20, target_normalize, Sigma20Result,
+from .sigma20 import (classify_sigma20, target_normalize,
                       hyp_normal_form, elli_normal_form, DegenerateSigmaError)
 from .perturb import (UnfoldingSpec, MorinPoint, PerturbationReport,
                       build_unfolding, morin_points, sweep,

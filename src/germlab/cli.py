@@ -82,8 +82,7 @@ def classify_any(f):
     if ana.corank0 <= 1:
         eta = null_field(f, ana) if ana.corank0 == 1 else None
         try:
-            return (recognize_morin(f, analysis=ana, eta=eta).class_label,
-                    "morin")
+            return recognize_morin(f, analysis=ana, eta=eta), "morin"
         except DegenerateGermError:
             if f.src_dim == 2:
                 label = classify_degenerate_plane(f, ana, eta)
@@ -92,7 +91,7 @@ def classify_any(f):
             raise UnrecognizedError("degenerate germ: no criterion matched")
     if ana.corank0 == 2 and f.src_dim == 4:
         try:
-            return classify_sigma20(f, analysis=ana).class_label, "sigma20"
+            return classify_sigma20(f, analysis=ana), "sigma20"
         except DegenerateSigmaError as e:
             raise UnrecognizedError(str(e))
     raise UnrecognizedError("corank %d at the origin: out of scope"
@@ -233,15 +232,6 @@ def cmd_perturb(args):
     return EXIT_OK
 
 
-_INV_FORMULAS = {
-    ("A", 2): "1", ("A", 3): "qbar_x3", ("A", 4): "(1, qbar_x4)",
-    ("A", 5): "qbar_x5",
-    ("B", 2): "t", ("B", 3): "t^2", ("B", 4): "(t, t)", ("B", 5): "t",
-    ("C", 2): "t", ("C", 3): "-20*t^2 + 3*t + u1",
-    ("C", 4): "(t, t*(30*t^2 - 4*t - u1))",
-    ("C", 5): "t*(-42*t^2 + 5*t + u1)",
-}
-
 _REFERENCE_SPECS = {
     "A": lambda n: pt.UnfoldingSpec("A", n, [0, -1], l=3),  # roots 0, +-1
     "B": lambda n: pt.UnfoldingSpec("B", n, [-pt.FAMILY_B_CN[n]]),
@@ -265,7 +255,7 @@ def cmd_tables(args):
                 "l": spec.l,
                 "count": rep.count,
                 "c_f_bound": rep.c_f_bound,
-                "inv_formula": _INV_FORMULAS[(fam, n)],
+                "inv_formula": pt.INV_FORMULAS[(fam, n)],
                 "invariants": [pt.inv_to_json(p.invariant_value)
                                for p in rep.points],
                 "all_verified": all(p.verified for p in rep.points),

@@ -89,17 +89,16 @@ class MapGerm:
     """A polynomial map-germ (R^n, 0) -> (R^m, 0).
 
     The germ condition f(0) = 0 is enforced at construction: any constant
-    terms are dropped, and ``had_constant`` records whether that happened.
+    terms are dropped (``translate`` relies on this).
     """
 
-    __slots__ = ("src_dim", "tgt_dim", "components", "had_constant")
+    __slots__ = ("src_dim", "tgt_dim", "components")
 
     def __init__(self, components, src_dim=None):
         comps = list(components)
         if not comps:
             raise DimensionError("a map-germ needs at least one component")
         n = comps[0].nvars if src_dim is None else src_dim
-        had_constant = False
         fixed = []
         for c in comps:
             if c.nvars != n:
@@ -107,13 +106,11 @@ class MapGerm:
                                      % (c.nvars, n))
             ct = c.constant_term()
             if ct != 0:
-                had_constant = True
                 c = c - Poly.const(ct, n)
             fixed.append(c)
         object.__setattr__(self, "src_dim", n)
         object.__setattr__(self, "tgt_dim", len(fixed))
         object.__setattr__(self, "components", tuple(fixed))
-        object.__setattr__(self, "had_constant", had_constant)
 
     def __setattr__(self, *a):
         raise AttributeError("MapGerm is immutable")

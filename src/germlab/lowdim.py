@@ -32,8 +32,10 @@ def _xi_partner(eta_at_zero, nvars):
     return VecField.constant([-b, a], nvars)
 
 
-def _unrecognized(k=None):
-    return ClassLabel("unrecognized", (None, None), None, k, ("none",))
+def _hessian_det_at_zero(p):
+    """det of the 2x2 Hessian of p (in two variables) at the origin."""
+    return rational_det([[p.partial(i).partial(j).constant_term()
+                          for j in (1, 2)] for i in (1, 2)])
 
 
 def _plane_normal_form(family, eps):
@@ -69,12 +71,12 @@ def classify_plane(f, eta=None, analysis=None):
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
     ana = analysis or analyze(f)
     if ana.corank0 == 0:
-        return ClassLabel("regular", (None, None), None, 0, ("none",))
+        return ClassLabel("regular", k=0)
     if ana.corank0 != 1:
         raise NotCorankOneError("not corank one at 0")
     eta = eta or null_field(f, ana)
     try:
-        return recognize_morin(f, analysis=ana, eta=eta).class_label
+        return recognize_morin(f, analysis=ana, eta=eta)
     except DegenerateGermError:
         return classify_degenerate_plane(f, ana, eta)
 
@@ -89,9 +91,7 @@ def classify_degenerate_plane(f, analysis, eta):
     eel = eta.apply(eta.apply(lam))
     eel0 = eel.eval(origin)
     if all(v == 0 for v in dlam0):
-        hess = [[lam.partial(i).partial(j).eval(origin) for j in (1, 2)]
-                for i in (1, 2)]
-        det_h = rational_det(hess)
+        det_h = _hessian_det_at_zero(lam)
         if det_h > 0:
             eps = _sign(eel0)
             return ClassLabel("lips", (eps, None), _plane_normal_form("lips", eps),
@@ -100,7 +100,7 @@ def classify_degenerate_plane(f, analysis, eta):
             eps = _sign(eel0)
             return ClassLabel("beaks", (eps, None), _plane_normal_form("beaks", eps),
                               None, ("etaetalam", eps))
-        return _unrecognized()
+        return ClassLabel("unrecognized")
     # d lambda(0) != 0
     el0 = eta.apply(lam).eval(origin)
     eeel0 = eta.apply(eel).eval(origin)
@@ -111,7 +111,7 @@ def classify_degenerate_plane(f, analysis, eta):
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),
                           None, ("xilam-eta3lam", eps))
-    return _unrecognized()
+    return ClassLabel("unrecognized")
 
 
 def _surface_normal_form(family, eps=1):
@@ -171,12 +171,9 @@ def classify_surface(f, eta=None):
     origin = f.origin()
     dw0 = w.gradient_at(origin)
     if any(v != 0 for v in dw0):
-        return ClassLabel("whitney-umbrella", (None, None),
-                          _surface_normal_form("whitney-umbrella"),
-                          None, ("none",))
-    hess = [[w.partial(i).partial(j).eval(origin) for j in (1, 2)]
-            for i in (1, 2)]
-    det_h = rational_det(hess)
+        return ClassLabel("whitney-umbrella",
+                          normal_form=_surface_normal_form("whitney-umbrella"))
+    det_h = _hessian_det_at_zero(w)
     eew0 = eta.apply(eta.apply(w)).eval(origin)
     if det_h < 0 and eew0 != 0:
         eps = _sign(eew0)
@@ -186,4 +183,4 @@ def classify_surface(f, eta=None):
         eps = _sign(eew0)
         return ClassLabel("S1-", (eps, None), _surface_normal_form("S1-", eps),
                           None, ("etaetaw", eps))
-    return _unrecognized()
+    return ClassLabel("unrecognized")

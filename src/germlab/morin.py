@@ -29,18 +29,23 @@ class ClassLabel:
 
     ``signs`` is the pair (eps1, eps2) of the attached normal-form
     representative; entries are +1/-1 or None when irrelevant.  Two labels
-    are equal iff family, k and all relevant signs agree.
+    are equal iff family, k and all relevant signs agree.  ``witness``
+    holds the raw criterion signs the label was read from (e.g.
+    ``eta_k_lambda_sign`` and ``grad_det_sign`` for a Morin germ); it takes
+    no part in equality, hashing or the printed and JSON forms.
     """
 
-    __slots__ = ("family", "signs", "normal_form", "k", "invariant")
+    __slots__ = ("family", "signs", "normal_form", "k", "invariant",
+                 "witness")
 
     def __init__(self, family, signs=(None, None), normal_form=None,
-                 k=None, invariant=("none",)):
+                 k=None, invariant=("none",), witness=None):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "normal_form", normal_form)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "invariant", tuple(invariant))
+        object.__setattr__(self, "witness", dict(witness or {}))
 
     def __setattr__(self, *a):
         raise AttributeError("ClassLabel is immutable")
@@ -66,26 +71,6 @@ class ClassLabel:
             if s is not None:
                 bits.append("%s=%+d" % (name, s))
         return " ".join(bits)
-
-
-class MorinResult:
-    """Outcome of Morin recognition: k, the raw signs, the invariant
-    combination dictated by (k, n, n mod 4), and the class label."""
-
-    __slots__ = ("k", "n", "eta_k_lambda_sign", "grad_det_sign",
-                 "invariant", "class_label")
-
-    def __init__(self, k, n, eta_k_lambda_sign, grad_det_sign,
-                 invariant, class_label):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "eta_k_lambda_sign", eta_k_lambda_sign)
-        object.__setattr__(self, "grad_det_sign", grad_det_sign)
-        object.__setattr__(self, "invariant", tuple(invariant))
-        object.__setattr__(self, "class_label", class_label)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MorinResult is immutable")
 
 
 FAMILY_NAMES = {1: "fold", 2: "cusp", 3: "swallowtail", 4: "butterfly"}
@@ -134,22 +119,17 @@ def eta_lambda_chain(lam, eta, count):
     return chain
 
 
-def _regular_result(n):
-    label = ClassLabel("regular", (None, None), None, 0, ("none",))
-    return MorinResult(0, n, None, None, ("none",), label)
-
-
 def recognize_morin(f, analysis=None, eta=None):
-    """Find k per the recognition criteria; raises DegenerateGermError if
-    no k <= n works or the rank condition fails, NotCorankOneError for
-    corank >= 2.  A regular germ (corank 0) yields k = 0 / family
-    'regular'."""
+    """The ClassLabel of a Morin germ: find k per the recognition criteria,
+    then its invariants.  Raises DegenerateGermError if no k <= n works or
+    the rank condition fails, NotCorankOneError for corank >= 2.  A regular
+    germ (corank 0) yields k = 0 / family 'regular'."""
     ana = analysis or analyze(f)
     if f.src_dim != f.tgt_dim:
         raise NotCorankOneError("Morin recognition needs an equidimensional germ")
     n = f.src_dim
     if ana.corank0 == 0:
-        return _regular_result(n)
+        return ClassLabel("regular", k=0)
     if ana.corank0 >= 2:
         raise NotCorankOneError("not corank one at 0 (corank %d)" % ana.corank0)
     eta = eta or null_field(f, ana)
@@ -173,81 +153,72 @@ def recognize_morin(f, analysis=None, eta=None):
 
 
 def morin_invariants(f, k, eta, chain):
-    """Populate the invariant combination for a recognized k-Morin germ
-    and build the class label.  See Tables of class counts:
-      k = n:  n=1 -> sign of the second derivative of f1;
-              n%4==0 -> pair (sign eta^n lambda, sign det grad chain);
-              n%4==1 -> sign det grad; n%4==2 -> sign eta^n lambda;
-              n%4==3 -> sign(eta^n lambda * det grad).
-      k < n:  k even -> sign eta^k lambda (2 classes); k odd -> none (1 class).
-    """
+    """The ClassLabel of a recognized k-Morin germ: its invariant (see
+    ``invariant_kind``) and the signed normal form that carries it."""
     n = f.src_dim
     origin = f.origin()
     s_etak = _sign(chain[k].eval(origin))
-    grad_det_sign = None
+    s_det = None
     if k == n:
         rows = [chain[j].gradient_at(origin) for j in range(n)]
-        grad_det_sign = _sign(rational_det(rows))
-
-    if k < n:
-        if k % 2 == 0:
-            invariant = ("etaklam", s_etak)
-            eps1 = s_etak
-            label = ClassLabel(family_name(k), (eps1, 1),
-                               normal_form(k, n, eps1, 1), k, invariant)
-        else:
-            invariant = ("none",)
-            label = ClassLabel(family_name(k), (None, None),
-                               normal_form(k, n, 1, 1), k, invariant)
-    elif n == 1:
-        # sign of f''(0) computed as eta eta f1 at 0
+        s_det = _sign(rational_det(rows))
+    kind = invariant_kind(k, n)
+    if kind == "eta2f":
+        # sign f''(0) as eta eta f1 at 0: unlike eta lambda it does not
+        # flip with the orientation of eta
         f1 = f.components[0]
-        s = _sign(eta.apply(eta.apply(f1)).eval(origin))
-        invariant = ("eta2f", s)
-        label = ClassLabel("fold", (s, None), normal_form(1, 1, s), 1, invariant)
-    elif n % 4 == 0:
-        pair = (s_etak, grad_det_sign)
-        invariant = ("pair", pair)
-        eps2 = -grad_det_sign
-        eps1 = s_etak * eps2
-        label = ClassLabel(family_name(k), (eps1, eps2),
-                           normal_form(k, n, eps1, eps2), k, invariant)
-    elif n % 4 == 1:
-        invariant = ("detgrad", grad_det_sign)
-        eps1 = grad_det_sign
-        label = ClassLabel(family_name(k), (eps1, 1),
-                           normal_form(k, n, eps1, 1), k, invariant)
-    elif n % 4 == 2:
-        invariant = ("etaklam", s_etak)
-        eps1 = s_etak
-        label = ClassLabel(family_name(k), (eps1, 1),
-                           normal_form(k, n, eps1, 1), k, invariant)
-    else:  # n % 4 == 3
-        s = s_etak * grad_det_sign
-        invariant = ("prod", s)
-        label = ClassLabel(family_name(k), (1, s),
-                           normal_form(k, n, 1, s), k, invariant)
-    return MorinResult(k, n, s_etak, grad_det_sign, invariant, label)
-
-
-def isotopy_class(f, analysis=None, eta=None):
-    """Full pipeline: analyze -> null field -> recognition -> invariants.
-    Returns the ClassLabel."""
-    return recognize_morin(f, analysis=analysis, eta=eta).class_label
+        invariant = (kind, _sign(eta.apply(eta.apply(f1)).eval(origin)))
+    else:
+        invariant = invariant_value(kind, s_etak, s_det)
+    signs = _NORMAL_FORM_SIGNS[kind](invariant[-1])
+    rep = normal_form(k, n, *(1 if e is None else e for e in signs))
+    return ClassLabel(family_name(k), signs, rep, k, invariant,
+                      {"eta_k_lambda_sign": s_etak, "grad_det_sign": s_det})
 
 
 def invariant_kind(k, n):
-    """Which invariant combination applies for a k-Morin germ in n
-    variables ('none', 'eta2f', 'etaklam', 'detgrad', 'prod' or 'pair')."""
+    """Which invariant combination separates the classes of k-Morin germs
+    in n variables:
+      k < n:  k even -> 'etaklam' (sign eta^k lambda); k odd -> 'none'.
+      k = n:  n = 1 -> 'eta2f' (sign of f''(0));
+              n%4 == 0 -> 'pair' (sign eta^n lambda, sign det grad chain);
+              n%4 == 1 -> 'detgrad' (sign det grad);
+              n%4 == 2 -> 'etaklam' (sign eta^n lambda);
+              n%4 == 3 -> 'prod' (sign(eta^n lambda * det grad))."""
     if k < n:
         return "etaklam" if k % 2 == 0 else "none"
     if n == 1:
         return "eta2f"
-    return {0: "pair", 1: "detgrad", 2: "etaklam", 3: "prod"}[n % 4]
+    return ("pair", "detgrad", "etaklam", "prod")[n % 4]
+
+
+def invariant_value(kind, s_etak, s_det):
+    """The invariant tuple of ``kind`` from s_etak = sign eta^k lambda and
+    s_det = sign det grad(lambda, ..., eta^{k-1} lambda) ('eta2f' reads
+    its own sign, see ``morin_invariants``)."""
+    if kind == "none":
+        return ("none",)
+    if kind == "pair":
+        return (kind, (s_etak, s_det))
+    if kind == "detgrad":
+        return (kind, s_det)
+    if kind == "prod":
+        return (kind, s_etak * s_det)
+    return (kind, s_etak)
+
+
+# invariant kind -> the (eps1, eps2) of the normal form whose invariant
+# tuple ends in v (its value; 'none' has none and ignores v)
+_NORMAL_FORM_SIGNS = {
+    "none": lambda v: (None, None),
+    "eta2f": lambda v: (v, None),
+    "etaklam": lambda v: (v, 1),
+    "detgrad": lambda v: (v, 1),
+    "prod": lambda v: (1, v),
+    "pair": lambda v: (-v[0] * v[1], -v[1]),
+}
 
 
 def class_count(k, n):
     """Number of isotopy classes for k-Morin germs in n variables."""
-    if k < n:
-        return 2 if k % 2 == 0 else 1
-    return 4 if (n % 4 == 0) else 2
+    return {"none": 1, "pair": 4}.get(invariant_kind(k, n), 2)

@@ -29,11 +29,11 @@ derived, so discrepancies are surfaced rather than silently absorbed.
 """
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 from .polyring import Poly, PolyMatrix, rat, _rat_str
 from .germ import MapGerm, translate, GermError
-from .morin import recognize_morin, invariant_kind, _sign
+from .morin import recognize_morin, invariant_kind, invariant_value, _sign
 
 DEFAULT_PRECISION_BITS = 40
 
@@ -499,11 +499,20 @@ def curve_data(spec):
 # table invariant formulas (the "inv" rows of the reference tables)
 # ---------------------------------------------------------------------------
 
+# the published inv rows as printed, keyed by (family, n)
+INV_FORMULAS = {
+    ("A", 2): "1", ("A", 3): "qbar_x3", ("A", 4): "(1, qbar_x4)",
+    ("A", 5): "qbar_x5",
+    ("B", 2): "t", ("B", 3): "t^2", ("B", 4): "(t, t)", ("B", 5): "t",
+    ("C", 2): "t", ("C", 3): "-20*t^2 + 3*t + u1",
+    ("C", 4): "(t, t*(30*t^2 - 4*t - u1))",
+    ("C", 5): "t*(-42*t^2 + 5*t + u1)",
+}
+
+
 def table_invariant(spec, root, constraint):
     """Expected invariant tuple at a root of the constraint, straight from
-    the published inv rows.  Family A: 1 / qbar_{xn} / (1, qbar_{xn}) /
-    qbar_{x5}; family B: t / t^2 / (t,t) / t; family C: t /
-    -20t^2+3t+u1 / (t, t(30t^2-4t-u1)) / t(-42t^2+5t+u1).
+    the published inv rows (``INV_FORMULAS``).
 
     The published n=4 pairs for families A and B are (eps1*eps2, eps2);
     the classifier's pair is (sign eta^4 lambda, sign det grad) =
@@ -594,7 +603,7 @@ class PerturbationReport:
 def _classifier_invariant_on_curve(spec, sigma, constraint, root, chain_n):
     """Invariant tuple computed from the classifier's own quantities
     (eta^n lambda and det grad of the chain), evaluated exactly at a root
-    of the constraint along the curve."""
+    of the constraint along the curve; None where either one vanishes."""
     n = spec.n
     sig = sigma
 
@@ -610,15 +619,8 @@ def _classifier_invariant_on_curve(spec, sigma, constraint, root, chain_n):
     s_etak = sign_at_root(etak, constraint, root)
     s_det = sign_at_root(detgrad, constraint, root)
     if s_etak == 0 or s_det == 0:
-        return None, s_etak, s_det
-    kind = invariant_kind(n, n)
-    if kind == "pair":
-        return (kind, (s_etak, s_det)), s_etak, s_det
-    if kind == "detgrad":
-        return (kind, s_det), s_etak, s_det
-    if kind == "etaklam":
-        return (kind, s_etak), s_etak, s_det
-    return (kind, s_etak * s_det), s_etak, s_det
+        return None
+    return invariant_value(invariant_kind(n, n), s_etak, s_det)
 
 
 def _vanishing_on_curve(sigma, constraint, chain_n, n):
@@ -653,29 +655,24 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     for r in exact:
         remaining, _ = up_divmod(remaining, [-r, Fraction(1)])
     # isolating intervals come from ``remaining`` (rational roots divided
-    # out), so all interval arithmetic below must use ``remaining`` too
+    # out), so all interval arithmetic below must use ``remaining`` too;
+    # having no rational root, it never collapses an interval to a point
     intervals = isolate_real_roots(remaining, width=width)
-    roots = [(r, True) for r in exact] + \
-            [(iv, iv[0] == iv[1]) for iv in intervals]
     if spec.family in ("B", "C"):
+        if 0 in exact:
+            exact.remove(0)
+            notes.append("root t=0 excluded (not a Morin point)")
         kept = []
-        for root, is_exact in roots:
-            if is_exact and (root if not isinstance(root, tuple) else root[0]) == 0:
-                notes.append("root t=0 excluded (not a Morin point)")
-                continue
-            if not is_exact and root[0] <= 0 <= root[1]:
-                # refine until the interval excludes 0 (0 is not a root here)
-                lo, hi = root
-                while lo <= 0 <= hi:
-                    lo, hi = refine_root(remaining, lo, hi, (hi - lo) / 2)
-                root = (lo, hi)
-            kept.append((root, is_exact))
-        roots = kept
+        for lo, hi in intervals:
+            # refine until the interval excludes 0 (0 is not a root here)
+            while lo <= 0 <= hi:
+                lo, hi = refine_root(remaining, lo, hi, (hi - lo) / 2)
+            kept.append((lo, hi))
+        intervals = kept
     points = []
-    for root, is_exact in roots:
-        if isinstance(root, tuple) and root[0] == root[1]:
-            root, is_exact = root[0], True
-        inv, s_etak, s_det = _classifier_invariant_on_curve(
+    for root in exact + intervals:
+        is_exact = not isinstance(root, tuple)
+        inv = _classifier_invariant_on_curve(
             spec, sigma, remaining, root, chain_n)
         if inv is None:
             stable = False
@@ -842,15 +839,9 @@ def _normalize_primitive(p):
     (highest total-degree, lexicographically largest) coefficient > 0."""
     if p.is_zero():
         return p
-    from math import gcd
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    nums = [c * denom for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, int(v))
-    scale = Fraction(denom, g if g else 1)
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    g = gcd(*(int(c * denom) for c in p.terms.values()))
+    scale = Fraction(denom, g)
     q = p.scale(scale)
     lead = max(q.terms)
     if q.terms[lead] < 0:

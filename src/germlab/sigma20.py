@@ -41,26 +41,6 @@ def elli_normal_form(eps1=1, eps2=1):
     return MapGerm([first, second, x3, last], src_dim=4)
 
 
-class Sigma20Result:
-    """kind (hyp/elli), the signs eps1/eps2, and the raw criterion signs."""
-
-    __slots__ = ("kind", "eps1", "eps2", "hess_det_sign", "big_det_sign",
-                 "trace_sign", "class_label")
-
-    def __init__(self, kind, eps1, eps2, hess_det_sign, big_det_sign,
-                 trace_sign, class_label):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "eps1", eps1)
-        object.__setattr__(self, "eps2", eps2)
-        object.__setattr__(self, "hess_det_sign", hess_det_sign)
-        object.__setattr__(self, "big_det_sign", big_det_sign)
-        object.__setattr__(self, "trace_sign", trace_sign)
-        object.__setattr__(self, "class_label", class_label)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Sigma20Result is immutable")
-
-
 def target_normalize(f, analysis=None):
     """Orientation-preserving linear target change B (det B > 0) so that
     the first two components of B o f have vanishing differential at 0.
@@ -110,8 +90,10 @@ def kernel_frame(f, analysis=None):
 
 
 def classify_sigma20(f, analysis=None):
-    """Classify a rank-2 germ (R^4,0) -> (R^4,0) as a signed hyperbolic
-    or elliptic umbilic; raises DegenerateSigmaError if any criterion
+    """The ClassLabel of a rank-2 germ (R^4,0) -> (R^4,0): a signed
+    hyperbolic or elliptic umbilic, with the signs of det hess lambda(0),
+    of the 4x4 determinant and (elliptic only) of trace hess lambda(0) as
+    its witness.  Raises DegenerateSigmaError if any criterion
     quantity vanishes.  ``analysis``, when given, is analyze(f).
 
     g = B o f is analyzed from f's analysis: J_g = B J_f, so the jet of
@@ -140,18 +122,18 @@ def classify_sigma20(f, analysis=None):
     hs = _sign(hess_det)
     bs = _sign(big_det)
     if hess_det < 0:
-        kind = "sigma20-hyp"
-        eps1 = -bs
-        label = ClassLabel(kind, (eps1, None), hyp_normal_form(eps1),
-                           None, ("bigdet", bs))
-        return Sigma20Result("hyp", eps1, None, hs, bs, None, label)
+        return ClassLabel("sigma20-hyp", (-bs, None), hyp_normal_form(-bs),
+                          None, ("bigdet", bs),
+                          {"hess_det_sign": hs, "big_det_sign": bs,
+                           "trace_sign": None})
     trace = h11 + h22
     ts = _sign(trace)
     if ts == 0:
         raise DegenerateSigmaError("trace hess lambda(0) = 0 in the elliptic case")
     eps1 = bs
     eps2 = eps1 * ts
-    kind = "sigma20-elli"
-    label = ClassLabel(kind, (eps1, eps2), elli_normal_form(eps1, eps2),
-                       None, ("bigdet-trace", (bs, ts)))
-    return Sigma20Result("elli", eps1, eps2, hs, bs, ts, label)
+    return ClassLabel("sigma20-elli", (eps1, eps2),
+                      elli_normal_form(eps1, eps2), None,
+                      ("bigdet-trace", (bs, ts)),
+                      {"hess_det_sign": hs, "big_det_sign": bs,
+                       "trace_sign": ts})

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, null_field, translate
-from germlab.morin import (recognize_morin, isotopy_class, normal_form,
-                           class_count)
+from germlab.morin import recognize_morin, normal_form, class_count
 from germlab.lowdim import (classify_plane, classify_surface,
                             _plane_normal_form, _surface_normal_form,
                             surface_w)
@@ -34,7 +33,7 @@ def test_criterion_01_class_counts_k_equals_n():
     exactly 2, 2, 2, 4, 2, 2 distinct labels."""
     expected = {1: 2, 2: 2, 3: 2, 4: 4, 5: 2, 6: 2}
     for n in range(1, 7):
-        labels = {isotopy_class(f) for f, _, _ in _signed(n, n)}
+        labels = {recognize_morin(f) for f, _, _ in _signed(n, n)}
         assert len(labels) == expected[n], \
             "n=%d: got %d classes, want %d" % (n, len(labels), expected[n])
     print("ACCEPTANCE 1: PASS - k=n class counts 2,2,2,4,2,2")
@@ -45,12 +44,12 @@ def test_criterion_02_class_counts_k_below_n_and_folds():
     fold with n > 1 labels identically to (x1^2, x2, ..., xn)."""
     for n in range(2, 7):
         for k in range(1, n):
-            labels = {isotopy_class(f) for f, _, _ in _signed(k, n)}
+            labels = {recognize_morin(f) for f, _, _ in _signed(k, n)}
             want = 2 if k % 2 == 0 else 1
             assert len(labels) == want, (k, n, len(labels))
     for n in range(2, 7):
-        base = isotopy_class(normal_form(1, n, 1))
-        assert isotopy_class(normal_form(1, n, -1)) == base
+        base = recognize_morin(normal_form(1, n, 1))
+        assert recognize_morin(normal_form(1, n, -1)) == base
     print("ACCEPTANCE 2: PASS - k<n counts and fold collapse")
 
 
@@ -65,9 +64,9 @@ def test_criterion_03_sign_identities():
         for f, e1, e2 in _signed(n, n):
             res = recognize_morin(f, eta=eta)
             assert res.k == n
-            assert res.eta_k_lambda_sign == e1 * e2, (n, e1, e2)
+            assert res.witness["eta_k_lambda_sign"] == e1 * e2, (n, e1, e2)
             if n > 1:
-                assert res.grad_det_sign == \
+                assert res.witness["grad_det_sign"] == \
                     (-1) ** (n - 1) * e1 ** n * e2 ** (n + 1), (n, e1, e2)
     print("ACCEPTANCE 3: PASS - sign identities for all signed forms, n<=6")
 
@@ -177,14 +176,14 @@ def test_criterion_08_sigma20():
     hyp = set()
     for s in (1, -1):
         res = classify_sigma20(hyp_normal_form(s))
-        assert res.kind == "hyp" and res.eps1 == s
-        hyp.add(res.class_label)
+        assert res.family == "sigma20-hyp" and res.signs[0] == s
+        hyp.add(res)
     elli = set()
     for e1 in (1, -1):
         for e2 in (1, -1):
             res = classify_sigma20(elli_normal_form(e1, e2))
-            assert res.kind == "elli" and (res.eps1, res.eps2) == (e1, e2)
-            elli.add(res.class_label)
+            assert res.family == "sigma20-elli" and res.signs == (e1, e2)
+            elli.add(res)
     assert len(hyp) == 2 and len(elli) == 4
     g, _ = target_normalize(hyp_normal_form(1))
     ana = analyze(g)
@@ -248,10 +247,10 @@ def test_criterion_10_eta_invariance():
                 for v in variants:
                     assert classify_plane(f, eta=v) == base
             else:
-                base = recognize_morin(f, analysis=ana, eta=eta).class_label
+                base = recognize_morin(f, analysis=ana, eta=eta)
                 for v in variants:
                     assert recognize_morin(f, analysis=ana,
-                                           eta=v).class_label == base
+                                           eta=v) == base
             checked += 1
         elif f.src_dim == 2 and f.tgt_dim == 3:
             _, _, eta = surface_w(f)

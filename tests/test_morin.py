@@ -8,8 +8,8 @@ import pytest
 from germlab.polyring import Poly
 from germlab.germ import (MapGerm, analyze, null_field, translate,
                           NotCorankOneError, DegenerateGermError)
-from germlab.morin import (recognize_morin, isotopy_class, normal_form,
-                           class_count, invariant_kind, eta_lambda_chain)
+from germlab.morin import (recognize_morin, normal_form, class_count,
+                           invariant_kind, eta_lambda_chain)
 from conftest import (signed_morin_forms, random_gl_pos, sparse_gl_pos,
                       change_coordinates)
 
@@ -23,7 +23,7 @@ def all_signed(k, n):
 
 # ---- the two sign identities on every signed k = n normal form ---------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_sign_identities_k_equals_n(n):
     """sign eta^n lambda(0) = eps1*eps2 and
     sign det grad(lambda, ..., eta^{n-1} lambda)(0) =
@@ -35,25 +35,25 @@ def test_sign_identities_k_equals_n(n):
         res = recognize_morin(f, eta=eta)
         assert res.k == n
         if n == 1:
-            assert res.eta_k_lambda_sign == e1 * e2
+            assert res.witness["eta_k_lambda_sign"] == e1 * e2
             continue
-        assert res.eta_k_lambda_sign == e1 * e2
+        assert res.witness["eta_k_lambda_sign"] == e1 * e2
         expected_det = (-1) ** (n - 1) * e1 ** n * e2 ** (n + 1)
-        assert res.grad_det_sign == expected_det
+        assert res.witness["grad_det_sign"] == expected_det
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 2), (3, 2), (4, 4),
-                                        (5, 2), (6, 2)])
+                                        (5, 2), (6, 2), (7, 2), (8, 4)])
 def test_class_counts_k_equals_n(n, expected):
-    labels = {isotopy_class(f) for f, _, _ in all_signed(n, n)}
+    labels = {recognize_morin(f) for f, _, _ in all_signed(n, n)}
     assert len(labels) == expected
     assert class_count(n, n) == expected
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 7)
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 9)
                                  for k in range(1, n)])
 def test_class_counts_k_less_than_n(k, n):
-    labels = {isotopy_class(f) for f, _, _ in all_signed(k, n)}
+    labels = {recognize_morin(f) for f, _, _ in all_signed(k, n)}
     expected = 2 if k % 2 == 0 else 1
     assert len(labels) == expected
     assert class_count(k, n) == expected
@@ -61,20 +61,20 @@ def test_class_counts_k_less_than_n(k, n):
 
 def test_all_folds_isotopic_for_n_above_1():
     for n in (2, 3, 4, 5):
-        base = isotopy_class(normal_form(1, n, 1))
+        base = recognize_morin(normal_form(1, n, 1))
         for s in (1, -1):
             f = normal_form(1, n, s)
-            assert isotopy_class(f) == base
+            assert recognize_morin(f) == base
             # also under a source/target change
             rng = random.Random(7 * n + s)
             A = random_gl_pos(rng, n)
             B = random_gl_pos(rng, n)
-            assert isotopy_class(change_coordinates(f, A, B)) == base
+            assert recognize_morin(change_coordinates(f, A, B)) == base
 
 
 def test_fold_n1_has_two_classes():
-    plus = isotopy_class(normal_form(1, 1, 1))
-    minus = isotopy_class(normal_form(1, 1, -1))
+    plus = recognize_morin(normal_form(1, 1, 1))
+    minus = recognize_morin(normal_form(1, 1, -1))
     assert plus != minus
     assert plus.signs[0] == 1 and minus.signs[0] == -1
 
@@ -84,19 +84,19 @@ def test_label_round_trip_through_normal_form():
     label (self-consistency of the sign recovery)."""
     for n in range(1, 7):
         for f, _, _ in all_signed(n, n):
-            label = isotopy_class(f)
-            assert isotopy_class(label.normal_form) == label
+            label = recognize_morin(f)
+            assert recognize_morin(label.normal_form) == label
     for n in range(2, 6):
         for k in range(1, n):
             for f, _, _ in all_signed(k, n):
-                label = isotopy_class(f)
-                assert isotopy_class(label.normal_form) == label
+                label = recognize_morin(f)
+                assert recognize_morin(label.normal_form) == label
 
 
 def test_regular_germ():
     x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
     res = recognize_morin(MapGerm([x1 + x2 ** 2, x2]))
-    assert res.k == 0 and res.class_label.family == "regular"
+    assert res.k == 0 and res.family == "regular"
 
 
 def test_corank_two_rejected():
@@ -137,21 +137,35 @@ def test_eta_reversal_and_rescaling_stability():
         for f, _, _ in all_signed(n, n):
             ana = analyze(f)
             eta = null_field(f, ana)
-            base = recognize_morin(f, analysis=ana, eta=eta).class_label
-            assert recognize_morin(f, analysis=ana, eta=-eta).class_label == base
+            base = recognize_morin(f, analysis=ana, eta=eta)
+            assert recognize_morin(f, analysis=ana, eta=-eta) == base
             assert recognize_morin(f, analysis=ana,
-                                   eta=eta.scale(3)).class_label == base
+                                   eta=eta.scale(3)) == base
+
+
+def test_witness_takes_no_part_in_equality():
+    """Reversing eta flips eta^3 lambda(0) and det grad on a swallowtail,
+    so the raw signs differ, but the label (sign of their product) and
+    its hash and description do not."""
+    f = normal_form(3, 3, 1, -1)
+    ana = analyze(f)
+    eta = null_field(f, ana)
+    a = recognize_morin(f, analysis=ana, eta=eta)
+    b = recognize_morin(f, analysis=ana, eta=-eta)
+    assert a.witness["eta_k_lambda_sign"] == -b.witness["eta_k_lambda_sign"]
+    assert a.witness["grad_det_sign"] == -b.witness["grad_det_sign"]
+    assert a == b and hash(a) == hash(b) and a.describe() == b.describe()
 
 
 def test_label_stable_under_coordinate_changes():
     rng = random.Random(20260823)
     for n in (2, 3, 4):
         for f, _, _ in all_signed(n, n):
-            base = isotopy_class(f)
+            base = recognize_morin(f)
             for _ in range(3):
                 A = random_gl_pos(rng, n)
                 B = random_gl_pos(rng, n)
-                assert isotopy_class(change_coordinates(f, A, B)) == base
+                assert recognize_morin(change_coordinates(f, A, B)) == base
 
 
 def test_generic_n5_forms_get_their_labels():
@@ -159,7 +173,7 @@ def test_generic_n5_forms_get_their_labels():
     rng = random.Random(5)
     for f in signed_morin_forms(5):
         g = change_coordinates(f, random_gl_pos(rng, 5), random_gl_pos(rng, 5))
-        assert isotopy_class(g) == isotopy_class(f)
+        assert recognize_morin(g) == recognize_morin(f)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -167,7 +181,7 @@ def test_sparse_changed_forms_beyond_5_get_their_labels(n):
     rng = random.Random(n)
     f = normal_form(n, n, -1, -1)
     g = change_coordinates(f, sparse_gl_pos(rng, n), sparse_gl_pos(rng, n))
-    assert isotopy_class(g) == isotopy_class(f)
+    assert recognize_morin(g) == recognize_morin(f)
 
 
 def test_recognition_away_from_origin():

@@ -15,17 +15,17 @@ from conftest import random_gl_pos, change_coordinates
 @pytest.mark.parametrize("eps1", [1, -1])
 def test_hyperbolic_normal_forms(eps1):
     res = classify_sigma20(hyp_normal_form(eps1))
-    assert res.kind == "hyp" and res.eps1 == eps1
-    assert res.hess_det_sign == -1
+    assert res.family == "sigma20-hyp" and res.signs[0] == eps1
+    assert res.witness["hess_det_sign"] == -1
 
 
 @pytest.mark.parametrize("eps1,eps2",
                          [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_elliptic_normal_forms(eps1, eps2):
     res = classify_sigma20(elli_normal_form(eps1, eps2))
-    assert res.kind == "elli"
-    assert (res.eps1, res.eps2) == (eps1, eps2)
-    assert res.hess_det_sign == 1
+    assert res.family == "sigma20-elli"
+    assert res.signs == (eps1, eps2)
+    assert res.witness["hess_det_sign"] == 1
 
 
 def test_hyperbolic_reference_values():
@@ -49,8 +49,8 @@ def test_hyperbolic_reference_values():
 
 
 def test_class_counts():
-    hyp = {classify_sigma20(hyp_normal_form(s)).class_label for s in (1, -1)}
-    elli = {classify_sigma20(elli_normal_form(e1, e2)).class_label
+    hyp = {classify_sigma20(hyp_normal_form(s)) for s in (1, -1)}
+    elli = {classify_sigma20(elli_normal_form(e1, e2))
             for e1 in (1, -1) for e2 in (1, -1)}
     assert len(hyp) == 2
     assert len(elli) == 4
@@ -85,11 +85,11 @@ def test_labels_stable_under_changes():
     forms = [hyp_normal_form(s) for s in (1, -1)]
     forms += [elli_normal_form(e1, e2) for e1 in (1, -1) for e2 in (1, -1)]
     for f in forms:
-        base = classify_sigma20(f).class_label
+        base = classify_sigma20(f)
         for _ in range(4):
             A = random_gl_pos(rng, 4)
             B = random_gl_pos(rng, 4)
-            assert classify_sigma20(change_coordinates(f, A, B)).class_label == base
+            assert classify_sigma20(change_coordinates(f, A, B)) == base
 
 
 def test_normalized_germ_analysis_is_derived_exactly():
@@ -105,5 +105,5 @@ def test_normalized_germ_analysis_is_derived_exactly():
         assert fresh.jacobian == jacobian(g)
         assert fresh.lam == ana_f.lam.scale(rational_det(B))
         assert fresh.rank0 == ana_f.rank0
-        assert classify_sigma20(f, analysis=ana_f).class_label == \
-            classify_sigma20(f).class_label
+        assert classify_sigma20(f, analysis=ana_f) == \
+            classify_sigma20(f)
