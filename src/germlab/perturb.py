@@ -19,8 +19,9 @@ substitution into a one-parameter curve sigma(t) plus a single univariate
 constraint; real roots of the constraint are isolated by Sturm sequences,
 and the rational ones found exactly inside their isolating intervals (see
 ``rational_roots``).  Every point is verified against
-the Morin classifier (exactly at rational roots; through exact sign
-isolation along the curve at irrational ones).
+the Morin classifier (exactly at rational roots; by Tarski queries along
+the curve at irrational ones, see ``sign_at_root``).  All signs are taken
+on integer coefficients.
 
 The printed reference tables for families B and C contain a few
 inconsistent entries; ``table_discrepancy_report`` re-derives every
@@ -71,7 +72,7 @@ def up_neg(c):
 def up_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -129,26 +130,90 @@ def up_squarefree(c):
     return q
 
 
-def sturm_chain(c):
-    chain = [up_trim(c), up_trim(up_deriv(c))]
-    while chain[-1]:
-        r = up_rem(chain[-2], chain[-1])
+# Signs are taken on integer polynomials.  Each one is the primitive integer
+# multiple of a rational polynomial by a positive factor, so it has the same
+# sign everywhere, and its sign at a/b is read off integers alone.
+
+def up_integer(c):
+    """The primitive integer polynomial that is a positive rational
+    multiple of c (rational or integer coefficients)."""
+    c = up_trim(c)
+    if not c:
+        return c
+    den = lcm(*(x.denominator for x in c))
+    ints = [x.numerator * (den // x.denominator) for x in c]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def up_sign_at(c, x):
+    """Sign of the integer polynomial c at the rational x = a/b, b > 0:
+    the sign of the homogeneous form sum c_i a^i b^(d-i) = b^d c(x),
+    taken by Horner's rule on integers."""
+    a, b = x.numerator, x.denominator
+    total, bpow = 0, 1
+    for coef in reversed(c):
+        total = total * a + coef * bpow
+        bpow *= b
+    return (total > 0) - (total < 0)
+
+
+def _pseudo_rem(a, b):
+    """A positive integer multiple of the remainder of the integer
+    polynomial a by b: each step scales by |lead b| instead of dividing."""
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    r = up_trim(a)
+    while len(r) >= len(b):
+        f = sign * r[-1]
+        k = len(r) - len(b)
+        r = [scale * x for x in r]
+        for i, coef in enumerate(b):
+            r[i + k] -= f * coef
+        r = up_trim(r)
+    return r
+
+
+def _signed_remainders(a, b):
+    """Signed remainder sequence a, b, -rem(a, b), ... with every term
+    replaced by the primitive integer polynomial it is a positive multiple
+    of, so the signs of each term at any point are unchanged."""
+    seq = [up_integer(a), up_integer(b)]
+    while seq[-1]:
+        r = _pseudo_rem(seq[-2], seq[-1])
         if not r:
             break
-        chain.append(up_neg(r))
-    return [p for p in chain if p]
+        seq.append(up_integer(up_neg(r)))
+    return [p for p in seq if p]
 
 
-def _variations(values):
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def sturm_chain(c):
+    """Sturm sequence of c as integer polynomials (see ``_signed_remainders``)."""
+    return _signed_remainders(c, up_deriv(up_trim(c)))
+
+
+def tarski_sequence(c, g):
+    """Signed remainder sequence of (c, c' g mod c) on integers.  Its sign
+    variations at lo minus those at hi are the Tarski query of g at c on
+    (lo, hi] when neither lo nor hi is a root of c: the number of roots of
+    c there with g > 0 minus the number with g < 0 (Basu, Pollack, Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2).  c' g may be reduced
+    mod c because that leaves the Cauchy index of c' g / c unchanged."""
+    ci = up_integer(c)
+    return _signed_remainders(
+        ci, _pseudo_rem(up_mul(up_deriv(ci), up_integer(g)), ci))
+
+
+def _variations(signs):
+    signs = [v for v in signs if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(chain, lo, hi):
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    va = _variations([up_eval(p, lo) for p in chain])
-    vb = _variations([up_eval(p, hi) for p in chain])
-    return va - vb
+    """Number of distinct real roots in the half-open interval (lo, hi]
+    (``chain`` from ``sturm_chain``)."""
+    return _variations([up_sign_at(p, lo) for p in chain]) - \
+        _variations([up_sign_at(p, hi) for p in chain])
 
 
 def up_root_bound(c):
@@ -161,26 +226,27 @@ def up_root_bound(c):
     return 1 + m / lead
 
 
-def rational_roots(c):
+def rational_roots(c, intervals=None):
     """All rational roots (each once, sorted) of a nonzero univariate
-    polynomial.  A root p/q in lowest terms has q | A, A = lcm of the
-    denominators times the leading coefficient, so it lies on (1/A)Z: each
-    Sturm isolating interval is refined below 1/(2|A|), where it holds at
-    most one such point, and that one candidate is tested exactly."""
+    polynomial.  A root p/q in lowest terms of the primitive integer
+    multiple of the square-free part has q | A, its leading coefficient, so
+    it lies on (1/A)Z: each Sturm isolating interval is refined below
+    1/(2A), where it holds at most one such point, and that one candidate is
+    tested exactly.  A caller that has already isolated a square-free c
+    passes its ``isolate_real_roots(c)`` as ``intervals``."""
     c = up_trim(c)
     if up_deg(c) <= 0:
         return []
+    if intervals is None:
+        c = up_squarefree(c)
+        intervals = isolate_real_roots(c)
+    ci = up_integer(c)
+    a = abs(ci[-1])
     roots = []
-    if c[0] == 0:
-        roots.append(Fraction(0))
-        while c[0] == 0:
-            c = c[1:]
-    sf = up_squarefree(c)
-    a = abs(int(c[-1] * lcm(*(x.denominator for x in c))))
-    for lo, hi in isolate_real_roots(sf):
-        lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * a))
+    for lo, hi in intervals:
+        lo, hi = refine_root(ci, lo, hi, Fraction(1, 2 * a))
         cand = Fraction(ceil(lo * a), a)
-        if cand <= hi and up_eval(sf, cand) == 0:
+        if cand <= hi and up_sign_at(ci, cand) == 0:
             roots.append(cand)
     return sorted(roots)
 
@@ -188,7 +254,7 @@ def rational_roots(c):
 def isolate_real_roots(c, width=None):
     """Isolating intervals for the distinct real roots of c (assumed
     square-free).  Returns sorted (lo, hi) pairs, each containing exactly
-    one root, optionally refined below ``width``."""
+    one root in (lo, hi], optionally refined below ``width``."""
     c = up_trim(c)
     if up_deg(c) <= 0:
         return []
@@ -208,14 +274,14 @@ def isolate_real_roots(c, width=None):
         # nudge the split point off any root (finitely many roots, so
         # some fraction of the interval works)
         j = 3
-        while up_eval(c, mid) == 0:
+        while up_sign_at(chain[0], mid) == 0:
             mid = lo + (hi - lo) * Fraction(1, j)
             j += 1
         stack.append((lo, mid))
         stack.append((mid, hi))
     refined = []
     for lo, hi in found:
-        refined.append(refine_root(c, lo, hi, width) if width else (lo, hi))
+        refined.append(refine_root(chain[0], lo, hi, width) if width else (lo, hi))
     return sorted(refined)
 
 
@@ -224,53 +290,55 @@ def refine_root(c, lo, hi, width):
     Returns (r, r) if an exact rational root is hit."""
     if lo == hi:
         return (lo, hi)
-    flo = up_eval(c, lo)
-    if flo == 0:
+    c = up_integer(c)
+    slo = up_sign_at(c, lo)
+    if slo == 0:
         return (lo, lo)
-    if up_eval(c, hi) == 0:
+    if up_sign_at(c, hi) == 0:
         return (hi, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fm = up_eval(c, mid)
-        if fm == 0:
+        sm = up_sign_at(c, mid)
+        if sm == 0:
             return (mid, mid)
-        if (flo > 0) != (fm > 0):
+        if sm != slo:
             hi = mid
         else:
-            lo, flo = mid, fm
+            lo = mid
     return (lo, hi)
 
 
-def sign_at_root(g, constraint, root, max_iter=200):
-    """Exact sign of the univariate polynomial g at a root of
-    ``constraint`` given either exactly or by an isolating interval of the
-    square-free constraint.  Returns +1, -1 or 0."""
+def sign_at_root(g, constraint, root, sequences=None):
+    """Exact sign (+1, -1 or 0) of the univariate polynomial g at one real
+    root of ``constraint``.  The root is either an exact rational, or an
+    interval (lo, hi) such that the constraint has exactly one root in the
+    half-open (lo, hi] and lo is not a root of it (as from
+    ``isolate_real_roots``).  A root at hi is read exactly; otherwise the
+    sign is the Tarski query of g on (lo, hi] (``tarski_sequence``).
+
+    ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
+    each g with this one constraint, so that it serves every root."""
     g = up_trim(g)
     if not g:
         return 0
-    if isinstance(root, tuple):
-        lo, hi = root
-    else:
+    if not isinstance(root, tuple):
         return _sign(up_eval(g, root))
+    lo, hi = root
     if lo == hi:
         return _sign(up_eval(g, lo))
-    # if g shares this root with the constraint the sign is 0
-    common = up_gcd(g, constraint)
-    if up_deg(common) > 0:
-        chain_c = sturm_chain(common)
-        if sturm_count(chain_c, lo, hi) > 0:
-            return 0
-    chain_g = sturm_chain(up_squarefree(g))
-    for _ in range(max_iter):
-        if sturm_count(chain_g, lo, hi) == 0 and up_eval(g, lo) != 0:
-            s_lo = _sign(up_eval(g, lo))
-            s_hi = _sign(up_eval(g, hi))
-            if s_lo == s_hi and s_lo != 0:
-                return s_lo
-        lo, hi = refine_root(constraint, lo, hi, (hi - lo) / 2)
-        if lo == hi:
-            return _sign(up_eval(g, lo))
-    raise GermError("sign isolation did not converge")  # pragma: no cover
+    if sequences is None:
+        sequences = {}
+    key = tuple(g)
+    seq = sequences.get(key)
+    if seq is None:
+        seq = sequences[key] = tarski_sequence(constraint, g)
+    at_hi = [up_sign_at(p, hi) for p in seq]
+    if at_hi[0] == 0:
+        return _sign(up_eval(g, hi))
+    at_lo = [up_sign_at(p, lo) for p in seq]
+    if at_lo[0] == 0:
+        raise ValueError("interval end %s is a root of the constraint" % lo)
+    return _variations(at_lo) - _variations(at_hi)
 
 
 def poly_to_coeffs(p):
@@ -484,8 +552,6 @@ def curve_data(spec):
         # t = x2 = ... = x_{n-1} = 0, xn = s (the qbar root parameter)
         s = Poly.var(1, 1)
         sigma = [Poly.zero(1)] * (n - 1) + [s]
-        if n == 2:
-            sigma = [Poly.zero(1), s]
         constraint = _qbar_coeffs(spec.l, spec.u)
         return sigma, constraint
     coords, constraint = eliminate_curve(spec, symbolic=False)
@@ -510,9 +576,10 @@ INV_FORMULAS = {
 }
 
 
-def table_invariant(spec, root, constraint):
+def table_invariant(spec, root, constraint, sequences=None):
     """Expected invariant tuple at a root of the constraint, straight from
-    the published inv rows (``INV_FORMULAS``).
+    the published inv rows (``INV_FORMULAS``); ``sequences`` is passed on
+    to ``sign_at_root``.
 
     The published n=4 pairs for families A and B are (eps1*eps2, eps2);
     the classifier's pair is (sign eta^4 lambda, sign det grad) =
@@ -524,7 +591,7 @@ def table_invariant(spec, root, constraint):
     kind = invariant_kind(n, n)
 
     def s(poly_coeffs):
-        return sign_at_root(poly_coeffs, constraint, root)
+        return sign_at_root(poly_coeffs, constraint, root, sequences)
 
     if spec.family == "A":
         dqbar = up_deriv(_qbar_coeffs(spec.l, spec.u))
@@ -600,24 +667,23 @@ class PerturbationReport:
         raise AttributeError("PerturbationReport is immutable")
 
 
-def _classifier_invariant_on_curve(spec, sigma, constraint, root, chain_n):
-    """Invariant tuple computed from the classifier's own quantities
-    (eta^n lambda and det grad of the chain), evaluated exactly at a root
-    of the constraint along the curve; None where either one vanishes."""
-    n = spec.n
-    sig = sigma
+def _curve_criteria(chain_n, sigma, n):
+    """The classifier's criterion quantities eta^n lambda and det grad
+    (lambda, ..., eta^{n-1} lambda), restricted to the curve sigma: they
+    depend on the spec alone, so one request builds them once."""
+    rows = [chain_n[j].partial(i) for j in range(n) for i in range(1, n + 1)]
+    det_poly = PolyMatrix(n, n, rows).det()
+    return (poly_to_coeffs(chain_n[n].subs(sigma)),
+            poly_to_coeffs(det_poly.subs(sigma)))
 
-    def on_curve(p):
-        return poly_to_coeffs(p.subs(sig))
 
-    etak = on_curve(chain_n[n])
-    rows = []
-    for j in range(n):
-        rows.append([chain_n[j].partial(i) for i in range(1, n + 1)])
-    det_poly = PolyMatrix(n, n, [e for row in rows for e in row]).det()
-    detgrad = on_curve(det_poly)
-    s_etak = sign_at_root(etak, constraint, root)
-    s_det = sign_at_root(detgrad, constraint, root)
+def _classifier_invariant_on_curve(n, criteria, constraint, root, sequences):
+    """Invariant tuple from the classifier's own quantities (``criteria``
+    of ``_curve_criteria``), their signs taken exactly at a root of the
+    constraint; None where either one vanishes."""
+    etak, detgrad = criteria
+    s_etak = sign_at_root(etak, constraint, root, sequences)
+    s_det = sign_at_root(detgrad, constraint, root, sequences)
     if s_etak == 0 or s_det == 0:
         return None
     return invariant_value(invariant_kind(n, n), s_etak, s_det)
@@ -650,14 +716,19 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     if not _vanishing_on_curve(sigma, sf, chain_n, n):
         raise GermError("internal error: curve does not satisfy the equations")
     width = Fraction(1, 2 ** precision_bits)
-    exact = rational_roots(sf)
+    found = isolate_real_roots(sf)
+    exact = rational_roots(sf, found)
     remaining = sf
     for r in exact:
         remaining, _ = up_divmod(remaining, [-r, Fraction(1)])
     # isolating intervals come from ``remaining`` (rational roots divided
     # out), so all interval arithmetic below must use ``remaining`` too;
-    # having no rational root, it never collapses an interval to a point
-    intervals = isolate_real_roots(remaining, width=width)
+    # having no rational root, it never collapses an interval to a point.
+    # Without rational roots ``remaining`` is sf, already isolated above.
+    if exact:
+        intervals = isolate_real_roots(remaining, width=width)
+    else:
+        intervals = [refine_root(sf, lo, hi, width) for lo, hi in found]
     if spec.family in ("B", "C"):
         if 0 in exact:
             exact.remove(0)
@@ -670,15 +741,20 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
             kept.append((lo, hi))
         intervals = kept
     points = []
-    for root in exact + intervals:
+    roots = exact + intervals
+    if roots:
+        criteria = _curve_criteria(chain_n, sigma, n)
+    # Tarski sequences with ``remaining``, one per polynomial, this request only
+    sequences = {}
+    for root in roots:
         is_exact = not isinstance(root, tuple)
         inv = _classifier_invariant_on_curve(
-            spec, sigma, remaining, root, chain_n)
+            n, criteria, remaining, root, sequences)
         if inv is None:
             stable = False
             notes.append("degenerate point (a criterion quantity vanishes)")
             continue
-        tbl = table_invariant(spec, root, remaining)
+        tbl = table_invariant(spec, root, remaining, sequences)
         verified = (inv == tbl)
         if is_exact:
             coords = [p.eval([root]) for p in sigma]

@@ -1,0 +1,89 @@
+"""Reference implementations that tests compare the library against.
+
+``sign_at_root`` is the refinement-based sign of a polynomial at a root of
+a constraint: it bisects the isolating interval until g has no root left
+in it, then reads g's sign at the ends.  It runs on rational arithmetic
+throughout, with its own Sturm chain, count and bisection, so it shares no
+code with the library's integer signs and Tarski queries."""
+
+from germlab.germ import GermError
+from germlab.morin import _sign
+from germlab.perturb import (up_deg, up_deriv, up_eval, up_gcd, up_neg,
+                             up_rem, up_squarefree, up_trim)
+
+
+def sturm_chain(c):
+    chain = [up_trim(c), up_trim(up_deriv(c))]
+    while chain[-1]:
+        r = up_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(up_neg(r))
+    return [p for p in chain if p]
+
+
+def _variations(values):
+    signs = [v for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def sturm_count(chain, lo, hi):
+    """Number of distinct real roots in the half-open interval (lo, hi]."""
+    va = _variations([up_eval(p, lo) for p in chain])
+    vb = _variations([up_eval(p, hi) for p in chain])
+    return va - vb
+
+
+def refine_root(c, lo, hi, width):
+    """Bisect an isolating interval of a square-free c below ``width``.
+    Returns (r, r) if an exact rational root is hit."""
+    if lo == hi:
+        return (lo, hi)
+    flo = up_eval(c, lo)
+    if flo == 0:
+        return (lo, lo)
+    if up_eval(c, hi) == 0:
+        return (hi, hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = up_eval(c, mid)
+        if fm == 0:
+            return (mid, mid)
+        if (flo > 0) != (fm > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return (lo, hi)
+
+
+def sign_at_root(g, constraint, root, max_iter=200):
+    """Exact sign of the univariate polynomial g at a root of
+    ``constraint`` given either exactly or by an isolating interval of the
+    square-free constraint.  Returns +1, -1 or 0."""
+    g = up_trim(g)
+    if not g:
+        return 0
+    if isinstance(root, tuple):
+        lo, hi = root
+    else:
+        return _sign(up_eval(g, root))
+    if lo == hi:
+        return _sign(up_eval(g, lo))
+    # if g shares this root with the constraint the sign is 0
+    common = up_gcd(g, constraint)
+    if up_deg(common) > 0:
+        chain_c = sturm_chain(common)
+        if sturm_count(chain_c, lo, hi) > 0:
+            return 0
+    chain_g = sturm_chain(up_squarefree(g))
+    for _ in range(max_iter):
+        if sturm_count(chain_g, lo, hi) == 0 and up_eval(g, lo) != 0:
+            s_lo = _sign(up_eval(g, lo))
+            s_hi = _sign(up_eval(g, hi))
+            if s_lo == s_hi and s_lo != 0:
+                return s_lo
+        lo, hi = refine_root(constraint, lo, hi, (hi - lo) / 2)
+        if lo == hi:
+            return _sign(up_eval(g, lo))
+    raise GermError("sign isolation did not converge")  # pragma: no cover
+

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from germlab import perturb as pt
 from germlab.germ import GermError, translate
 from germlab.morin import recognize_morin
+import oracles
 
 
 F = Fraction
@@ -58,6 +59,37 @@ def test_sign_at_root_exact_and_interval():
     assert pt.sign_at_root(g, p, F(3)) == 1
     # shared root -> 0
     assert pt.sign_at_root(p, p, ivs[0]) == 0
+    # the one root of (x - 2)(x + 5) in (3/2, 2] is the end 2 itself
+    c = [F(-10), F(3), F(1)]
+    assert pt.sign_at_root([F(-3), F(1)], c, (F(3, 2), F(2))) == -1
+    assert pt.sign_at_root([F(-2), F(1)], c, (F(3, 2), F(2))) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+                max_size=3, unique=True),
+       st.sampled_from([2, 3]),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+       st.integers(0, 4))
+def test_sign_at_root_matches_refinement_oracle(roots, d, h, share):
+    """Constraint: rational roots times x^2 - d.  g: a random integer
+    polynomial of degree <= 4, times one factor of the constraint when
+    ``share`` picks one, so that g sometimes vanishes at a root.  The
+    Tarski-query sign equals the refinement-based reference at every
+    isolating interval, unrefined and refined to 1/4 and 2^-40."""
+    quadratic = [F(-d), F(0), F(1)]
+    factors = [quadratic] + [[F(-r.numerator), F(r.denominator)] for r in roots]
+    c = quadratic
+    for f in factors[1:]:
+        c = pt.up_mul(c, f)
+    factor = factors[share] if share < len(factors) else [F(1)]
+    g = pt.up_mul([F(x) for x in h[:6 - len(factor)]], factor)
+    for width in (None, F(1, 4), F(1, 2 ** 40)):
+        for iv in pt.isolate_real_roots(c, width=width):
+            assert pt.sign_at_root(g, c, iv) == oracles.sign_at_root(g, c, iv)
+            if width is None:
+                assert pt.refine_root(c, *iv, F(1, 2 ** 40)) == \
+                    oracles.refine_root(c, *iv, F(1, 2 ** 40))
 
 
 @settings(max_examples=30, deadline=None)
