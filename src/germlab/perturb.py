@@ -174,11 +174,18 @@ def _pseudo_rem(a, b):
     return r
 
 
-def _signed_remainders(a, b):
-    """Signed remainder sequence a, b, -rem(a, b), ... with every term
-    replaced by the primitive integer polynomial it is a positive multiple
-    of, so the signs of each term at any point are unchanged."""
-    seq = [up_integer(a), up_integer(b)]
+def tarski_sequence(c, g):
+    """Signed remainder sequence of (c, c' g mod c), every term replaced by
+    the primitive integer polynomial it is a positive multiple of, so its
+    signs at any point are unchanged.  Its sign variations at lo minus
+    those at hi are the Tarski query of g at c on (lo, hi] when neither lo
+    nor hi is a root of c: the number of roots of c there with g > 0 minus
+    the number with g < 0 (Basu, Pollack, Roy, *Algorithms in Real
+    Algebraic Geometry*, ch. 2).  c' g may be reduced mod c because that
+    leaves the Cauchy index of c' g / c unchanged."""
+    ci = up_integer(c)
+    seq = [ci, up_integer(
+        _pseudo_rem(up_mul(up_deriv(ci), up_integer(g)), ci))]
     while seq[-1]:
         r = _pseudo_rem(seq[-2], seq[-1])
         if not r:
@@ -188,20 +195,9 @@ def _signed_remainders(a, b):
 
 
 def sturm_chain(c):
-    """Sturm sequence of c as integer polynomials (see ``_signed_remainders``)."""
-    return _signed_remainders(c, up_deriv(up_trim(c)))
-
-
-def tarski_sequence(c, g):
-    """Signed remainder sequence of (c, c' g mod c) on integers.  Its sign
-    variations at lo minus those at hi are the Tarski query of g at c on
-    (lo, hi] when neither lo nor hi is a root of c: the number of roots of
-    c there with g > 0 minus the number with g < 0 (Basu, Pollack, Roy,
-    *Algorithms in Real Algebraic Geometry*, ch. 2).  c' g may be reduced
-    mod c because that leaves the Cauchy index of c' g / c unchanged."""
-    ci = up_integer(c)
-    return _signed_remainders(
-        ci, _pseudo_rem(up_mul(up_deriv(ci), up_integer(g)), ci))
+    """Sturm sequence of a nonzero c on integers: the Tarski sequence of
+    g = 1, whose query counts the roots."""
+    return tarski_sequence(c, [1])
 
 
 def _variations(signs):
