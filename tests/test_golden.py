@@ -1,13 +1,15 @@
 """Golden outputs: the bytes of ``classify --json`` over the 30-germ
-corpus, of ``tables --json`` and of ``perturb --json`` over a fixed list of
-requests are pinned by their sha256, so a refactor that changes any label,
-invariant, normal form, table row or isolating interval fails here."""
+corpus, of ``tables --json``, of ``perturb --json`` over a fixed list of
+requests and of the printed-table cross-check are pinned by their sha256,
+so a refactor that changes any label, invariant, normal form, table row,
+isolating interval or derived curve formula fails here."""
 
 import hashlib
+import json
 
 from germlab.cli import main
 from germlab.germparse import render_map
-from germlab.perturb import FAMILY_B_CN
+from germlab.perturb import FAMILY_B_CN, table_discrepancy_report
 from conftest import corpus_30
 
 CLASSIFY_CORPUS_SHA256 = \
@@ -16,6 +18,8 @@ TABLES_SHA256 = \
     "22bf6d27773470afb9c51c7f366c02e41dda8a64b93b36cc3a1da44198898f26"
 PERTURB_SHA256 = \
     "983318304fc2916f6b03d14fd12893e384268737d1d14dc6743414b794b62eda"
+DISCREPANCY_REPORT_SHA256 = \
+    "4d3a847c96a66315bb0ac1534483fb1e6bd72900db2b653814ca44e59450c554"
 
 
 def _stdout_sha256(capsys, argvs):
@@ -65,3 +69,9 @@ def perturb_argvs():
 def test_perturb_json_is_golden(capsys, monkeypatch):
     monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
     assert _stdout_sha256(capsys, perturb_argvs()) == PERTURB_SHA256
+
+
+def test_table_discrepancy_report_is_golden():
+    text = json.dumps(table_discrepancy_report(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        DISCREPANCY_REPORT_SHA256
