@@ -12,8 +12,8 @@ D = jet_degree(n) = max(n, 3), m the ideal of the origin.
 
 from fractions import Fraction
 
-from .polyring import (Poly, PolyMatrix, DimensionError, dir_deriv, rat,
-                       rational_rank)
+from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
+                       rat, rational_rank)
 
 
 def jet_degree(n):
@@ -35,7 +35,7 @@ class DegenerateGermError(GermError):
     """The germ fails the non-degeneracy (rank) part of the criteria."""
 
 
-class VecField:
+class VecField(_Frozen):
     """A polynomial vector field, e.g. the null field eta or the frame
     partner xi.  Components are Polys in the source variables."""
 
@@ -49,9 +49,6 @@ class VecField:
                 if c.nvars != nv:
                     raise DimensionError("vector field components disagree on nvars")
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("VecField is immutable")
 
     @classmethod
     def constant(cls, values, nvars):
@@ -85,7 +82,7 @@ class VecField:
         return "VecField(%r)" % (list(self.components),)
 
 
-class MapGerm:
+class MapGerm(_Frozen):
     """A polynomial map-germ (R^n, 0) -> (R^m, 0).
 
     The germ condition f(0) = 0 is enforced at construction: any constant
@@ -112,9 +109,6 @@ class MapGerm:
         object.__setattr__(self, "tgt_dim", len(fixed))
         object.__setattr__(self, "components", tuple(fixed))
 
-    def __setattr__(self, *a):
-        raise AttributeError("MapGerm is immutable")
-
     def __eq__(self, other):
         if not isinstance(other, MapGerm):
             return NotImplemented
@@ -131,7 +125,7 @@ class MapGerm:
         return [Fraction(0)] * self.src_dim
 
 
-class GermAnalysis:
+class GermAnalysis(_Frozen):
     """Exact Jacobian and rank data at 0.  ``lam`` is the jet of
     lambda = det J at degree D = jet_degree(n), i.e. det J mod m^(D+1)
     (None when n != m)."""
@@ -144,9 +138,6 @@ class GermAnalysis:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rank0", rank0)
         object.__setattr__(self, "corank0", germ.src_dim - rank0)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GermAnalysis is immutable")
 
 
 def jacobian(f):

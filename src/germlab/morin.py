@@ -11,7 +11,7 @@ Class equality is decided purely by comparing the invariant tuples; the
 signed normal-form representative is attached for reference.
 """
 
-from .polyring import Poly, rational_det, rational_rank
+from .polyring import Poly, _Frozen, rational_det, rational_rank
 from .germ import (MapGerm, analyze, null_field,
                    NotCorankOneError, DegenerateGermError)
 
@@ -24,7 +24,7 @@ def _sign(x):
     return 0
 
 
-class ClassLabel:
+class ClassLabel(_Frozen):
     """Singularity family + the sign invariants that pin the isotopy class.
 
     ``signs`` is the pair (eps1, eps2) of the attached normal-form
@@ -46,9 +46,6 @@ class ClassLabel:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "invariant", tuple(invariant))
         object.__setattr__(self, "witness", dict(witness or {}))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ClassLabel is immutable")
 
     def key(self):
         return (self.family, self.k, self.signs)

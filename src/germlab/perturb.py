@@ -13,26 +13,30 @@ field is d/dt and lambda = q_t):
   C: like B but with (xn^2 + u0 + u1 xn) t^{n-1} + xn t^n in place of the
      last two terms.
 
-Morin points are found exactly: the defining equations
-lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated by back
-substitution into a one-parameter curve sigma(t) plus a single univariate
-constraint; real roots of the constraint are isolated by Sturm sequences,
-and the rational ones found exactly inside their isolating intervals (see
-``rational_roots``).  Every point is verified against
+Morin points are found exactly: for families B and C the defining
+equations lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated
+by back substitution into a one-parameter curve sigma(t) plus a single
+constraint.  ``eliminate_curve`` does this once per (family, n), with the
+parameters symbolic; each request only substitutes its parameter values
+(``curve_data``).  Real roots of the constraint are isolated by Sturm
+sequences, and the rational ones found exactly inside their isolating
+intervals (see ``rational_roots``).  Every point is verified against
 the Morin classifier (exactly at rational roots; by Tarski queries along
 the curve at irrational ones, see ``sign_at_root``).  All signs are taken
 on integer coefficients.
 
 The printed reference tables for families B and C contain a few
-inconsistent entries; ``table_discrepancy_report`` re-derives every
-constraint and coordinate formula symbolically and lists printed vs
-derived, so discrepancies are surfaced rather than silently absorbed.
+inconsistent entries; ``table_discrepancy_report`` compares every printed
+constraint and coordinate formula with the same cached curve and lists
+printed vs derived, so discrepancies are surfaced rather than silently
+absorbed.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import ceil, gcd, lcm
 
-from .polyring import Poly, PolyMatrix, rat, _rat_str
+from .polyring import Poly, PolyMatrix, _Frozen, rat, _rat_str
 from .germ import MapGerm, translate, GermError
 from .morin import recognize_morin, invariant_kind, invariant_value, _sign
 
@@ -364,7 +368,7 @@ def param_count(family, l):
     return {"B": 1, "C": 2}[family]
 
 
-class UnfoldingSpec:
+class UnfoldingSpec(_Frozen):
     """family 'A' | 'B' | 'C'; n in 2..5; l >= 2 (family A only);
     u = parameter values (length l-1 for A, 1 for B, 2 for C)."""
 
@@ -387,9 +391,6 @@ class UnfoldingSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UnfoldingSpec is immutable")
 
     @property
     def genotype(self):
@@ -414,35 +415,30 @@ def _qbar_coeffs(l, u):
     return up_trim(c)
 
 
-def _q_poly(spec, nvars, uvals):
-    """The first unfolding component q as a Poly in ``nvars`` variables
-    (x1=t, x2..xn, then any symbolic parameter variables).  ``uvals`` maps
-    each parameter to either a rational or a Poly (symbolic variable)."""
-    n = spec.n
+def _q_poly(family, n, l, u):
+    """The first unfolding component q in the variables (x1=t, x2..xn,
+    then any symbolic parameters); ``u`` holds one Poly per parameter,
+    all in those variables."""
+    nvars = u[0].nvars
     t = Poly.var(1, nvars)
     xs = [None] + [Poly.var(i, nvars) for i in range(1, nvars + 1)]
-
-    def u(i):
-        v = uvals[i]
-        return v if isinstance(v, Poly) else Poly.const(v, nvars)
-
-    if spec.family == "A":
+    if family == "A":
         xn = xs[n]
-        qbar = xn ** spec.l + u(0)
-        for i in range(1, spec.l - 1):
-            qbar = qbar + u(i) * xn ** i
+        qbar = xn ** l + u[0]
+        for i in range(1, l - 1):
+            qbar = qbar + u[i] * xn ** i
         q = t ** (n + 1) + qbar * t ** (n - 1)
         for i in range(2, n):
             q = q + xs[i] * t ** (i - 1)
         return q
-    if spec.family == "B":
-        q = t ** (n + 2) + u(0) * t ** n
+    if family == "B":
+        q = t ** (n + 2) + u[0] * t ** n
         for i in range(2, n + 1):
             q = q + xs[i] * t ** (i - 1)
         return q
     # family C
     xn = xs[n]
-    P = xn ** 2 + u(0) + u(1) * xn
+    P = xn ** 2 + u[0] + u[1] * xn
     q = t ** (n + 2) + P * t ** (n - 1) + xn * t ** n
     for i in range(2, n):
         q = q + xs[i] * t ** (i - 1)
@@ -452,7 +448,7 @@ def _q_poly(spec, nvars, uvals):
 def build_unfolding(spec):
     """F_u = (q(t, x, u), x2, ..., xn) with the parameters substituted."""
     n = spec.n
-    q = _q_poly(spec, n, {i: v for i, v in enumerate(spec.u)})
+    q = _q_poly(spec.family, n, spec.l, [Poly.const(v, n) for v in spec.u])
     comps = [q] + [Poly.var(i, n) for i in range(2, n + 1)]
     return MapGerm(comps, src_dim=n)
 
@@ -461,7 +457,7 @@ def build_unfolding(spec):
 # elimination: Morin-point curve sigma(t) + univariate constraint
 # ---------------------------------------------------------------------------
 
-def _lambda_chain(q, nvars, n):
+def _lambda_chain(q, n):
     """lambda = q_t and its t-derivatives up to order n (eta = d/dt)."""
     chain = [q.partial(1)]
     for _ in range(n):
@@ -469,37 +465,27 @@ def _lambda_chain(q, nvars, n):
     return chain
 
 
-def eliminate_curve(spec, symbolic=False):
-    """Back-substitute the system lambda = ... = eta^{n-1} lambda = 0.
+@cache
+def eliminate_curve(family, n):
+    """Back-substitute the system lambda = ... = eta^{n-1} lambda = 0 of
+    family B or C with its parameters kept symbolic.
 
-    Returns (coords, constraint): ``coords`` maps the variable index j
-    (2..n) to its solution as a Poly, and ``constraint`` is the single
-    remaining equation; both live in the variables (t [, u0, u1]) --
-    parameters are symbolic when ``symbolic`` else substituted.
-    Only families B and C have this one-curve structure.
+    Returns (coords, constraint), both in the variables (t, u0[, u1]):
+    ``coords`` is the tuple of solutions x2(t, u), ..., xn(t, u), and
+    ``constraint`` the single remaining equation.  Only families B and C
+    have this one-curve structure.  Cached: each (family, n) is derived
+    once per process and specialised per request by ``curve_data``.
     """
-    if spec.family == "A":
+    if family == "A":
         raise GermError("family A points are not a one-parameter curve")
-    n = spec.n
-    npar = len(spec.u) if symbolic else 0
+    npar = param_count(family, None)
     nvars = n + npar
-    if symbolic:
-        uvals = {i: Poly.var(n + 1 + i, nvars) for i in range(len(spec.u))}
-    else:
-        uvals = {i: v for i, v in enumerate(spec.u)}
-    q = _q_poly(spec, nvars, uvals)
-    chain = _lambda_chain(q, nvars, n)
-    coords = {}
+    q = _q_poly(family, n, None,
+                [Poly.var(n + 1 + i, nvars) for i in range(npar)])
+    reps = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
     constraint = None
-
-    def substituted(p):
-        reps = []
-        for idx in range(1, nvars + 1):
-            reps.append(coords.get(idx, Poly.var(idx, nvars)))
-        return p.subs(reps)
-
-    for eq in reversed(chain[:n]):
-        e = substituted(eq)
+    for eq in reversed(_lambda_chain(q, n - 1)):
+        e = eq.subs(reps)
         present = [j for j in range(2, n + 1) if e.degree_in(j) > 0]
         if not present:
             if not e.is_zero():
@@ -510,10 +496,11 @@ def eliminate_curve(spec, symbolic=False):
         if len(present) != 1:
             raise GermError("equation involves several unknowns: %s" % present)
         j = present[0]
-        coords[j] = _solve_linear(e, j, "x%d" % j)
+        reps[j - 1] = _solve_linear(e, j, "x%d" % j)
     if constraint is None:
         raise GermError("elimination produced no constraint")
-    return coords, constraint
+    return (tuple(_drop_x_vars(x, n) for x in reps[1:n]),
+            _drop_x_vars(constraint, n))
 
 
 def _solve_linear(e, i, name):
@@ -529,14 +516,14 @@ def _solve_linear(e, i, name):
     return b.scale(Fraction(-1) / a.constant_term())
 
 
-def _drop_x_vars(p, n, npar):
+def _drop_x_vars(p, n):
     """Re-express a Poly in (t, x2..xn, u...) that does not involve the
     x's as a Poly in (t, u...)."""
     out = {}
     for expo, coef in p.terms.items():
         assert all(e == 0 for e in expo[1:n]), "polynomial still involves x's"
-        out[(expo[0],) + tuple(expo[n:])] = coef
-    return Poly(1 + npar, out)
+        out[(expo[0],) + expo[n:]] = coef
+    return Poly(p.nvars - n + 1, out)
 
 
 def curve_data(spec):
@@ -550,11 +537,11 @@ def curve_data(spec):
         sigma = [Poly.zero(1)] * (n - 1) + [s]
         constraint = _qbar_coeffs(spec.l, spec.u)
         return sigma, constraint
-    coords, constraint = eliminate_curve(spec, symbolic=False)
-    sigma = [Poly.var(1, 1)]
-    for j in range(2, n + 1):
-        sigma.append(_drop_x_vars(coords[j], n, 0))
-    return sigma, poly_to_coeffs(_drop_x_vars(constraint, n, 0))
+    coords, constraint = eliminate_curve(spec.family, n)
+    t = Poly.var(1, 1)
+    reps = [t] + [Poly.const(v, 1) for v in spec.u]
+    sigma = [t] + [x.subs(reps) for x in coords]
+    return sigma, poly_to_coeffs(constraint.subs(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +606,7 @@ def table_invariant(spec, root, constraint, sequences=None):
 # Morin point enumeration
 # ---------------------------------------------------------------------------
 
-class MorinPoint:
+class MorinPoint(_Frozen):
     """One n-Morin point of a stable perturbation.
 
     ``t`` is the curve parameter (exact Fraction, or an isolating
@@ -644,11 +631,8 @@ class MorinPoint:
         object.__setattr__(self, "table_value", tuple(table_value))
         object.__setattr__(self, "verified", verified)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MorinPoint is immutable")
 
-
-class PerturbationReport:
+class PerturbationReport(_Frozen):
     __slots__ = ("spec", "points", "count", "c_f_bound", "stable", "notes")
 
     def __init__(self, spec, points, stable, notes):
@@ -658,9 +642,6 @@ class PerturbationReport:
         object.__setattr__(self, "c_f_bound", spec.c_f_bound())
         object.__setattr__(self, "stable", stable)
         object.__setattr__(self, "notes", tuple(notes))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PerturbationReport is immutable")
 
 
 def _curve_criteria(chain_n, sigma, n):
@@ -701,7 +682,7 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     n = spec.n
     F = build_unfolding(spec)
     q = F.components[0]
-    chain_n = _lambda_chain(q, n, n)
+    chain_n = _lambda_chain(q, n)
     sigma, constraint = curve_data(spec)
     notes = []
     stable = True
@@ -788,45 +769,13 @@ def sweep(family, n, grid, l=None, precision_bits=DEFAULT_PRECISION_BITS):
     return reports, summary
 
 
-def family_b_symbolic_identity(n):
-    """Symbolic check of the family B curve: with u0 kept symbolic, the
-    whole chain lambda, ..., eta^{n-1} lambda composed with the solved
-    coordinates vanishes identically once u0 = -c_n t^2 is substituted.
-    Returns True on success."""
-    spec = UnfoldingSpec("B", n, [0])
-    nvars = n + 1
-    coords, constraint = eliminate_curve(spec, symbolic=True)
-    q = _q_poly(spec, nvars, {0: Poly.var(nvars, nvars)})
-    chain = _lambda_chain(q, nvars, n - 1)
-    t = Poly.var(1, nvars)
-    u0_val = (t * t).scale(-FAMILY_B_CN[n])
-    reps = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
-    for j, sol in coords.items():
-        reps[j - 1] = sol
-    reps[nvars - 1] = Poly.var(nvars, nvars)
-    for eq in chain[:n]:
-        comp = eq.subs(reps)
-        # substitute u0 = -c_n t^2
-        final = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
-        final[nvars - 1] = u0_val
-        if not comp.subs(final).is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # printed-table cross-check
 # ---------------------------------------------------------------------------
 
-def _parse_tu(expr_terms, npar):
-    """Tiny helper: build a Poly in (t, u0[, u1]) from (coef, dt, du0, du1)
-    tuples."""
-    terms = {}
-    for entry in expr_terms:
-        coef, dt = entry[0], entry[1]
-        dus = entry[2:2 + npar]
-        terms[(dt,) + tuple(dus)] = rat(coef)
-    return Poly(1 + npar, terms)
+def _parse_tu(entries, nvars):
+    """A Poly in (t, u0[, u1]) from printed (coef, dt, du0[, du1]) rows."""
+    return Poly(nvars, {tuple(e[1:]): rat(e[0]) for e in entries})
 
 
 # the equations and coordinate rows exactly as printed in the source tables
@@ -849,61 +798,40 @@ _PRINTED_C = {
 
 # family B printed coordinate rows (pure polynomials in t, after t^2 = -u0/c_n)
 _PRINTED_B = {
-    2: {"x2": [(8, 3)]},
-    3: {"x2": [(105, 4)], "x3": [(-40, 3)]},
-    4: {"x2": [(24, 5)], "x3": [(-45, 4)], "x4": [(40, 3)]},
-    5: {"x2": [(-35, 6)], "x3": [(84, 5)], "x4": [(-105, 4)], "x5": [(70, 3)]},
+    2: {"x2": [(8, 3, 0)]},
+    3: {"x2": [(105, 4, 0)], "x3": [(-40, 3, 0)]},
+    4: {"x2": [(24, 5, 0)], "x3": [(-45, 4, 0)], "x4": [(40, 3, 0)]},
+    5: {"x2": [(-35, 6, 0)], "x3": [(84, 5, 0)], "x4": [(-105, 4, 0)],
+        "x5": [(70, 3, 0)]},
 }
 
 
 def table_discrepancy_report():
-    """Re-derive, symbolically, every constraint equation and coordinate
-    formula of the family B and C tables, and compare with the printed
-    versions.  Returns a list of entries
+    """Compare every constraint equation and coordinate formula of the
+    printed family B and C tables with the curve ``eliminate_curve``
+    derives, the one the lab itself uses.  Coordinates are compared with
+    u0 solved from the constraint.  Returns a list of entries
     {family, n, item, printed, derived, match}; mismatches are the
     published typos, surfaced rather than silently corrected."""
     entries = []
-    for family, printed_all, npar in (("B", _PRINTED_B, 1), ("C", _PRINTED_C, 2)):
+    for family, printed_all in (("B", _PRINTED_B), ("C", _PRINTED_C)):
         for n in (2, 3, 4, 5):
-            spec = UnfoldingSpec(family, n,
-                                 [0] * (1 if family == "B" else 2))
-            coords, constraint = eliminate_curve(spec, symbolic=True)
-            nvars = n + npar
-            u0_index = n  # 0-based slot of u0
-            # normalize derived constraint: primitive, positive leading coeff
-            derived_con = _drop_x_vars(constraint, n, npar)
-            derived_con = _normalize_primitive(derived_con)
+            coords, constraint = eliminate_curve(family, n)
+            nvars = constraint.nvars
             printed = printed_all[n]
             if family == "C":
-                printed_con = _normalize_primitive(_parse_tu(printed["constraint"], npar))
-                entries.append(_compare(family, n, "constraint",
-                                        printed_con, derived_con))
-            u0_expr = _solve_linear(constraint, u0_index + 1, "u0")
+                entries.append(_compare(
+                    family, n, "constraint",
+                    _normalize_primitive(_parse_tu(printed["constraint"], nvars)),
+                    _normalize_primitive(constraint)))
             reps = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
-            reps[u0_index] = u0_expr
-            for j in range(2, n + 1):
+            reps[1] = _solve_linear(constraint, 2, "u0")
+            for j, x in enumerate(coords, start=2):
                 item = "x%d" % j
-                derived = coords[j].subs(reps)
-                derived = _drop_x_vars(derived, n, npar)
-                if family == "B":
-                    printed_poly = Poly(1 + npar, {
-                        (dt, 0): rat(c) for c, dt in printed[item]})
-                else:
-                    printed_poly = _subst_u0(_parse_tu(printed[item], npar),
-                                             u0_expr, n, npar)
-                entries.append(_compare(family, n, item, printed_poly, derived))
+                entries.append(_compare(
+                    family, n, item, _parse_tu(printed[item], nvars).subs(reps),
+                    x.subs(reps)))
     return entries
-
-
-def _subst_u0(p_tu, u0_expr_full, n, npar):
-    """Substitute u0 -> u0_expr into a Poly in (t, u0[, u1]); the
-    expression arrives in the full (x..., u...) variable set."""
-    u0_small = _drop_x_vars(u0_expr_full, n, npar)
-    nv = 1 + npar
-    reps = [Poly.var(1, nv), u0_small]
-    if npar == 2:
-        reps.append(Poly.var(3, nv))
-    return p_tu.subs(reps)
 
 
 def _normalize_primitive(p):

@@ -26,7 +26,17 @@ class DimensionError(ValueError):
     """Raised when operands disagree on the number of variables."""
 
 
-class Poly:
+class _Frozen:
+    """Base of the immutable value types.  Their constructors write each
+    slot once with ``object.__setattr__``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Poly(_Frozen):
     """A polynomial in ``nvars`` variables with exact rational coefficients.
 
     ``terms`` maps exponent tuples (length ``nvars``) to nonzero Fractions.
@@ -49,9 +59,6 @@ class Poly:
                 clean[tuple(expo)] = coef
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -221,42 +228,21 @@ class Poly:
         for g in replacements:
             if g.nvars != m:
                 raise DimensionError("replacement polynomials disagree on nvars")
-        # cache powers of each replacement
-        powers = [{0: Poly.one(m)} for _ in replacements]
-
-        def power(idx, e):
-            cache = powers[idx]
-            if e not in cache:
-                cache[e] = power(idx, e - 1) * replacements[idx]
-            return cache[e]
-
+        # powers[idx][e] is replacements[idx] ** e, grown as needed
+        powers = [[Poly.one(m)] for _ in replacements]
         pairs = []
         for expo, coef in self.terms.items():
             monomial = None
             for idx, e in enumerate(expo):
                 if e:
-                    factor = power(idx, e)
+                    cache = powers[idx]
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * replacements[idx])
+                    factor = cache[e]
                     monomial = factor if monomial is None else monomial * factor
             pairs.append((Poly.const(coef, m),
                           Poly.one(m) if monomial is None else monomial))
         return _sum_of_products(m, pairs)
-
-    def compose_linear(self, A):
-        """p(A x) for a square rational matrix A of size nvars."""
-        n = self.nvars
-        if len(A) != n or any(len(row) != n for row in A):
-            raise DimensionError("matrix must be %dx%d" % (n, n))
-        reps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                c = rat(A[i][j])
-                if c != 0:
-                    expo = [0] * n
-                    expo[j] = 1
-                    terms[tuple(expo)] = c
-            reps.append(Poly(n, terms))
-        return self.subs(reps)
 
     def gradient_at(self, point):
         """Row vector of exact partial-derivative values at a point.  At
@@ -387,7 +373,7 @@ def dir_deriv(p, v, cap=None):
     return _sum_of_products(p.nvars, pairs, cap)
 
 
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """A rows x cols matrix of Polys (row-major), used for Jacobians,
     gradient stacks and Hessians."""
 
@@ -406,9 +392,6 @@ class PolyMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
 
     def entry(self, i, j):
         return self.entries[i * self.cols + j]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from germlab.polyring import Poly, rational_det
+from germlab.polyring import Poly, DimensionError, rational_det
 from germlab.germ import MapGerm
 from germlab.morin import normal_form
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
@@ -67,9 +67,19 @@ def sparse_gl_pos(rng, n):
         return A
 
 
+def compose_linear(p, A):
+    """p(A x) for a square rational matrix A of size p.nvars."""
+    n = p.nvars
+    if len(A) != n or any(len(row) != n for row in A):
+        raise DimensionError("matrix must be %dx%d" % (n, n))
+    reps = [Poly(n, {tuple(int(k == j) for k in range(n)): c
+                     for j, c in enumerate(row) if c != 0}) for row in A]
+    return p.subs(reps)
+
+
 def change_coordinates(f, A, B):
     """B o f o A for linear A (source, n x n) and B (target, m x m)."""
-    comps = [c.compose_linear(A) for c in f.components]
+    comps = [compose_linear(c, A) for c in f.components]
     out = []
     for i in range(f.tgt_dim):
         acc = Poly.zero(f.src_dim)

@@ -17,6 +17,7 @@ from germlab.germparse import parse_map, render_map, ParseError
 from germlab.cli import classify_any
 
 from conftest import corpus_30, random_gl_pos, change_coordinates
+from test_perturb import family_b_symbolic_identity
 
 F = Fraction
 
@@ -116,7 +117,7 @@ def test_criterion_05_family_b():
                 val = (val[0], -val[1])  # classifier pair -> published pair
             got.add((kind, val))
         assert got == published[n], (n, got)
-        assert pt.family_b_symbolic_identity(n)
+        assert family_b_symbolic_identity(n)
     print("ACCEPTANCE 5: PASS - family B points, signs and symbolic identities")
 
 

@@ -9,7 +9,8 @@ import json
 
 from germlab.cli import main
 from germlab.germparse import render_map
-from germlab.perturb import FAMILY_B_CN, table_discrepancy_report
+from germlab.perturb import (FAMILY_B_CN, eliminate_curve,
+                             table_discrepancy_report)
 from conftest import corpus_30
 
 CLASSIFY_CORPUS_SHA256 = \
@@ -75,3 +76,17 @@ def test_table_discrepancy_report_is_golden():
     text = json.dumps(table_discrepancy_report(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         DISCREPANCY_REPORT_SHA256
+
+
+def test_perturb_json_same_cold_and_warm(capsys, monkeypatch):
+    """The first request after the cached elimination is dropped derives
+    the curve afresh; its bytes equal those of the request that reuses it."""
+    monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+    for argv in (["perturb", "--json", "--family", "B", "--n", "5",
+                  "--params=-1"],
+                 ["perturb", "--json", "--family", "C", "--n", "4",
+                  "--params=-1,1/2"]):
+        eliminate_curve.cache_clear()
+        cold = _stdout_sha256(capsys, [argv])
+        assert eliminate_curve.cache_info().currsize == 1
+        assert _stdout_sha256(capsys, [argv]) == cold

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from germlab import perturb as pt
 from germlab.germ import GermError, translate
 from germlab.morin import recognize_morin
+from germlab.polyring import Poly
 import oracles
 
 
@@ -136,24 +137,34 @@ def test_build_unfolding_shape():
     f = pt.build_unfolding(pt.UnfoldingSpec("B", 3, [F(-10)]))
     assert f.src_dim == 3 and f.tgt_dim == 3
     # components 2..n are the identity in x2..xn
-    from germlab.polyring import Poly
     assert f.components[1] == Poly.var(2, 3)
     assert f.components[2] == Poly.var(3, 3)
 
 
 def test_eliminate_curve_consistency():
-    """The solved coordinates satisfy the full chain modulo the constraint
-    (checked inside morin_points, exercised here for each family)."""
-    for spec in (pt.UnfoldingSpec("B", 4, [F(-15)]),
-                 pt.UnfoldingSpec("C", 3, [F(-1), F(1, 2)])):
-        sigma, con = pt.curve_data(spec)
-        assert pt.up_deg(con) >= 1
-        assert sigma[0].render(["t"]) == "t"
+    """For families B and C and n = 2..5, the curve specialised from the
+    cached symbolic elimination satisfies the equations of the unfolding
+    built independently with the parameters substituted: every lambda,
+    ..., eta^{n-1} lambda restricted to sigma is 0 modulo the constraint,
+    at stable and non-stable parameters alike."""
+    params = {"B": [[F(-3)], [F(0)], [F(5, 2)]],
+              "C": [[F(1, 4), F(2)], [F(-1), F(1, 2)], [F(0), F(0)]]}
+    for family, grid in params.items():
+        for n in (2, 3, 4, 5):
+            for u in grid:
+                spec = pt.UnfoldingSpec(family, n, u)
+                sigma, con = pt.curve_data(spec)
+                assert pt.up_deg(con) >= 1
+                assert sigma[0] == Poly.var(1, 1)
+                q = pt.build_unfolding(spec).components[0]
+                for eq in pt._lambda_chain(q, n - 1):
+                    on_curve = pt.poly_to_coeffs(eq.subs(sigma))
+                    assert not pt.up_rem(on_curve, con), (family, n, u)
 
 
 def test_family_a_not_a_curve():
     with pytest.raises(GermError):
-        pt.eliminate_curve(pt.UnfoldingSpec("A", 3, [0], l=2))
+        pt.eliminate_curve("A", 3)
 
 
 # ---- Morin point enumeration -------------------------------------------
@@ -233,9 +244,23 @@ def test_sweep_summary():
 
 # ---- symbolic identities and table cross-check -------------------------
 
+def family_b_symbolic_identity(n):
+    """Symbolic check of the family B curve: the whole chain lambda, ...,
+    eta^{n-1} lambda of the unfolding with u0 kept symbolic, composed with
+    the cached solved coordinates, vanishes identically once
+    u0 = -c_n t^2 is substituted, and so does the constraint."""
+    coords, constraint = pt.eliminate_curve("B", n)
+    t = Poly.var(1, 2)
+    u0 = (t * t).scale(-pt.FAMILY_B_CN[n])
+    on_curve = [t] + [x.subs([t, u0]) for x in coords] + [u0]
+    q = pt._q_poly("B", n, None, [Poly.var(n + 1, n + 1)])
+    return constraint.subs([t, u0]).is_zero() and all(
+        eq.subs(on_curve).is_zero() for eq in pt._lambda_chain(q, n - 1))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_family_b_symbolic_identity(n):
-    assert pt.family_b_symbolic_identity(n)
+    assert family_b_symbolic_identity(n)
 
 
 def test_table_discrepancy_report_flags_known_typos():

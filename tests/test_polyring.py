@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: examples, ring axioms, calculus, linear
 algebra, and a float finite-difference bridge for the formal derivative."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -10,6 +11,10 @@ from hypothesis import given, settings, strategies as st
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, rational_rref, rational_rank,
                               rational_nullspace, rational_det)
+from germlab.germ import MapGerm, VecField, analyze
+from germlab.morin import ClassLabel
+from germlab.perturb import UnfoldingSpec, morin_points
+from conftest import compose_linear
 
 
 def P(nvars, terms):
@@ -68,11 +73,59 @@ def test_subs_composition():
     assert q == x1 * x2 ** 2 + x2 ** 3
 
 
+def test_subs_leaves_no_reference_cycle():
+    """Garbage from one ``subs`` call is freed by reference counting alone,
+    so memory does not wait for the cyclic collector."""
+    x, y = Poly.var(1, 2), Poly.var(2, 2)
+    p = (x + y) ** 3
+    gc.disable()
+    try:
+        gc.collect()
+        p.subs([x + y, x * y])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_compose_linear():
     x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
     p = x1 ** 2
     A = [[0, 1], [1, 0]]  # swap variables
-    assert p.compose_linear(A) == x2 ** 2
+    assert compose_linear(p, A) == x2 ** 2
+    assert compose_linear(x1 + x2, [[2, 1], [0, -1]]) == x1 * 2
+
+
+def _value_instances():
+    f = MapGerm([Poly.var(1, 1) ** 2])
+    spec = UnfoldingSpec("B", 2, [-6])
+    report = morin_points(spec)
+    return {
+        "Poly": Poly.var(1, 1),
+        "PolyMatrix": PolyMatrix(1, 1, [Poly.var(1, 1)]),
+        "VecField": VecField([Poly.one(1)]),
+        "MapGerm": f,
+        "GermAnalysis": analyze(f),
+        "ClassLabel": ClassLabel("fold"),
+        "UnfoldingSpec": spec,
+        "MorinPoint": report.points[0],
+        "PerturbationReport": report,
+    }
+
+
+@pytest.mark.parametrize("name", ["Poly", "PolyMatrix", "VecField", "MapGerm",
+                                  "GermAnalysis", "ClassLabel",
+                                  "UnfoldingSpec", "MorinPoint",
+                                  "PerturbationReport"])
+def test_value_types_are_immutable(name):
+    obj = _value_instances()[name]
+    assert type(obj).__name__ == name
+    slot = type(obj).__slots__[0]
+    before = getattr(obj, slot)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        setattr(obj, slot, None)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        obj.extra = 1
+    assert getattr(obj, slot) is before
 
 
 def test_dimension_errors():
