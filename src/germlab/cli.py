@@ -307,7 +307,8 @@ def build_parser():
     pp.add_argument("--family", required=True, choices=["A", "B", "C",
                                                         "a", "b", "c"])
     pp.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
-    pp.add_argument("--l", type=int, help="family A degree (l >= 2)")
+    pp.add_argument("--l", type=int,
+                    help="family A degree (2 <= l <= %d)" % pt.MAX_L)
     pp.add_argument("--params", help="comma-separated rational parameters")
     pp.add_argument("--grid", help="sweep grid 'lo:hi:step[,lo:hi:step...]'")
 

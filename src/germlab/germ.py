@@ -1,6 +1,6 @@
 """Map-germ container and the shared geometric primitives:
-Jacobian, lambda (= det Jacobian), rank/corank at the origin,
-the adjugate-based null vector field, and point translation.
+Jacobian, rank/corank at the origin, lambda (= det Jacobian) and the
+null vector field eta from one adjugate column, and point translation.
 
 lambda and eta are kept only as jets.  The classifiers read the values
 eta^j lambda(0) for j <= n, the gradients at 0 of eta^j lambda for j < n,
@@ -13,7 +13,7 @@ D = jet_degree(n) = max(n, 3), m the ideal of the origin.
 from fractions import Fraction
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
-                       rat, rational_rank)
+                       rat, rational_rank, _sum_of_products)
 
 
 def jet_degree(n):
@@ -128,16 +128,17 @@ class MapGerm(_Frozen):
 class GermAnalysis(_Frozen):
     """Exact Jacobian and rank data at 0.  ``lam`` is the jet of
     lambda = det J at degree D = jet_degree(n), i.e. det J mod m^(D+1)
-    (None when n != m)."""
+    (None when n != m); ``eta`` is null_field's eta (else None)."""
 
-    __slots__ = ("germ", "jacobian", "lam", "rank0", "corank0")
+    __slots__ = ("germ", "jacobian", "lam", "rank0", "corank0", "eta")
 
-    def __init__(self, germ, jacobian, lam, rank0):
+    def __init__(self, germ, jacobian, lam, rank0, eta=None):
         object.__setattr__(self, "germ", germ)
         object.__setattr__(self, "jacobian", jacobian)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rank0", rank0)
         object.__setattr__(self, "corank0", germ.src_dim - rank0)
+        object.__setattr__(self, "eta", eta)
 
 
 def jacobian(f):
@@ -150,40 +151,41 @@ def jacobian(f):
 
 
 def analyze(f):
-    """Exact Jacobian, the jet of lambda = det J (when n = m) and the rank
-    of df(0)."""
+    """Exact Jacobian, rank of df(0) and, when n = m, lambda and (at
+    corank one) eta from one column j of adj(J): lambda is the Laplace
+    expansion along row j, eta the column mod m^D.  At corank one j is the
+    first row of J(0) whose removal leaves rank n - 1, else j = 0."""
+    n = f.src_dim
     J = jacobian(f)
-    lam = None
-    if f.src_dim == f.tgt_dim:
-        lam = J.det(cap=jet_degree(f.src_dim))
     J0 = J.eval(f.origin())
     rank0 = rational_rank(J0)
-    return GermAnalysis(f, J, lam, rank0)
+    lam = eta = None
+    if n == f.tgt_dim:
+        D = jet_degree(n)
+        j = 0
+        if rank0 == n - 1:
+            j = next(j for j in range(n)
+                     if rational_rank(J0[:j] + J0[j + 1:]) == n - 1)
+        col = J.adjugate_column(j, D)
+        lam = _sum_of_products(n, list(zip(J.row(j), col)), D)
+        if rank0 == n - 1:
+            eta = VecField(c.truncate(D - 1) for c in col)
+    return GermAnalysis(f, J, lam, rank0, eta)
 
 
 def null_field(f, analysis=None):
-    """Null vector field for an equidimensional corank-one germ.
-
-    Returns the first adjugate column j of the Jacobian that is nonzero at
-    the origin, kept mod m^D with D = jet_degree(n).  Column j of
-    adj(J)(0) = adj(J(0)) holds the maximal minors of J(0) without row j,
-    so it is nonzero exactly when those rows have rank n - 1.  The
-    contract is J * eta = lambda * e_j mod m^D, so eta(0) != 0 lies in
-    ker df(0), and eta is exact wherever the classifiers read it.
-    """
+    """Null vector field for an equidimensional corank-one germ: the
+    adjugate column j of the Jacobian that ``analyze`` expands for lambda,
+    kept mod m^D.  Column j of adj(J)(0) = adj(J(0)) holds the maximal
+    minors of J(0) without row j, so it is nonzero, and J * eta =
+    lambda * e_j mod m^D: eta(0) != 0 lies in ker df(0), and eta is exact
+    wherever the classifiers read it."""
     if f.src_dim != f.tgt_dim:
         raise NotCorankOneError("null field needs an equidimensional germ")
     ana = analysis or analyze(f)
     if ana.corank0 != 1:
         raise NotCorankOneError("not corank one at 0 (corank %d)" % ana.corank0)
-    n = f.src_dim
-    J = ana.jacobian
-    J0 = J.eval(f.origin())
-    for j in range(n):
-        if rational_rank(J0[:j] + J0[j + 1:]) == n - 1:
-            return VecField(J.adjugate_column(j, jet_degree(n) - 1))
-    # cannot happen at corank one: adj(J)(0) has rank one, hence a nonzero column
-    raise DegenerateGermError("adjugate vanishes at 0")  # pragma: no cover
+    return ana.eta
 
 
 def translate(f, p):

@@ -358,18 +358,23 @@ def poly_to_coeffs(p):
 FAMILY_B_CN = {2: 6, 3: 10, 4: 15, 5: 21}
 
 
+# The largest family A degree: a request at l = 64 takes seconds.
+MAX_L = 32
+
+
 def param_count(family, l):
     """Number of unfolding parameters of a family ('A', 'B' or 'C'):
-    l - 1 for family A (which needs l >= 2), one for B, two for C."""
+    l - 1 for family A (2 <= l <= MAX_L), one for B, two for C."""
     if family == "A":
-        if l is None or l < 2:
-            raise ValueError("family A needs l >= 2")
+        if l is None or not 2 <= l <= MAX_L:
+            raise ValueError("family A needs 2 <= l <= %d (the cap), "
+                             "got l = %s" % (MAX_L, l))
         return l - 1
     return {"B": 1, "C": 2}[family]
 
 
 class UnfoldingSpec(_Frozen):
-    """family 'A' | 'B' | 'C'; n in 2..5; l >= 2 (family A only);
+    """family 'A' | 'B' | 'C'; n in 2..5; 2 <= l <= MAX_L (family A only);
     u = parameter values (length l-1 for A, 1 for B, 2 for C)."""
 
     __slots__ = ("family", "n", "l", "u")

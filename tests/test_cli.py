@@ -1,6 +1,10 @@
 """CLI: dispatch, exit codes, deterministic JSON, tables."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -8,7 +12,14 @@ import pytest
 
 from germlab.cli import (main, classify_any, UnrecognizedError, _parse_grid,
                          MAX_GRID_POINTS)
+from germlab.germ import MapGerm, jet_degree
 from germlab.germparse import parse_map
+from germlab.lowdim import _plane_normal_form, _surface_normal_form
+from germlab.morin import class_count, normal_form
+from germlab.perturb import MAX_L
+from germlab.polyring import Poly
+from germlab.sigma20 import elli_normal_form, hyp_normal_form
+from conftest import change_coordinates, corpus_30, random_gl_pos
 
 
 def run(capsys, *argv):
@@ -147,6 +158,39 @@ def test_perturb_grid_over_cap_rejected_at_once(capsys):
     code, _, err = run(capsys, "perturb", "--family", "C", "--n", "3",
                        "--grid=0:100:1")
     assert code == 3 and "10201 points" in err
+
+
+def test_perturb_family_a_degree_over_cap_rejected_at_once(capsys):
+    for extra in (["--params", "0"], ["--grid=-1:-1:1"]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "perturb", "--family", "A", "--n", "3",
+                           "--l", "3000", *extra)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "l <= %d (the cap), got l = 3000" % MAX_L in err
+
+
+def _monic_chebyshev_params(l):
+    """u for which qbar = x^l + u_{l-2} x^(l-2) + ... + u_0 is T_l / 2^(l-1),
+    with l real roots in (-1, 1)."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for _ in range(l - 1):
+        nxt = [Fraction(0)] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return ",".join(str(c / cur[l]) for c in cur[:l - 1])
+
+
+def test_perturb_family_a_at_the_degree_cap_ends_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "perturb", "--family", "A", "--n", "3",
+                       "--l", str(MAX_L), "--params",
+                       _monic_chebyshev_params(MAX_L), "--precision", "120",
+                       "--json")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["count"] == MAX_L
 
 
 @pytest.mark.parametrize("family,n,params", [
@@ -313,3 +357,134 @@ def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
     assert len(calls) == 1
     # the corank-two umbilics have no eta-chain
     assert len(chains) == (0 if family.startswith("sigma20") else 1)
+
+
+@pytest.mark.parametrize("text,family", [
+    ("x1^3 + x1*x2 ; x2", "cusp"),
+    ("x1*x2 - x1^2*x3 - x1^3*x4 - x1^5 ; -x2 ; x3 ; x4", "butterfly"),
+    ("x1^3 + x1*x2^2 ; x2", "lips"),
+])
+def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
+                                             family):
+    """lambda and eta come from one adjugate column; no determinant."""
+    from germlab.polyring import PolyMatrix
+    counts = {"adjugate_column": 0, "det": 0}
+    for name in counts:
+        original = getattr(PolyMatrix, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(PolyMatrix, name, counted)
+    code, out, _ = run(capsys, "classify", "--json", text)
+    assert code == 0
+    assert json.loads(out)["label"]["family"] == family
+    assert counts == {"adjugate_column": 1, "det": 0}
+
+
+# ---- A-isotopy oracles: reflection orbits, nonlinear invariance ---------
+
+def _reflections(n):
+    """id, x1 -> -x1 and xn -> -xn as n x n diagonal matrices."""
+    out = []
+    for flip in (None, 0, n - 1):
+        out.append([[Fraction(-1 if i == j == flip else int(i == j))
+                     for j in range(n)] for i in range(n)])
+    return out
+
+
+def _reflection_orbit(f):
+    """The labels of f under every source x target reflection pair."""
+    return {classify_any(change_coordinates(f, A, B))[0]
+            for A in _reflections(f.src_dim)
+            for B in _reflections(f.tgt_dim)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reflection_orbits_of_morin_forms_are_the_class_counts(n):
+    """An A-equivalence class splits into class_count(k, n) A-isotopy
+    classes, and the reflections reach all of them."""
+    for k in range(1, n + 1):
+        assert len(_reflection_orbit(normal_form(k, n))) == class_count(k, n)
+
+
+@pytest.mark.parametrize("f,size", [
+    (_plane_normal_form("lips", 1), 2),
+    (_plane_normal_form("beaks", 1), 2),
+    (_plane_normal_form("planar-swallowtail", 1), 2),
+    (_surface_normal_form("whitney-umbrella"), 1),
+    (_surface_normal_form("S1+"), 2),
+    (_surface_normal_form("S1-"), 2),
+    (hyp_normal_form(1), 2),
+    (elli_normal_form(1, 1), 4),
+], ids=["lips", "beaks", "planar-swallowtail", "whitney-umbrella", "S1+",
+        "S1-", "sigma20-hyp", "sigma20-elli"])
+def test_reflection_orbits_of_the_other_families(f, size):
+    assert len(_reflection_orbit(f)) == size
+
+
+def _random_quadratic_diffeo(rng, n):
+    """x -> A x + Q(x): det A > 0 and two random quadratic monomials per
+    component, so orientation-preserving at 0."""
+    A = random_gl_pos(rng, n)
+    comps = []
+    for row in A:
+        p = Poly(n, {tuple(int(k == j) for k in range(n)): c
+                     for j, c in enumerate(row) if c != 0})
+        for _ in range(2):
+            expo = [0] * n
+            expo[rng.randrange(n)] += 1
+            expo[rng.randrange(n)] += 1
+            p = p + Poly(n, {tuple(expo): rng.choice([-2, -1, 1, 2])})
+        comps.append(p)
+    return comps
+
+
+CORPUS = corpus_30()
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_label_invariant_under_nonlinear_changes(index):
+    """psi o f o phi for quadratic orientation-preserving phi, psi, kept to
+    degree D + 3 (every corpus germ is (D + 1)-determined), has f's label."""
+    rng = random.Random(9100 + index)
+    f = CORPUS[index]
+    cap = jet_degree(f.src_dim) + 3
+    expected = classify_any(f)
+    for _ in range(3):
+        phi = _random_quadratic_diffeo(rng, f.src_dim)
+        psi = _random_quadratic_diffeo(rng, f.tgt_dim)
+        inner = [c.subs(phi).truncate(cap) for c in f.components]
+        g = MapGerm([c.subs(inner).truncate(cap) for c in psi],
+                    src_dim=f.src_dim)
+        assert classify_any(g) == expected
+
+
+# ---- no runtime dependencies -----------------------------------------------
+
+BARE_RUN = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from germlab.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["classify", "--json", "x1^3 + x1*x2 ; x2"],
+                 ["perturb", "--family", "B", "--n", "3", "--params", "-10"],
+                 ["tables", "--json"]):
+        codes.append(main(argv))
+tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({"codes": codes, "foreign": sorted(
+    tops - {"germlab"} - set(sys.stdlib_module_names))}))
+"""
+
+
+def test_cli_runs_on_the_bare_standard_library():
+    """Without site-packages (-S) or the environment (-I), the CLI imports
+    nothing outside germlab and the standard library."""
+    import germlab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germlab.__file__)))
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", BARE_RUN, src],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "foreign": []}

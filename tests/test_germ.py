@@ -1,13 +1,15 @@
 """Germ container, Jacobian analysis, null field, translation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from germlab.polyring import Poly
+from germlab.polyring import Poly, rational_rank
 from germlab.germ import (MapGerm, VecField, analyze, null_field, translate,
-                          jacobian, NotCorankOneError)
+                          jacobian, jet_degree, NotCorankOneError)
 from germlab.morin import normal_form
+from conftest import change_coordinates, corpus_30, random_gl_pos
 
 
 def cusp2():
@@ -68,6 +70,33 @@ def test_null_field_requires_corank_one():
         null_field(MapGerm([x1 ** 2, x2 ** 2]))  # corank 2
     with pytest.raises(NotCorankOneError):
         null_field(MapGerm([x1, x2]))  # corank 0
+
+
+SQUARE_CORPUS = [f for f in corpus_30() if f.src_dim == f.tgt_dim]
+
+
+@pytest.mark.parametrize("index", range(len(SQUARE_CORPUS)))
+def test_one_adjugate_column_agrees_with_the_reference_route(index):
+    """lambda from the Laplace expansion along the adjugate column equals
+    the capped determinant, and eta equals the adjugate column of the first
+    row of J(0) whose removal leaves rank n - 1, expanded at cap D - 1."""
+    rng = random.Random(7000 + index)
+    f = SQUARE_CORPUS[index]
+    n = f.src_dim
+    D = jet_degree(n)
+    for _ in range(2):
+        g = change_coordinates(f, random_gl_pos(rng, n), random_gl_pos(rng, n))
+        J = jacobian(g)
+        ana = analyze(g)
+        assert ana.lam == J.det(cap=D)
+        if ana.corank0 != 1:
+            assert ana.eta is None
+            continue
+        J0 = J.eval(g.origin())
+        j = next(j for j in range(n)
+                 if rational_rank(J0[:j] + J0[j + 1:]) == n - 1)
+        assert null_field(g, ana).components == tuple(
+            J.adjugate_column(j, D - 1))
 
 
 def test_translate_recenter():
