@@ -5,7 +5,8 @@ that enumerates the Morin points of stable perturbations of simple germs.
 
 from .polyring import Poly, PolyMatrix, Rat, rat, dir_deriv, DimensionError
 from .germ import (MapGerm, VecField, GermAnalysis, analyze, null_field,
-                   translate, GermError, NotCorankOneError, DegenerateGermError)
+                   PreparedForm, prepared_form, translate, GermError,
+                   NotCorankOneError, DegenerateGermError)
 from .morin import (ClassLabel, recognize_morin, morin_invariants,
                     normal_form, class_count, invariant_kind)
 from .lowdim import classify_plane, classify_surface

@@ -68,7 +68,12 @@ def classify_any(f):
     """Dispatch: Morin recognition first, then the plane-germ criteria
     (n=m=2), the surface criteria (n=2, m=3) and the corank-two criteria
     (n=m=4).  Returns (label, route); raises UnrecognizedError when no
-    criterion applies."""
+    criterion applies.
+
+    Morin recognition reads the rank of df(0) first: a regular germ is
+    labelled at once, and only the plane criteria and the corank-two
+    criteria expand the Jacobian's cofactors (``analyze``), at n = 2 and
+    n = 4; any other corank is refused before any polynomial is built."""
     if f.src_dim == 2 and f.tgt_dim == 3:
         label = classify_surface(f)
         if label.family == "unrecognized":
@@ -78,24 +83,23 @@ def classify_any(f):
         raise UnrecognizedError(
             "no classifier for a germ (R^%d,0) -> (R^%d,0)"
             % (f.src_dim, f.tgt_dim))
-    ana = analyze(f)
-    if ana.corank0 <= 1:
-        eta = null_field(f, ana) if ana.corank0 == 1 else None
+    try:
+        return recognize_morin(f), "morin"
+    except DegenerateGermError:
+        if f.src_dim == 2:
+            ana = analyze(f)
+            label = classify_degenerate_plane(f, ana, null_field(f, ana))
+            if label.family != "unrecognized":
+                return label, "plane"
+        raise UnrecognizedError("degenerate germ: no criterion matched")
+    except NotCorankOneError as e:
+        corank = e.corank
+    if corank == 2 and f.src_dim == 4:
         try:
-            return recognize_morin(f, analysis=ana, eta=eta), "morin"
-        except DegenerateGermError:
-            if f.src_dim == 2:
-                label = classify_degenerate_plane(f, ana, eta)
-                if label.family != "unrecognized":
-                    return label, "plane"
-            raise UnrecognizedError("degenerate germ: no criterion matched")
-    if ana.corank0 == 2 and f.src_dim == 4:
-        try:
-            return classify_sigma20(f, analysis=ana), "sigma20"
+            return classify_sigma20(f), "sigma20"
         except DegenerateSigmaError as e:
             raise UnrecognizedError(str(e))
-    raise UnrecognizedError("corank %d at the origin: out of scope"
-                            % ana.corank0)
+    raise UnrecognizedError("corank %d at the origin: out of scope" % corank)
 
 
 def _read_input(args):

@@ -1,25 +1,31 @@
 """Map-germ container and the shared geometric primitives:
-Jacobian, rank/corank at the origin, lambda (= det Jacobian) and the
-null vector field eta from one adjugate column, and point translation.
+Jacobian, rank/corank at the origin, the prepared form the Morin criteria
+are read from, lambda (= det Jacobian) and the null vector field eta from
+one adjugate column, and point translation.
 
-lambda and eta are kept only as jets.  The classifiers read the values
-eta^j lambda(0) for j <= n, the gradients at 0 of eta^j lambda for j < n,
-eta^3 lambda(0) on the plane route and the Hessian of lambda at 0 on the
-plane and corank-two routes.  Each derivative lowers the degree by one,
-so all of these are exact given lambda mod m^(D+1) and eta mod m^D with
-D = jet_degree(n) = max(n, 3), m the ideal of the origin.
+The Morin criteria, the values eta^j lambda(0) for j <= n and the
+gradients at 0 of eta^j lambda for j < n, are coefficients of the
+prepared form (``prepared_form``), computed on integer series.  The plane
+and corank-two routes read eta^3 lambda(0) and the Hessian of lambda at 0
+from ``analyze``, which keeps lambda and eta only as jets.  Each
+derivative lowers the degree by one, so all of these are exact given
+lambda mod m^(D+1) and eta mod m^D with D = jet_degree(n) = max(n, 3), m
+the ideal of the origin.
 """
 
 from fractions import Fraction
+from math import comb, factorial, lcm
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
-                       rat, rational_rank, _sum_of_products)
+                       rat, rational_rank, _sum_of_products, integer_adjugate,
+                       integer_kernel_vector, _series_mul)
 
 
 def jet_degree(n):
-    """D = max(n, 3): lambda is kept mod m^(D+1) and eta mod m^D.  Morin
-    recognition reads lambda to degree n; the plane route reads
-    eta^3 lambda(0), i.e. lambda to degree 3 and eta to degree 2."""
+    """D = max(n, 3): lambda is kept mod m^(D+1) and eta mod m^D.  The
+    eta-chain reading of the Morin criteria needs lambda to degree n; the
+    plane route reads eta^3 lambda(0), i.e. lambda to degree 3 and eta to
+    degree 2."""
     return max(n, 3)
 
 
@@ -28,7 +34,12 @@ class GermError(Exception):
 
 
 class NotCorankOneError(GermError):
-    """The construction needs corank exactly one at the origin."""
+    """The construction needs corank exactly one at the origin.
+    ``corank`` is the corank of df(0) when it is known, else None."""
+
+    def __init__(self, message, corank=None):
+        super().__init__(message)
+        self.corank = corank
 
 
 class DegenerateGermError(GermError):
@@ -154,7 +165,9 @@ def analyze(f):
     """Exact Jacobian, rank of df(0) and, when n = m, lambda and (at
     corank one) eta from one column j of adj(J): lambda is the Laplace
     expansion along row j, eta the column mod m^D.  At corank one j is the
-    first row of J(0) whose removal leaves rank n - 1, else j = 0."""
+    first row of J(0) whose removal leaves rank n - 1, else j = 0.  The
+    expansion reaches up to 2^(n-1) minors; the classifier calls it only
+    for the plane (n = 2) and corank-two (n = 4) criteria."""
     n = f.src_dim
     J = jacobian(f)
     J0 = J.eval(f.origin())
@@ -186,6 +199,236 @@ def null_field(f, analysis=None):
     if ana.corank0 != 1:
         raise NotCorankOneError("not corank one at 0 (corank %d)" % ana.corank0)
     return ana.eta
+
+
+class PreparedForm(_Frozen):
+    """An equidimensional germ read in prepared coordinates.
+
+    At corank one there are orientation-preserving changes of source
+    coordinates (u, z_2, ..., z_n) and of target coordinates in which the
+    germ is (g, z_2, ..., z_n).  There eta = d/du is a null field and
+    lambda = dg/du, so the Morin criteria read only the coefficients of
+    u^a and of u^a z_i in g.  ``curve[a]`` is the integer coefficient of
+    u^a in g for a <= n + 1, and ``transverse[a][i]`` that of u^a z_(i+2)
+    for a <= n.  At any other corank ``curve`` and ``transverse`` are None.
+    """
+
+    __slots__ = ("corank", "curve", "transverse")
+
+    def __init__(self, corank, curve=None, transverse=None):
+        object.__setattr__(self, "corank", corank)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "transverse", transverse)
+
+    def chain_value(self, j):
+        """eta^j lambda(0) = (j+1)! * curve[j+1]."""
+        return factorial(j + 1) * self.curve[j + 1]
+
+    def chain_gradient(self, j):
+        """d(eta^j lambda)(0) in the coordinates (u, z_2, ..., z_n):
+        [(j+2)! curve[j+2], (j+1)! transverse[j+1][i] ...]."""
+        f = factorial(j + 1)
+        return [(j + 2) * f * self.curve[j + 2]] + \
+            [f * b for b in self.transverse[j + 1]]
+
+
+def _integer_terms(p):
+    """p times the least common denominator of its coefficients, as
+    {exponent: int}; a positive factor, so a target change that keeps
+    the orientation."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
+
+
+def prepared_form(f):
+    """The PreparedForm of an equidimensional germ f, on integers only.
+
+    With integer vectors v spanning ker df(0) and w spanning its left
+    kernel, P = [v | e_j, j != p] and T = [w; e_i, i != q] put f in the
+    shape T f(P y) = (f1, f'), where df1(0) = 0 and d'f'(0) = (0 | L).
+    One complement column of P is negated if det L < 0, and then v or w,
+    so that det P, det T and d = det L are positive.  With y1 = d u every
+    coefficient below stays an integer:
+      * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0 mod u^(n+1),
+        solved one degree per step with the constant matrix L;
+      * g(u, 0) = f1(d u, Gamma(u)) mod u^(n+2);
+      * the transverse row d * df1/dy' (df'/dy')^-1 at (d u, Gamma(u))
+        mod u^(n+1), the derivative of g along z' = d * zeta'.
+    Terms of f of degree above n + 1 never reach these coefficients.  A
+    division by d that leaves a remainder raises GermError; by the
+    construction it is always exact."""
+    n = f.src_dim
+    if f.tgt_dim != n:
+        raise NotCorankOneError("the prepared form needs an equidimensional germ")
+    comps = [_integer_terms(c) for c in f.components]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    J0 = [[c.get(e, 0) for e in units] for c in comps]
+    rank, v = integer_kernel_vector(J0)
+    if rank != n - 1:
+        return PreparedForm(n - rank)
+    w = integer_kernel_vector([list(col) for col in zip(*J0)])[1]
+    p = min((abs(x), j) for j, x in enumerate(v) if x)[1]
+    q = min((abs(x), i) for i, x in enumerate(w) if x)[1]
+    cols = [j for j in range(n) if j != p]
+    rows = [i for i in range(n) if i != q]
+    L = [[J0[i][j] for j in cols] for i in rows]
+    d, adj = integer_adjugate(L)
+    signs = [1] * (n - 1)
+    if d < 0:
+        signs[0] = -1
+        for row in L:
+            row[0] = -row[0]
+        d, adj = integer_adjugate(L)
+    if (-1) ** p * v[p] * (signs[0] if cols else 1) < 0:
+        v = [-x for x in v]
+    if (-1) ** q * w[q] < 0:
+        w = [-x for x in w]
+    series = [_substitute(c, n, p, [x * d for x in v], signs) for c in comps]
+    first = {}
+    for wi, h in zip(w, series):
+        if wi:
+            for beta, coefs in h.items():
+                acc = first.setdefault(beta, [0] * (n + 2))
+                for a, c in enumerate(coefs):
+                    acc[a] += wi * c
+    return _read_prepared(n, d, adj, first, [series[i] for i in rows])
+
+
+def _substitute(terms, n, p, a, signs):
+    """{beta: [coefficient of u^m y'^beta, m = 0..n+1]} for the integer
+    polynomial ``terms`` at x_j = a_j u + signs_k y'_k (k the place of j
+    among the coordinates other than p) and x_p = a_p u.  The curve has
+    y' = O(u^2), so a term u^m y'^beta enters the coefficients read at
+    degree m + 2|beta|; only terms with m + 2|beta| <= n + 2 are formed."""
+    place = {j: k for k, j in enumerate(j for j in range(n) if j != p)}
+    base = n + 3
+    expansions = {}
+    out = {}
+    for alpha, coef in terms.items():
+        deg = sum(alpha)
+        if deg > n + 1:
+            continue
+        room = n + 2 - deg          # the largest |beta| kept
+        partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed beta)
+        for j, e in enumerate(alpha):
+            if not e:
+                continue
+            table = expansions.get((j, e))
+            if table is None:
+                if j == p:
+                    table = [(0, a[j] ** e, 0)]
+                else:
+                    k = place[j]
+                    table = [(b, comb(e, b) * a[j] ** (e - b) * signs[k] ** b,
+                              b * base ** k)
+                             for b in range(e + 1) if a[j] or b == e]
+                expansions[(j, e)] = table
+            partial = [(c * t, size + b, key + packed)
+                       for c, size, key in partial
+                       for b, t, packed in table if size + b <= room]
+        for c, size, key in partial:
+            coefs = out.get(key)
+            if coefs is None:
+                coefs = out[key] = [0] * (n + 2)
+            coefs[deg - size] += c
+    unpacked = {}
+    for key, coefs in out.items():
+        beta = []
+        for _ in range(n - 1):
+            key, b = divmod(key, base)
+            beta.append(b)
+        unpacked[tuple(beta)] = coefs
+    return unpacked
+
+
+def _exact_div(x, d):
+    quo, rem = divmod(x, d)
+    if rem:
+        raise GermError("inexact division in the prepared form")
+    return quo
+
+
+def _read_prepared(n, d, adj, first, rest):
+    """The PreparedForm from the substituted components: ``first`` is f1
+    and ``rest`` the rows of f', each {beta: series in u} (see
+    ``_substitute``); L = d'f'(0) has determinant d > 0 and adjugate
+    ``adj``."""
+    top = n + 1                  # the highest degree read
+    m1 = n - 1
+    units = [tuple(int(i == k) for i in range(m1)) for k in range(m1)]
+    # the powers Gamma^beta of the curve for every beta read and every
+    # beta below one (the derivatives read Gamma^(beta - e_k)), all 0 for
+    # now: Gamma = O(u^2) is found one degree at a time below
+    powers = {(0,) * m1: [1] + [0] * top}
+    stack = units + [beta for h in [first] + rest for beta in h]
+    while stack:
+        beta = stack.pop()
+        if beta not in powers:
+            powers[beta] = [0] * (top + 1)
+            stack.extend(_lower(beta, k) for k, b in enumerate(beta) if b)
+    # Gamma^beta = Gamma^(beta - e_k) Gamma_k, k the first place of beta
+    products = []
+    for beta, series in powers.items():
+        size = sum(beta)
+        if size >= 2:
+            k = next(k for k, b in enumerate(beta) if b)
+            products.append((series, 2 * (size - 1), powers[_lower(beta, k)],
+                             powers[units[k]]))
+    gamma = [powers[e] for e in units]
+    # At degree m, Gamma^beta with |beta| >= 2 reads Gamma below degree
+    # m - 1, and f'(d u, Gamma) reads Gamma[m] only through L Gamma[m],
+    # left out while Gamma[m] is still 0; so Gamma[m] = -L^-1 residual.
+    for m in range(2, top + 1):
+        for series, low, below, gk in products:
+            series[m] = sum(below[b] * gk[m - b] for b in range(low, m - 1))
+        if m > n:
+            break
+        residual = [sum(c * powers[beta][m - a] for beta, s in h.items()
+                        for a, c in enumerate(s[:m + 1]) if c)
+                    for h in rest]
+        for k in range(m1):
+            gamma[k][m] = _exact_div(
+                -sum(x * r for x, r in zip(adj[k], residual)), d)
+    curve = [0] * (top + 1)
+    for beta, s in first.items():
+        for a, c in enumerate(_series_mul(s, powers[beta], top)):
+            curve[a] += c
+    # R = df1/dy' and L + M = df'/dy' on the curve, mod u^(n+1); every
+    # coefficient of M is a multiple of d.  The transverse row B solves
+    # B (L + M) = d R one degree at a time: B[m] = (R[m] - sum_c B[m-c]
+    # M[c] / d) adj.
+    R = _gradient_on_curve(first, powers, m1, n)
+    rows = [_gradient_on_curve(h, powers, m1, n) for h in rest]
+    M = [None] + [[[_exact_div(g[c], d) for g in row] for row in rows]
+                  for c in range(1, n + 1)]
+    transverse = [[0] * m1]
+    for m in range(1, n + 1):
+        x = [R[k][m] for k in range(m1)]
+        for c in range(1, m):
+            prev = transverse[m - c]
+            for k in range(m1):
+                x[k] -= sum(prev[r] * M[c][r][k] for r in range(m1))
+        transverse.append([sum(x[k] * adj[k][r] for k in range(m1))
+                           for r in range(m1)])
+    return PreparedForm(1, curve, transverse)
+
+
+def _lower(beta, k):
+    """beta - e_k."""
+    return beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+
+
+def _gradient_on_curve(h, powers, m1, cap):
+    """[dh/dy'_k at y' = Gamma(u), mod u^(cap+1), for each k]."""
+    out = [[0] * (cap + 1) for _ in range(m1)]
+    for beta, s in h.items():
+        for k, b in enumerate(beta):
+            if b:
+                acc = out[k]
+                for a, c in enumerate(_series_mul(s, powers[_lower(beta, k)],
+                                                  cap)):
+                    acc[a] += b * c
+    return out
 
 
 def translate(f, p):

@@ -20,6 +20,8 @@ det hess w(0) > 0, which is the reading consistent with the normal forms
 and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 """
 
+import functools
+
 from .polyring import Poly, PolyMatrix, rational_det, rational_nullspace
 from .germ import (MapGerm, VecField, analyze, null_field,
                    GermError, NotCorankOneError, DegenerateGermError)
@@ -38,6 +40,7 @@ def _hessian_det_at_zero(p):
                           for j in (1, 2)] for i in (1, 2)])
 
 
+@functools.cache
 def _plane_normal_form(family, eps):
     x1 = Poly.var(1, 2)
     x2 = Poly.var(2, 2)
@@ -65,20 +68,16 @@ def classify_plane(f, eta=None, analysis=None):
       planar swallowtail: d lambda(0) != 0,
               eta lambda(0) = eta eta lambda(0) = 0, eta^3 lambda(0) != 0;
               eps = sign(xi lambda(0) * eta^3 lambda(0))
-    ``analysis``, when given, is analyze(f).
+    ``analysis``, when given, is analyze(f); it and ``eta`` are read by
+    the last three criteria only.
     """
     if f.src_dim != 2 or f.tgt_dim != 2:
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
-    ana = analysis or analyze(f)
-    if ana.corank0 == 0:
-        return ClassLabel("regular", k=0)
-    if ana.corank0 != 1:
-        raise NotCorankOneError("not corank one at 0")
-    eta = eta or null_field(f, ana)
     try:
-        return recognize_morin(f, analysis=ana, eta=eta)
+        return recognize_morin(f)
     except DegenerateGermError:
-        return classify_degenerate_plane(f, ana, eta)
+        ana = analysis or analyze(f)
+        return classify_degenerate_plane(f, ana, eta or null_field(f, ana))
 
 
 def classify_degenerate_plane(f, analysis, eta):
@@ -114,6 +113,7 @@ def classify_degenerate_plane(f, analysis, eta):
     return ClassLabel("unrecognized")
 
 
+@functools.cache
 def _surface_normal_form(family, eps=1):
     x1 = Poly.var(1, 2)
     x2 = Poly.var(2, 2)

@@ -7,13 +7,17 @@ The classifier computes, exactly:
   * the sign invariants that separate classes, which depend on k, n and
     n mod 4 (when k = n) or on the parity of k (when k < n).
 
-Class equality is decided purely by comparing the invariant tuples; the
-signed normal-form representative is attached for reference.
+All of these are read from the prepared form (``germ.prepared_form``), in
+which eta = d/du and the chain is a list of coefficients.  Class equality
+is decided purely by comparing the invariant tuples; the signed
+normal-form representative is attached for reference.
 """
 
-from .polyring import Poly, _Frozen, rational_det, rational_rank
-from .germ import (MapGerm, analyze, null_field,
-                   NotCorankOneError, DegenerateGermError)
+import functools
+
+from .polyring import Poly, _Frozen, integer_adjugate, integer_echelon
+from .germ import (MapGerm, prepared_form, NotCorankOneError,
+                   DegenerateGermError)
 
 
 def _sign(x):
@@ -32,7 +36,10 @@ class ClassLabel(_Frozen):
     are equal iff family, k and all relevant signs agree.  ``witness``
     holds the raw criterion signs the label was read from (e.g.
     ``eta_k_lambda_sign`` and ``grad_det_sign`` for a Morin germ); it takes
-    no part in equality, hashing or the printed and JSON forms.
+    no part in equality, hashing or the printed and JSON forms.  A Morin
+    germ's witness signs are read in the prepared coordinates of
+    ``germ.prepared_form``, so they may differ from the signs in the
+    germ's own coordinates by the orientation of eta; the label does not.
     """
 
     __slots__ = ("family", "signs", "normal_form", "k", "invariant",
@@ -77,6 +84,7 @@ def family_name(k):
     return FAMILY_NAMES.get(k, "morin-%d" % k)
 
 
+@functools.cache
 def normal_form(k, n, eps1=1, eps2=1):
     """The signed k-Morin normal form in n variables.
 
@@ -109,64 +117,52 @@ def eta_lambda_chain(lam, eta, count):
     """[lambda, eta lambda, ..., eta^count lambda], link j kept to degree
     count - j.  Each application of eta lowers the degree by one, so link j
     is exact to that degree, and the values at 0 of every link and the
-    gradients at 0 of links j < count are exact."""
+    gradients at 0 of links j < count are exact.  ``recognize_morin``
+    reads these values from the prepared form instead; the eta-chain
+    reference route of the tests builds the chain here."""
     chain = [lam.truncate(count)]
     for j in range(1, count + 1):
         chain.append(eta.apply(chain[-1], count - j))
     return chain
 
 
-def recognize_morin(f, analysis=None, eta=None):
+def recognize_morin(f):
     """The ClassLabel of a Morin germ: find k per the recognition criteria,
-    then its invariants.  Raises DegenerateGermError if no k <= n works or
-    the rank condition fails, NotCorankOneError for corank >= 2.  A regular
+    then its invariants, all read from ``prepared_form(f)``.  Raises
+    DegenerateGermError if no k <= n works or the rank condition fails,
+    NotCorankOneError (with its ``corank``) for corank >= 2.  A regular
     germ (corank 0) yields k = 0 / family 'regular'."""
-    ana = analysis or analyze(f)
     if f.src_dim != f.tgt_dim:
         raise NotCorankOneError("Morin recognition needs an equidimensional germ")
     n = f.src_dim
-    if ana.corank0 == 0:
+    prep = prepared_form(f)
+    if prep.corank == 0:
         return ClassLabel("regular", k=0)
-    if ana.corank0 >= 2:
-        raise NotCorankOneError("not corank one at 0 (corank %d)" % ana.corank0)
-    eta = eta or null_field(f, ana)
-    chain = eta_lambda_chain(ana.lam, eta, n)
-    origin = f.origin()
-    values = [c.eval(origin) for c in chain]
-    k = None
-    for j in range(1, n + 1):
-        if values[j] != 0:
-            k = j
-            break
-        # values[0] = lambda(0) = 0 is guaranteed by corank >= 1
+    if prep.corank >= 2:
+        raise NotCorankOneError("not corank one at 0 (corank %d)"
+                                % prep.corank, prep.corank)
+    # lambda(0) = 0 is guaranteed by corank >= 1
+    k = next((j for j in range(1, n + 1) if prep.chain_value(j)), None)
     if k is None:
         raise DegenerateGermError(
             "no k <= n with eta^k lambda(0) != 0; not a Morin singularity")
-    grad_rows = [chain[j].gradient_at(origin) for j in range(k)]
-    if rational_rank(grad_rows) != k:
+    rows = [prep.chain_gradient(j) for j in range(k)]
+    if len(integer_echelon(rows)[1]) != k:
         raise DegenerateGermError(
             "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")
-    return morin_invariants(f, k, eta, chain)
+    return morin_invariants(n, k, prep.chain_value(k), rows)
 
 
-def morin_invariants(f, k, eta, chain):
-    """The ClassLabel of a recognized k-Morin germ: its invariant (see
+def morin_invariants(n, k, eta_k_lambda, grad_rows):
+    """The ClassLabel of a recognized k-Morin germ in n variables from its
+    criterion values: eta_k_lambda = eta^k lambda(0) and ``grad_rows``, the
+    integer rows d(eta^j lambda)(0) for j < k (positive multiples of them
+    do as well: only signs are read).  Its invariant (see
     ``invariant_kind``) and the signed normal form that carries it."""
-    n = f.src_dim
-    origin = f.origin()
-    s_etak = _sign(chain[k].eval(origin))
-    s_det = None
-    if k == n:
-        rows = [chain[j].gradient_at(origin) for j in range(n)]
-        s_det = _sign(rational_det(rows))
+    s_etak = _sign(eta_k_lambda)
+    s_det = _sign(integer_adjugate(grad_rows)[0]) if k == n else None
     kind = invariant_kind(k, n)
-    if kind == "eta2f":
-        # sign f''(0) as eta eta f1 at 0: unlike eta lambda it does not
-        # flip with the orientation of eta
-        f1 = f.components[0]
-        invariant = (kind, _sign(eta.apply(eta.apply(f1)).eval(origin)))
-    else:
-        invariant = invariant_value(kind, s_etak, s_det)
+    invariant = invariant_value(kind, s_etak, s_det)
     signs = _NORMAL_FORM_SIGNS[kind](invariant[-1])
     rep = normal_form(k, n, *(1 if e is None else e for e in signs))
     return ClassLabel(family_name(k), signs, rep, k, invariant,
@@ -191,8 +187,11 @@ def invariant_kind(k, n):
 
 def invariant_value(kind, s_etak, s_det):
     """The invariant tuple of ``kind`` from s_etak = sign eta^k lambda and
-    s_det = sign det grad(lambda, ..., eta^{k-1} lambda) ('eta2f' reads
-    its own sign, see ``morin_invariants``)."""
+    s_det = sign det grad(lambda, ..., eta^{k-1} lambda)."""
+    if kind == "eta2f":
+        # n = 1: lambda = f', so det grad = lambda'(0) = f''(0), whose sign
+        # is that of eta eta f(0) = eta(0)^2 f''(0) whichever way eta points
+        return (kind, s_det)
     if kind == "none":
         return ("none",)
     if kind == "pair":

@@ -9,7 +9,7 @@ is exact -- there are no tolerances anywhere in the classification paths.
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 Rat = Fraction
@@ -350,6 +350,19 @@ def _sum_of_products(nvars, pairs, cap=None):
     return Poly._trusted(nvars, terms)
 
 
+def _series_mul(a, b, cap):
+    """The product of two univariate integer series (coefficient lists,
+    index = degree) truncated at degree ``cap``: terms above it are never
+    formed.  The prepared-form route multiplies its curve series with it."""
+    out = [0] * (cap + 1)
+    for i, x in enumerate(a[:cap + 1]):
+        if x:
+            for j, y in enumerate(b[:cap + 1 - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
 def _rat_str(c):
     if c.denominator == 1:
         return str(c.numerator)
@@ -560,3 +573,77 @@ def rational_det(mat):
                 f = rows[i][c] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return det
+
+
+# ---- exact integer linear algebra (plain lists of ints) ----------------
+
+def integer_echelon(mat):
+    """Fraction-free Gauss-Jordan form of an integer matrix: (rows,
+    pivot_columns), where row r has its pivot in column pivot_columns[r]
+    and a zero in every other pivot column.  Each combined row is divided
+    by the gcd of its entries, so the entries stay small."""
+    rows = [list(row) for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if i != r and b:
+                new = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def integer_kernel_vector(mat):
+    """(rank, v) for an integer matrix: v is the primitive integer vector
+    spanning its right kernel (up to sign) when the corank is one, else
+    None."""
+    ncols = len(mat[0])
+    rows, pivots = integer_echelon(mat)
+    if len(pivots) != ncols - 1:
+        return len(pivots), None
+    free = next(c for c in range(ncols) if c not in pivots)
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    vec = [0] * ncols
+    vec[free] = scale
+    for row, c in zip(rows, pivots):
+        vec[c] = -row[free] * (scale // row[c])
+    g = gcd(*vec)
+    return len(pivots), [x // g for x in vec]
+
+
+def integer_adjugate(mat):
+    """(det M, adj M) of a square integer matrix, by fraction-free
+    (Bareiss) Gauss-Jordan elimination of [M | I]: every division is
+    exact, the left block ends as D * I and the right block as D * M^-1,
+    where D is the determinant of M with its rows in pivot order.  adj M
+    is None when M is singular."""
+    n = len(mat)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        a = top[k]
+        for i, row in enumerate(rows):
+            b = row[k]
+            if i != k:
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]

@@ -14,6 +14,7 @@ and of the normalized target coordinates, so a single deterministic
 choice suffices; the invariance is exercised by the tests.
 """
 
+import functools
 from fractions import Fraction
 
 from .polyring import (Poly, rational_det, rational_rank,
@@ -27,12 +28,14 @@ class DegenerateSigmaError(GermError):
     """The second-order data is degenerate: not a stable umbilic."""
 
 
+@functools.cache
 def hyp_normal_form(eps1=1):
     x1, x2, x3, x4 = (Poly.var(i, 4) for i in range(1, 5))
     second = x2 ** 2 + (x1 * x4 if eps1 == 1 else -(x1 * x4))
     return MapGerm([x1 ** 2 + x2 * x3, second, x3, x4], src_dim=4)
 
 
+@functools.cache
 def elli_normal_form(eps1=1, eps2=1):
     x1, x2, x3, x4 = (Poly.var(i, 4) for i in range(1, 5))
     first = x1 ** 2 - x2 ** 2 + (x1 * x3).scale(eps1) + x2 * x4

@@ -90,6 +90,45 @@ def change_coordinates(f, A, B):
     return MapGerm(out, src_dim=f.src_dim)
 
 
+def random_quadratic_diffeo(rng, n):
+    """x -> A x + Q(x): det A > 0 and two random quadratic monomials per
+    component, so orientation-preserving at 0."""
+    A = random_gl_pos(rng, n)
+    comps = []
+    for row in A:
+        p = Poly(n, {tuple(int(k == j) for k in range(n)): c
+                     for j, c in enumerate(row) if c != 0})
+        for _ in range(2):
+            expo = [0] * n
+            expo[rng.randrange(n)] += 1
+            expo[rng.randrange(n)] += 1
+            p = p + Poly(n, {tuple(expo): rng.choice([-2, -1, 1, 2])})
+        comps.append(p)
+    return comps
+
+
+def random_monomial(rng, n, degree):
+    expo = [0] * n
+    for _ in range(degree):
+        expo[rng.randrange(n)] += 1
+    return Poly(n, {tuple(expo): rng.choice([-2, -1, 1, 2])})
+
+
+def add_high_terms(rng, f, lowest):
+    """f plus two random monomials of degree lowest..lowest+1: one with a
+    factor x1 in the first component, one in a random component.  For the
+    forms below, the first one gives lambda a term of degree lowest - 1."""
+    n = f.src_dim
+    comps = list(f.components)
+    x1 = Poly.var(1, n)
+    comps[0] = comps[0] + x1 * random_monomial(
+        rng, n, rng.randint(lowest - 1, lowest))
+    i = rng.randrange(len(comps))
+    comps[i] = comps[i] + random_monomial(rng, n,
+                                          rng.randint(lowest, lowest + 1))
+    return MapGerm(comps, src_dim=n)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_30()

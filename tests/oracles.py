@@ -1,15 +1,59 @@
 """Reference implementations that tests compare the library against.
 
+``eta_chain_label`` is the Morin recognition of the eta-chain route: lambda
+and the null field eta from one adjugate column of the Jacobian
+(``germ.analyze``), the chain lambda, eta lambda, ..., eta^n lambda as
+polynomial jets, and its values and gradients at the origin.  It reads
+the germ in its own coordinates, with any null field a test passes, and
+shares with the library's prepared-form route only the invariant rule
+``morin.morin_invariants``.
+
 ``sign_at_root`` is the refinement-based sign of a polynomial at a root of
 a constraint: it bisects the isolating interval until g has no root left
 in it, then reads g's sign at the ends.  It runs on rational arithmetic
 throughout, with its own Sturm chain, count and bisection, so it shares no
 code with the library's integer signs and Tarski queries."""
 
-from germlab.germ import GermError
-from germlab.morin import _sign
+from math import lcm
+
+from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
+                          analyze, null_field)
+from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
+                           morin_invariants)
+from germlab.polyring import rational_rank
 from germlab.perturb import (up_deg, up_deriv, up_eval, up_gcd, up_neg,
                              up_rem, up_squarefree, up_trim)
+
+
+def eta_chain_label(f, analysis=None, eta=None):
+    """The ClassLabel of a Morin germ by the eta-chain route; ``analysis``
+    is analyze(f) and ``eta`` a null field of f, each built when not
+    given.  Raises as ``morin.recognize_morin`` does."""
+    if f.src_dim != f.tgt_dim:
+        raise NotCorankOneError("Morin recognition needs an equidimensional germ")
+    n = f.src_dim
+    ana = analysis or analyze(f)
+    if ana.corank0 == 0:
+        return ClassLabel("regular", k=0)
+    if ana.corank0 >= 2:
+        raise NotCorankOneError("not corank one at 0 (corank %d)"
+                                % ana.corank0, ana.corank0)
+    eta = eta or null_field(f, ana)
+    chain = eta_lambda_chain(ana.lam, eta, n)
+    origin = f.origin()
+    values = [c.eval(origin) for c in chain]
+    k = next((j for j in range(1, n + 1) if values[j]), None)
+    if k is None:
+        raise DegenerateGermError("no k <= n with eta^k lambda(0) != 0")
+    rows = [chain[j].gradient_at(origin) for j in range(k)]
+    if rational_rank(rows) != k:
+        raise DegenerateGermError("rank d(lambda,...,eta^{k-1} lambda)(0) < k")
+    # each row times the positive lcm of its denominators: same det sign
+    scaled = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (m // x.denominator) for x in row])
+    return morin_invariants(n, k, values[k], scaled)
 
 
 def sturm_chain(c):

@@ -13,13 +13,14 @@ import pytest
 from germlab.cli import (main, classify_any, UnrecognizedError, _parse_grid,
                          MAX_GRID_POINTS)
 from germlab.germ import MapGerm, jet_degree
-from germlab.germparse import parse_map
+from germlab.germparse import parse_map, render_map
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.morin import class_count, normal_form
 from germlab.perturb import MAX_L
 from germlab.polyring import Poly
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
-from conftest import change_coordinates, corpus_30, random_gl_pos
+from conftest import (add_high_terms, change_coordinates, corpus_30,
+                      random_gl_pos, random_quadratic_diffeo)
 
 
 def run(capsys, *argv):
@@ -317,7 +318,7 @@ def test_help_text_does_not_depend_on_the_environment(capsys, monkeypatch):
     assert "None" not in texts[0]
 
 
-# ---- one analyze per germ ------------------------------------------------
+# ---- at most one analyze per germ ---------------------------------------
 
 def _count_calls(monkeypatch, original):
     """Wrap ``original`` in every germlab module that holds it; return the
@@ -336,6 +337,12 @@ def _count_calls(monkeypatch, original):
     return calls
 
 
+# the families whose criteria read lambda and eta from ``analyze``; a Morin
+# germ is read from its prepared form, with no analyze and no cofactors
+ANALYZED = ("lips", "beaks", "planar-swallowtail", "sigma20-hyp",
+            "sigma20-elli")
+
+
 @pytest.mark.parametrize("text,family", [
     ("x1^3 + x1*x2^2 ; x2", "lips"),
     ("x1^3 - x1*x2^2 ; x2", "beaks"),
@@ -347,26 +354,22 @@ def _count_calls(monkeypatch, original):
      "sigma20-elli"),
 ])
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
+    """Morin germs make no analyze and no eta-chain call; the plane and
+    corank-two criteria analyze the germ once and build no eta-chain."""
     import germlab.germ as germ
     import germlab.morin as morin
     calls = _count_calls(monkeypatch, germ.analyze)
     chains = _count_calls(monkeypatch, morin.eta_lambda_chain)
+    prepared = _count_calls(monkeypatch, germ.prepared_form)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
-    assert len(calls) == 1
-    # the corank-two umbilics have no eta-chain
-    assert len(chains) == (0 if family.startswith("sigma20") else 1)
+    assert len(calls) == (1 if family in ANALYZED else 0)
+    assert len(chains) == 0
+    assert len(prepared) == 1
 
 
-@pytest.mark.parametrize("text,family", [
-    ("x1^3 + x1*x2 ; x2", "cusp"),
-    ("x1*x2 - x1^2*x3 - x1^3*x4 - x1^5 ; -x2 ; x3 ; x4", "butterfly"),
-    ("x1^3 + x1*x2^2 ; x2", "lips"),
-])
-def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
-                                             family):
-    """lambda and eta come from one adjugate column; no determinant."""
+def _count_cofactor_calls(monkeypatch):
     from germlab.polyring import PolyMatrix
     counts = {"adjugate_column": 0, "det": 0}
     for name in counts:
@@ -376,10 +379,45 @@ def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
             counts[_name] += 1
             return _original(self, *args, **kwargs)
         monkeypatch.setattr(PolyMatrix, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("text,family", [
+    ("x1^3 + x1*x2 ; x2", "cusp"),
+    ("x1*x2 - x1^2*x3 - x1^3*x4 - x1^5 ; -x2 ; x3 ; x4", "butterfly"),
+    ("x1^3 + x1*x2^2 ; x2", "lips"),
+    ("vars: x1,x2,x3,x4 | x1^2 + x2*x3 ; x2^2 + x1*x4 ; x3 ; x4",
+     "sigma20-hyp"),
+])
+def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
+                                             family):
+    """Only the n = 2 plane fallback and the n = 4 corank-two route expand
+    the cofactors: one adjugate column, no determinant.  Morin germs
+    expand none."""
+    counts = _count_cofactor_calls(monkeypatch)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
-    assert counts == {"adjugate_column": 1, "det": 0}
+    expected = 1 if family in ANALYZED else 0
+    assert counts == {"adjugate_column": expected, "det": 0}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_classify_expands_no_cofactors_outside_n_2_and_4(capsys, monkeypatch,
+                                                         n):
+    """Corank-one germs with n not in {2, 4}, Morin or not, regular germs
+    and corank-two germs all end without a cofactor expansion."""
+    counts = _count_cofactor_calls(monkeypatch)
+    xs = ["x%d" % i for i in range(1, n + 1)]
+    cases = [
+        (" ; ".join(["x1^3 + x1*x2"] + xs[1:]), 0),                  # cusp
+        (" ; ".join(["x1^2*x2 + x1^%d" % (n + 3)] + xs[1:]), 3),    # degenerate
+        (" ; ".join(["x1 + x2^2"] + xs[1:]), 0),                     # regular
+        (" ; ".join(["x1^2", "x2^2"] + xs[2:]), 3),                  # corank 2
+    ]
+    for text, code in cases:
+        assert run(capsys, "classify", text)[0] == code, text
+    assert counts == {"adjugate_column": 0, "det": 0}
 
 
 # ---- A-isotopy oracles: reflection orbits, nonlinear invariance ---------
@@ -423,23 +461,6 @@ def test_reflection_orbits_of_the_other_families(f, size):
     assert len(_reflection_orbit(f)) == size
 
 
-def _random_quadratic_diffeo(rng, n):
-    """x -> A x + Q(x): det A > 0 and two random quadratic monomials per
-    component, so orientation-preserving at 0."""
-    A = random_gl_pos(rng, n)
-    comps = []
-    for row in A:
-        p = Poly(n, {tuple(int(k == j) for k in range(n)): c
-                     for j, c in enumerate(row) if c != 0})
-        for _ in range(2):
-            expo = [0] * n
-            expo[rng.randrange(n)] += 1
-            expo[rng.randrange(n)] += 1
-            p = p + Poly(n, {tuple(expo): rng.choice([-2, -1, 1, 2])})
-        comps.append(p)
-    return comps
-
-
 CORPUS = corpus_30()
 
 
@@ -452,12 +473,110 @@ def test_label_invariant_under_nonlinear_changes(index):
     cap = jet_degree(f.src_dim) + 3
     expected = classify_any(f)
     for _ in range(3):
-        phi = _random_quadratic_diffeo(rng, f.src_dim)
-        psi = _random_quadratic_diffeo(rng, f.tgt_dim)
+        phi = random_quadratic_diffeo(rng, f.src_dim)
+        psi = random_quadratic_diffeo(rng, f.tgt_dim)
         inner = [c.subs(phi).truncate(cap) for c in f.components]
         g = MapGerm([c.subs(inner).truncate(cap) for c in psi],
                     src_dim=f.src_dim)
         assert classify_any(g) == expected
+
+
+# ---- determinacy of the plane, surface and corank-two routes -------------
+
+@pytest.mark.parametrize("f,degree", [
+    (_plane_normal_form("lips", 1), 3),
+    (_plane_normal_form("beaks", -1), 3),
+    (_plane_normal_form("planar-swallowtail", 1), 4),
+    (_surface_normal_form("whitney-umbrella"), 2),
+    (_surface_normal_form("S1+", -1), 3),
+    (_surface_normal_form("S1-", 1), 3),
+    (hyp_normal_form(-1), 3),
+    (elli_normal_form(1, -1), 3),
+], ids=["lips", "beaks", "planar-swallowtail", "whitney-umbrella", "S1+",
+        "S1-", "sigma20-hyp", "sigma20-elli"])
+def test_terms_above_the_determinacy_degree_change_nothing(capsys, f, degree):
+    """Each normal form is ``degree``-determined: terms of higher degree
+    added to it after a change of coordinates leave the classify --json
+    output unchanged."""
+    rng = random.Random(degree * 31 + f.src_dim + f.tgt_dim)
+    g = change_coordinates(f, random_gl_pos(rng, f.src_dim),
+                           random_gl_pos(rng, f.tgt_dim))
+    code, base, _ = run(capsys, "classify", "--json", render_map(g))
+    assert code == 0
+    for _ in range(3):
+        h = add_high_terms(rng, g, degree + 1)
+        assert run(capsys, "classify", "--json", render_map(h)) == \
+            (0, base, "")
+
+
+# ---- budgets of the classifier core (regular, cusp, dense Morin form) ----
+
+def _timed_classify(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--json", text)
+    return code, out, err, time.perf_counter() - start
+
+
+def _dense(f, seed):
+    rng = random.Random(seed)
+    n = f.src_dim
+    return render_map(change_coordinates(f, random_gl_pos(rng, n),
+                                         random_gl_pos(rng, n)))
+
+
+def regular_germ_text(n, seed):
+    """sum_j a_ij x_j + x_i^2 with a_ij from random.Random(seed) in [-3, 3]
+    (the text the CI step builds for n = 14, seed 14)."""
+    r = random.Random(seed)
+    return " ; ".join(" + ".join(
+        ["%d*x%d" % (r.randint(-3, 3), j + 1) for j in range(n)] +
+        ["x%d^2" % (i + 1)]) for i in range(n))
+
+
+def test_regular_germ_in_14_variables_is_quick(capsys):
+    code, out, _, seconds = _timed_classify(capsys, regular_germ_text(14, 14))
+    assert code == 0
+    assert json.loads(out)["label"]["family"] == "regular"
+    assert seconds < 0.5
+
+
+def test_dense_cusp_in_12_variables_is_quick(capsys):
+    text = _dense(normal_form(2, 12, -1, 1), 12)
+    code, out, _, seconds = _timed_classify(capsys, text)
+    assert code == 0
+    assert json.loads(out)["label"]["describe"] == "cusp eps1=-1 eps2=+1"
+    assert seconds < 5
+
+
+def test_dense_morin_form_in_7_variables_is_quick(capsys):
+    f = normal_form(7, 7, -1, 1)
+    text = _dense(f, 7)
+    code, out, _, seconds = _timed_classify(capsys, text)
+    assert code == 0
+    label = json.loads(out)["label"]
+    assert (label["family"], label["k"]) == ("morin-7", 7)
+    assert label["describe"] == classify_any(f)[0].describe()
+    assert seconds < 5
+
+
+def test_corank_8_in_14_variables_is_refused_without_cofactors(
+        capsys, monkeypatch):
+    from germlab.polyring import PolyMatrix
+    calls = []
+    original = PolyMatrix.adjugate_column
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(PolyMatrix, "adjugate_column", counted)
+    n = 14
+    x = [Poly.var(i, n) for i in range(1, n + 1)]
+    f = MapGerm([v ** 2 for v in x[:8]] + x[8:])
+    code, out, _, seconds = _timed_classify(capsys, _dense(f, 8))
+    assert code == 3
+    assert "corank 8 at the origin" in out
+    assert calls == []
+    assert seconds < 5
 
 
 # ---- no runtime dependencies -----------------------------------------------

@@ -11,40 +11,18 @@ from fractions import Fraction
 import pytest
 
 from germlab.cli import main
-from germlab.germ import MapGerm, analyze, jet_degree, null_field
+from germlab.germ import analyze, jet_degree, null_field
 from germlab.germparse import render_map
 from germlab.lowdim import _plane_normal_form
 from germlab.morin import eta_lambda_chain, normal_form
 from germlab.polyring import Poly, rational_det
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
-from conftest import change_coordinates, random_gl_pos
+from conftest import add_high_terms, change_coordinates, random_gl_pos
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ                     # noqa: E402
 from sympy.polys.matrices import DomainMatrix          # noqa: E402
 from sympy.polys.rings import ring                     # noqa: E402
-
-
-def random_monomial(rng, n, degree):
-    expo = [0] * n
-    for _ in range(degree):
-        expo[rng.randrange(n)] += 1
-    return Poly(n, {tuple(expo): rng.choice([-2, -1, 1, 2])})
-
-
-def add_high_terms(rng, f, lowest):
-    """f plus two random monomials of degree lowest..lowest+1: one with a
-    factor x1 in the first component, one in a random component.  For the
-    forms below, the first one gives lambda a term of degree lowest - 1."""
-    n = f.src_dim
-    comps = list(f.components)
-    x1 = Poly.var(1, n)
-    comps[0] = comps[0] + x1 * random_monomial(
-        rng, n, rng.randint(lowest - 1, lowest))
-    i = rng.randrange(len(comps))
-    comps[i] = comps[i] + random_monomial(rng, n,
-                                          rng.randint(lowest, lowest + 1))
-    return MapGerm(comps, src_dim=n)
 
 
 def _qq(c):

@@ -2,16 +2,22 @@
 counts, degeneracy detection, and invariance of labels."""
 
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from germlab.polyring import Poly
-from germlab.germ import (MapGerm, analyze, null_field, translate,
-                          NotCorankOneError, DegenerateGermError)
+from germlab.germ import (MapGerm, analyze, null_field, translate, jet_degree,
+                          prepared_form, NotCorankOneError,
+                          DegenerateGermError)
 from germlab.morin import (recognize_morin, normal_form, class_count,
                            invariant_kind, eta_lambda_chain)
+from germlab.lowdim import _plane_normal_form, _surface_normal_form
+from germlab.sigma20 import elli_normal_form, hyp_normal_form
 from conftest import (signed_morin_forms, random_gl_pos, sparse_gl_pos,
-                      change_coordinates)
+                      change_coordinates, corpus_30, random_quadratic_diffeo)
+from oracles import eta_chain_label
 
 
 def all_signed(k, n):
@@ -28,11 +34,11 @@ def test_sign_identities_k_equals_n(n):
     """sign eta^n lambda(0) = eps1*eps2 and
     sign det grad(lambda, ..., eta^{n-1} lambda)(0) =
     (-1)^(n-1) * eps1^n * eps2^(n+1), for every sign choice, with the
-    kernel field oriented as +d/dx1."""
+    kernel field oriented as +d/dx1 (read by the eta-chain reference)."""
     from germlab.germ import VecField
     eta = VecField.constant([1] + [0] * (n - 1), n)
     for f, e1, e2 in all_signed(n, n):
-        res = recognize_morin(f, eta=eta)
+        res = eta_chain_label(f, eta=eta)
         assert res.k == n
         if n == 1:
             assert res.witness["eta_k_lambda_sign"] == e1 * e2
@@ -137,10 +143,10 @@ def test_eta_reversal_and_rescaling_stability():
         for f, _, _ in all_signed(n, n):
             ana = analyze(f)
             eta = null_field(f, ana)
-            base = recognize_morin(f, analysis=ana, eta=eta)
-            assert recognize_morin(f, analysis=ana, eta=-eta) == base
-            assert recognize_morin(f, analysis=ana,
-                                   eta=eta.scale(3)) == base
+            base = eta_chain_label(f, ana, eta)
+            assert eta_chain_label(f, ana, -eta) == base
+            assert eta_chain_label(f, ana, eta.scale(3)) == base
+            assert recognize_morin(f) == base
 
 
 def test_witness_takes_no_part_in_equality():
@@ -150,8 +156,8 @@ def test_witness_takes_no_part_in_equality():
     f = normal_form(3, 3, 1, -1)
     ana = analyze(f)
     eta = null_field(f, ana)
-    a = recognize_morin(f, analysis=ana, eta=eta)
-    b = recognize_morin(f, analysis=ana, eta=-eta)
+    a = eta_chain_label(f, ana, eta)
+    b = eta_chain_label(f, ana, -eta)
     assert a.witness["eta_k_lambda_sign"] == -b.witness["eta_k_lambda_sign"]
     assert a.witness["grad_det_sign"] == -b.witness["grad_det_sign"]
     assert a == b and hash(a) == hash(b) and a.describe() == b.describe()
@@ -192,3 +198,117 @@ def test_recognition_away_from_origin():
     g = translate(f, [1, -3])
     res = recognize_morin(g)
     assert res.k == 1
+
+
+# ---- route agreement: the prepared form against the eta-chain reference --
+
+def assert_routes_agree(g):
+    """recognize_morin (the prepared form) and the eta-chain reference give
+    equal labels, k and invariants, or both raise DegenerateGermError."""
+    try:
+        expected = eta_chain_label(g)
+    except DegenerateGermError:
+        with pytest.raises(DegenerateGermError):
+            recognize_morin(g)
+        return
+    got = recognize_morin(g)
+    assert (got, got.k, got.invariant) == \
+        (expected, expected.k, expected.invariant)
+
+
+CORANK_ONE = [f for f in corpus_30()
+              if f.src_dim == f.tgt_dim and analyze(f).corank0 == 1]
+
+
+@pytest.mark.parametrize("index", range(len(CORANK_ONE)))
+def test_routes_agree_under_dense_and_nonlinear_changes(index):
+    rng = random.Random(4400 + index)
+    f = CORANK_ONE[index]
+    n = f.src_dim
+    cap = jet_degree(n) + 3
+    for _ in range(2):
+        assert_routes_agree(change_coordinates(f, random_gl_pos(rng, n),
+                                               random_gl_pos(rng, n)))
+        phi = random_quadratic_diffeo(rng, n)
+        psi = random_quadratic_diffeo(rng, n)
+        inner = [c.subs(phi).truncate(cap) for c in f.components]
+        assert_routes_agree(MapGerm([c.subs(inner).truncate(cap)
+                                     for c in psi], src_dim=n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_routes_agree_on_every_signed_form(n):
+    for k in range(1, n + 1):
+        for e1 in (1, -1):
+            for e2 in (1, -1):
+                assert_routes_agree(normal_form(k, n, e1, e2))
+
+
+def _rational_gl_pos(rng, n):
+    """random_gl_pos with each row divided by a random integer 1..5."""
+    return [[x / rng.randint(1, 5) for x in row]
+            for row in random_gl_pos(rng, n)]
+
+
+def test_routes_agree_on_rational_germs_with_inexact_curves(monkeypatch):
+    """Rational coefficients and changes with det L != +-1, where the
+    curve and the transverse row divide by d = det L: the divisions are
+    exact and the labels agree."""
+    import germlab.germ as germ
+    dets = []
+    original = germ.integer_adjugate
+
+    def recorded(mat):
+        det, adj = original(mat)
+        dets.append(det)
+        return det, adj
+    monkeypatch.setattr(germ, "integer_adjugate", recorded)
+    rng = random.Random(20261018)
+    forms = [normal_form(k, n, e1, e2) for n in (2, 3, 4)
+             for k in range(1, n + 1) for e1 in (1, -1) for e2 in (1, -1)]
+    forms += [f for f in CORANK_ONE if f.src_dim == 2]
+    for f in forms:
+        n = f.src_dim
+        scaled = MapGerm([c.scale(Fraction(rng.randint(1, 7),
+                                           rng.randint(1, 7)))
+                          for c in f.components], src_dim=n)
+        assert_routes_agree(change_coordinates(
+            scaled, _rational_gl_pos(rng, n), _rational_gl_pos(rng, n)))
+    assert sum(1 for d in dets if abs(d) > 1) > len(forms) // 2
+
+
+def test_an_inexact_division_raises():
+    from germlab.germ import GermError, _exact_div
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(GermError):
+        _exact_div(7, 2)
+
+
+def test_prepared_form_of_the_signed_forms():
+    """In prepared coordinates a k = n form reads eta^n lambda(0) =
+    (n+1)! eps1 (eps2 = 1) or (n+1)! eps1 (-1)^(n+1) (eps2 = -1: x1 and
+    x2 are both reversed to keep the orientation); the corank is 0, 1 or
+    n for the regular germ, the forms and the zero germ."""
+    for n in range(1, 7):
+        for f, e1, e2 in all_signed(n, n):
+            prep = prepared_form(f)
+            assert prep.corank == 1
+            sign = e1 if e2 == 1 else e1 * (-1) ** (n + 1)
+            assert prep.chain_value(n) == factorial(n + 1) * sign
+            assert all(prep.chain_value(j) == 0 for j in range(n))
+    x = [Poly.var(i, 3) for i in (1, 2, 3)]
+    assert prepared_form(MapGerm(x)).corank == 0
+    assert prepared_form(MapGerm([Poly.zero(3)] * 3)).corank == 3
+    assert prepared_form(MapGerm(x)).curve is None
+
+
+@pytest.mark.parametrize("make,args", [
+    (normal_form, (3, 4, -1, 1)),
+    (_plane_normal_form, ("lips", -1)),
+    (_surface_normal_form, ("S1+", 1)),
+    (hyp_normal_form, (-1,)),
+    (elli_normal_form, (1, -1)),
+], ids=["morin", "plane", "surface", "hyp", "elli"])
+def test_normal_forms_are_built_once(make, args):
+    assert make(*args) is make(*args)
+    assert make(*args) == make.__wrapped__(*args)

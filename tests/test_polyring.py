@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, rational_rref, rational_rank,
-                              rational_nullspace, rational_det)
-from germlab.germ import MapGerm, VecField, analyze
+                              rational_nullspace, rational_det,
+                              integer_adjugate, integer_echelon,
+                              integer_kernel_vector, _series_mul)
+from germlab.germ import MapGerm, VecField, analyze, prepared_form
 from germlab.morin import ClassLabel
 from germlab.perturb import UnfoldingSpec, morin_points
 from conftest import compose_linear
@@ -105,6 +107,7 @@ def _value_instances():
         "VecField": VecField([Poly.one(1)]),
         "MapGerm": f,
         "GermAnalysis": analyze(f),
+        "PreparedForm": prepared_form(f),
         "ClassLabel": ClassLabel("fold"),
         "UnfoldingSpec": spec,
         "MorinPoint": report.points[0],
@@ -113,7 +116,7 @@ def _value_instances():
 
 
 @pytest.mark.parametrize("name", ["Poly", "PolyMatrix", "VecField", "MapGerm",
-                                  "GermAnalysis", "ClassLabel",
+                                  "GermAnalysis", "PreparedForm", "ClassLabel",
                                   "UnfoldingSpec", "MorinPoint",
                                   "PerturbationReport"])
 def test_value_types_are_immutable(name):
@@ -345,3 +348,39 @@ def test_eval_and_gradient_at_origin_match_the_general_path(p, point):
         _value_by_definition(p.partial(i), origin) for i in (1, 2)]
     assert p.gradient_at(point) == [
         _value_by_definition(p.partial(i), point) for i in (1, 2)]
+
+
+def test_integer_linear_algebra_matches_the_rational_routines():
+    rng = random.Random(77)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:      # make some singular
+            M[-1] = [a + b for a, b in zip(M[0], M[(1 % n)])]
+        d, adj = integer_adjugate(M)
+        assert d == rational_det(M)
+        if d:
+            for i in range(n):
+                for j in range(n):
+                    assert sum(M[i][k] * adj[k][j] for k in range(n)) == \
+                        (d if i == j else 0)
+        else:
+            assert adj is None
+        assert len(integer_echelon(M)[1]) == rational_rank(M)
+        wide = [[rng.randint(-2, 2) for _ in range(n + 1)]
+                for _ in range(rng.randint(1, 4))]
+        assert len(integer_echelon(wide)[1]) == rational_rank(wide)
+        rank, v = integer_kernel_vector(M)
+        assert rank == rational_rank(M)
+        if rank == n - 1:
+            assert any(v)
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
+        else:
+            assert v is None
+    assert integer_adjugate([]) == (1, [])
+
+
+def test_series_product_is_truncated():
+    assert _series_mul([1, 2, 3], [0, 1, 1], 3) == [0, 1, 3, 5]
+    assert _series_mul([1, 1], [1, 1], 0) == [1]
+    assert _series_mul([0, 0, 5], [0, 7], 2) == [0, 0, 0]
