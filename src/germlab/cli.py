@@ -122,12 +122,14 @@ def cmd_classify(args):
         _emit({"error": str(e), "family": "unrecognized"}, args.json,
               ["unrecognized: %s" % e])
         return EXIT_UNRECOGNIZED
-    payload = {"route": route, "label": _label_dict(label)}
-    human = ["class: %s" % label.describe(),
+    # the human lines reuse the payload's text: one render of the normal form
+    shown = _label_dict(label)
+    payload = {"route": route, "label": shown}
+    human = ["class: %s" % shown["describe"],
              "route: %s" % route,
              "invariant: %s" % (label.invariant,)]
-    if label.normal_form is not None:
-        human.append("normal form: %s" % render_map(label.normal_form))
+    if shown["normal_form"] is not None:
+        human.append("normal form: %s" % shown["normal_form"])
     _emit(payload, args.json, human)
     return EXIT_OK
 
@@ -161,13 +163,10 @@ def cmd_verify(args):
     got = dict(zip(("eps1", "eps2"), label.signs))
     ok = (label.family == family and
           all(got.get(k) == v for k, v in signs.items()))
-    payload = {
-        "claimed": args.claim,
-        "actual": _label_dict(label),
-        "match": ok,
-    }
+    actual = _label_dict(label)
+    payload = {"claimed": args.claim, "actual": actual, "match": ok}
     human = ["claimed: %s" % args.claim,
-             "actual:  %s" % label.describe(),
+             "actual:  %s" % actual["describe"],
              "match: %s" % ("yes" if ok else "no")]
     if not ok:
         human.append("invariant diff: actual %s" % (label.invariant,))

@@ -15,11 +15,15 @@ nonzero constant term is reported with its component index.
 
 All failures raise ParseError with a line/column position -- the parser
 never escapes with anything else, whatever the input bytes.
+
+Each term is read in one loop over its factors, on int coefficients
+(see _Parser); only a p/q literal or an expanded product makes a
+Fraction, and parse_map makes one Fraction per distinct coefficient left.
 """
 
 import re
 from fractions import Fraction
-from operator import add
+from itertools import islice
 
 from .polyring import Poly
 from .germ import MapGerm
@@ -30,9 +34,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, line, col):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
 
 
 # A token is a run of decimal digits, a run of word characters, or any
@@ -61,27 +63,21 @@ def _tokenize(text):
 def _position(text, k):
     """1-based (line, column) of token k of ``text``; the end of the text
     for the _EOF token."""
-    i = len(text)
-    for j, m in enumerate(re.finditer(_TOKEN, text)):
-        if j == k:
-            i = m.start()
-            break
+    m = next(islice(re.finditer(_TOKEN, text), k, None), None)
+    i = len(text) if m is None else m.start()
     return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
 
 
 def _shown(t):
     """What an error message quotes for token t."""
-    if t.isdecimal():
-        return int(t)
-    return None if t == _EOF else t
+    return int(t) if t.isdecimal() else None if t == _EOF else t
 
 
-# Expansion budgets, per parse_map call.  Products of one-term operands
-# take time linear in the text; the work that can outgrow the text is
-# expanding a product with a multi-term operand (powers of one expand by
-# repeated squaring) and raising a coefficient to a power.  Each is
-# charged before it is done, and going over budget is a ParseError at the
-# '*' or '^' token.
+# Expansion budgets, per parse_map call.  Products of single terms take
+# time linear in the text; what can outgrow it is expanding a product
+# with a multi-term operand (a power of one by repeated squaring) and
+# raising a coefficient to a power.  Each is charged before it is done,
+# and over budget is a ParseError at the '*' or '^' token.
 #
 # MAX_TERM_PRODUCTS bounds the coefficient products of expansion: a
 # product a*b with |a|, |b| terms costs |a|*|b|, counted once per pair of
@@ -96,8 +92,6 @@ MAX_TERM_PRODUCTS = 10 ** 6
 MAX_POWER_BITS = 10 ** 5
 COEFFICIENT_BITS = 1024
 
-_ONE = Fraction(1)      # the coefficient of a variable, shared
-
 
 def _bits(c):
     """An upper bound on log2 of |numerator| plus log2 of denominator."""
@@ -111,26 +105,20 @@ def _blocks(p):
 
 
 class _Parser:
-    """Recursive descent straight to {exponent tuple: Fraction} dicts.
+    """Recursive descent straight to {exponent tuple: coefficient} dicts.
 
-    Every method returns a dict that no one else holds, so expr adds its
-    terms in place.  Only a product or power with a multi-term operand
-    goes through Poly's product loop."""
+    A term is one loop over its factors: numbers, variables and their
+    powers multiply into one coefficient (an int until a p/q literal) and
+    one exponent list, made a tuple once per term.  A factor of several
+    terms, and each factor after it, goes through product().  expr adds
+    a term only under an exponent tuple it already holds."""
 
     def __init__(self, text, tokens, names):
-        self.text = text
-        self.tokens = tokens
-        self.pos = 0
-        self.nvars = nvars = len(names)
-        self.zero = (0,) * nvars
-        # variable name -> its exponent tuple
-        self.units = {name: tuple(int(j == i) for j in range(nvars))
-                      for i, name in enumerate(names)}
-        self.term_products = 0
-        self.power_bits = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
+        self.text, self.tokens, self.pos = text, tokens, 0
+        self.nvars = len(names)
+        self.zero = (0,) * self.nvars
+        self.index = {name: i for i, name in enumerate(names)}
+        self.term_products = self.power_bits = 0
 
     def next(self):
         self.pos += 1
@@ -168,67 +156,106 @@ class _Parser:
         return (Poly._trusted(self.nvars, p) *
                 Poly._trusted(self.nvars, q)).terms
 
-    # expr := term (("+" | "-") term)*
-    def expr(self):
-        if self.peek() == "+":  # allow a leading +
-            self.pos += 1
-        acc = self.term()
-        get = acc.get
-        while self.peek() in ("+", "-"):
-            minus = self.next() == "-"
-            for e, c in self.term().items():
-                s = get(e, 0) - c if minus else get(e, 0) + c
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        return acc
-
-    # term := factor ("*" factor)*
-    def term(self):
-        p = self.factor()
-        while self.peek() == "*":
-            at = self.pos
-            self.pos += 1
-            q = self.factor()
-            if len(p) == 1 and len(q) == 1:
-                (e1, c1), = p.items()
-                (e2, c2), = q.items()
-                c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
-                p = {tuple(map(add, e1, e2)): c}
-            elif p and q:
-                p = self.product(p, q, at)
-            else:
-                p = {}
-        return p
-
-    # factor := "-" factor | power
-    def factor(self):
-        if self.peek() == "-":
-            self.pos += 1
-            return {e: -c for e, c in self.factor().items()}
-        return self.power()
-
-    # power := atom ("^" nonnegative-integer)?
-    def power(self):
-        p = self.atom()
-        if self.peek() != "^":
-            return p
-        at = self.pos
+    def exponent(self):
+        """The k of the '^' k at the next token."""
         self.pos += 1
-        if not self.peek().isdecimal():
+        if not self.tokens[self.pos].isdecimal():
             self.fail("exponent must be a nonnegative integer literal")
-        k = int(self.next())
-        if k == 0:
-            return {self.zero: _ONE}
-        if k == 1 or not p:
-            return p
+        return int(self.next())
+
+    def negated(self):
+        """Reads a run of unary '-', one call deep per sign as parentheses
+        nest, and tells whether the run is odd."""
+        self.pos += 1
+        return self.tokens[self.pos] != "-" or not self.negated()
+
+    # expr := "+"? term (("+" | "-") term)*
+    def expr(self):
+        tokens, acc, minus = self.tokens, {}, False
+        self.pos += tokens[self.pos] == "+"     # a leading '+' is allowed
+        while True:
+            self.term(acc, minus)
+            t = tokens[self.pos]
+            if t != "+" and t != "-":
+                return acc
+            minus = t == "-"
+            self.pos += 1
+
+    # term := factor ("*" factor)*; factor := "-" factor | atom ("^" int)?
+    # atom := number | variable | "(" expr ")"
+    def term(self, acc, minus):
+        """Adds the next term, negated if ``minus``, into ``acc``."""
+        tokens = self.tokens
+        coef, expo, poly, star = 1, [0] * self.nvars, None, None
+        while True:
+            if tokens[self.pos] == "-":
+                minus ^= self.negated()
+            t = self.next()
+            i, q = self.index.get(t), None
+            if i is not None:
+                expo[i] += self.exponent() if tokens[self.pos] == "^" else 1
+            elif t.isdecimal():
+                c = int(t)
+                if tokens[self.pos] == "/":
+                    self.pos += 1
+                    d = int(self.expect("int"))
+                    if d == 0:
+                        self.fail("zero denominator", self.pos - 1)
+                    c = Fraction(c, d)
+                if tokens[self.pos] == "^":
+                    q = {self.zero: c} if c else {}
+                else:
+                    coef *= c
+            elif t == "(":
+                q = self.expr()
+                self.expect(")")
+            else:
+                self.fail("unknown identifier %r" % t
+                          if t not in _PUNCT and t != _EOF else
+                          "expected a number, variable or parenthesized "
+                          "expression", self.pos - 1)
+            if q is not None:   # a parenthesized factor or a number's power
+                if tokens[self.pos] == "^":
+                    q = self.power(q)
+                if len(q) < 2:  # one term or none joins coef and expo
+                    (e, c), = q.items() or [(self.zero, 0)]
+                    coef *= c
+                    expo = [a + b for a, b in zip(expo, e)]
+                    q = None
+            # from a factor of several terms on, each factor is charged
+            if poly is not None or q is not None:
+                p = {tuple(expo): coef} if coef else {}
+                if poly is not None:
+                    p, q = poly, p if q is None else q
+                poly = q if star is None else \
+                    self.product(p, q, star) if p and q else {}
+                coef, expo = 1, [0] * self.nvars
+            if tokens[self.pos] != "*":
+                break
+            star = self.pos
+            self.pos += 1
+        for e, c in poly.items() if poly is not None else \
+                ((tuple(expo), coef),) if coef else ():
+            if minus:
+                c = -c
+            s = acc.get(e)
+            if s is None:
+                acc[e] = c
+            elif s := s + c:
+                acc[e] = s
+            else:
+                del acc[e]
+
+    def power(self, p):
+        """p ^ k for the '^' k at the next token, charged there."""
+        at = self.pos
+        k = self.exponent()
+        if k < 2 or not p:
+            return p if k else {self.zero: 1}
         if len(p) == 1:
             (e, c), = p.items()
-            if c is not _ONE:
-                self.charge(0, k * _bits(c), at)
-                c = c ** k
-            return {tuple(k * i for i in e): c}
+            self.charge(0, k * _bits(c), at)
+            return {tuple(k * i for i in e): c ** k}
         # binary powering, so that each product is charged before it is made
         result = None
         while True:
@@ -239,44 +266,18 @@ class _Parser:
                 return result
             p = self.product(p, p, at)
 
-    # atom := number | variable | "(" expr ")"
-    def atom(self):
-        t = self.next()
-        if t.isdecimal():
-            value = int(t)
-            if self.peek() == "/":
-                self.pos += 1
-                d = int(self.expect("int"))
-                if d == 0:
-                    self.fail("zero denominator", self.pos - 1)
-                return {self.zero: Fraction(value, d)} if value else {}
-            return {self.zero: Fraction(value)} if value else {}
-        if t == "(":
-            p = self.expr()
-            self.expect(")")
-            return p
-        if t not in _PUNCT and t != _EOF:
-            unit = self.units.get(t)
-            if unit is None:
-                self.fail("unknown identifier %r" % t, self.pos - 1)
-            return {unit: _ONE}
-        self.fail("expected a number, variable or parenthesized expression",
-                  self.pos - 1)
-
 
 def _split_header(text):
-    """Returns (var_names or None, body, body_line_offset)."""
-    stripped = text.lstrip()
-    if not stripped.lower().startswith("vars"):
+    """Returns (var_names or None, body)."""
+    if not text.lstrip().lower().startswith("vars"):
         return None, text
-    bar = text.index("|") if "|" in text else None
-    if bar is None:
+    header, bar, _ = text.partition("|")
+    if not bar:
         raise ParseError("header must end with '|'", 1, 1)
-    header = text[:bar]
-    colon = header.index(":") if ":" in header else None
-    if colon is None:
+    _, colon, names = header.partition(":")
+    if not colon:
         raise ParseError("header must look like 'vars: x1,x2 | ...'", 1, 1)
-    names = [s.strip() for s in header[colon + 1:].split(",")]
+    names = [s.strip() for s in names.split(",")]
     if not names or any(not s for s in names):
         raise ParseError("empty variable name in header", 1, 1)
     for s in names:
@@ -286,7 +287,7 @@ def _split_header(text):
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name in header", 1, 1)
     # keep the prefix so line/column positions stay correct
-    body = " " * (bar + 1) + text[bar + 1:]
+    body = " " * (len(header) + 1) + text[len(header) + 1:]
     return names, body
 
 
@@ -302,10 +303,7 @@ def _infer_vars(text, tokens):
                 "identifier %r needs a 'vars:' header (only x1, x2, ... "
                 "can be inferred)" % t, *_position(text, k))
         nvars = max(nvars, int(t[1:]))
-    if nvars == 0:
-        # no variables at all; still need a positive dimension
-        nvars = 1
-    return nvars
+    return max(nvars, 1)    # a positive dimension even without variables
 
 
 def parse_map(text):
@@ -320,8 +318,7 @@ def parse_map(text):
     if names is None:
         names = ["x%d" % i for i in range(1, _infer_vars(body, tokens) + 1)]
     parser = _Parser(body, tokens, names)
-    comps = []
-    starts = []
+    comps, starts = [], []
     while True:
         starts.append(parser.pos)
         try:
@@ -334,9 +331,12 @@ def parse_map(text):
         if t != ";":
             parser.fail("expected ';' or end of input, found %r" % _shown(t),
                         parser.pos - 1)
+    shared = {}     # one Fraction per distinct coefficient
     for i, (p, at) in enumerate(zip(comps, starts)):
         if parser.zero in p:
             parser.fail("nonzero constant term in component %d" % (i + 1), at)
+        for e, c in p.items():
+            p[e] = shared.get(c) or shared.setdefault(c, Fraction(c))
     nvars = parser.nvars
     return MapGerm([Poly._trusted(nvars, p) for p in comps], src_dim=nvars)
 

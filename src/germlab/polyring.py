@@ -13,6 +13,7 @@ from math import gcd, lcm
 
 
 Rat = Fraction
+_ZERO = Fraction(0)     # the constant term of a Poly without one
 
 
 def rat(x):
@@ -102,7 +103,7 @@ class Poly(_Frozen):
         return all(all(e == 0 for e in expo) for expo in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, _ZERO)
 
     def total_degree(self):
         if not self.terms:

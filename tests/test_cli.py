@@ -402,6 +402,26 @@ def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
     assert counts == {"adjugate_column": expected, "det": 0}
 
 
+@pytest.mark.parametrize("command", [["classify"], ["classify", "--json"],
+                                     ["verify", "--claim", "cusp"],
+                                     ["verify", "--json", "--claim", "cusp"]])
+def test_normal_form_is_rendered_once_per_request(capsys, monkeypatch,
+                                                  command):
+    """The human lines reuse the JSON label's text of the normal form."""
+    import germlab.cli as cli
+    calls = []
+
+    def counted(f, names=None):
+        calls.append(f)
+        return render_map(f, names)
+    monkeypatch.setattr(cli, "render_map", counted)
+    code, out, _ = run(capsys, *command, "x1^3 + x1*x2 ; x2")
+    assert code == 0
+    assert len(calls) == 1
+    if "--json" not in command and command[0] == "classify":
+        assert "normal form: %s" % render_map(calls[0]) in out
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_classify_expands_no_cofactors_outside_n_2_and_4(capsys, monkeypatch,
                                                          n):

@@ -9,7 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from conftest import change_coordinates, sparse_gl_pos
 from germlab import germparse
+from germlab.morin import normal_form
 from germlab.polyring import Poly
 from germlab.germparse import parse_map, render_map, ParseError
 from germlab.germ import MapGerm
@@ -93,8 +96,12 @@ def test_custom_names_round_trip():
 
 # ---- round-trip property -----------------------------------------------
 
-coef = st.fractions(min_value=-30, max_value=30,
-                    max_denominator=12).filter(lambda c: c != 0)
+# every nonzero p/q with q <= 12 and |p/q| <= 30, drawn as a denominator
+# and then a numerator: the same values as st.fractions(-30, 30,
+# max_denominator=12), whose rejection sampling took seconds per run
+coef = st.integers(1, 12).flatmap(
+    lambda q: st.integers(-30 * q, 30 * q).map(lambda p: Fraction(p, q))
+).filter(lambda c: c != 0)
 expo3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
 
@@ -119,10 +126,13 @@ def test_round_trip(f):
 
 # ---- fuzz ---------------------------------------------------------------
 
+FUZZ_ALPHABET = b"x123 +-*/^();,:|vars.\n\t\\\"'@#~\x00\xff"
+
+
 def test_fuzz_never_crashes():
     """Random byte strings: every failure is a structured ParseError."""
     rng = random.Random(0xBEEF)
-    alphabet = b"x123 +-*/^();,:|vars.\n\t\\\"'@#~\x00\xff"
+    alphabet = FUZZ_ALPHABET
     n_ok = 0
     for _ in range(2000):
         length = rng.randint(0, 40)
@@ -338,3 +348,115 @@ def test_bench_inputs_stay_ten_times_below_the_budgets(monkeypatch):
     assert len(texts) > 300
     for text in texts:
         parse_map(text)
+
+
+# ---- the reference parser -----------------------------------------------
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: a germ, or the error's message
+    and position."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return e.message, e.line, e.col
+
+
+def _assert_parses_as_the_reference(text):
+    got = _outcome(parse_map, text)
+    assert got == _outcome(oracles.parse_map, text)
+    if isinstance(got, MapGerm):
+        assert all(type(c) is Fraction
+                   for p in got.components for c in p.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_germ_texts())
+def test_expression_trees_parse_as_the_reference(case):
+    _assert_parses_as_the_reference(case[0])
+
+
+# factors for each branch of a term: numbers, p/q, zero, powers, signs,
+# parenthesized single terms, sums, sums that cancel, powers of sums
+_FACTORS = ["x1", "x2^3", "x1^0", "2", "3/2", "0", "2^5", "0^0", "-x2", "--3",
+            "(x1)", "(-2*x2)^3", "(x1 - x1)", "(x1 + x2)", "(1 + x2)^2",
+            "(x1 - 2*x2)^0", "-(x2 + 3/4*x1)", "(x1 + x2)^1"]
+_SUMS_OF_PRODUCTS = st.lists(
+    st.tuples(st.sampled_from("+-"),
+              st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=5)),
+    min_size=1, max_size=4,
+).map(lambda terms: " ".join("%s %s" % (sign, "*".join(factors))
+                             for sign, factors in terms) + " ; x2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SUMS_OF_PRODUCTS)
+def test_sums_of_products_parse_as_the_reference(text):
+    _assert_parses_as_the_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "x1*(x1+x2)*x2 ; 2*(x1+x2)*3",
+    "2*x1*(x1+x2)^30*x2*(x2+x1)^30*3*(x1-x2)^30 ; x2",
+    "(x1+x2+x3+x4)^40 + x1 ; x2 ; x3 ; x4",
+    "((3^9999)^9999)^9999*x1 ; x2",
+    "(x1+x2+x3)^30*(x1+x2+x3)^30*(x1+x2+x3)^30 ; x2",
+    "(2^999*(x1+x2)^20)^2*x1 ; (x1 - x2)^50*2^99999*x2",
+])
+def test_products_and_budgets_parse_as_the_reference(text):
+    """Each product is charged what the reference charged for it, so
+    over-budget errors quote the same count at the same token."""
+    _assert_parses_as_the_reference(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_ALPHABET), max_size=40).map(bytes))
+def test_fuzz_strings_parse_as_the_reference(data):
+    _assert_parses_as_the_reference(data)
+
+
+def test_bench_inputs_parse_as_the_reference():
+    path = os.path.join(os.path.dirname(__file__), "..", "bench",
+                        "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    texts = []
+    for seed in (1, 2):
+        texts += [r["argv"][-1] for r in inputs.classify_corpus(seed)]
+        for rung in inputs.morin_ladder(seed).values():
+            texts += [r["argv"][-1] for r in rung]
+    assert len(texts) > 300
+    for text in texts:
+        _assert_parses_as_the_reference(text)
+
+
+def test_integer_germ_parses_without_fraction_arithmetic(monkeypatch):
+    """An integer-coefficient Morin germ in 5 variables is read on ints:
+    no Fraction is added or subtracted, and each distinct coefficient
+    becomes a Fraction once."""
+    rng = random.Random(5)
+    f = change_coordinates(normal_form(5, 5, 1, -1), sparse_gl_pos(rng, 5),
+                           sparse_gl_pos(rng, 5))
+    coefficients = {c for p in f.components for c in p.terms.values()}
+    assert all(c.denominator == 1 for c in coefficients)
+    assert sum(len(p.terms) for p in f.components) > 3 * len(coefficients)
+    text = render_map(f)
+    counts = {}
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        original = getattr(Fraction, name)
+
+        def counted(a, b, _name=name, _original=original):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    original_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["new"] = counts.get("new", 0) + 1
+        return original_new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    g = parse_map(text)
+    monkeypatch.undo()
+    assert g == f
+    assert counts.get("new", 0) <= len(coefficients)
+    assert set(counts) <= {"new"}
