@@ -163,13 +163,14 @@ def cmd_verify(args):
     got = dict(zip(("eps1", "eps2"), label.signs))
     ok = (label.family == family and
           all(got.get(k) == v for k, v in signs.items()))
-    actual = _label_dict(label)
-    payload = {"claimed": args.claim, "actual": actual, "match": ok}
     human = ["claimed: %s" % args.claim,
-             "actual:  %s" % actual["describe"],
+             "actual:  %s" % label.describe(),
              "match: %s" % ("yes" if ok else "no")]
     if not ok:
         human.append("invariant diff: actual %s" % (label.invariant,))
+    # only the JSON label carries the normal form, so only it renders one
+    payload = ({"claimed": args.claim, "actual": _label_dict(label),
+                "match": ok} if args.json else None)
     _emit(payload, args.json, human)
     return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 

@@ -16,14 +16,23 @@ field is d/dt and lambda = q_t):
 Morin points are found exactly: for families B and C the defining
 equations lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated
 by back substitution into a one-parameter curve sigma(t) plus a single
-constraint.  ``eliminate_curve`` does this once per (family, n), with the
-parameters symbolic; each request only substitutes its parameter values
-(``curve_data``).  Real roots of the constraint are isolated by Sturm
-sequences, and the rational ones found exactly inside their isolating
-intervals (see ``rational_roots``).  Every point is verified against
-the Morin classifier (exactly at rational roots; by Tarski queries along
-the curve at irrational ones, see ``sign_at_root``).  All signs are taken
-on integer coefficients.
+constraint (``eliminate_curve``); the family A points lie on t = x2 = ...
+= x_{n-1} = 0, xn = s with the constraint qbar(s, u) (``family_a_curve``).
+``curve_criteria`` works once per (family, n) for B and C and once per
+(n, l) for A, with the parameters symbolic: it restricts lambda, ...,
+eta^n lambda to the curve, checks that each of lambda, ..., eta^{n-1}
+lambda is there 0 or a rational constant times the constraint (an
+identity in Q[t, u], so it holds at every parameter value), and keeps
+eta^n lambda and det grad(lambda, ..., eta^{n-1} lambda) on the curve.
+Each request only puts its parameter values into these Polys
+(``curve_data``, ``_at_params``).  Real roots of the constraint are
+isolated by Sturm sequences, and the rational ones found exactly inside
+their isolating intervals (see ``rational_roots``).  Every point is
+verified against the Morin classifier: by the signs of the cached
+criteria, taken by Tarski queries along the curve at irrational roots
+(see ``sign_at_root``), and at rational roots also by full recognition
+of the unfolding, which is built only then.  All signs are taken on
+integer coefficients.
 
 The printed reference tables for families B and C contain a few
 inconsistent entries; ``table_discrepancy_report`` compares every printed
@@ -341,16 +350,6 @@ def sign_at_root(g, constraint, root, sequences=None):
     return _variations(at_lo) - _variations(at_hi)
 
 
-def poly_to_coeffs(p):
-    """Univariate Poly (nvars == 1) -> coefficient list."""
-    if p.nvars != 1:
-        raise GermError("expected a univariate polynomial")
-    out = [Fraction(0)] * (p.total_degree() + 1 if p.terms else 0)
-    for (e,), coef in p.terms.items():
-        out[e] = coef
-    return up_trim(out)
-
-
 # ---------------------------------------------------------------------------
 # unfolding construction
 # ---------------------------------------------------------------------------
@@ -531,22 +530,84 @@ def _drop_x_vars(p, n):
     return Poly(p.nvars - n + 1, out)
 
 
+def family_a_curve(n, l):
+    """The family A Morin points lie on t = x2 = ... = x_{n-1} = 0,
+    xn = s, where only qbar(s, u) = 0 remains.  Returns (sigma,
+    constraint) in the variables (s, u0, ..., u_{l-2}): ``sigma`` the n
+    source coordinates (0, ..., 0, s) and ``constraint`` qbar."""
+    s = Poly.var(1, l)
+    qbar = s ** l
+    for i in range(l - 1):
+        qbar = qbar + Poly.var(i + 2, l) * s ** i
+    return (Poly.zero(l),) * (n - 1) + (s,), qbar
+
+
+@cache
+def curve_criteria(family, n, l):
+    """Everything about the Morin points of one (family, n[, l]) that does
+    not depend on the parameter values, with the parameters symbolic.
+
+    Returns (sigma, constraint, etak, detgrad), all Polys in (t, u...) (t
+    is s for family A): the curve's n source coordinates, its constraint,
+    and the classifier's criterion quantities eta^n lambda and det grad
+    (lambda, ..., eta^{n-1} lambda) restricted to the curve.  Raises
+    GermError unless each of lambda, ..., eta^{n-1} lambda restricted to
+    the curve is 0 or a rational constant times the constraint
+    (``_vanishing_on_curve``).  Cached: each request only puts its u in
+    (``_at_params``)."""
+    if family == "A":
+        sigma, constraint = family_a_curve(n, l)
+    else:
+        coords, constraint = eliminate_curve(family, n)
+        sigma = (Poly.var(1, constraint.nvars),) + coords
+    m = constraint.nvars
+    q = _q_poly(family, n, l, [Poly.var(n + i, n + m - 1)
+                               for i in range(1, m)])
+    chain = _lambda_chain(q, n)
+    # x_i -> sigma_i, and the parameters stay themselves
+    reps = list(sigma) + [Poly.var(i, m) for i in range(2, m + 1)]
+    if not _vanishing_on_curve([p.subs(reps) for p in chain[:n]], constraint):
+        raise GermError("internal error: curve does not satisfy the equations")
+    # restricting each entry first gives the same determinant, smaller
+    grad = [chain[j].partial(i).subs(reps)
+            for j in range(n) for i in range(1, n + 1)]
+    return (sigma, constraint, chain[n].subs(reps),
+            PolyMatrix(n, n, grad).det())
+
+
+def _vanishing_on_curve(on_curve, constraint):
+    """True when every Poly of ``on_curve`` is 0 or a rational constant
+    times ``constraint``: an identity in Q[t, u], so the curve satisfies
+    the equations at every parameter value."""
+    lead = max(constraint.terms)
+    return all(p == constraint.scale(p.terms.get(lead, 0) /
+                                     constraint.terms[lead])
+               for p in on_curve)
+
+
+def _at_params(p, u):
+    """The coefficient list in t of a Poly in (t, u0, u1, ...) at the
+    parameter values ``u``."""
+    if not p.terms:
+        return []
+    out = [Fraction(0)] * (p.degree_in(1) + 1)
+    for (e, *ks), coef in p.terms.items():
+        for ui, k in zip(u, ks):
+            if k:
+                coef *= ui ** k
+        out[e] += coef
+    return up_trim(out)
+
+
 def curve_data(spec):
     """Numeric-parameter curve: (sigma, constraint_coeffs) where sigma is
     the list of n univariate Polys [t, x2(t), ..., xn(t)] and the
     constraint is a univariate coefficient list in t."""
-    n = spec.n
-    if spec.family == "A":
-        # t = x2 = ... = x_{n-1} = 0, xn = s (the qbar root parameter)
-        s = Poly.var(1, 1)
-        sigma = [Poly.zero(1)] * (n - 1) + [s]
-        constraint = _qbar_coeffs(spec.l, spec.u)
-        return sigma, constraint
-    coords, constraint = eliminate_curve(spec.family, n)
-    t = Poly.var(1, 1)
-    reps = [t] + [Poly.const(v, 1) for v in spec.u]
-    sigma = [t] + [x.subs(reps) for x in coords]
-    return sigma, poly_to_coeffs(constraint.subs(reps))
+    sigma, constraint, _, _ = curve_criteria(spec.family, spec.n, spec.l)
+    return ([Poly._trusted(1, {(e,): c for e, c in
+                               enumerate(_at_params(x, spec.u)) if c})
+             for x in sigma],
+            _at_params(constraint, spec.u))
 
 
 # ---------------------------------------------------------------------------
@@ -649,20 +710,10 @@ class PerturbationReport(_Frozen):
         object.__setattr__(self, "notes", tuple(notes))
 
 
-def _curve_criteria(chain_n, sigma, n):
-    """The classifier's criterion quantities eta^n lambda and det grad
-    (lambda, ..., eta^{n-1} lambda), restricted to the curve sigma: they
-    depend on the spec alone, so one request builds them once."""
-    rows = [chain_n[j].partial(i) for j in range(n) for i in range(1, n + 1)]
-    det_poly = PolyMatrix(n, n, rows).det()
-    return (poly_to_coeffs(chain_n[n].subs(sigma)),
-            poly_to_coeffs(det_poly.subs(sigma)))
-
-
 def _classifier_invariant_on_curve(n, criteria, constraint, root, sequences):
-    """Invariant tuple from the classifier's own quantities (``criteria``
-    of ``_curve_criteria``), their signs taken exactly at a root of the
-    constraint; None where either one vanishes."""
+    """Invariant tuple from the classifier's own quantities (``criteria``,
+    eta^n lambda and det grad as coefficient lists), their signs taken
+    exactly at a root of the constraint; None where either one vanishes."""
     etak, detgrad = criteria
     s_etak = sign_at_root(etak, constraint, root, sequences)
     s_det = sign_at_root(detgrad, constraint, root, sequences)
@@ -671,23 +722,10 @@ def _classifier_invariant_on_curve(n, criteria, constraint, root, sequences):
     return invariant_value(invariant_kind(n, n), s_etak, s_det)
 
 
-def _vanishing_on_curve(sigma, constraint, chain_n, n):
-    """Check lambda, ..., eta^{n-1} lambda all reduce to 0 modulo the
-    constraint along the curve (exact symbolic verification)."""
-    for j in range(n):
-        comp = poly_to_coeffs(chain_n[j].subs(sigma))
-        if comp and up_rem(comp, constraint):
-            return False
-    return True
-
-
 def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     """Enumerate the n-Morin points of the perturbation described by
     ``spec``.  See the module docstring for the method."""
     n = spec.n
-    F = build_unfolding(spec)
-    q = F.components[0]
-    chain_n = _lambda_chain(q, n)
     sigma, constraint = curve_data(spec)
     notes = []
     stable = True
@@ -695,8 +733,6 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     if up_deg(sf) < up_deg(constraint):
         stable = False
         notes.append("non-stable parameter: the constraint has repeated roots")
-    if not _vanishing_on_curve(sigma, sf, chain_n, n):
-        raise GermError("internal error: curve does not satisfy the equations")
     width = Fraction(1, 2 ** precision_bits)
     found = isolate_real_roots(sf)
     exact = rational_roots(sf, found)
@@ -725,9 +761,11 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     points = []
     roots = exact + intervals
     if roots:
-        criteria = _curve_criteria(chain_n, sigma, n)
+        _, _, etak, detgrad = curve_criteria(spec.family, n, spec.l)
+        criteria = (_at_params(etak, spec.u), _at_params(detgrad, spec.u))
     # Tarski sequences with ``remaining``, one per polynomial, this request only
     sequences = {}
+    F = None
     for root in roots:
         is_exact = not isinstance(root, tuple)
         inv = _classifier_invariant_on_curve(
@@ -740,8 +778,9 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
         verified = (inv == tbl)
         if is_exact:
             coords = [p.eval([root]) for p in sigma]
-            g = translate(F, coords)
-            res = recognize_morin(g)
+            if F is None:
+                F = build_unfolding(spec)
+            res = recognize_morin(translate(F, coords))
             verified = verified and res.k == n and res.invariant == inv
             location = coords
         else:

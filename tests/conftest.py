@@ -129,6 +129,18 @@ def add_high_terms(rng, f, lowest):
     return MapGerm(comps, src_dim=n)
 
 
+def monic_chebyshev_params(l):
+    """u for which qbar = x^l + u_{l-2} x^(l-2) + ... + u_0 is T_l / 2^(l-1),
+    with l real roots in (-1, 1)."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for _ in range(l - 1):
+        nxt = [Fraction(0)] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return ",".join(str(c / cur[l]) for c in cur[:l - 1])
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_30()

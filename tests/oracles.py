@@ -14,6 +14,13 @@ in it, then reads g's sign at the ends.  It runs on rational arithmetic
 throughout, with its own Sturm chain, count and bisection, so it shares no
 code with the library's integer signs and Tarski queries.
 
+``morin_points_reference`` enumerates the Morin points of a perturbation
+as each request did before the curve criteria were cached per (family,
+n[, l]): it builds the unfolding F with the parameters substituted, its
+chain lambda, ..., eta^n lambda and the n x n determinant of the gradient
+stack, restricts them to the curve by ``Poly.subs``, and checks that the
+chain vanishes modulo the square-free constraint, on every request.
+
 ``parse_map`` is the germ text parser with one method per grammar level
 and a Fraction dict per factor, as germparse read text before its terms
 were read in one loop on int coefficients."""
@@ -24,14 +31,20 @@ from math import lcm
 from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
-                          MapGerm, analyze, null_field)
+                          MapGerm, analyze, null_field, translate)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
-                           morin_invariants)
-from germlab.polyring import Poly, rational_rank
+                           morin_invariants, recognize_morin)
+from germlab.polyring import Poly, PolyMatrix, rational_rank
 from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
-from germlab.perturb import (up_deg, up_deriv, up_eval, up_gcd, up_neg,
-                             up_rem, up_squarefree, up_trim)
+from germlab import perturb     # its refine_root: this module has its own
+from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
+                             PerturbationReport, _classifier_invariant_on_curve,
+                             _lambda_chain, _qbar_coeffs, build_unfolding,
+                             eliminate_curve, isolate_real_roots,
+                             rational_roots, table_invariant,
+                             up_deg, up_deriv, up_divmod, up_eval, up_gcd,
+                             up_neg, up_rem, up_squarefree, up_trim)
 
 
 def eta_chain_label(f, analysis=None, eta=None):
@@ -139,6 +152,112 @@ def sign_at_root(g, constraint, root, max_iter=200):
         if lo == hi:
             return _sign(up_eval(g, lo))
     raise GermError("sign isolation did not converge")  # pragma: no cover
+
+
+# ---- reference Morin-point enumeration -----------------------------------
+
+def poly_to_coeffs(p):
+    """Univariate Poly (nvars == 1) -> coefficient list."""
+    if p.nvars != 1:
+        raise GermError("expected a univariate polynomial")
+    out = [Fraction(0)] * (p.total_degree() + 1 if p.terms else 0)
+    for (e,), coef in p.terms.items():
+        out[e] = coef
+    return up_trim(out)
+
+
+def _curve_data(spec):
+    """(sigma, constraint coefficients) with the parameters substituted
+    into the cached symbolic curve by ``Poly.subs``."""
+    n = spec.n
+    if spec.family == "A":
+        # t = x2 = ... = x_{n-1} = 0, xn = s (the qbar root parameter)
+        sigma = [Poly.zero(1)] * (n - 1) + [Poly.var(1, 1)]
+        return sigma, _qbar_coeffs(spec.l, spec.u)
+    coords, constraint = eliminate_curve(spec.family, n)
+    t = Poly.var(1, 1)
+    reps = [t] + [Poly.const(v, 1) for v in spec.u]
+    sigma = [t] + [x.subs(reps) for x in coords]
+    return sigma, poly_to_coeffs(constraint.subs(reps))
+
+
+def _curve_criteria(chain_n, sigma, n):
+    """eta^n lambda and det grad(lambda, ..., eta^{n-1} lambda) of the
+    substituted unfolding, restricted to sigma."""
+    rows = [chain_n[j].partial(i) for j in range(n) for i in range(1, n + 1)]
+    det_poly = PolyMatrix(n, n, rows).det()
+    return (poly_to_coeffs(chain_n[n].subs(sigma)),
+            poly_to_coeffs(det_poly.subs(sigma)))
+
+
+def _vanishes_on_curve(sigma, constraint, chain_n, n):
+    for j in range(n):
+        comp = poly_to_coeffs(chain_n[j].subs(sigma))
+        if comp and up_rem(comp, constraint):
+            return False
+    return True
+
+
+def morin_points_reference(spec, precision_bits=DEFAULT_PRECISION_BITS):
+    """The PerturbationReport of ``spec``, everything derived per request."""
+    n = spec.n
+    F = build_unfolding(spec)
+    chain_n = _lambda_chain(F.components[0], n)
+    sigma, constraint = _curve_data(spec)
+    notes = []
+    stable = True
+    sf = up_squarefree(constraint)
+    if up_deg(sf) < up_deg(constraint):
+        stable = False
+        notes.append("non-stable parameter: the constraint has repeated roots")
+    if not _vanishes_on_curve(sigma, sf, chain_n, n):
+        raise GermError("internal error: curve does not satisfy the equations")
+    width = Fraction(1, 2 ** precision_bits)
+    found = isolate_real_roots(sf)
+    exact = rational_roots(sf, found)
+    remaining = sf
+    for r in exact:
+        remaining, _ = up_divmod(remaining, [-r, Fraction(1)])
+    if exact:
+        intervals = isolate_real_roots(remaining, width=width)
+    else:
+        intervals = [perturb.refine_root(sf, lo, hi, width)
+                     for lo, hi in found]
+    if spec.family in ("B", "C"):
+        if 0 in exact:
+            exact.remove(0)
+            notes.append("root t=0 excluded (not a Morin point)")
+        kept = []
+        for lo, hi in intervals:
+            while lo <= 0 <= hi:
+                lo, hi = perturb.refine_root(remaining, lo, hi, (hi - lo) / 2)
+            kept.append((lo, hi))
+        intervals = kept
+    points = []
+    roots = exact + intervals
+    if roots:
+        criteria = _curve_criteria(chain_n, sigma, n)
+    sequences = {}
+    for root in roots:
+        is_exact = not isinstance(root, tuple)
+        inv = _classifier_invariant_on_curve(
+            n, criteria, remaining, root, sequences)
+        if inv is None:
+            stable = False
+            notes.append("degenerate point (a criterion quantity vanishes)")
+            continue
+        tbl = table_invariant(spec, root, remaining, sequences)
+        verified = (inv == tbl)
+        if is_exact:
+            coords = [p.eval([root]) for p in sigma]
+            res = recognize_morin(translate(F, coords))
+            verified = verified and res.k == n and res.invariant == inv
+            location = coords
+        else:
+            location = [root]
+        points.append(MorinPoint(root, is_exact, location, n, inv, tbl,
+                                 verified))
+    return PerturbationReport(spec, points, stable, notes)
 
 
 # ---- reference parser ----------------------------------------------------

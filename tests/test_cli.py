@@ -16,11 +16,13 @@ from germlab.germ import MapGerm, jet_degree
 from germlab.germparse import parse_map, render_map
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.morin import class_count, normal_form
+from germlab import perturb as pt
 from germlab.perturb import MAX_L
 from germlab.polyring import Poly
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
 from conftest import (add_high_terms, change_coordinates, corpus_30,
-                      random_gl_pos, random_quadratic_diffeo)
+                      monic_chebyshev_params, random_gl_pos,
+                      random_quadratic_diffeo)
 
 
 def run(capsys, *argv):
@@ -171,27 +173,31 @@ def test_perturb_family_a_degree_over_cap_rejected_at_once(capsys):
         assert "l <= %d (the cap), got l = 3000" % MAX_L in err
 
 
-def _monic_chebyshev_params(l):
-    """u for which qbar = x^l + u_{l-2} x^(l-2) + ... + u_0 is T_l / 2^(l-1),
-    with l real roots in (-1, 1)."""
-    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
-    for _ in range(l - 1):
-        nxt = [Fraction(0)] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return ",".join(str(c / cur[l]) for c in cur[:l - 1])
-
-
 def test_perturb_family_a_at_the_degree_cap_ends_quickly(capsys):
+    pt.curve_criteria.cache_clear()
     start = time.perf_counter()
     code, out, _ = run(capsys, "perturb", "--family", "A", "--n", "3",
                        "--l", str(MAX_L), "--params",
-                       _monic_chebyshev_params(MAX_L), "--precision", "120",
+                       monic_chebyshev_params(MAX_L), "--precision", "120",
                        "--json")
     assert time.perf_counter() - start < 2
     assert code == 0
     assert json.loads(out)["count"] == MAX_L
+
+
+def test_warm_perturb_request_builds_no_unfolding_and_no_determinant(
+        capsys, monkeypatch):
+    """With its (family, n) cached, a request whose roots are all
+    irrational only puts its parameters into the cached criteria."""
+    argv = ["perturb", "--json", "--family", "C", "--n", "4",
+            "--params=-1,1/2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert not any(p["t"].get("exact") for p in json.loads(out)["points"])
+    unfoldings = _count_calls(monkeypatch, pt.build_unfolding)
+    cofactors = _count_cofactor_calls(monkeypatch)
+    assert run(capsys, *argv) == (code, out, "")
+    assert unfoldings == [] and cofactors["det"] == 0
 
 
 @pytest.mark.parametrize("family,n,params", [
@@ -407,7 +413,8 @@ def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
                                      ["verify", "--json", "--claim", "cusp"]])
 def test_normal_form_is_rendered_once_per_request(capsys, monkeypatch,
                                                   command):
-    """The human lines reuse the JSON label's text of the normal form."""
+    """The human lines of classify reuse the JSON label's text of the
+    normal form; those of verify do not show it, so render none."""
     import germlab.cli as cli
     calls = []
 
@@ -417,7 +424,8 @@ def test_normal_form_is_rendered_once_per_request(capsys, monkeypatch,
     monkeypatch.setattr(cli, "render_map", counted)
     code, out, _ = run(capsys, *command, "x1^3 + x1*x2 ; x2")
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == (0 if command == ["verify", "--claim", "cusp"]
+                          else 1)
     if "--json" not in command and command[0] == "classify":
         assert "normal form: %s" % render_map(calls[0]) in out
 

@@ -242,7 +242,13 @@ def _trees(nvars):
         power = st.tuples(children, st.integers(0, 4)).map(
             lambda t: ("%s^%d" % (wrap(t[0], 4), t[1]), t[0][1] ** t[1], 3))
         paren = children.map(lambda c: ("(+%s)" % c[0], c[1], 4))
-        return st.one_of(add, mul, neg, power, paren)
+        # a*(b + c)*d: a sum between one-term factors, which a parser that
+        # reads a term's factors in one loop must restart its product after
+        sandwich = st.tuples(leaves, children, children, leaves).map(
+            lambda t: ("%s*(%s + %s)*%s" % (t[0][0], wrap(t[1], 0),
+                                            wrap(t[2], 1), t[3][0]),
+                       t[0][1] * (t[1][1] + t[2][1]) * t[3][1], 1))
+        return st.one_of(add, mul, neg, power, paren, sandwich)
 
     return st.recursive(leaves, grow, max_leaves=8)
 

@@ -9,7 +9,7 @@ import json
 
 from germlab.cli import main
 from germlab.germparse import render_map
-from germlab.perturb import (FAMILY_B_CN, eliminate_curve,
+from germlab.perturb import (FAMILY_B_CN, curve_criteria, eliminate_curve,
                              table_discrepancy_report)
 from conftest import corpus_30
 
@@ -79,14 +79,20 @@ def test_table_discrepancy_report_is_golden():
 
 
 def test_perturb_json_same_cold_and_warm(capsys, monkeypatch):
-    """The first request after the cached elimination is dropped derives
-    the curve afresh; its bytes equal those of the request that reuses it."""
+    """The first request after the cached curve and criteria are dropped
+    derives them afresh; its bytes equal those of the request that reuses
+    them."""
     monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
     for argv in (["perturb", "--json", "--family", "B", "--n", "5",
                   "--params=-1"],
                  ["perturb", "--json", "--family", "C", "--n", "4",
-                  "--params=-1,1/2"]):
+                  "--params=-1,1/2"],
+                 ["perturb", "--json", "--family", "A", "--n", "4",
+                  "--l", "3", "--params=0,-2"]):
         eliminate_curve.cache_clear()
+        curve_criteria.cache_clear()
         cold = _stdout_sha256(capsys, [argv])
-        assert eliminate_curve.cache_info().currsize == 1
+        assert curve_criteria.cache_info().currsize == 1
+        assert eliminate_curve.cache_info().currsize == \
+            (0 if "A" in argv else 1)
         assert _stdout_sha256(capsys, [argv]) == cold

@@ -10,6 +10,7 @@ from germlab import perturb as pt
 from germlab.germ import GermError, translate
 from germlab.morin import recognize_morin
 from germlab.polyring import Poly
+from conftest import monic_chebyshev_params
 import oracles
 
 
@@ -158,7 +159,7 @@ def test_eliminate_curve_consistency():
                 assert sigma[0] == Poly.var(1, 1)
                 q = pt.build_unfolding(spec).components[0]
                 for eq in pt._lambda_chain(q, n - 1):
-                    on_curve = pt.poly_to_coeffs(eq.subs(sigma))
+                    on_curve = oracles.poly_to_coeffs(eq.subs(sigma))
                     assert not pt.up_rem(on_curve, con), (family, n, u)
 
 
@@ -241,6 +242,83 @@ def test_sweep_summary():
     assert summary["max_count"] == 2
     assert summary["all_verified"]
 
+
+# ---- the cached curve criteria against the per-request reference ---------
+
+def _params(text):
+    return [F(v) for v in text.split(",")]
+
+
+AGREEMENT_PARAMS = [("A", 3, "0,-1"), ("A", 3, "0,-2"), ("A", 2, "-2"),
+                    ("A", 2, "0"), ("B", None, "-1"), ("B", None, "0"),
+                    ("C", None, "1/4,2"), ("C", None, "-1,0"),
+                    ("C", None, "0,1"), ("C", None, "-5/2,1/2"),
+                    ("C", None, "-1,1/2")]
+
+
+def _agree(spec, precision_bits):
+    got = pt.report_to_dict(pt.morin_points(spec, precision_bits))
+    assert got == pt.report_to_dict(
+        oracles.morin_points_reference(spec, precision_bits)), spec
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_morin_points_agree_with_the_per_request_reference(n):
+    """Exact roots, interval roots, both at once, a non-stable parameter,
+    a degenerate point and a root at t = 0, at the ends and in the middle
+    of the precision range, cold and warm."""
+    pt.curve_criteria.cache_clear()
+    seen = set()
+    for family, l, params in AGREEMENT_PARAMS + [
+            ("B", None, str(-pt.FAMILY_B_CN[n]))]:
+        spec = pt.UnfoldingSpec(family, n, _params(params), l=l)
+        for precision_bits in (20, 40, 120):
+            d = _agree(spec, precision_bits)
+            seen.update("exact" if p["t"].get("exact") else "interval"
+                        for p in d["points"])
+            seen.update(note.split()[0] for note in d["notes"])
+    assert seen == {"exact", "interval", "non-stable", "degenerate", "root"}
+
+
+@pytest.mark.parametrize("l,n,precision_bits", [
+    (l, n, 40) for l in (2, 3, 4) for n in (2, 3, 4, 5)] + [
+    (3, 4, 20), (4, 5, 120), (pt.MAX_L, 2, 20), (pt.MAX_L, 3, 120),
+    (pt.MAX_L, 4, 40), (pt.MAX_L, 5, 20)])
+def test_family_a_chebyshev_agrees_with_the_reference(l, n, precision_bits):
+    spec = pt.UnfoldingSpec("A", n, _params(monic_chebyshev_params(l)), l=l)
+    assert _agree(spec, precision_bits)["count"] == l
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, n) for family in "ABC" for n in (2, 3, 4, 5)])
+def test_a_corrupted_curve_is_an_internal_error(monkeypatch, family, n):
+    """The once-per-key check rejects a curve that leaves an equation
+    nonzero: t^(n+3) added to one coordinate of the B or C curve, or
+    s^(l+1) to the family A constraint."""
+    l = 3 if family == "A" else None
+    if family == "A":
+        def corrupted(n, l, original=pt.family_a_curve):
+            sigma, constraint = original(n, l)
+            s = Poly.var(1, constraint.nvars)
+            return sigma, constraint + s ** (l + 1)
+        monkeypatch.setattr(pt, "family_a_curve", corrupted)
+        u = [F(0), F(-1)]
+    else:
+        def corrupted(family, n, original=pt.eliminate_curve):
+            coords, constraint = original(family, n)
+            t = Poly.var(1, constraint.nvars)
+            j = n % len(coords)
+            return (coords[:j] + (coords[j] + t ** (n + 3),)
+                    + coords[j + 1:], constraint)
+        monkeypatch.setattr(pt, "eliminate_curve", corrupted)
+        u = [F(-1)] if family == "B" else [F(1, 4), F(2)]
+    pt.curve_criteria.cache_clear()
+    try:
+        with pytest.raises(GermError, match="does not satisfy the equations"):
+            pt.morin_points(pt.UnfoldingSpec(family, n, u, l=l))
+    finally:
+        pt.curve_criteria.cache_clear()
 
 # ---- symbolic identities and table cross-check -------------------------
 
