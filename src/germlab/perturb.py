@@ -16,23 +16,18 @@ field is d/dt and lambda = q_t):
 Morin points are found exactly: for families B and C the defining
 equations lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated
 by back substitution into a one-parameter curve sigma(t) plus a single
-constraint (``eliminate_curve``); the family A points lie on t = x2 = ...
-= x_{n-1} = 0, xn = s with the constraint qbar(s, u) (``family_a_curve``).
-``curve_criteria`` works once per (family, n) for B and C and once per
-(n, l) for A, with the parameters symbolic: it restricts lambda, ...,
-eta^n lambda to the curve, checks that each of lambda, ..., eta^{n-1}
-lambda is there 0 or a rational constant times the constraint (an
-identity in Q[t, u], so it holds at every parameter value), and keeps
-eta^n lambda and det grad(lambda, ..., eta^{n-1} lambda) on the curve.
-Each request only puts its parameter values into these Polys
-(``curve_data``, ``_at_params``).  Real roots of the constraint are
-isolated by Sturm sequences, and the rational ones found exactly inside
-their isolating intervals (see ``rational_roots``).  Every point is
-verified against the Morin classifier: by the signs of the cached
-criteria, taken by Tarski queries along the curve at irrational roots
-(see ``sign_at_root``), and at rational roots also by full recognition
-of the unfolding, which is built only then.  All signs are taken on
-integer coefficients.
+constraint (``eliminate_curve``); family A's points lie on t = x2 = ... =
+x_{n-1} = 0, xn = s with the constraint qbar(s, u).  ``curve_criteria``
+works once per (family, n), or (n, l) for A, with the parameters
+symbolic: it checks that the curve satisfies the equations, an identity
+in Q[t, u], and restricts the classifier's criteria to it.  Each request
+only puts in its parameter values (``curve_data``).  Real roots of the
+constraint are isolated by Sturm sequences, and the rational ones found
+exactly inside their isolating intervals (see ``rational_roots``).
+Every point is verified against the Morin classifier (by Tarski queries
+along the curve at irrational roots, see ``sign_at_root``; at rational
+roots also by full recognition of the unfolding, built only then).  All
+signs are taken on integer coefficients.
 
 The printed reference tables for families B and C contain a few
 inconsistent entries; ``table_discrepancy_report`` compares every printed
@@ -531,10 +526,8 @@ def _drop_x_vars(p, n):
 
 
 def family_a_curve(n, l):
-    """The family A Morin points lie on t = x2 = ... = x_{n-1} = 0,
-    xn = s, where only qbar(s, u) = 0 remains.  Returns (sigma,
-    constraint) in the variables (s, u0, ..., u_{l-2}): ``sigma`` the n
-    source coordinates (0, ..., 0, s) and ``constraint`` qbar."""
+    """(sigma, constraint) of family A in (s, u0, ..., u_{l-2}): the
+    curve t = x2 = ... = x_{n-1} = 0, xn = s, and qbar(s, u)."""
     s = Poly.var(1, l)
     qbar = s ** l
     for i in range(l - 1):
@@ -544,17 +537,12 @@ def family_a_curve(n, l):
 
 @cache
 def curve_criteria(family, n, l):
-    """Everything about the Morin points of one (family, n[, l]) that does
-    not depend on the parameter values, with the parameters symbolic.
-
-    Returns (sigma, constraint, etak, detgrad), all Polys in (t, u...) (t
-    is s for family A): the curve's n source coordinates, its constraint,
-    and the classifier's criterion quantities eta^n lambda and det grad
-    (lambda, ..., eta^{n-1} lambda) restricted to the curve.  Raises
-    GermError unless each of lambda, ..., eta^{n-1} lambda restricted to
-    the curve is 0 or a rational constant times the constraint
-    (``_vanishing_on_curve``).  Cached: each request only puts its u in
-    (``_at_params``)."""
+    """What the Morin points of one (family, n[, l]) share, whatever the
+    parameter values: (sigma, constraint, etak, detgrad), Polys in (t,
+    u...) (t is s for family A).  ``sigma`` is the curve's n source
+    coordinates, and etak and detgrad are eta^n lambda and det grad
+    (lambda, ..., eta^{n-1} lambda) restricted to it.  Raises GermError
+    unless the curve satisfies the equations (``_vanishing_on_curve``)."""
     if family == "A":
         sigma, constraint = family_a_curve(n, l)
     else:
