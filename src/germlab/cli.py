@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .polyring import rat, _rat_str
+from .polyring import _rat_str
 from .germ import (analyze, null_field, NotCorankOneError,
                    DegenerateGermError, GermError)
 from .morin import recognize_morin, class_count
@@ -75,7 +75,10 @@ def classify_any(f):
     criteria expand the Jacobian's cofactors (``analyze``), at n = 2 and
     n = 4; any other corank is refused before any polynomial is built."""
     if f.src_dim == 2 and f.tgt_dim == 3:
-        label = classify_surface(f)
+        try:
+            label = classify_surface(f)
+        except NotCorankOneError as e:
+            raise UnrecognizedError(str(e))
         if label.family == "unrecognized":
             raise UnrecognizedError("no surface criterion matched")
         return label, "surface"
@@ -175,10 +178,19 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
 
+def _rational(text):
+    """The Fraction a parameter or grid bound spells; a zero denominator
+    is a bad value like any other (ValueError, exit 3)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def _parse_params(text):
     if not text:
         return ()
-    return tuple(rat(Fraction(p.strip())) for p in text.split(","))
+    return tuple(_rational(p.strip()) for p in text.split(","))
 
 
 def _parse_grid(text, nparams):
@@ -187,7 +199,7 @@ def _parse_grid(text, nparams):
     more than MAX_GRID_POINTS is rejected before any list is built."""
     ranges = []
     for chunk in text.split(","):
-        lo, hi, step = (Fraction(v) for v in chunk.split(":"))
+        lo, hi, step = (_rational(v) for v in chunk.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
         ranges.append((lo, step, max(0, (hi - lo) // step + 1)))

@@ -14,11 +14,12 @@ the ideal of the origin.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
-                       rat, rational_rank, _sum_of_products, integer_adjugate,
-                       integer_kernel_vector, _series_mul)
+                       rat, _sum_of_products, clear_denominators,
+                       integer_adjugate, integer_echelon, integer_kernel,
+                       _series_mul)
 
 
 def jet_degree(n):
@@ -170,15 +171,15 @@ def analyze(f):
     for the plane (n = 2) and corank-two (n = 4) criteria."""
     n = f.src_dim
     J = jacobian(f)
-    J0 = J.eval(f.origin())
-    rank0 = rational_rank(J0)
+    J0 = [clear_denominators(row) for row in J.eval(f.origin())]
+    rank0 = len(integer_echelon(J0)[1])
     lam = eta = None
     if n == f.tgt_dim:
         D = jet_degree(n)
         j = 0
         if rank0 == n - 1:
             j = next(j for j in range(n)
-                     if rational_rank(J0[:j] + J0[j + 1:]) == n - 1)
+                     if len(integer_echelon(J0[:j] + J0[j + 1:])[1]) == n - 1)
         col = J.adjugate_column(j, D)
         lam = _sum_of_products(n, list(zip(J.row(j), col)), D)
         if rank0 == n - 1:
@@ -236,8 +237,7 @@ def _integer_terms(p):
     """p times the least common denominator of its coefficients, as
     {exponent: int}; a positive factor, so a target change that keeps
     the orientation."""
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
+    return dict(zip(p.terms, clear_denominators(p.terms.values())))
 
 
 def prepared_form(f):
@@ -263,10 +263,11 @@ def prepared_form(f):
     comps = [_integer_terms(c) for c in f.components]
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     J0 = [[c.get(e, 0) for e in units] for c in comps]
-    rank, v = integer_kernel_vector(J0)
+    rank, kernel = integer_kernel(J0)
     if rank != n - 1:
         return PreparedForm(n - rank)
-    w = integer_kernel_vector([list(col) for col in zip(*J0)])[1]
+    v = kernel[0]
+    w = integer_kernel(list(zip(*J0)))[1][0]
     p = min((abs(x), j) for j, x in enumerate(v) if x)[1]
     q = min((abs(x), i) for i, x in enumerate(w) if x)[1]
     cols = [j for j in range(n) if j != p]

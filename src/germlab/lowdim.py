@@ -22,7 +22,7 @@ and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 
 import functools
 
-from .polyring import Poly, PolyMatrix, rational_det, rational_nullspace
+from .polyring import Poly, PolyMatrix, clear_denominators, integer_kernel
 from .germ import (MapGerm, VecField, analyze, null_field,
                    GermError, NotCorankOneError, DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
@@ -36,8 +36,9 @@ def _xi_partner(eta_at_zero, nvars):
 
 def _hessian_det_at_zero(p):
     """det of the 2x2 Hessian of p (in two variables) at the origin."""
-    return rational_det([[p.partial(i).partial(j).constant_term()
-                          for j in (1, 2)] for i in (1, 2)])
+    (a, b), (c, d) = [[p.partial(i).partial(j).constant_term()
+                       for j in (1, 2)] for i in (1, 2)]
+    return a * d - b * c
 
 
 @functools.cache
@@ -139,8 +140,7 @@ def surface_w(f, xi=None, eta=None):
         if ana.rank0 != 1:
             raise NotCorankOneError("not corank one at 0 (rank %d)" % ana.rank0)
         J0 = ana.jacobian.eval(f.origin())
-        basis = rational_nullspace(J0)
-        vec = basis[0]
+        vec = integer_kernel([clear_denominators(r) for r in J0])[1][0]
         # deterministic direction: first nonzero entry positive
         lead = next(v for v in vec if v != 0)
         if lead < 0:

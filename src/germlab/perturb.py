@@ -26,8 +26,16 @@ constraint are isolated by Sturm sequences, and the rational ones found
 exactly inside their isolating intervals (see ``rational_roots``).
 Every point is verified against the Morin classifier (by Tarski queries
 along the curve at irrational roots, see ``sign_at_root``; at rational
-roots also by full recognition of the unfolding, built only then).  All
-signs are taken on integer coefficients.
+roots also by full recognition of the unfolding, built only then).
+
+Everything after the parameters are put in runs on integer coefficient
+lists, each a positive multiple of the rational polynomial it stands for
+(``up_integer``): the square-free part by a primitive remainder sequence
+(``up_gcd``), the division by each rational root p/q as the exact
+quotient by q t - p (``up_quotient``), the Sturm and Tarski sequences,
+and every sign.  A positive multiple has the same signs and the same
+Cauchy root bound, so the isolating intervals are those of the rational
+polynomial.
 
 The printed reference tables for families B and C contain a few
 inconsistent entries; ``table_discrepancy_report`` compares every printed
@@ -38,11 +46,12 @@ absorbed.
 
 from fractions import Fraction
 from functools import cache
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 
-from .polyring import Poly, PolyMatrix, _Frozen, rat, _rat_str
+from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
+                       clear_denominators)
 from .germ import MapGerm, translate, GermError
-from .morin import recognize_morin, invariant_kind, invariant_value, _sign
+from .morin import recognize_morin, invariant_kind, invariant_value
 
 DEFAULT_PRECISION_BITS = 40
 
@@ -59,14 +68,6 @@ def up_trim(c):
 
 def up_deg(c):
     return len(c) - 1
-
-
-def up_eval(c, x):
-    x = rat(x)
-    total = Fraction(0)
-    for coef in reversed(c):
-        total = total * x + coef
-    return total
 
 
 def up_deriv(c):
@@ -88,59 +89,10 @@ def up_mul(a, b):
     return up_trim(out)
 
 
-def up_divmod(a, b):
-    """Exact polynomial division over Q."""
-    a = up_trim([rat(x) for x in a])
-    b = up_trim([rat(x) for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while r and len(r) >= len(b):
-        f = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = f
-        for i, coef in enumerate(b):
-            r[i + d] -= f * coef
-        r = up_trim(r)
-    return up_trim(q), r
-
-
-def up_rem(a, b):
-    return up_divmod(a, b)[1]
-
-
-def up_monic(c):
-    c = up_trim(c)
-    if not c:
-        return c
-    lead = c[-1]
-    return [x / lead for x in c]
-
-
-def up_gcd(a, b):
-    a, b = up_trim(a), up_trim(b)
-    while b:
-        a, b = b, up_rem(a, b)
-    return up_monic(a)
-
-
-def up_squarefree(c):
-    """Square-free part c / gcd(c, c')."""
-    c = up_trim(c)
-    if up_deg(c) <= 0:
-        return c
-    g = up_gcd(c, up_deriv(c))
-    if up_deg(g) <= 0:
-        return c
-    q, r = up_divmod(c, g)
-    assert not r
-    return q
-
-
-# Signs are taken on integer polynomials.  Each one is the primitive integer
-# multiple of a rational polynomial by a positive factor, so it has the same
-# sign everywhere, and its sign at a/b is read off integers alone.
+# Signs, gcds and quotients are taken on integer polynomials.  Each one is
+# the primitive integer multiple of a rational polynomial by a positive
+# factor, so it has the same sign everywhere, and its sign at a/b is read
+# off integers alone.
 
 def up_integer(c):
     """The primitive integer polynomial that is a positive rational
@@ -148,8 +100,7 @@ def up_integer(c):
     c = up_trim(c)
     if not c:
         return c
-    den = lcm(*(x.denominator for x in c))
-    ints = [x.numerator * (den // x.denominator) for x in c]
+    ints = clear_denominators(c)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -180,6 +131,40 @@ def _pseudo_rem(a, b):
             r[i + k] -= f * coef
         r = up_trim(r)
     return r
+
+
+def up_quotient(a, b):
+    """The quotient of the integer polynomial a by the primitive integer
+    polynomial b, which must divide it over Q.  By Gauss's lemma the
+    quotient has integer coefficients, so every step divides exactly."""
+    r = up_trim(a)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, coef in enumerate(b):
+            r[i + k] -= q[k] * coef
+    if any(r):
+        raise ValueError("polynomial division with a remainder")
+    return up_trim(q)
+
+
+def up_gcd(a, b):
+    """The gcd of a and b as a primitive integer polynomial with a
+    positive leading coefficient: a primitive remainder sequence, each
+    ``_pseudo_rem`` replaced by its primitive part."""
+    a, b = up_integer(a), up_integer(b)
+    while b:
+        a, b = b, up_integer(_pseudo_rem(a, b))
+    return up_neg(a) if a and a[-1] < 0 else a
+
+
+def up_squarefree(c):
+    """The square-free part c / gcd(c, c'), a primitive integer
+    polynomial."""
+    c = up_integer(c)
+    if up_deg(c) <= 0:
+        return c
+    return up_quotient(c, up_gcd(c, up_deriv(c)))
 
 
 def tarski_sequence(c, g):
@@ -227,7 +212,7 @@ def up_root_bound(c):
         return Fraction(1)
     lead = abs(c[-1])
     m = max(abs(x) for x in c[:-1])
-    return 1 + m / lead
+    return 1 + Fraction(m, lead)
 
 
 def rational_roots(c, intervals=None):
@@ -322,14 +307,14 @@ def sign_at_root(g, constraint, root, sequences=None):
 
     ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
     each g with this one constraint, so that it serves every root."""
-    g = up_trim(g)
+    g = up_integer(g)
     if not g:
         return 0
     if not isinstance(root, tuple):
-        return _sign(up_eval(g, root))
+        return up_sign_at(g, root)
     lo, hi = root
     if lo == hi:
-        return _sign(up_eval(g, lo))
+        return up_sign_at(g, lo)
     if sequences is None:
         sequences = {}
     key = tuple(g)
@@ -338,7 +323,7 @@ def sign_at_root(g, constraint, root, sequences=None):
         seq = sequences[key] = tarski_sequence(constraint, g)
     at_hi = [up_sign_at(p, hi) for p in seq]
     if at_hi[0] == 0:
-        return _sign(up_eval(g, hi))
+        return up_sign_at(g, hi)
     at_lo = [up_sign_at(p, lo) for p in seq]
     if at_lo[0] == 0:
         raise ValueError("interval end %s is a root of the constraint" % lo)
@@ -726,7 +711,7 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     exact = rational_roots(sf, found)
     remaining = sf
     for r in exact:
-        remaining, _ = up_divmod(remaining, [-r, Fraction(1)])
+        remaining = up_quotient(remaining, [-r.numerator, r.denominator])
     # isolating intervals come from ``remaining`` (rational roots divided
     # out), so all interval arithmetic below must use ``remaining`` too;
     # having no rational root, it never collapses an interval to a point.
@@ -868,16 +853,10 @@ def table_discrepancy_report():
 
 def _normalize_primitive(p):
     """Scale so the coefficients are coprime integers with the leading
-    (highest total-degree, lexicographically largest) coefficient > 0."""
-    if p.is_zero():
-        return p
-    denom = lcm(*(c.denominator for c in p.terms.values()))
-    g = gcd(*(int(c * denom) for c in p.terms.values()))
-    scale = Fraction(denom, g)
-    q = p.scale(scale)
-    lead = max(q.terms)
-    if q.terms[lead] < 0:
-        q = q.scale(-1)
+    (lexicographically largest exponent) coefficient > 0."""
+    q = Poly(p.nvars, dict(zip(p.terms, up_integer(list(p.terms.values())))))
+    if q.terms and q.terms[max(q.terms)] < 0:
+        q = -q
     return q
 
 

@@ -1,9 +1,12 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact multivariate polynomial arithmetic over the rationals, and the
+integer linear algebra below it.
 
 Everything downstream (germ analysis, classifiers, the perturbation lab)
 runs on these types.  Coefficients are `fractions.Fraction` ("Rat"), terms
-are stored sparsely keyed by exponent vector, so every sign and rank test
-is exact -- there are no tolerances anywhere in the classification paths.
+are stored sparsely keyed by exponent vector.  Ranks, kernels and
+determinants of scalar matrices are taken on integers, each row scaled by
+the lcm of its denominators, so every sign and rank test is exact -- there
+are no tolerances anywhere in the classification paths.
 """
 
 import operator
@@ -493,90 +496,15 @@ class PolyMatrix(_Frozen):
         return "PolyMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
 
 
-# ---- exact rational linear algebra (plain lists of Fractions) ----------
-
-def rational_rref(mat):
-    """Reduced row echelon form of a rational matrix.  Returns
-    (rref_rows, pivot_columns).  Input is not modified."""
-    rows = [[rat(x) for x in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rational_rank(mat):
-    if not mat:
-        return 0
-    return len(rational_rref(mat)[1])
-
-
-def rational_nullspace(mat):
-    """Deterministic basis of the right nullspace of a rational matrix.
-    Each basis vector has a 1 in its free-variable slot (RREF convention)."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rref, pivots = rational_rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def rational_det(mat):
-    """Exact determinant of a square rational matrix (Gaussian elimination)."""
-    rows = [[rat(x) for x in row] for row in mat]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise DimensionError("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 # ---- exact integer linear algebra (plain lists of ints) ----------------
+
+def clear_denominators(row):
+    """The rationals of ``row`` (a sequence) times the least common
+    multiple of their denominators, as ints: a positive multiple, so
+    every sign, rank and kernel read from it stays the same."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
 
 def integer_echelon(mat):
     """Fraction-free Gauss-Jordan form of an integer matrix: (rows,
@@ -605,22 +533,23 @@ def integer_echelon(mat):
     return rows[:r], pivots
 
 
-def integer_kernel_vector(mat):
-    """(rank, v) for an integer matrix: v is the primitive integer vector
-    spanning its right kernel (up to sign) when the corank is one, else
-    None."""
+def integer_kernel(mat):
+    """(rank, basis) for an integer matrix: one primitive integer vector
+    per free column c of its echelon form, positive at c and 0 at the
+    other free columns.  Each is a positive multiple of the reduced
+    row echelon nullspace vector of c, which is 1 at c."""
     ncols = len(mat[0])
     rows, pivots = integer_echelon(mat)
-    if len(pivots) != ncols - 1:
-        return len(pivots), None
-    free = next(c for c in range(ncols) if c not in pivots)
     scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    vec = [0] * ncols
-    vec[free] = scale
-    for row, c in zip(rows, pivots):
-        vec[c] = -row[free] * (scale // row[c])
-    g = gcd(*vec)
-    return len(pivots), [x // g for x in vec]
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = scale
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[free] * (scale // row[c])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
+    return len(pivots), basis
 
 
 def integer_adjugate(mat):

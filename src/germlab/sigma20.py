@@ -15,10 +15,9 @@ choice suffices; the invariance is exercised by the tests.
 """
 
 import functools
-from fractions import Fraction
 
-from .polyring import (Poly, rational_det, rational_rank,
-                       rational_nullspace)
+from .polyring import (Poly, clear_denominators, integer_adjugate,
+                       integer_echelon, integer_kernel)
 from .germ import (MapGerm, VecField, GermAnalysis, analyze, jacobian,
                    GermError)
 from .morin import ClassLabel, _sign
@@ -45,31 +44,25 @@ def elli_normal_form(eps1=1, eps2=1):
 
 
 def target_normalize(f, analysis=None):
-    """Orientation-preserving linear target change B (det B > 0) so that
-    the first two components of B o f have vanishing differential at 0.
-    Returns (B o f, B).  Requires rank df(0) = 2.  ``analysis``, when
-    given, is analyze(f)."""
+    """Orientation-preserving linear target change B, an integer matrix
+    with det B > 0, so that the first two components of B o f have
+    vanishing differential at 0.  Returns (B o f, B).  Requires rank
+    df(0) = 2.  ``analysis``, when given, is analyze(f)."""
     if f.src_dim != 4 or f.tgt_dim != 4:
         raise GermError("needs a germ (R^4,0) -> (R^4,0)")
     ana = analysis or analyze(f)
     if ana.rank0 != 2:
         raise GermError("rank df(0) must be 2, got %d" % ana.rank0)
     J0 = ana.jacobian.eval(f.origin())
-    # left nullspace of J0 = right nullspace of its transpose
-    J0t = [[J0[i][j] for i in range(4)] for j in range(4)]
-    left_null = rational_nullspace(J0t)
-    rows = [list(v) for v in left_null]  # two rows
+    # the left kernel of J0 is the right kernel of its transpose
+    B = integer_kernel([clear_denominators(col) for col in zip(*J0)])[1]
     # complete with standard basis rows keeping the matrix invertible
     for i in range(4):
-        cand = rows + [[Fraction(1 if j == i else 0) for j in range(4)]]
-        if rational_rank(cand) == len(rows) + 1:
-            rows = cand
-        if len(rows) == 4:
-            break
-    det = rational_det(rows)
-    if det < 0:
-        rows[3] = [-v for v in rows[3]]
-    B = rows
+        cand = B + [[int(j == i) for j in range(4)]]
+        if len(B) < 4 and len(integer_echelon(cand)[1]) == len(cand):
+            B = cand
+    if integer_adjugate(B)[0] < 0:
+        B[3] = [-v for v in B[3]]
     comps = []
     for i in range(4):
         acc = Poly.zero(4)
@@ -82,13 +75,13 @@ def target_normalize(f, analysis=None):
 
 def kernel_frame(f, analysis=None):
     """Deterministic exact basis (xi, eta) of ker df(0) as constant
-    fields, each vector normalized with its leading entry +1 (the RREF
-    nullspace convention already provides this)."""
+    fields: the primitive integer vectors of ``integer_kernel``, positive
+    multiples of the RREF nullspace vectors."""
     ana = analysis or analyze(f)
     if ana.corank0 != 2:
         raise GermError("corank at 0 must be 2, got %d" % ana.corank0)
     J0 = ana.jacobian.eval(f.origin())
-    basis = rational_nullspace(J0)
+    basis = integer_kernel([clear_denominators(row) for row in J0])[1]
     return (VecField.constant(basis[0], 4), VecField.constant(basis[1], 4))
 
 
@@ -103,8 +96,8 @@ def classify_sigma20(f, analysis=None):
     lambda_g is det B times that of lambda_f and rank dg(0) = rank df(0)."""
     ana_f = analysis or analyze(f)
     g, B = target_normalize(f, ana_f)
-    ana = GermAnalysis(g, jacobian(g), ana_f.lam.scale(rational_det(B)),
-                       ana_f.rank0)
+    det_b = integer_adjugate(B)[0]
+    ana = GermAnalysis(g, jacobian(g), ana_f.lam.scale(det_b), ana_f.rank0)
     xi, eta = kernel_frame(g, ana)
     lam = ana.lam
     origin = g.origin()
@@ -119,7 +112,7 @@ def classify_sigma20(f, analysis=None):
     for field in (xi, eta):
         for comp in g.components[:2]:
             grads.append(field.apply(comp).gradient_at(origin))
-    big_det = rational_det(grads)
+    big_det = integer_adjugate([clear_denominators(r) for r in grads])[0]
     if big_det == 0:
         raise DegenerateSigmaError("the 4x4 determinant vanishes: not stable")
     hs = _sign(hess_det)

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from germlab.polyring import Poly, DimensionError, rational_det
+from germlab.polyring import Poly, DimensionError
 from germlab.germ import MapGerm
 from germlab.morin import normal_form
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import hyp_normal_form, elli_normal_form
+from oracles import rational_det, rational_nullspace
 
 
 def signed_morin_forms(n):
@@ -50,6 +51,30 @@ def random_gl_pos(rng, n):
         if d < 0:
             A[0] = [-v for v in A[0]]
         return A
+
+
+def random_rational_gl_pos(rng, n):
+    """random_gl_pos with each row divided by a random integer 1..5, so
+    det > 0 still."""
+    return [[x / d for x in row]
+            for row, d in zip(random_gl_pos(rng, n),
+                              [rng.randint(1, 5) for _ in range(n)])]
+
+
+def non_integral_kernel_changes(rng, f, count):
+    """``count`` germs B o f o A, A and B from random_rational_gl_pos,
+    for which ker df(0) or its left kernel has a reduced row echelon
+    basis vector with an entry that is not an integer."""
+    out = []
+    while len(out) < count:
+        g = change_coordinates(f, random_rational_gl_pos(rng, f.src_dim),
+                               random_rational_gl_pos(rng, f.tgt_dim))
+        J0 = [c.gradient_at(g.origin()) for c in g.components]
+        vectors = rational_nullspace(J0) + \
+            rational_nullspace([list(col) for col in zip(*J0)])
+        if any(x.denominator != 1 for v in vectors for x in v):
+            out.append(g)
+    return out
 
 
 def sparse_gl_pos(rng, n):

@@ -21,6 +21,12 @@ chain lambda, ..., eta^n lambda and the n x n determinant of the gradient
 stack, restricts them to the curve by ``Poly.subs``, and checks that the
 chain vanishes modulo the square-free constraint, on every request.
 
+``rational_rref``, ``rational_rank``, ``rational_nullspace`` and
+``rational_det`` are Gauss-Jordan elimination on Fractions, and
+``up_divmod``, ``up_gcd`` and ``up_squarefree`` long division, gcd and
+square-free part on Fraction coefficient lists: the rational layer the
+library's integer linear algebra and integer univariate layer replaced.
+
 ``parse_map`` is the germ text parser with one method per grammar level
 and a Fraction dict per factor, as germparse read text before its terms
 were read in one loop on int coefficients."""
@@ -34,7 +40,7 @@ from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
                           MapGerm, analyze, null_field, translate)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            morin_invariants, recognize_morin)
-from germlab.polyring import Poly, PolyMatrix, rational_rank
+from germlab.polyring import DimensionError, Poly, PolyMatrix, rat
 from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
 from germlab import perturb     # its refine_root: this module has its own
@@ -43,8 +49,150 @@ from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
                              _lambda_chain, _qbar_coeffs, build_unfolding,
                              eliminate_curve, isolate_real_roots,
                              rational_roots, table_invariant,
-                             up_deg, up_deriv, up_divmod, up_eval, up_gcd,
-                             up_neg, up_rem, up_squarefree, up_trim)
+                             up_deg, up_deriv, up_neg, up_trim)
+
+
+# ---- rational Gauss-Jordan elimination (plain lists of Fractions) --------
+
+def rational_rref(mat):
+    """Reduced row echelon form of a rational matrix.  Returns
+    (rref_rows, pivot_columns).  Input is not modified."""
+    rows = [[rat(x) for x in row] for row in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rational_rank(mat):
+    if not mat:
+        return 0
+    return len(rational_rref(mat)[1])
+
+
+def rational_nullspace(mat):
+    """Deterministic basis of the right nullspace of a rational matrix.
+    Each basis vector has a 1 in its free-variable slot (RREF convention)."""
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    rref, pivots = rational_rref(mat)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def rational_det(mat):
+    """Exact determinant of a square rational matrix (Gaussian elimination)."""
+    rows = [[rat(x) for x in row] for row in mat]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionError("determinant needs a square matrix")
+    det = Fraction(1)
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+# ---- univariate long division over Q (coefficient lists) -----------------
+
+def up_eval(c, x):
+    x = rat(x)
+    total = Fraction(0)
+    for coef in reversed(c):
+        total = total * x + coef
+    return total
+
+
+def up_divmod(a, b):
+    """Exact polynomial division over Q."""
+    a = up_trim([rat(x) for x in a])
+    b = up_trim([rat(x) for x in b])
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while r and len(r) >= len(b):
+        f = r[-1] / b[-1]
+        d = len(r) - len(b)
+        q[d] = f
+        for i, coef in enumerate(b):
+            r[i + d] -= f * coef
+        r = up_trim(r)
+    return up_trim(q), r
+
+
+def up_rem(a, b):
+    return up_divmod(a, b)[1]
+
+
+def up_monic(c):
+    c = up_trim(c)
+    if not c:
+        return c
+    lead = c[-1]
+    return [x / lead for x in c]
+
+
+def up_gcd(a, b):
+    a, b = up_trim(a), up_trim(b)
+    while b:
+        a, b = b, up_rem(a, b)
+    return up_monic(a)
+
+
+def up_squarefree(c):
+    """Square-free part c / gcd(c, c')."""
+    c = up_trim(c)
+    if up_deg(c) <= 0:
+        return c
+    g = up_gcd(c, up_deriv(c))
+    if up_deg(g) <= 0:
+        return c
+    q, r = up_divmod(c, g)
+    assert not r
+    return q
 
 
 def eta_chain_label(f, analysis=None, eta=None):

@@ -17,6 +17,7 @@ from germlab.germparse import parse_map, render_map, ParseError
 from germlab.cli import classify_any
 
 from conftest import corpus_30, random_gl_pos, change_coordinates
+import oracles
 from oracles import eta_chain_label
 from test_perturb import family_b_symbolic_identity
 
@@ -138,7 +139,7 @@ def test_criterion_06_family_a():
             assert rep.count == l == rep.c_f_bound, (l, n, rep.count)
             for p in rep.points:
                 assert p.verified and p.k == n
-                s = 1 if pt.up_eval(dqbar, p.t) > 0 else -1
+                s = 1 if oracles.up_eval(dqbar, p.t) > 0 else -1
                 kind, val = p.invariant_value
                 if n == 2:
                     assert val == 1
@@ -196,7 +197,7 @@ def test_criterion_08_sigma20():
     h = [[f1.apply(f2.apply(ana.lam)).eval(o) for f2 in (xi, eta)]
          for f1 in (xi, eta)]
     assert h[0][0] * h[1][1] - h[0][1] * h[1][0] == -16
-    from germlab.polyring import rational_det
+    from oracles import rational_det
     grads = [fld.apply(c).gradient_at(o)
              for fld in (xi, eta) for c in g.components[:2]]
     assert rational_det(grads) == -4

@@ -220,6 +220,16 @@ def test_perturb_family_a_needs_l(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("values", [["--params", "1/0"],
+                                    ["--grid=0:1:1/0"],
+                                    ["--grid=1/0:1:1"]])
+def test_perturb_zero_denominator_is_a_bad_value(capsys, values):
+    code, out, err = run(capsys, "perturb", "--family", "B", "--n", "3",
+                         *values)
+    assert (code, out) == (3, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_tables(capsys):
     code, out, _ = run(capsys, "tables", "--json")
     assert code == 0
@@ -256,6 +266,22 @@ def test_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "-i", str(p))
     assert code == 0
     assert "cusp" in out
+
+
+@pytest.mark.parametrize("text,rank", [("x1^2 ; x2^2 ; x1*x2", 0),
+                                       ("x1 ; x2 ; 0", 2)])
+def test_surface_germ_of_rank_other_than_one_prints_json(capsys, text, rank):
+    """A germ (R^2,0) -> (R^3,0) with rank df(0) != 1 is unrecognized like
+    any other: one JSON line on stdout, exit 3."""
+    error = "not corank one at 0 (rank %d)" % rank
+    code, out, err = run(capsys, "classify", "--json", text)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": error, "family": "unrecognized"}
+    code, out, err = run(capsys, "verify", "--json", "--claim", "S1+", text)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": error}
+    code, out, err = run(capsys, "classify", text)
+    assert (code, out, err) == (3, "unrecognized: %s\n" % error, "")
 
 
 def test_classify_any_dispatch_errors():

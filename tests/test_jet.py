@@ -15,9 +15,10 @@ from germlab.germ import analyze, jet_degree, null_field
 from germlab.germparse import render_map
 from germlab.lowdim import _plane_normal_form
 from germlab.morin import eta_lambda_chain, normal_form
-from germlab.polyring import Poly, rational_det
+from germlab.polyring import Poly
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
 from conftest import add_high_terms, change_coordinates, random_gl_pos
+from oracles import rational_det
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ                     # noqa: E402

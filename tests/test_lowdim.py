@@ -9,7 +9,8 @@ from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, null_field
 from germlab.lowdim import (classify_plane, classify_surface, surface_w,
                             _plane_normal_form, _surface_normal_form)
-from conftest import random_gl_pos, change_coordinates
+from conftest import (random_gl_pos, change_coordinates,
+                      non_integral_kernel_changes)
 
 
 def g2(first, second):
@@ -169,3 +170,27 @@ def test_given_analysis_gives_the_same_label():
         assert classify_plane(f, analysis=analyze(f)) == label
         assert classify_plane(f, analysis=analyze(f)).describe() == \
             label.describe()
+
+
+# The label of each surface form under rational changes, as the Fraction
+# Gauss-Jordan kernel gave it (``oracles.rational_nullspace``).
+_RATIONAL_KERNEL_LABELS = [
+    (("whitney-umbrella", 1), "whitney-umbrella", (None, None), ("none",)),
+    (("S1+", 1), "S1+", (1, None), ("etaetaw", 1)),
+    (("S1+", -1), "S1+", (-1, None), ("etaetaw", -1)),
+    (("S1-", 1), "S1-", (1, None), ("etaetaw", 1)),
+    (("S1-", -1), "S1-", (-1, None), ("etaetaw", -1)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_RATIONAL_KERNEL_LABELS)))
+def test_surface_labels_where_the_kernel_is_not_integral(index):
+    """The integer kernel vector is a positive multiple of the RREF one,
+    so where that has fractional entries the label stays the rational
+    route's."""
+    form, family, signs, invariant = _RATIONAL_KERNEL_LABELS[index]
+    f = _surface_normal_form(*form)
+    for g in non_integral_kernel_changes(random.Random(index), f, 3):
+        label = classify_surface(g)
+        assert (label.family, label.signs, label.invariant,
+                label.witness) == (family, signs, invariant, {})

@@ -1,6 +1,7 @@
 """Perturbation lab: univariate root machinery, family construction,
 Morin-point enumeration, symbolic identities, table cross-checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,9 @@ F = Fraction
 
 def test_up_basics():
     p = [F(-1), F(0), F(1)]  # x^2 - 1
-    assert pt.up_eval(p, 2) == 3
+    assert oracles.up_eval(p, 2) == 3
     assert pt.up_deriv(p) == [F(0), F(2)]
-    q, r = pt.up_divmod(p, [F(-1), F(1)])  # / (x - 1)
+    q, r = oracles.up_divmod(p, [F(-1), F(1)])  # / (x - 1)
     assert q == [F(1), F(1)] and r == []
 
 
@@ -32,7 +33,7 @@ def test_up_gcd_and_squarefree():
     p = pt.up_mul(pt.up_mul([F(-1), F(1)], [F(-1), F(1)]), [F(2), F(1)])
     sf = pt.up_squarefree(p)
     assert pt.up_deg(sf) == 2
-    assert pt.up_eval(sf, 1) == 0 and pt.up_eval(sf, -2) == 0
+    assert oracles.up_eval(sf, 1) == 0 and oracles.up_eval(sf, -2) == 0
 
 
 def test_rational_roots():
@@ -48,7 +49,7 @@ def test_isolate_real_roots_irrational():
     assert len(ivs) == 2
     for lo, hi in ivs:
         assert hi - lo <= F(1, 2 ** 30)
-        assert pt.up_eval(p, lo) * pt.up_eval(p, hi) < 0
+        assert oracles.up_eval(p, lo) * oracles.up_eval(p, hi) < 0
 
 
 def test_sign_at_root_exact_and_interval():
@@ -117,6 +118,70 @@ def test_sturm_count_interval():
     assert pt.sturm_count(chain, F(1, 2), F(2)) == 1
 
 
+def test_integer_input_isolates_and_finds_roots():
+    """Integer coefficient lists work as Fraction ones do: the Cauchy
+    bound is a Fraction, the intervals of x^2 - 2 bracket -sqrt(2) and
+    sqrt(2), and the rational roots of 4x^2 - 1 are found."""
+    p = [-2, 0, 1]
+    assert pt.up_root_bound(p) == 3
+    assert isinstance(pt.up_root_bound(p), Fraction)
+    for width in (None, F(1, 2 ** 20)):
+        (lo1, hi1), (lo2, hi2) = pt.isolate_real_roots(p, width=width)
+        assert lo1 < hi1 <= 0 and lo1 ** 2 > 2 >= hi1 ** 2
+        assert 0 <= lo2 < hi2 and lo2 ** 2 < 2 <= hi2 ** 2
+    assert pt.rational_roots([-1, 0, 4]) == [F(-1, 2), F(1, 2)]
+
+
+_int_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
+    lambda c: c[-1] != 0)
+
+
+def _proportional(p, q):
+    """p = c q for some rational c != 0 (p and q trimmed)."""
+    return len(p) == len(q) and all(a * q[-1] == b * p[-1]
+                                    for a, b in zip(p, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_int_factor, st.integers(1, 3)), min_size=1,
+                max_size=3),
+       st.lists(_int_factor, max_size=2), st.integers(1, 6))
+def test_integer_gcd_squarefree_and_quotient_match_the_fraction_ones(
+        powers, others, den):
+    """a: a product of integer factors, some repeated, divided by den;
+    b: a's first factor times others.  The integer up_gcd, up_squarefree
+    and up_quotient agree with the Fraction long division of ``oracles``
+    up to a nonzero constant, and the gcd is primitive with a positive
+    leading coefficient."""
+    a = [F(1)]
+    for f, e in powers:
+        for _ in range(e):
+            a = pt.up_mul(a, f)
+    a = [F(x) / den for x in a]
+    b = [F(x) for x in powers[0][0]]
+    for f in others:
+        b = pt.up_mul(b, f)
+    g = pt.up_gcd(a, b)
+    assert _proportional(g, oracles.up_gcd(a, b))
+    assert g[-1] > 0 and math.gcd(*g) == 1
+    assert _proportional(pt.up_squarefree(a), oracles.up_squarefree(a))
+    divisor = pt.up_integer(powers[-1][0])
+    quotient, rest = oracles.up_divmod(a, divisor)
+    assert rest == []
+    got = pt.up_quotient(pt.up_integer(a), divisor)
+    assert _proportional(got, quotient)
+    assert pt.up_mul(got, divisor) == pt.up_integer(a)
+
+
+def test_up_quotient_refuses_a_remainder():
+    assert pt.up_quotient([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert pt.up_quotient([6, 5, 1], [1]) == [6, 5, 1]
+    with pytest.raises(ValueError):
+        pt.up_quotient([1, 0, 1], [-1, 1])
+    with pytest.raises(ValueError):
+        pt.up_quotient([1, 2], [0, 2])
+
+
 # ---- unfolding construction --------------------------------------------
 
 def test_spec_validation():
@@ -160,7 +225,7 @@ def test_eliminate_curve_consistency():
                 q = pt.build_unfolding(spec).components[0]
                 for eq in pt._lambda_chain(q, n - 1):
                     on_curve = oracles.poly_to_coeffs(eq.subs(sigma))
-                    assert not pt.up_rem(on_curve, con), (family, n, u)
+                    assert not oracles.up_rem(on_curve, con), (family, n, u)
 
 
 def test_family_a_not_a_curve():

@@ -2,21 +2,23 @@
 algebra, and a float finite-difference bridge for the formal derivative."""
 
 import gc
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
-                              DimensionError, rational_rref, rational_rank,
-                              rational_nullspace, rational_det,
+                              DimensionError, clear_denominators,
                               integer_adjugate, integer_echelon,
-                              integer_kernel_vector, _series_mul)
+                              integer_kernel, _series_mul)
 from germlab.germ import MapGerm, VecField, analyze, prepared_form
 from germlab.morin import ClassLabel
 from germlab.perturb import UnfoldingSpec, morin_points
 from conftest import compose_linear
+from oracles import (rational_det, rational_nullspace, rational_rank,
+                     rational_rref)
 
 
 def P(nvars, terms):
@@ -370,14 +372,58 @@ def test_integer_linear_algebra_matches_the_rational_routines():
         wide = [[rng.randint(-2, 2) for _ in range(n + 1)]
                 for _ in range(rng.randint(1, 4))]
         assert len(integer_echelon(wide)[1]) == rational_rank(wide)
-        rank, v = integer_kernel_vector(M)
+        rank, basis = integer_kernel(M)
         assert rank == rational_rank(M)
-        if rank == n - 1:
+        assert len(basis) == n - rank
+        for v in basis:
             assert any(v)
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
-        else:
-            assert v is None
     assert integer_adjugate([]) == (1, [])
+
+
+_nonzero_rat = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                        st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_kernel_is_a_positive_multiple_of_the_rref_nullspace(data):
+    """At every corank 0..n of an n-column matrix with rational entries,
+    the rows scaled by clear_denominators have the rank of the rational
+    elimination, and each integer_kernel vector is primitive and a
+    positive multiple of the matching rational_nullspace vector."""
+    n = data.draw(st.integers(1, 5), label="n")
+    corank = data.draw(st.integers(0, n), label="corank")
+    rank = n - corank
+    rows = [data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            for _ in range(rank)]
+    assume(rational_rank(rows) == rank)
+    # rational multiples of the independent rows, and combinations of them
+    mat = [[c * x for x in row]
+           for row, c in zip(rows, data.draw(st.lists(
+               _nonzero_rat, min_size=rank, max_size=rank)))]
+    for _ in range(data.draw(st.integers(0 if rank else 1, 2))):
+        coefs = data.draw(st.lists(_nonzero_rat, min_size=rank,
+                                   max_size=rank))
+        mat.append([sum((c * row[j] for c, row in zip(coefs, rows)),
+                        Fraction(0)) for j in range(n)])
+    mat = data.draw(st.permutations(mat))
+    ints = [clear_denominators(row) for row in mat]
+    assert all(type(x) is int for row in ints for x in row)
+    got, basis = integer_kernel(ints)
+    reference = rational_nullspace(mat)
+    assert got == rank == rational_rank(mat)
+    assert len(basis) == len(reference) == corank
+    for v, w in zip(basis, reference):
+        c = v[w.index(1)]
+        assert c > 0 and v == [c * x for x in w]
+        assert math.gcd(*v) == 1
+
+
+def test_clear_denominators_scales_by_the_lcm():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == \
+        [3, -4, 30]
+    assert clear_denominators([]) == []
 
 
 def test_series_product_is_truncated():

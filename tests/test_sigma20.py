@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from germlab.polyring import Poly, rational_det
+from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, GermError
 from germlab.sigma20 import (classify_sigma20, target_normalize,
                              hyp_normal_form, elli_normal_form,
                              DegenerateSigmaError)
-from conftest import random_gl_pos, change_coordinates
+from conftest import (random_gl_pos, change_coordinates,
+                      non_integral_kernel_changes)
+from oracles import rational_det
 
 
 @pytest.mark.parametrize("eps1", [1, -1])
@@ -107,3 +109,37 @@ def test_normalized_germ_analysis_is_derived_exactly():
         assert fresh.rank0 == ana_f.rank0
         assert classify_sigma20(f, analysis=ana_f) == \
             classify_sigma20(f)
+
+
+# The label and witness of each umbilic form under rational changes, as the
+# Fraction Gauss-Jordan kernels gave them (``oracles.rational_nullspace``
+# and ``oracles.rational_det`` in place of the integer routines).
+_RATIONAL_KERNEL_LABELS = [
+    (hyp_normal_form(1), "sigma20-hyp", (1, None), ("bigdet", -1),
+     {"hess_det_sign": -1, "big_det_sign": -1, "trace_sign": None}),
+    (hyp_normal_form(-1), "sigma20-hyp", (-1, None), ("bigdet", 1),
+     {"hess_det_sign": -1, "big_det_sign": 1, "trace_sign": None}),
+    (elli_normal_form(1, 1), "sigma20-elli", (1, 1), ("bigdet-trace", (1, 1)),
+     {"hess_det_sign": 1, "big_det_sign": 1, "trace_sign": 1}),
+    (elli_normal_form(1, -1), "sigma20-elli", (1, -1),
+     ("bigdet-trace", (1, -1)),
+     {"hess_det_sign": 1, "big_det_sign": 1, "trace_sign": -1}),
+    (elli_normal_form(-1, 1), "sigma20-elli", (-1, 1),
+     ("bigdet-trace", (-1, -1)),
+     {"hess_det_sign": 1, "big_det_sign": -1, "trace_sign": -1}),
+    (elli_normal_form(-1, -1), "sigma20-elli", (-1, -1),
+     ("bigdet-trace", (-1, 1)),
+     {"hess_det_sign": 1, "big_det_sign": -1, "trace_sign": 1}),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_RATIONAL_KERNEL_LABELS)))
+def test_labels_where_the_kernels_are_not_integral(index):
+    """Integer kernels are positive multiples of the RREF ones, so on
+    germs whose RREF kernel vectors have fractional entries the label and
+    every witness sign stay those of the rational route."""
+    f, family, signs, invariant, witness = _RATIONAL_KERNEL_LABELS[index]
+    for g in non_integral_kernel_changes(random.Random(index), f, 3):
+        label = classify_sigma20(g)
+        assert (label.family, label.signs, label.invariant,
+                label.witness) == (family, signs, invariant, witness)
