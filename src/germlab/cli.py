@@ -52,6 +52,13 @@ def _emit(payload, as_json, human_lines):
             sys.stdout.write(line + "\n")
 
 
+def _unrecognized(e, as_json):
+    """One line for an unrecognized germ, the same for every command."""
+    _emit({"error": str(e), "family": "unrecognized"}, as_json,
+          ["unrecognized: %s" % e])
+    return EXIT_UNRECOGNIZED
+
+
 def _label_dict(label):
     return {
         "family": label.family,
@@ -122,9 +129,7 @@ def cmd_classify(args):
     try:
         label, route = classify_any(f)
     except UnrecognizedError as e:
-        _emit({"error": str(e), "family": "unrecognized"}, args.json,
-              ["unrecognized: %s" % e])
-        return EXIT_UNRECOGNIZED
+        return _unrecognized(e, args.json)
     # the human lines reuse the payload's text: one render of the normal form
     shown = _label_dict(label)
     payload = {"route": route, "label": shown}
@@ -160,8 +165,7 @@ def cmd_verify(args):
     try:
         label, route = classify_any(f)
     except UnrecognizedError as e:
-        _emit({"error": str(e)}, args.json, ["unrecognized: %s" % e])
-        return EXIT_UNRECOGNIZED
+        return _unrecognized(e, args.json)
     family, signs = _parse_claim(args.claim)
     got = dict(zip(("eps1", "eps2"), label.signs))
     ok = (label.family == family and

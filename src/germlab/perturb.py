@@ -35,7 +35,8 @@ lists, each a positive multiple of the rational polynomial it stands for
 quotient by q t - p (``up_quotient``), the Sturm and Tarski sequences,
 and every sign.  A positive multiple has the same signs and the same
 Cauchy root bound, so the isolating intervals are those of the rational
-polynomial.
+polynomial.  Both bisections run on integer pairs (num, den); Fractions
+are made only for the interval ends they return.
 
 The printed reference tables for families B and C contain a few
 inconsistent entries; ``table_discrepancy_report`` compares every printed
@@ -106,10 +107,13 @@ def up_integer(c):
 
 
 def up_sign_at(c, x):
-    """Sign of the integer polynomial c at the rational x = a/b, b > 0:
-    the sign of the homogeneous form sum c_i a^i b^(d-i) = b^d c(x),
-    taken by Horner's rule on integers."""
-    a, b = x.numerator, x.denominator
+    """Sign of the integer polynomial c at the rational x (``_sign_at``)."""
+    return _sign_at(c, x.numerator, x.denominator)
+
+
+def _sign_at(c, a, b):
+    """Sign of the integer polynomial c at a/b, b > 0, in any terms: that of
+    sum c_i a^i b^(d-i) = b^d c(a/b), by Horner's rule on integers."""
     total, bpow = 0, 1
     for coef in reversed(c):
         total = total * a + coef * bpow
@@ -243,40 +247,44 @@ def rational_roots(c, intervals=None):
 def isolate_real_roots(c, width=None):
     """Isolating intervals for the distinct real roots of c (assumed
     square-free).  Returns sorted (lo, hi) pairs, each containing exactly
-    one root in (lo, hi], optionally refined below ``width``."""
+    one root in (lo, hi], optionally refined below ``width``.  The stack
+    holds (a/d, b/d] as integers, with the chain's variations at both ends."""
     c = up_trim(c)
     if up_deg(c) <= 0:
         return []
     chain = sturm_chain(c)
+
+    def variations(a, d):
+        return _variations([_sign_at(p, a, d) for p in chain])
+
     bound = up_root_bound(c)
-    stack = [(-bound, bound)]
+    m, d = bound.numerator, bound.denominator
+    stack = [(-m, m, d, variations(-m, d), variations(m, d))]
     found = []
     while stack:
-        lo, hi = stack.pop()
-        k = sturm_count(chain, lo, hi)
-        if k == 0:
+        a, b, d, va, vb = stack.pop()
+        if va == vb:
             continue
-        if k == 1:
-            found.append((lo, hi))
+        if va - vb == 1:
+            found.append((Fraction(a, d), Fraction(b, d)))
             continue
-        mid = (lo + hi) / 2
-        # nudge the split point off any root (finitely many roots, so
-        # some fraction of the interval works)
-        j = 3
-        while up_sign_at(chain[0], mid) == 0:
-            mid = lo + (hi - lo) * Fraction(1, j)
+        # split at lo + (hi - lo)/j, the midpoint (j = 2) nudged off any root
+        j = 2
+        while _sign_at(chain[0], a * j + b - a, d * j) == 0:
             j += 1
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    refined = []
-    for lo, hi in found:
-        refined.append(refine_root(chain[0], lo, hi, width) if width else (lo, hi))
-    return sorted(refined)
+        mid = a * j + b - a
+        vm = variations(mid, d * j)
+        stack.append((a * j, mid, d * j, va, vm))
+        stack.append((mid, b * j, d * j, vm, vb))
+    return sorted(refine_root(chain[0], lo, hi, width) if width else (lo, hi)
+                  for lo, hi in found)
 
 
 def refine_root(c, lo, hi, width):
     """Bisect an isolating interval of a square-free c below ``width``.
-    Returns (r, r) if an exact rational root is hit."""
+    Returns (r, r) if an exact rational root is hit.  After j of the k
+    halvings, the least k with (hi - lo)/2^k <= width, the interval is
+    (x/d, (x + w)/d], d the common denominator of lo and hi times 2^j."""
     if lo == hi:
         return (lo, hi)
     c = up_integer(c)
@@ -285,16 +293,19 @@ def refine_root(c, lo, hi, width):
         return (lo, lo)
     if up_sign_at(c, hi) == 0:
         return (hi, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = up_sign_at(c, mid)
+    d = lo.denominator * hi.denominator
+    x = lo.numerator * hi.denominator
+    w = hi.numerator * lo.denominator - x
+    ratio = -(-w * width.denominator // (d * width.numerator))
+    for _ in range((ratio - 1).bit_length()):
+        x, d = 2 * x, 2 * d
+        mid = x + w
+        sm = _sign_at(c, mid, d)
         if sm == 0:
-            return (mid, mid)
-        if sm != slo:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
+            return (Fraction(mid, d),) * 2
+        if sm == slo:
+            x = mid
+    return (Fraction(x, d), Fraction(x + w, d))
 
 
 def sign_at_root(g, constraint, root, sequences=None):

@@ -12,14 +12,18 @@ shares with the library's prepared-form route only the invariant rule
 a constraint: it bisects the isolating interval until g has no root left
 in it, then reads g's sign at the ends.  It runs on rational arithmetic
 throughout, with its own Sturm chain, count and bisection, so it shares no
-code with the library's integer signs and Tarski queries.
+code with the library's integer signs and Tarski queries.  This module's
+``isolate_real_roots`` and ``refine_root`` are the Fraction bisections the
+library ran before it bisected on integer numerator/denominator pairs, and
+its ``rational_roots`` tests one candidate per interval refined by them.
 
 ``morin_points_reference`` enumerates the Morin points of a perturbation
 as each request did before the curve criteria were cached per (family,
 n[, l]): it builds the unfolding F with the parameters substituted, its
 chain lambda, ..., eta^n lambda and the n x n determinant of the gradient
 stack, restricts them to the curve by ``Poly.subs``, and checks that the
-chain vanishes modulo the square-free constraint, on every request.
+chain vanishes modulo the square-free constraint, on every request.  It
+finds the roots with this module's bisections.
 
 ``rational_rref``, ``rational_rank``, ``rational_nullspace`` and
 ``rational_det`` are Gauss-Jordan elimination on Fractions, and
@@ -33,7 +37,7 @@ were read in one loop on int coefficients."""
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
@@ -43,12 +47,10 @@ from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
 from germlab.polyring import DimensionError, Poly, PolyMatrix, rat
 from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
-from germlab import perturb     # its refine_root: this module has its own
 from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
                              PerturbationReport, _classifier_invariant_on_curve,
                              _lambda_chain, _qbar_coeffs, build_unfolding,
-                             eliminate_curve, isolate_real_roots,
-                             rational_roots, table_invariant,
+                             eliminate_curve, table_invariant,
                              up_deg, up_deriv, up_neg, up_trim)
 
 
@@ -270,6 +272,53 @@ def refine_root(c, lo, hi, width):
     return (lo, hi)
 
 
+def isolate_real_roots(c, width=None):
+    """Isolating intervals for the distinct real roots of a square-free c,
+    sorted (lo, hi) pairs with one root in (lo, hi], refined below
+    ``width`` by ``refine_root``: Fraction bisection from the Cauchy
+    bound, each split point nudged off the roots of c."""
+    c = up_trim(c)
+    if up_deg(c) <= 0:
+        return []
+    chain = sturm_chain(c)
+    bound = 1 + Fraction(max(abs(x) for x in c[:-1])) / abs(c[-1])
+    stack = [(-bound, bound)]
+    found = []
+    while stack:
+        lo, hi = stack.pop()
+        k = sturm_count(chain, lo, hi)
+        if k == 0:
+            continue
+        if k == 1:
+            found.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        j = 3
+        while up_eval(c, mid) == 0:
+            mid = lo + (hi - lo) * Fraction(1, j)
+            j += 1
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    return sorted(refine_root(c, lo, hi, width) if width else (lo, hi)
+                  for lo, hi in found)
+
+
+def rational_roots(c, intervals):
+    """The rational roots of c in its isolating ``intervals``, sorted.  A
+    root p/q in lowest terms has q | A, the leading coefficient of c times
+    the lcm of its denominators, so each interval refined below 1/(2A)
+    holds one candidate on (1/A)Z, which is tested exactly."""
+    c = up_trim([rat(x) for x in c])
+    a = int(abs(c[-1] * lcm(*(x.denominator for x in c))))
+    roots = []
+    for lo, hi in intervals:
+        lo, hi = refine_root(c, lo, hi, Fraction(1, 2 * a))
+        cand = Fraction(ceil(lo * a), a)
+        if cand <= hi and up_eval(c, cand) == 0:
+            roots.append(cand)
+    return sorted(roots)
+
+
 def sign_at_root(g, constraint, root, max_iter=200):
     """Exact sign of the univariate polynomial g at a root of
     ``constraint`` given either exactly or by an isolating interval of the
@@ -369,8 +418,7 @@ def morin_points_reference(spec, precision_bits=DEFAULT_PRECISION_BITS):
     if exact:
         intervals = isolate_real_roots(remaining, width=width)
     else:
-        intervals = [perturb.refine_root(sf, lo, hi, width)
-                     for lo, hi in found]
+        intervals = [refine_root(sf, lo, hi, width) for lo, hi in found]
     if spec.family in ("B", "C"):
         if 0 in exact:
             exact.remove(0)
@@ -378,7 +426,7 @@ def morin_points_reference(spec, precision_bits=DEFAULT_PRECISION_BITS):
         kept = []
         for lo, hi in intervals:
             while lo <= 0 <= hi:
-                lo, hi = perturb.refine_root(remaining, lo, hi, (hi - lo) / 2)
+                lo, hi = refine_root(remaining, lo, hi, (hi - lo) / 2)
             kept.append((lo, hi))
         intervals = kept
     points = []

@@ -272,14 +272,15 @@ def test_file_input(capsys, tmp_path):
                                        ("x1 ; x2 ; 0", 2)])
 def test_surface_germ_of_rank_other_than_one_prints_json(capsys, text, rank):
     """A germ (R^2,0) -> (R^3,0) with rank df(0) != 1 is unrecognized like
-    any other: one JSON line on stdout, exit 3."""
+    any other: one JSON line on stdout, the same for classify and verify,
+    exit 3."""
     error = "not corank one at 0 (rank %d)" % rank
     code, out, err = run(capsys, "classify", "--json", text)
     assert (code, err) == (3, "")
     assert json.loads(out) == {"error": error, "family": "unrecognized"}
     code, out, err = run(capsys, "verify", "--json", "--claim", "S1+", text)
     assert (code, err) == (3, "")
-    assert json.loads(out) == {"error": error}
+    assert json.loads(out) == {"error": error, "family": "unrecognized"}
     code, out, err = run(capsys, "classify", text)
     assert (code, out, err) == (3, "unrecognized: %s\n" % error, "")
 

@@ -16,7 +16,8 @@ from germlab.morin import (recognize_morin, normal_form, class_count,
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
 from conftest import (signed_morin_forms, random_gl_pos, sparse_gl_pos,
-                      change_coordinates, corpus_30, random_quadratic_diffeo)
+                      random_rational_gl_pos, change_coordinates, corpus_30,
+                      random_quadratic_diffeo)
 from oracles import eta_chain_label
 
 
@@ -244,12 +245,6 @@ def test_routes_agree_on_every_signed_form(n):
                 assert_routes_agree(normal_form(k, n, e1, e2))
 
 
-def _rational_gl_pos(rng, n):
-    """random_gl_pos with each row divided by a random integer 1..5."""
-    return [[x / rng.randint(1, 5) for x in row]
-            for row in random_gl_pos(rng, n)]
-
-
 def test_routes_agree_on_rational_germs_with_inexact_curves(monkeypatch):
     """Rational coefficients and changes with det L != +-1, where the
     curve and the transverse row divide by d = det L: the divisions are
@@ -273,7 +268,8 @@ def test_routes_agree_on_rational_germs_with_inexact_curves(monkeypatch):
                                            rng.randint(1, 7)))
                           for c in f.components], src_dim=n)
         assert_routes_agree(change_coordinates(
-            scaled, _rational_gl_pos(rng, n), _rational_gl_pos(rng, n)))
+            scaled, random_rational_gl_pos(rng, n),
+            random_rational_gl_pos(rng, n)))
     assert sum(1 for d in dets if abs(d) > 1) > len(forms) // 2
 
 

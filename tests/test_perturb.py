@@ -132,6 +132,75 @@ def test_integer_input_isolates_and_finds_roots():
     assert pt.rational_roots([-1, 0, 4]) == [F(-1, 2), F(1, 2)]
 
 
+def _same_intervals(got, want):
+    """Equal Fractions with equal str, so exact hits (lo == hi) agree."""
+    assert got == want
+    assert all(isinstance(x, Fraction) for iv in got for x in iv)
+    assert [tuple(map(str, iv)) for iv in got] == \
+        [tuple(map(str, iv)) for iv in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 8)),
+                max_size=4, unique=True),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+       st.sampled_from([1, 2, -3]))
+def test_integer_bisection_matches_the_fraction_bisection(roots, other,
+                                                          scale):
+    """A square-free integer polynomial of degree 1..6: the rational
+    ``roots`` times the integer factor ``other`` and ``scale``, square-free
+    part taken.  The integer isolation and refinement return the same
+    intervals, exact hits included, as the Fraction bisections of
+    ``oracles``: unrefined, below 1/2, 1/(2A) (A the leading coefficient,
+    as in ``rational_roots``), 2^-20, 2^-40 and 2^-120, and at widths no
+    smaller than the interval (no halving)."""
+    c = [scale]
+    for r in roots:
+        c = pt.up_mul(c, [-r.numerator, r.denominator])
+    c = pt.up_squarefree(pt.up_mul(c, pt.up_trim(other)))
+    if not 1 <= pt.up_deg(c) <= 6:
+        return
+    a = abs(c[-1])
+    for width in (None, F(1, 2), F(1, 2 * a), F(1, 2 ** 20), F(1, 2 ** 40),
+                  F(1, 2 ** 120)):
+        _same_intervals(pt.isolate_real_roots(c, width),
+                        oracles.isolate_real_roots(c, width))
+    found = pt.isolate_real_roots(c)
+    for lo, hi in found:
+        for width in (F(1, 2 * a), F(1, 2 ** 40), hi - lo, 2 * (hi - lo)):
+            _same_intervals([pt.refine_root(c, lo, hi, width)],
+                            [oracles.refine_root(c, lo, hi, width)])
+    exact = pt.rational_roots(c)
+    assert exact == oracles.rational_roots(c, found)
+    assert set(roots) <= set(exact)
+
+
+def test_isolation_nudges_a_split_point_off_a_root():
+    """x^3 - x: the Cauchy bound is 2 and the first midpoint 0 is a root,
+    so the first split is at -2 + 4/3 = -2/3.  Refined to 1/4, every
+    root is an exact hit."""
+    c = [0, -1, 0, 1]
+    _same_intervals(pt.isolate_real_roots(c),
+                    [(F(-2), F(-2, 3)), (F(-2, 3), F(2, 3)), (F(2, 3), F(2))])
+    _same_intervals(pt.isolate_real_roots(c), oracles.isolate_real_roots(c))
+    _same_intervals(pt.isolate_real_roots(c, F(1, 4)),
+                    [(F(-1), F(-1)), (F(0), F(0)), (F(1), F(1))])
+
+
+def test_refine_root_exact_hit_and_integer_ends():
+    """8x - 3 on (0, 1]: the third midpoint 3/8 is the root.  Integer
+    ends given as int bisect as Fractions do and return Fractions; a
+    width of at least the interval returns it unhalved."""
+    _same_intervals([pt.refine_root([-3, 8], F(0), F(1), F(1, 2 ** 20))],
+                    [(F(3, 8), F(3, 8))])
+    c = [-2, 0, 1]
+    _same_intervals([pt.refine_root(c, 1, 2, F(1, 2 ** 40))],
+                    [oracles.refine_root(c, F(1), F(2), F(1, 2 ** 40))])
+    _same_intervals([pt.refine_root([-3, 2], 1, 2, F(1, 8))],
+                    [(F(3, 2), F(3, 2))])
+    _same_intervals([pt.refine_root(c, 1, 2, 1)], [(F(1), F(2))])
+
+
 _int_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
     lambda c: c[-1] != 0)
 
