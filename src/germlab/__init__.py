@@ -10,8 +10,8 @@ from .germ import (MapGerm, VecField, GermAnalysis, analyze, null_field,
 from .morin import (ClassLabel, recognize_morin, morin_invariants,
                     normal_form, class_count, invariant_kind)
 from .lowdim import classify_plane, classify_surface
-from .sigma20 import (classify_sigma20, target_normalize,
-                      hyp_normal_form, elli_normal_form, DegenerateSigmaError)
+from .sigma20 import (classify_sigma20, hyp_normal_form, elli_normal_form,
+                      DegenerateSigmaError)
 from .perturb import (UnfoldingSpec, MorinPoint, PerturbationReport,
                       build_unfolding, morin_points, sweep,
                       table_discrepancy_report, report_to_dict)

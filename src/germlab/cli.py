@@ -78,9 +78,9 @@ def classify_any(f):
     criterion applies.
 
     Morin recognition reads the rank of df(0) first: a regular germ is
-    labelled at once, and only the plane criteria and the corank-two
-    criteria expand the Jacobian's cofactors (``analyze``), at n = 2 and
-    n = 4; any other corank is refused before any polynomial is built."""
+    labelled at once, and a corank other than one (two at n = 4) is
+    refused before any polynomial is built.  Only the plane criteria
+    expand the Jacobian's cofactors (``analyze``)."""
     if f.src_dim == 2 and f.tgt_dim == 3:
         try:
             label = classify_surface(f)

@@ -5,12 +5,12 @@ one adjugate column, and point translation.
 
 The Morin criteria, the values eta^j lambda(0) for j <= n and the
 gradients at 0 of eta^j lambda for j < n, are coefficients of the
-prepared form (``prepared_form``), computed on integer series.  The plane
-and corank-two routes read eta^3 lambda(0) and the Hessian of lambda at 0
-from ``analyze``, which keeps lambda and eta only as jets.  Each
-derivative lowers the degree by one, so all of these are exact given
-lambda mod m^(D+1) and eta mod m^D with D = jet_degree(n) = max(n, 3), m
-the ideal of the origin.
+prepared form (``prepared_form``), computed on integer series.  Only the
+plane route reads eta^3 lambda(0) and the Hessian of lambda at 0 from
+``analyze``, which keeps lambda and eta only as jets (the other routes
+read f's integer Taylor coefficients).  Each derivative lowers the
+degree by one, so all of these are exact given lambda mod m^(D+1) and
+eta mod m^D with D = jet_degree(n) = max(n, 3), m the ideal of the origin.
 """
 
 from fractions import Fraction
@@ -168,7 +168,7 @@ def analyze(f):
     expansion along row j, eta the column mod m^D.  At corank one j is the
     first row of J(0) whose removal leaves rank n - 1, else j = 0.  The
     expansion reaches up to 2^(n-1) minors; the classifier calls it only
-    for the plane (n = 2) and corank-two (n = 4) criteria."""
+    for the plane (n = 2) criteria."""
     n = f.src_dim
     J = jacobian(f)
     J0 = [clear_denominators(row) for row in J.eval(f.origin())]
@@ -233,11 +233,15 @@ class PreparedForm(_Frozen):
             [f * b for b in self.transverse[j + 1]]
 
 
-def _integer_terms(p):
-    """p times the least common denominator of its coefficients, as
-    {exponent: int}; a positive factor, so a target change that keeps
-    the orientation."""
-    return dict(zip(p.terms, clear_denominators(p.terms.values())))
+def _integer_components(f):
+    """(comps, J0): each component of f times the lcm of its denominators
+    (a target change that keeps the orientation), as {exponent: int}, and
+    J0 the integer matrix of their linear coefficients."""
+    comps = [dict(zip(c.terms, clear_denominators(c.terms.values())))
+             for c in f.components]
+    units = [tuple(int(i == j) for i in range(f.src_dim))
+             for j in range(f.src_dim)]
+    return comps, [[c.get(e, 0) for e in units] for c in comps]
 
 
 def prepared_form(f):
@@ -260,9 +264,7 @@ def prepared_form(f):
     n = f.src_dim
     if f.tgt_dim != n:
         raise NotCorankOneError("the prepared form needs an equidimensional germ")
-    comps = [_integer_terms(c) for c in f.components]
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    J0 = [[c.get(e, 0) for e in units] for c in comps]
+    comps, J0 = _integer_components(f)
     rank, kernel = integer_kernel(J0)
     if rank != n - 1:
         return PreparedForm(n - rank)

@@ -1,9 +1,12 @@
 """Classifiers for the low-dimensional codimension-one germs:
 
 * plane-to-plane (n = m = 2): lips, beaks, planar swallowtail
-  (folds and cusps are delegated to the Morin classifier);
+  (folds and cusps are delegated to the Morin classifier), read from
+  lambda and the null field eta of ``analyze``;
 * plane-to-3-space (n = 2, m = 3): Whitney umbrella and the S1+ / S1-
-  singularities, recognized through w = det(xi f, eta f, eta eta f).
+  singularities, recognized through w = det(xi f, eta f, eta eta f) mod
+  m^3, with a constant eta read from the linear coefficients of f and
+  only the 3-jet of f expanded.
 
 Frame convention.  Given the kernel field eta with eta(0) = (a, b), the
 partner field xi is the constant field with xi(0) = (-b, a) (eta rotated
@@ -22,23 +25,16 @@ and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 
 import functools
 
-from .polyring import Poly, PolyMatrix, clear_denominators, integer_kernel
-from .germ import (MapGerm, VecField, analyze, null_field,
+from .polyring import Poly, PolyMatrix, dir_deriv, integer_kernel
+from .germ import (MapGerm, VecField, analyze, null_field, _integer_components,
                    GermError, NotCorankOneError, DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
 
 
-def _xi_partner(eta_at_zero, nvars):
-    """Constant field xi with xi(0) = eta(0) rotated by +90 degrees."""
-    a, b = eta_at_zero
-    return VecField.constant([-b, a], nvars)
-
-
-def _hessian_det_at_zero(p):
-    """det of the 2x2 Hessian of p (in two variables) at the origin."""
-    (a, b), (c, d) = [[p.partial(i).partial(j).constant_term()
-                       for j in (1, 2)] for i in (1, 2)]
-    return a * d - b * c
+def _hessian_at_zero(p):
+    """(a, b, d): [[a, b], [b, d]] is the Hessian at 0 of p in x1, x2."""
+    c = p.terms.get
+    return 2 * c((2, 0), 0), c((1, 1), 0), 2 * c((0, 2), 0)
 
 
 @functools.cache
@@ -58,7 +54,7 @@ def _plane_normal_form(family, eps):
     return MapGerm([first, x2], src_dim=2)
 
 
-def classify_plane(f, eta=None, analysis=None):
+def classify_plane(f):
     """Isotopy class of a corank-one plane-to-plane germ.
 
     Morin germs (fold, cusp) are delegated to the Morin classifier.
@@ -69,16 +65,14 @@ def classify_plane(f, eta=None, analysis=None):
       planar swallowtail: d lambda(0) != 0,
               eta lambda(0) = eta eta lambda(0) = 0, eta^3 lambda(0) != 0;
               eps = sign(xi lambda(0) * eta^3 lambda(0))
-    ``analysis``, when given, is analyze(f); it and ``eta`` are read by
-    the last three criteria only.
     """
     if f.src_dim != 2 or f.tgt_dim != 2:
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
     try:
         return recognize_morin(f)
     except DegenerateGermError:
-        ana = analysis or analyze(f)
-        return classify_degenerate_plane(f, ana, eta or null_field(f, ana))
+        ana = analyze(f)
+        return classify_degenerate_plane(f, ana, null_field(f, ana))
 
 
 def classify_degenerate_plane(f, analysis, eta):
@@ -91,7 +85,8 @@ def classify_degenerate_plane(f, analysis, eta):
     eel = eta.apply(eta.apply(lam))
     eel0 = eel.eval(origin)
     if all(v == 0 for v in dlam0):
-        det_h = _hessian_det_at_zero(lam)
+        a, b, d = _hessian_at_zero(lam)
+        det_h = a * d - b * b
         if det_h > 0:
             eps = _sign(eel0)
             return ClassLabel("lips", (eps, None), _plane_normal_form("lips", eps),
@@ -105,7 +100,8 @@ def classify_degenerate_plane(f, analysis, eta):
     el0 = eta.apply(lam).eval(origin)
     eeel0 = eta.apply(eel).eval(origin)
     if el0 == 0 and eel0 == 0 and eeel0 != 0:
-        xi = _xi_partner(eta.at_zero(), 2)
+        a, b = eta.at_zero()
+        xi = VecField.constant([-b, a], 2)
         xil0 = xi.apply(lam).eval(origin)
         eps = _sign(xil0 * eeel0)
         return ClassLabel("planar-swallowtail", (eps, None),
@@ -129,52 +125,43 @@ def _surface_normal_form(family, eps=1):
     return MapGerm([x1 ** 2, mid, x2], src_dim=2)
 
 
-def surface_w(f, xi=None, eta=None):
-    """w = det(xi f, eta f, eta eta f) for a corank-one germ
-    (R^2,0) -> (R^3,0), with the deterministic constant frame.
-    Returns (w, xi, eta)."""
+def surface_w(f):
+    """w = det(xi f, eta f, eta eta f) mod m^3, m the ideal of the origin,
+    for a corank-one germ (R^2,0) -> (R^3,0): eta = v, the integer kernel
+    vector of df(0) with its first nonzero entry positive, and xi = v
+    rotated by +90 degrees.  eta f vanishes at 0, so w mod m^3 reads only
+    f mod m^4.  Returns (w, v)."""
     if f.src_dim != 2 or f.tgt_dim != 3:
         raise GermError("needs a germ (R^2,0) -> (R^3,0)")
-    if eta is None:
-        ana = analyze(f)
-        if ana.rank0 != 1:
-            raise NotCorankOneError("not corank one at 0 (rank %d)" % ana.rank0)
-        J0 = ana.jacobian.eval(f.origin())
-        vec = integer_kernel([clear_denominators(r) for r in J0])[1][0]
-        # deterministic direction: first nonzero entry positive
-        lead = next(v for v in vec if v != 0)
-        if lead < 0:
-            vec = [-v for v in vec]
-        eta = VecField.constant(vec, 2)
-    if xi is None:
-        xi = _xi_partner(eta.at_zero(), 2)
-    cols = []
-    for field in (xi, eta):
-        cols.append([field.apply(c) for c in f.components])
-    cols.append([eta.apply(g) for g in cols[1]])  # eta eta f
-    ents = []
-    for i in range(3):
-        for j in range(3):
-            ents.append(cols[j][i])
-    w = PolyMatrix(3, 3, ents).det()
-    return w, xi, eta
+    rank, kernel = integer_kernel(_integer_components(f)[1])
+    if rank != 1:
+        raise NotCorankOneError("not corank one at 0 (rank %d)" % rank)
+    v = kernel[0]
+    if next(x for x in v if x) < 0:
+        v = [-x for x in v]
+    comps = [c.truncate(3) for c in f.components]
+    xif = [dir_deriv(c, [-v[1], v[0]], 2) for c in comps]
+    vf = [dir_deriv(c, v, 2) for c in comps]
+    vvf = [dir_deriv(c, v, 2) for c in vf]
+    w = PolyMatrix(3, 3, [e for row in zip(xif, vf, vvf) for e in row]).det(2)
+    return w, v
 
 
-def classify_surface(f, eta=None):
+def classify_surface(f):
     """Isotopy class of a corank-one germ (R^2,0) -> (R^3,0).
 
     Whitney umbrella: dw(0) != 0 (single class).
     S1+: dw(0) = 0, det hess w(0) < 0, eta eta w(0) != 0; eps = sign eta eta w.
     S1-: dw(0) = 0, det hess w(0) > 0; eps = sign eta eta w.
     """
-    w, xi, eta = surface_w(f, eta=eta)
-    origin = f.origin()
-    dw0 = w.gradient_at(origin)
-    if any(v != 0 for v in dw0):
+    w, v = surface_w(f)
+    if any(x != 0 for x in w.gradient_at(f.origin())):
         return ClassLabel("whitney-umbrella",
                           normal_form=_surface_normal_form("whitney-umbrella"))
-    det_h = _hessian_det_at_zero(w)
-    eew0 = eta.apply(eta.apply(w)).eval(origin)
+    # eta = v is constant, so eta eta w(0) = v^T hess w(0) v
+    a, b, d = _hessian_at_zero(w)
+    det_h = a * d - b * b
+    eew0 = a * v[0] ** 2 + 2 * b * v[0] * v[1] + d * v[1] ** 2
     if det_h < 0 and eew0 != 0:
         eps = _sign(eew0)
         return ClassLabel("S1+", (eps, None), _surface_normal_form("S1+", eps),

@@ -202,13 +202,6 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain, lo, hi):
-    """Number of distinct real roots in the half-open interval (lo, hi]
-    (``chain`` from ``sturm_chain``)."""
-    return _variations([up_sign_at(p, lo) for p in chain]) - \
-        _variations([up_sign_at(p, hi) for p in chain])
-
-
 def up_root_bound(c):
     """Cauchy bound: all real roots lie in (-M, M)."""
     c = up_trim(c)

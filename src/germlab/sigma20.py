@@ -1,25 +1,26 @@
 """Classification of corank-two germs (R^4,0) -> (R^4,0) into signed
-hyperbolic / elliptic umbilics.
+hyperbolic / elliptic umbilics, read from the 2-jet of f on integers.
 
-Criteria (after a linear target change making d(f1)(0) = d(f2)(0) = 0 and
-with constant fields xi, eta spanning ker df(0)):
+Criteria (for g = B o f, B a linear target change with det B > 0 making
+d(g1)(0) = d(g2)(0) = 0, and with constant fields xi, eta spanning
+ker df(0)):
 
   det hess_{(xi,eta)} lambda(0) < 0  ->  hyperbolic;  > 0  ->  elliptic.
-  D = det(grad(xi f1), grad(xi f2), grad(eta f1), grad(eta f2))(0):
+  D = det(grad(xi g1), grad(xi g2), grad(eta g1), grad(eta g2))(0):
       hyperbolic: sign D = -eps1;
       elliptic:   sign D = eps1 and sign trace hess = eps1 * eps2.
 
-Both quantities are insensitive (in sign) to the choice of kernel basis
-and of the normalized target coordinates, so a single deterministic
-choice suffices; the invariance is exercised by the tests.
+With G_k = sum_i B_ki hess f_i(0) and r_k row k of B df(0), dg(x) =
+[G1 x; G2 x; r3; r4] to first order: grad(a g_k)(0) = G_k a, and the
+Hessian of lambda along a, b is det[G1 a; G2 b; r3; r4] + det[G1 b; G2 a;
+r3; r4].  Each sign is insensitive to the choice of kernel basis and of
+B, so one deterministic choice suffices; the tests exercise this.
 """
 
 import functools
 
-from .polyring import (Poly, clear_denominators, integer_adjugate,
-                       integer_echelon, integer_kernel)
-from .germ import (MapGerm, VecField, GermAnalysis, analyze, jacobian,
-                   GermError)
+from .polyring import Poly, integer_adjugate, integer_echelon, integer_kernel
+from .germ import MapGerm, GermError, _integer_components
 from .morin import ClassLabel, _sign
 
 
@@ -43,76 +44,58 @@ def elli_normal_form(eps1=1, eps2=1):
     return MapGerm([first, second, x3, last], src_dim=4)
 
 
-def target_normalize(f, analysis=None):
-    """Orientation-preserving linear target change B, an integer matrix
-    with det B > 0, so that the first two components of B o f have
-    vanishing differential at 0.  Returns (B o f, B).  Requires rank
-    df(0) = 2.  ``analysis``, when given, is analyze(f)."""
-    if f.src_dim != 4 or f.tgt_dim != 4:
-        raise GermError("needs a germ (R^4,0) -> (R^4,0)")
-    ana = analysis or analyze(f)
-    if ana.rank0 != 2:
-        raise GermError("rank df(0) must be 2, got %d" % ana.rank0)
-    J0 = ana.jacobian.eval(f.origin())
-    # the left kernel of J0 is the right kernel of its transpose
-    B = integer_kernel([clear_denominators(col) for col in zip(*J0)])[1]
-    # complete with standard basis rows keeping the matrix invertible
-    for i in range(4):
-        cand = B + [[int(j == i) for j in range(4)]]
-        if len(B) < 4 and len(integer_echelon(cand)[1]) == len(cand):
-            B = cand
-    if integer_adjugate(B)[0] < 0:
-        B[3] = [-v for v in B[3]]
-    comps = []
-    for i in range(4):
-        acc = Poly.zero(4)
-        for j in range(4):
-            if B[i][j] != 0:
-                acc = acc + f.components[j].scale(B[i][j])
-        comps.append(acc)
-    return MapGerm(comps, src_dim=4), B
+def _det(rows):
+    return integer_adjugate(rows)[0]
 
 
-def kernel_frame(f, analysis=None):
-    """Deterministic exact basis (xi, eta) of ker df(0) as constant
-    fields: the primitive integer vectors of ``integer_kernel``, positive
-    multiples of the RREF nullspace vectors."""
-    ana = analysis or analyze(f)
-    if ana.corank0 != 2:
-        raise GermError("corank at 0 must be 2, got %d" % ana.corank0)
-    J0 = ana.jacobian.eval(f.origin())
-    basis = integer_kernel([clear_denominators(row) for row in J0])[1]
-    return (VecField.constant(basis[0], 4), VecField.constant(basis[1], 4))
+def _times(mat, vec):
+    return [sum(x * y for x, y in zip(row, vec)) for row in mat]
 
 
-def classify_sigma20(f, analysis=None):
+def classify_sigma20(f):
     """The ClassLabel of a rank-2 germ (R^4,0) -> (R^4,0): a signed
     hyperbolic or elliptic umbilic, with the signs of det hess lambda(0),
     of the 4x4 determinant and (elliptic only) of trace hess lambda(0) as
     its witness.  Raises DegenerateSigmaError if any criterion
-    quantity vanishes.  ``analysis``, when given, is analyze(f).
-
-    g = B o f is analyzed from f's analysis: J_g = B J_f, so the jet of
-    lambda_g is det B times that of lambda_f and rank dg(0) = rank df(0)."""
-    ana_f = analysis or analyze(f)
-    g, B = target_normalize(f, ana_f)
-    det_b = integer_adjugate(B)[0]
-    ana = GermAnalysis(g, jacobian(g), ana_f.lam.scale(det_b), ana_f.rank0)
-    xi, eta = kernel_frame(g, ana)
-    lam = ana.lam
-    origin = g.origin()
-    h11 = xi.apply(xi.apply(lam)).eval(origin)
-    h12 = xi.apply(eta.apply(lam)).eval(origin)
-    h21 = eta.apply(xi.apply(lam)).eval(origin)
-    h22 = eta.apply(eta.apply(lam)).eval(origin)
-    hess_det = h11 * h22 - h12 * h21
+    quantity vanishes."""
+    if f.src_dim != 4 or f.tgt_dim != 4:
+        raise GermError("needs a germ (R^4,0) -> (R^4,0)")
+    comps, J0 = _integer_components(f)
+    rank, kernel = integer_kernel(J0)
+    if rank != 2:
+        raise GermError("rank df(0) must be 2, got %d" % rank)
+    # the left kernel of J0 is the right kernel of its transpose,
+    # completed with standard basis rows keeping the matrix invertible
+    J0t = [list(col) for col in zip(*J0)]
+    B = integer_kernel(J0t)[1]
+    for i in range(4):
+        cand = B + [[int(j == i) for j in range(4)]]
+        if len(B) < 4 and len(integer_echelon(cand)[1]) == len(cand):
+            B = cand
+    if _det(B) < 0:
+        B[3] = [-v for v in B[3]]
+    # G_k = sum_i B_ki hess f_i(0) for k = 1, 2: a term c x_a x_b of f_i
+    # adds B_ki c at (a, b) and at (b, a), so 2 B_ki c when a = b
+    G = []
+    for k in (0, 1):
+        h = [[0] * 4 for _ in range(4)]
+        for bi, c in zip(B[k], comps):
+            for e, coef in c.items():
+                if bi and sum(e) == 2:
+                    a, b = (j for j in range(4) for _ in range(e[j]))
+                    h[a][b] += bi * coef
+                    h[b][a] += bi * coef
+        G.append(h)
+    # G_k a for a in the kernel basis (xi, eta)
+    (p1, p2), (q1, q2) = [[_times(g, a) for g in G] for a in kernel]
+    rest = [_times(J0t, B[k]) for k in (2, 3)]
+    h11 = 2 * _det([p1, p2] + rest)
+    h22 = 2 * _det([q1, q2] + rest)
+    h12 = _det([p1, q2] + rest) + _det([q1, p2] + rest)
+    hess_det = h11 * h22 - h12 * h12
     if hess_det == 0:
         raise DegenerateSigmaError("det hess lambda(0) = 0: degenerate germ")
-    grads = []
-    for field in (xi, eta):
-        for comp in g.components[:2]:
-            grads.append(field.apply(comp).gradient_at(origin))
-    big_det = integer_adjugate([clear_denominators(r) for r in grads])[0]
+    big_det = _det([p1, p2, q1, q2])
     if big_det == 0:
         raise DegenerateSigmaError("the 4x4 determinant vanishes: not stable")
     hs = _sign(hess_det)

@@ -1,12 +1,13 @@
 """Shared corpus and helpers for the test suite."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from germlab.polyring import Poly, DimensionError
-from germlab.germ import MapGerm
+from germlab.germ import MapGerm, GermError
 from germlab.morin import normal_form
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import hyp_normal_form, elli_normal_form
@@ -130,6 +131,31 @@ def random_quadratic_diffeo(rng, n):
             p = p + Poly(n, {tuple(expo): rng.choice([-2, -1, 1, 2])})
         comps.append(p)
     return comps
+
+
+def quadratic_change(rng, f, cap):
+    """psi o f o phi for random_quadratic_diffeo phi and psi (drawn in
+    that order), kept to degree ``cap``."""
+    phi = random_quadratic_diffeo(rng, f.src_dim)
+    psi = random_quadratic_diffeo(rng, f.tgt_dim)
+    inner = [c.subs(phi).truncate(cap) for c in f.components]
+    return MapGerm([c.subs(inner).truncate(cap) for c in psi],
+                   src_dim=f.src_dim)
+
+
+def assert_labels_agree(classify, reference, g):
+    """classify(g) and reference(g) give the same family, signs, invariant
+    and witness, or raise the same error class with the same message."""
+    try:
+        expected = reference(g)
+    except GermError as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            classify(g)
+        return
+    got = classify(g)
+    assert (got.family, got.signs, got.invariant, got.witness) == \
+        (expected.family, expected.signs, expected.invariant,
+         expected.witness)
 
 
 def random_monomial(rng, n, degree):

@@ -8,6 +8,14 @@ the germ in its own coordinates, with any null field a test passes, and
 shares with the library's prepared-form route only the invariant rule
 ``morin.morin_invariants``.
 
+``classify_sigma20`` and ``classify_surface`` are the umbilic and surface
+routes as they ran on the cofactor/vector-field layer before they read
+the 2- and 3-jet of f on integers.  The umbilic reference analyzes f
+(``germ.analyze``), builds B o f as Polys (``target_normalize``) and
+takes second derivatives along the constant fields of ``kernel_frame``;
+the surface reference expands w = det(xi f, eta f, eta eta f) in full,
+along any constant null field a test passes.
+
 ``sign_at_root`` is the refinement-based sign of a polynomial at a root of
 a constraint: it bisects the isolating interval until g has no root left
 in it, then reads g's sign at the ends.  It runs on rational arithmetic
@@ -41,10 +49,16 @@ from math import ceil, lcm
 from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
-                          MapGerm, analyze, null_field, translate)
+                          GermAnalysis, MapGerm, VecField, analyze, jacobian,
+                          null_field, translate)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            morin_invariants, recognize_morin)
-from germlab.polyring import DimensionError, Poly, PolyMatrix, rat
+from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
+                              clear_denominators, integer_adjugate,
+                              integer_echelon, integer_kernel)
+from germlab.lowdim import _surface_normal_form
+from germlab.sigma20 import (DegenerateSigmaError, elli_normal_form,
+                             hyp_normal_form)
 from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
 from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
@@ -226,6 +240,153 @@ def eta_chain_label(f, analysis=None, eta=None):
         m = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (m // x.denominator) for x in row])
     return morin_invariants(n, k, values[k], scaled)
+
+
+# ---- the umbilic and surface routes on the cofactor/vector-field layer ----
+
+def target_normalize(f, analysis=None):
+    """Orientation-preserving linear target change B, an integer matrix
+    with det B > 0, so that the first two components of B o f have
+    vanishing differential at 0.  Returns (B o f, B).  Requires rank
+    df(0) = 2.  ``analysis``, when given, is analyze(f)."""
+    if f.src_dim != 4 or f.tgt_dim != 4:
+        raise GermError("needs a germ (R^4,0) -> (R^4,0)")
+    ana = analysis or analyze(f)
+    if ana.rank0 != 2:
+        raise GermError("rank df(0) must be 2, got %d" % ana.rank0)
+    J0 = ana.jacobian.eval(f.origin())
+    # the left kernel of J0 is the right kernel of its transpose
+    B = integer_kernel([clear_denominators(col) for col in zip(*J0)])[1]
+    # complete with standard basis rows keeping the matrix invertible
+    for i in range(4):
+        cand = B + [[int(j == i) for j in range(4)]]
+        if len(B) < 4 and len(integer_echelon(cand)[1]) == len(cand):
+            B = cand
+    if integer_adjugate(B)[0] < 0:
+        B[3] = [-v for v in B[3]]
+    comps = []
+    for i in range(4):
+        acc = Poly.zero(4)
+        for j in range(4):
+            if B[i][j] != 0:
+                acc = acc + f.components[j].scale(B[i][j])
+        comps.append(acc)
+    return MapGerm(comps, src_dim=4), B
+
+
+def kernel_frame(f, analysis=None):
+    """Deterministic exact basis (xi, eta) of ker df(0) as constant
+    fields: the primitive integer vectors of ``integer_kernel``, positive
+    multiples of the RREF nullspace vectors."""
+    ana = analysis or analyze(f)
+    if ana.corank0 != 2:
+        raise GermError("corank at 0 must be 2, got %d" % ana.corank0)
+    J0 = ana.jacobian.eval(f.origin())
+    basis = integer_kernel([clear_denominators(row) for row in J0])[1]
+    return (VecField.constant(basis[0], 4), VecField.constant(basis[1], 4))
+
+
+def classify_sigma20(f):
+    """``sigma20.classify_sigma20`` on the cofactor layer: lambda of f
+    from ``analyze`` (one adjugate column, to degree 4), g = B o f as
+    Polys with the analysis derived from f's (J_g = B J_f, so lambda_g is
+    det B times lambda_f), and the criteria as second derivatives along
+    the constant fields of ``kernel_frame``."""
+    ana_f = analyze(f)
+    g, B = target_normalize(f, ana_f)
+    det_b = integer_adjugate(B)[0]
+    ana = GermAnalysis(g, jacobian(g), ana_f.lam.scale(det_b), ana_f.rank0)
+    xi, eta = kernel_frame(g, ana)
+    lam = ana.lam
+    origin = g.origin()
+    h11 = xi.apply(xi.apply(lam)).eval(origin)
+    h12 = xi.apply(eta.apply(lam)).eval(origin)
+    h21 = eta.apply(xi.apply(lam)).eval(origin)
+    h22 = eta.apply(eta.apply(lam)).eval(origin)
+    hess_det = h11 * h22 - h12 * h21
+    if hess_det == 0:
+        raise DegenerateSigmaError("det hess lambda(0) = 0: degenerate germ")
+    grads = []
+    for field in (xi, eta):
+        for comp in g.components[:2]:
+            grads.append(field.apply(comp).gradient_at(origin))
+    big_det = integer_adjugate([clear_denominators(r) for r in grads])[0]
+    if big_det == 0:
+        raise DegenerateSigmaError("the 4x4 determinant vanishes: not stable")
+    hs = _sign(hess_det)
+    bs = _sign(big_det)
+    if hess_det < 0:
+        return ClassLabel("sigma20-hyp", (-bs, None), hyp_normal_form(-bs),
+                          None, ("bigdet", bs),
+                          {"hess_det_sign": hs, "big_det_sign": bs,
+                           "trace_sign": None})
+    trace = h11 + h22
+    ts = _sign(trace)
+    if ts == 0:
+        raise DegenerateSigmaError("trace hess lambda(0) = 0 in the elliptic case")
+    eps1 = bs
+    eps2 = eps1 * ts
+    return ClassLabel("sigma20-elli", (eps1, eps2),
+                      elli_normal_form(eps1, eps2), None,
+                      ("bigdet-trace", (bs, ts)),
+                      {"hess_det_sign": hs, "big_det_sign": bs,
+                       "trace_sign": ts})
+
+
+def surface_w(f, xi=None, eta=None):
+    """w = det(xi f, eta f, eta eta f) in full for a corank-one germ
+    (R^2,0) -> (R^3,0), with the given fields or else the deterministic
+    constant frame (rank and kernel from ``analyze``).  Returns (w, xi,
+    eta)."""
+    if f.src_dim != 2 or f.tgt_dim != 3:
+        raise GermError("needs a germ (R^2,0) -> (R^3,0)")
+    if eta is None:
+        ana = analyze(f)
+        if ana.rank0 != 1:
+            raise NotCorankOneError("not corank one at 0 (rank %d)" % ana.rank0)
+        J0 = ana.jacobian.eval(f.origin())
+        vec = integer_kernel([clear_denominators(r) for r in J0])[1][0]
+        # deterministic direction: first nonzero entry positive
+        lead = next(v for v in vec if v != 0)
+        if lead < 0:
+            vec = [-v for v in vec]
+        eta = VecField.constant(vec, 2)
+    if xi is None:
+        a, b = eta.at_zero()
+        xi = VecField.constant([-b, a], 2)
+    cols = []
+    for field in (xi, eta):
+        cols.append([field.apply(c) for c in f.components])
+    cols.append([eta.apply(g) for g in cols[1]])  # eta eta f
+    ents = []
+    for i in range(3):
+        for j in range(3):
+            ents.append(cols[j][i])
+    w = PolyMatrix(3, 3, ents).det()
+    return w, xi, eta
+
+
+def classify_surface(f, eta=None):
+    """``lowdim.classify_surface`` on the full w of ``surface_w``, along
+    the given constant null field ``eta`` or the deterministic one."""
+    w, xi, eta = surface_w(f, eta=eta)
+    origin = f.origin()
+    if any(v != 0 for v in w.gradient_at(origin)):
+        return ClassLabel("whitney-umbrella",
+                          normal_form=_surface_normal_form("whitney-umbrella"))
+    (a, b), (c, d) = [[w.partial(i).partial(j).eval(origin) for j in (1, 2)]
+                      for i in (1, 2)]
+    det_h = a * d - b * c
+    eew0 = eta.apply(eta.apply(w)).eval(origin)
+    if det_h < 0 and eew0 != 0:
+        eps = _sign(eew0)
+        return ClassLabel("S1+", (eps, None), _surface_normal_form("S1+", eps),
+                          None, ("etaetaw", eps))
+    if det_h > 0 and eew0 != 0:
+        eps = _sign(eew0)
+        return ClassLabel("S1-", (eps, None), _surface_normal_form("S1-", eps),
+                          None, ("etaetaw", eps))
+    return ClassLabel("unrecognized")
 
 
 def sturm_chain(c):

@@ -22,7 +22,7 @@ from germlab.polyring import Poly
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
 from conftest import (add_high_terms, change_coordinates, corpus_30,
                       monic_chebyshev_params, random_gl_pos,
-                      random_quadratic_diffeo)
+                      quadratic_change)
 
 
 def run(capsys, *argv):
@@ -197,7 +197,7 @@ def test_warm_perturb_request_builds_no_unfolding_and_no_determinant(
     unfoldings = _count_calls(monkeypatch, pt.build_unfolding)
     cofactors = _count_cofactor_calls(monkeypatch)
     assert run(capsys, *argv) == (code, out, "")
-    assert unfoldings == [] and cofactors["det"] == 0
+    assert unfoldings == [] and all(name != "det" for name, _ in cofactors)
 
 
 @pytest.mark.parametrize("family,n,params", [
@@ -371,9 +371,9 @@ def _count_calls(monkeypatch, original):
 
 
 # the families whose criteria read lambda and eta from ``analyze``; a Morin
-# germ is read from its prepared form, with no analyze and no cofactors
-ANALYZED = ("lips", "beaks", "planar-swallowtail", "sigma20-hyp",
-            "sigma20-elli")
+# germ is read from its prepared form and an umbilic from its 2-jet, with
+# no analyze and no cofactors
+ANALYZED = ("lips", "beaks", "planar-swallowtail")
 
 
 @pytest.mark.parametrize("text,family", [
@@ -387,8 +387,8 @@ ANALYZED = ("lips", "beaks", "planar-swallowtail", "sigma20-hyp",
      "sigma20-elli"),
 ])
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
-    """Morin germs make no analyze and no eta-chain call; the plane and
-    corank-two criteria analyze the germ once and build no eta-chain."""
+    """Morin germs and umbilics make no analyze and no eta-chain call; the
+    plane criteria analyze the germ once and build no eta-chain."""
     import germlab.germ as germ
     import germlab.morin as morin
     calls = _count_calls(monkeypatch, germ.analyze)
@@ -403,16 +403,18 @@ def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
 
 
 def _count_cofactor_calls(monkeypatch):
+    """The (method, positional arguments) of each PolyMatrix.det and
+    PolyMatrix.adjugate_column call, in order."""
     from germlab.polyring import PolyMatrix
-    counts = {"adjugate_column": 0, "det": 0}
-    for name in counts:
+    calls = []
+    for name in ("adjugate_column", "det"):
         original = getattr(PolyMatrix, name)
 
         def counted(self, *args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            calls.append((_name, args))
             return _original(self, *args, **kwargs)
         monkeypatch.setattr(PolyMatrix, name, counted)
-    return counts
+    return calls
 
 
 @pytest.mark.parametrize("text,family", [
@@ -421,18 +423,21 @@ def _count_cofactor_calls(monkeypatch):
     ("x1^3 + x1*x2^2 ; x2", "lips"),
     ("vars: x1,x2,x3,x4 | x1^2 + x2*x3 ; x2^2 + x1*x4 ; x3 ; x4",
      "sigma20-hyp"),
+    ("x1^2 ; x1^3 + x1*x2^2 ; x2", "S1+"),
 ])
 def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
                                              family):
-    """Only the n = 2 plane fallback and the n = 4 corank-two route expand
-    the cofactors: one adjugate column, no determinant.  Morin germs
+    """Only the n = 2 plane fallback expands the Jacobian's cofactors: one
+    adjugate column, to degree 3.  The surface route expands one 3 x 3
+    determinant, capped at degree 2.  Morin germs and the corank-two route
     expand none."""
-    counts = _count_cofactor_calls(monkeypatch)
+    calls = _count_cofactor_calls(monkeypatch)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
-    expected = 1 if family in ANALYZED else 0
-    assert counts == {"adjugate_column": expected, "det": 0}
+    expected = {"lips": [("adjugate_column", (0, 3))],
+                "S1+": [("det", (2,))]}
+    assert calls == expected.get(family, [])
 
 
 @pytest.mark.parametrize("command", [["classify"], ["classify", "--json"],
@@ -462,7 +467,7 @@ def test_classify_expands_no_cofactors_outside_n_2_and_4(capsys, monkeypatch,
                                                          n):
     """Corank-one germs with n not in {2, 4}, Morin or not, regular germs
     and corank-two germs all end without a cofactor expansion."""
-    counts = _count_cofactor_calls(monkeypatch)
+    calls = _count_cofactor_calls(monkeypatch)
     xs = ["x%d" % i for i in range(1, n + 1)]
     cases = [
         (" ; ".join(["x1^3 + x1*x2"] + xs[1:]), 0),                  # cusp
@@ -472,7 +477,7 @@ def test_classify_expands_no_cofactors_outside_n_2_and_4(capsys, monkeypatch,
     ]
     for text, code in cases:
         assert run(capsys, "classify", text)[0] == code, text
-    assert counts == {"adjugate_column": 0, "det": 0}
+    assert calls == []
 
 
 # ---- A-isotopy oracles: reflection orbits, nonlinear invariance ---------
@@ -528,12 +533,7 @@ def test_label_invariant_under_nonlinear_changes(index):
     cap = jet_degree(f.src_dim) + 3
     expected = classify_any(f)
     for _ in range(3):
-        phi = random_quadratic_diffeo(rng, f.src_dim)
-        psi = random_quadratic_diffeo(rng, f.tgt_dim)
-        inner = [c.subs(phi).truncate(cap) for c in f.components]
-        g = MapGerm([c.subs(inner).truncate(cap) for c in psi],
-                    src_dim=f.src_dim)
-        assert classify_any(g) == expected
+        assert classify_any(quadratic_change(rng, f, cap)) == expected
 
 
 # ---- determinacy of the plane, surface and corank-two routes -------------

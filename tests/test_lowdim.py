@@ -7,10 +7,13 @@ import pytest
 
 from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, null_field
-from germlab.lowdim import (classify_plane, classify_surface, surface_w,
+from germlab.lowdim import (classify_plane, classify_degenerate_plane,
+                            classify_surface, surface_w,
                             _plane_normal_form, _surface_normal_form)
-from conftest import (random_gl_pos, change_coordinates,
-                      non_integral_kernel_changes)
+from conftest import (random_gl_pos, random_rational_gl_pos,
+                      change_coordinates, non_integral_kernel_changes,
+                      quadratic_change, add_high_terms, assert_labels_agree)
+import oracles
 
 
 def g2(first, second):
@@ -81,10 +84,11 @@ def test_plane_eta_reversal():
     for fam in ("lips", "beaks", "planar-swallowtail"):
         for eps in (1, -1):
             f = _plane_normal_form(fam, eps)
-            eta = null_field(f)
-            base = classify_plane(f, eta=eta)
-            assert classify_plane(f, eta=-eta) == base
-            assert classify_plane(f, eta=eta.scale(Fraction(5, 2))) == base
+            ana = analyze(f)
+            eta = null_field(f, ana)
+            base = classify_plane(f)
+            for v in (eta, -eta, eta.scale(Fraction(5, 2))):
+                assert classify_degenerate_plane(f, ana, v) == base
 
 
 # ---- surface germs -----------------------------------------------------
@@ -100,16 +104,19 @@ def test_whitney_umbrella():
 
 def test_surface_w_reference_values():
     """On (x1^2, x1(x1^2 + x2^2), x2): w = 6 x1^2 - 2 x2^2, so
-    det hess w(0) = -48 and eta eta w(0) = 12."""
+    det hess w(0) = -48 and eta eta w(0) = 12, with eta = (1, 0).  Terms
+    of degree 4 and more leave w mod m^3 as it is."""
     f = s3(X1 * (X1 ** 2 + X2 ** 2))
-    w, xi, eta = surface_w(f)
-    assert w == 6 * X1 ** 2 - 2 * X2 ** 2
+    w, v = surface_w(f)
+    assert (w, v) == (6 * X1 ** 2 - 2 * X2 ** 2, [1, 0])
+    assert surface_w(s3(X1 * (X1 ** 2 + X2 ** 2) + X1 ** 2 * X2 ** 2
+                        - X2 ** 5)) == (w, v)
     origin = [Fraction(0), Fraction(0)]
     h11 = w.partial(1).partial(1).eval(origin)
     h22 = w.partial(2).partial(2).eval(origin)
     h12 = w.partial(1).partial(2).eval(origin)
     assert h11 * h22 - h12 * h12 == -48
-    assert eta.apply(eta.apply(w)).eval(origin) == 12
+    assert h11 * v[0] ** 2 == 12
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -149,27 +156,16 @@ def test_surface_labels_stable_under_changes():
 
 
 def test_surface_eta_reversal():
+    """On the reference, reversing or rescaling the constant null field
+    keeps the label, which is the one the library reads."""
     for fam in ("S1+", "S1-"):
         for s in (1, -1):
             f = _surface_normal_form(fam, s)
-            _, _, eta = surface_w(f)
-            base = classify_surface(f, eta=eta)
-            assert classify_surface(f, eta=-eta) == base
-            assert classify_surface(f, eta=eta.scale(3)) == base
-
-
-def test_given_analysis_gives_the_same_label():
-    rng = random.Random(23)
-    forms = [_plane_normal_form(fam, s)
-             for fam in ("lips", "beaks", "planar-swallowtail")
-             for s in (1, -1)]
-    forms += [g2(X1 ** 2, X2), g2(X1 ** 3 + X1 * X2, X2), g2(X1 * X2 ** 2, X2)]
-    for f in forms:
-        f = change_coordinates(f, random_gl_pos(rng, 2), random_gl_pos(rng, 2))
-        label = classify_plane(f)
-        assert classify_plane(f, analysis=analyze(f)) == label
-        assert classify_plane(f, analysis=analyze(f)).describe() == \
-            label.describe()
+            _, _, eta = oracles.surface_w(f)
+            base = oracles.classify_surface(f, eta=eta)
+            assert classify_surface(f) == base
+            assert oracles.classify_surface(f, eta=-eta) == base
+            assert oracles.classify_surface(f, eta=eta.scale(3)) == base
 
 
 # The label of each surface form under rational changes, as the Fraction
@@ -194,3 +190,35 @@ def test_surface_labels_where_the_kernel_is_not_integral(index):
         label = classify_surface(g)
         assert (label.family, label.signs, label.invariant,
                 label.witness) == (family, signs, invariant, {})
+
+
+# ---- route agreement: the 3-jet reading against the full-w reference ----
+
+SURFACE_FORMS = [_surface_normal_form("whitney-umbrella")] + \
+    [_surface_normal_form(fam, s) for fam in ("S1+", "S1-") for s in (1, -1)]
+# unrecognized (det hess w(0) = 0, twice), then rank 0 and rank 2
+SURFACE_DEGENERATE = [s3(X1 ** 3), s3(X1 * X2 ** 2),
+                      MapGerm([X1 ** 2, X2 ** 2, X1 * X2]),
+                      MapGerm([X1, X2, X1 * X2])]
+
+
+@pytest.mark.parametrize("index",
+                         range(len(SURFACE_FORMS + SURFACE_DEGENERATE)))
+def test_surface_routes_agree_under_changes_and_higher_terms(index):
+    """Dense, rational, non-integral-kernel and quadratic nonlinear
+    changes, each also with terms of degree 3 and 4 added: w mod m^3
+    from the 3-jet gives the label of the full w."""
+    rng = random.Random(5200 + index)
+    f = (SURFACE_FORMS + SURFACE_DEGENERATE)[index]
+    germs = [f,
+             change_coordinates(f, random_gl_pos(rng, 2),
+                                random_gl_pos(rng, 3)),
+             change_coordinates(f, random_rational_gl_pos(rng, 2),
+                                random_rational_gl_pos(rng, 3)),
+             quadratic_change(rng, f, 5)]
+    if index < len(SURFACE_FORMS):
+        germs += non_integral_kernel_changes(rng, f, 1)
+    for g in germs:
+        assert_labels_agree(classify_surface, oracles.classify_surface, g)
+        assert_labels_agree(classify_surface, oracles.classify_surface,
+                            add_high_terms(rng, g, 3))

@@ -17,7 +17,7 @@ from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import elli_normal_form, hyp_normal_form
 from conftest import (signed_morin_forms, random_gl_pos, sparse_gl_pos,
                       random_rational_gl_pos, change_coordinates, corpus_30,
-                      random_quadratic_diffeo)
+                      quadratic_change)
 from oracles import eta_chain_label
 
 
@@ -230,11 +230,7 @@ def test_routes_agree_under_dense_and_nonlinear_changes(index):
     for _ in range(2):
         assert_routes_agree(change_coordinates(f, random_gl_pos(rng, n),
                                                random_gl_pos(rng, n)))
-        phi = random_quadratic_diffeo(rng, n)
-        psi = random_quadratic_diffeo(rng, n)
-        inner = [c.subs(phi).truncate(cap) for c in f.components]
-        assert_routes_agree(MapGerm([c.subs(inner).truncate(cap)
-                                     for c in psi], src_dim=n))
+        assert_routes_agree(quadratic_change(rng, f, cap))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

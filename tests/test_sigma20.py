@@ -6,12 +6,13 @@ import pytest
 
 from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, GermError
-from germlab.sigma20 import (classify_sigma20, target_normalize,
-                             hyp_normal_form, elli_normal_form,
-                             DegenerateSigmaError)
-from conftest import (random_gl_pos, change_coordinates,
-                      non_integral_kernel_changes)
-from oracles import rational_det
+from germlab.sigma20 import (classify_sigma20, hyp_normal_form,
+                             elli_normal_form, DegenerateSigmaError)
+from conftest import (random_gl_pos, random_rational_gl_pos,
+                      change_coordinates, non_integral_kernel_changes,
+                      quadratic_change, add_high_terms, assert_labels_agree)
+import oracles
+from oracles import rational_det, target_normalize, kernel_frame
 
 
 @pytest.mark.parametrize("eps1", [1, -1])
@@ -31,9 +32,8 @@ def test_elliptic_normal_forms(eps1, eps2):
 
 
 def test_hyperbolic_reference_values():
-    """On the eps1 = +1 hyperbolic normal form: det hess lambda(0) = -16
-    and the 4x4 determinant = -4, exactly."""
-    from germlab.sigma20 import kernel_frame
+    """On the eps1 = +1 hyperbolic normal form the reference reads
+    det hess lambda(0) = -16 and the 4x4 determinant = -4, exactly."""
     g, B = target_normalize(hyp_normal_form(1))
     ana = analyze(g)
     xi, eta = kernel_frame(g, ana)
@@ -70,13 +70,16 @@ def test_target_normalize_contract():
 
 def test_rank_requirement():
     x = [Poly.var(i, 4) for i in range(1, 5)]
-    with pytest.raises(GermError):
-        target_normalize(MapGerm([x[0], x[1], x[2], x[3]]))
+    f = MapGerm([x[0], x[1], x[2], x[3]])
+    for classify in (classify_sigma20, target_normalize):
+        with pytest.raises(GermError, match="rank df"):
+            classify(f)
 
 
 def test_degenerate_rejected():
     x = [Poly.var(i, 4) for i in range(1, 5)]
-    # hessian of lambda in the kernel directions vanishes identically
+    # lambda = 4 x1 x2 has det hess = -16 on the kernel, but the 4x4
+    # determinant vanishes: xi f2 = 0 along xi = d/dx1
     f = MapGerm([x[0] ** 2, x[1] ** 2, x[2], x[3]])
     with pytest.raises(DegenerateSigmaError):
         classify_sigma20(f)
@@ -95,9 +98,9 @@ def test_labels_stable_under_changes():
 
 
 def test_normalized_germ_analysis_is_derived_exactly():
-    """classify_sigma20 builds the analysis of g = B o f from f's: the
-    same Jacobian, lambda jet and rank as analyzing g afresh."""
-    from germlab.germ import GermAnalysis, jacobian
+    """The reference builds the analysis of g = B o f from f's: the same
+    Jacobian, lambda jet and rank as analyzing g afresh."""
+    from germlab.germ import jacobian
     rng = random.Random(29)
     for f in (hyp_normal_form(1), elli_normal_form(-1, 1)):
         f = change_coordinates(f, random_gl_pos(rng, 4), random_gl_pos(rng, 4))
@@ -107,8 +110,6 @@ def test_normalized_germ_analysis_is_derived_exactly():
         assert fresh.jacobian == jacobian(g)
         assert fresh.lam == ana_f.lam.scale(rational_det(B))
         assert fresh.rank0 == ana_f.rank0
-        assert classify_sigma20(f, analysis=ana_f) == \
-            classify_sigma20(f)
 
 
 # The label and witness of each umbilic form under rational changes, as the
@@ -143,3 +144,35 @@ def test_labels_where_the_kernels_are_not_integral(index):
         label = classify_sigma20(g)
         assert (label.family, label.signs, label.invariant,
                 label.witness) == (family, signs, invariant, witness)
+
+
+# ---- route agreement: the 2-jet reading against the cofactor reference --
+
+_X = [Poly.var(i, 4) for i in range(1, 5)]
+FORMS = [hyp_normal_form(s) for s in (1, -1)] + \
+    [elli_normal_form(e1, e2) for e1 in (1, -1) for e2 in (1, -1)]
+# a vanishing 4x4 determinant, a vanishing Hessian determinant, rank 3
+DEGENERATE = [MapGerm([_X[0] ** 2, _X[1] ** 2, _X[2], _X[3]]),
+              MapGerm([_X[0] ** 2, _X[0] * _X[1], _X[2], _X[3]]),
+              MapGerm([_X[0] ** 2, _X[1], _X[2], _X[3]])]
+
+
+@pytest.mark.parametrize("index", range(len(FORMS + DEGENERATE)))
+def test_routes_agree_under_changes_and_higher_terms(index):
+    """Dense, rational, non-integral-kernel and quadratic nonlinear
+    changes, each also with terms of degree 3 and 4 added: the criteria
+    read from the 2-jet are those of the whole germ."""
+    rng = random.Random(5100 + index)
+    f = (FORMS + DEGENERATE)[index]
+    germs = [f,
+             change_coordinates(f, random_gl_pos(rng, 4),
+                                random_gl_pos(rng, 4)),
+             change_coordinates(f, random_rational_gl_pos(rng, 4),
+                                random_rational_gl_pos(rng, 4)),
+             quadratic_change(rng, f, 4)]
+    if index < len(FORMS):
+        germs += non_integral_kernel_changes(rng, f, 1)
+    for g in germs:
+        assert_labels_agree(classify_sigma20, oracles.classify_sigma20, g)
+        assert_labels_agree(classify_sigma20, oracles.classify_sigma20,
+                            add_high_terms(rng, g, 3))
