@@ -22,8 +22,7 @@ import sys
 from fractions import Fraction
 
 from .polyring import _rat_str
-from .germ import (analyze, null_field, NotCorankOneError,
-                   DegenerateGermError, GermError)
+from .germ import NotCorankOneError, DegenerateGermError, GermError
 from .morin import recognize_morin, class_count
 from .lowdim import classify_degenerate_plane, classify_surface
 from .sigma20 import classify_sigma20, DegenerateSigmaError
@@ -79,8 +78,9 @@ def classify_any(f):
 
     Morin recognition reads the rank of df(0) first: a regular germ is
     labelled at once, and a corank other than one (two at n = 4) is
-    refused before any polynomial is built.  Only the plane criteria
-    expand the Jacobian's cofactors (``analyze``)."""
+    refused before any polynomial is built.  Every route reads integer
+    Taylor coefficients of f or its prepared form; none expands the
+    Jacobian's cofactors."""
     if f.src_dim == 2 and f.tgt_dim == 3:
         try:
             label = classify_surface(f)
@@ -97,8 +97,7 @@ def classify_any(f):
         return recognize_morin(f), "morin"
     except DegenerateGermError:
         if f.src_dim == 2:
-            ana = analyze(f)
-            label = classify_degenerate_plane(f, ana, null_field(f, ana))
+            label = classify_degenerate_plane(f)
             if label.family != "unrecognized":
                 return label, "plane"
         raise UnrecognizedError("degenerate germ: no criterion matched")

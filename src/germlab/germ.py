@@ -1,16 +1,13 @@
 """Map-germ container and the shared geometric primitives:
-Jacobian, rank/corank at the origin, the prepared form the Morin criteria
-are read from, lambda (= det Jacobian) and the null vector field eta from
-one adjugate column, and point translation.
+Jacobian, rank/corank at the origin, the prepared form the criteria of
+the Morin and plane routes are read from, lambda (= det Jacobian) and
+the null vector field eta from one adjugate column, and point translation.
 
-The Morin criteria, the values eta^j lambda(0) for j <= n and the
-gradients at 0 of eta^j lambda for j < n, are coefficients of the
-prepared form (``prepared_form``), computed on integer series.  Only the
-plane route reads eta^3 lambda(0) and the Hessian of lambda at 0 from
-``analyze``, which keeps lambda and eta only as jets (the other routes
-read f's integer Taylor coefficients).  Each derivative lowers the
-degree by one, so all of these are exact given lambda mod m^(D+1) and
-eta mod m^D with D = jet_degree(n) = max(n, 3), m the ideal of the origin.
+The values eta^j lambda(0) for j <= jet_degree(n) and the gradients at 0
+of eta^j lambda for j < n are coefficients of the prepared form
+(``prepared_form``), computed on integer series.  No classifier route
+calls ``analyze`` or ``null_field``: they keep lambda mod m^(D+1) and eta
+mod m^D, D = jet_degree(n), for the test references.
 """
 
 from fractions import Fraction
@@ -23,10 +20,10 @@ from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
 
 
 def jet_degree(n):
-    """D = max(n, 3): lambda is kept mod m^(D+1) and eta mod m^D.  The
-    eta-chain reading of the Morin criteria needs lambda to degree n; the
-    plane route reads eta^3 lambda(0), i.e. lambda to degree 3 and eta to
-    degree 2."""
+    """D = max(n, 3): the Morin criteria read eta^j lambda(0) for j <= n,
+    the planar-swallowtail criterion eta^3 lambda(0).  The prepared form
+    reads g(u, 0) to degree D + 1; ``analyze`` keeps lambda mod m^(D+1)
+    and eta mod m^D."""
     return max(n, 3)
 
 
@@ -65,9 +62,6 @@ class VecField(_Frozen):
     @classmethod
     def constant(cls, values, nvars):
         return cls([Poly.const(v, nvars) for v in values])
-
-    def __len__(self):
-        return len(self.components)
 
     def __neg__(self):
         return VecField([-c for c in self.components])
@@ -167,8 +161,8 @@ def analyze(f):
     corank one) eta from one column j of adj(J): lambda is the Laplace
     expansion along row j, eta the column mod m^D.  At corank one j is the
     first row of J(0) whose removal leaves rank n - 1, else j = 0.  The
-    expansion reaches up to 2^(n-1) minors; the classifier calls it only
-    for the plane (n = 2) criteria."""
+    expansion reaches up to 2^(n-1) minors; no classifier route calls it,
+    the test references do."""
     n = f.src_dim
     J = jacobian(f)
     J0 = [clear_denominators(row) for row in J.eval(f.origin())]
@@ -210,8 +204,8 @@ class PreparedForm(_Frozen):
     germ is (g, z_2, ..., z_n).  There eta = d/du is a null field and
     lambda = dg/du, so the Morin criteria read only the coefficients of
     u^a and of u^a z_i in g.  ``curve[a]`` is the integer coefficient of
-    u^a in g for a <= n + 1, and ``transverse[a][i]`` that of u^a z_(i+2)
-    for a <= n.  At any other corank ``curve`` and ``transverse`` are None.
+    u^a in g for a <= max(n + 1, 4), and ``transverse[a][i]`` that of
+    u^a z_(i+2) for a <= n.  At any other corank both are None.
     """
 
     __slots__ = ("corank", "curve", "transverse")
@@ -253,17 +247,19 @@ def prepared_form(f):
     One complement column of P is negated if det L < 0, and then v or w,
     so that det P, det T and d = det L are positive.  With y1 = d u every
     coefficient below stays an integer:
-      * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0 mod u^(n+1),
-        solved one degree per step with the constant matrix L;
-      * g(u, 0) = f1(d u, Gamma(u)) mod u^(n+2);
+      * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0 mod u^t, t =
+        jet_degree(n) + 1 = max(n + 1, 4), solved one degree per step with
+        the constant matrix L;
+      * g(u, 0) = f1(d u, Gamma(u)) mod u^(t+1);
       * the transverse row d * df1/dy' (df'/dy')^-1 at (d u, Gamma(u))
         mod u^(n+1), the derivative of g along z' = d * zeta'.
-    Terms of f of degree above n + 1 never reach these coefficients.  A
+    Terms of f of degree above t never reach these coefficients.  A
     division by d that leaves a remainder raises GermError; by the
     construction it is always exact."""
     n = f.src_dim
     if f.tgt_dim != n:
         raise NotCorankOneError("the prepared form needs an equidimensional germ")
+    top = jet_degree(n) + 1
     comps, J0 = _integer_components(f)
     rank, kernel = integer_kernel(J0)
     if rank != n - 1:
@@ -286,32 +282,35 @@ def prepared_form(f):
         v = [-x for x in v]
     if (-1) ** q * w[q] < 0:
         w = [-x for x in w]
-    series = [_substitute(c, n, p, [x * d for x in v], signs) for c in comps]
+    series = [_substitute(c, n, top, p, [x * d for x in v], signs)
+              for c in comps]
     first = {}
     for wi, h in zip(w, series):
         if wi:
             for beta, coefs in h.items():
-                acc = first.setdefault(beta, [0] * (n + 2))
+                acc = first.setdefault(beta, [0] * (top + 1))
                 for a, c in enumerate(coefs):
                     acc[a] += wi * c
-    return _read_prepared(n, d, adj, first, [series[i] for i in rows])
+    return _read_prepared(n, top, d, adj, first, [series[i] for i in rows])
 
 
-def _substitute(terms, n, p, a, signs):
-    """{beta: [coefficient of u^m y'^beta, m = 0..n+1]} for the integer
+def _substitute(terms, n, top, p, a, signs):
+    """{beta: [coefficient of u^m y'^beta, m = 0..top]} for the integer
     polynomial ``terms`` at x_j = a_j u + signs_k y'_k (k the place of j
     among the coordinates other than p) and x_p = a_p u.  The curve has
     y' = O(u^2), so a term u^m y'^beta enters the coefficients read at
-    degree m + 2|beta|; only terms with m + 2|beta| <= n + 2 are formed."""
+    degree m + 2|beta|; only terms with m + 2|beta| <= max(n + 2, top)
+    are formed."""
     place = {j: k for k, j in enumerate(j for j in range(n) if j != p)}
-    base = n + 3
+    weight = max(n + 2, top)
+    base = weight + 1
     expansions = {}
     out = {}
     for alpha, coef in terms.items():
         deg = sum(alpha)
-        if deg > n + 1:
+        if deg > top:
             continue
-        room = n + 2 - deg          # the largest |beta| kept
+        room = weight - deg         # the largest |beta| kept
         partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed beta)
         for j, e in enumerate(alpha):
             if not e:
@@ -332,7 +331,7 @@ def _substitute(terms, n, p, a, signs):
         for c, size, key in partial:
             coefs = out.get(key)
             if coefs is None:
-                coefs = out[key] = [0] * (n + 2)
+                coefs = out[key] = [0] * (top + 1)
             coefs[deg - size] += c
     unpacked = {}
     for key, coefs in out.items():
@@ -351,12 +350,11 @@ def _exact_div(x, d):
     return quo
 
 
-def _read_prepared(n, d, adj, first, rest):
+def _read_prepared(n, top, d, adj, first, rest):
     """The PreparedForm from the substituted components: ``first`` is f1
-    and ``rest`` the rows of f', each {beta: series in u} (see
-    ``_substitute``); L = d'f'(0) has determinant d > 0 and adjugate
-    ``adj``."""
-    top = n + 1                  # the highest degree read
+    and ``rest`` the rows of f', each {beta: series in u to degree
+    ``top``} (see ``_substitute``); L = d'f'(0) has determinant d > 0 and
+    adjugate ``adj``."""
     m1 = n - 1
     units = [tuple(int(i == k) for i in range(m1)) for k in range(m1)]
     # the powers Gamma^beta of the curve for every beta read and every
@@ -384,7 +382,7 @@ def _read_prepared(n, d, adj, first, rest):
     for m in range(2, top + 1):
         for series, low, below, gk in products:
             series[m] = sum(below[b] * gk[m - b] for b in range(low, m - 1))
-        if m > n:
+        if m == top:
             break
         residual = [sum(c * powers[beta][m - a] for beta, s in h.items()
                         for a, c in enumerate(s[:m + 1]) if c)

@@ -1,8 +1,9 @@
-"""Classifiers for the low-dimensional codimension-one germs:
+"""Classifiers for the low-dimensional codimension-one germs, read from
+integer Taylor coefficients of f:
 
 * plane-to-plane (n = m = 2): lips, beaks, planar swallowtail
   (folds and cusps are delegated to the Morin classifier), read from
-  lambda and the null field eta of ``analyze``;
+  lambda mod m^3 and from the prepared form (``germ.prepared_form``);
 * plane-to-3-space (n = 2, m = 3): Whitney umbrella and the S1+ / S1-
   singularities, recognized through w = det(xi f, eta f, eta eta f) mod
   m^3, with a constant eta read from the linear coefficients of f and
@@ -26,15 +27,17 @@ and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 import functools
 
 from .polyring import Poly, PolyMatrix, dir_deriv, integer_kernel
-from .germ import (MapGerm, VecField, analyze, null_field, _integer_components,
-                   GermError, NotCorankOneError, DegenerateGermError)
+from .germ import (MapGerm, prepared_form, _integer_components, GermError,
+                   NotCorankOneError, DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
 
 
-def _hessian_at_zero(p):
-    """(a, b, d): [[a, b], [b, d]] is the Hessian at 0 of p in x1, x2."""
-    c = p.terms.get
-    return 2 * c((2, 0), 0), c((1, 1), 0), 2 * c((0, 2), 0)
+def _second_order(terms, v):
+    """(det hess p(0), v^T hess p(0) v) for p in x1, x2 given by its
+    ``terms`` {exponent: coefficient}."""
+    c = terms.get
+    a, b, d = 2 * c((2, 0), 0), c((1, 1), 0), 2 * c((0, 2), 0)
+    return a * d - b * b, a * v[0] ** 2 + 2 * b * v[0] * v[1] + d * v[1] ** 2
 
 
 @functools.cache
@@ -71,39 +74,46 @@ def classify_plane(f):
     try:
         return recognize_morin(f)
     except DegenerateGermError:
-        ana = analyze(f)
-        return classify_degenerate_plane(f, ana, null_field(f, ana))
+        return classify_degenerate_plane(f)
 
 
-def classify_degenerate_plane(f, analysis, eta):
+def _plane_lambda(comps):
+    """lambda mod m^3 from the 3-jets of the integer components (c1, c2):
+    d(x^a y^b, x^c y^d)/d(x, y) = (ad - bc) x^(a+c-1) y^(b+d-1)."""
+    jets = [[(e, c) for e, c in comp.items() if sum(e) <= 3] for comp in comps]
+    lam = {}
+    for (a, b), p in jets[0]:
+        for (c, d), q in jets[1]:
+            if a + b + c + d <= 4 and a * d != b * c:
+                e = (a + c - 1, b + d - 1)
+                lam[e] = lam.get(e, 0) + (a * d - b * c) * p * q
+    return lam
+
+
+def classify_degenerate_plane(f):
     """The lips / beaks / planar-swallowtail criteria of ``classify_plane``
-    for a corank-one plane germ that is not Morin; ``analysis`` is
-    analyze(f) and ``eta`` its null field."""
-    lam = analysis.lam
-    origin = f.origin()
-    dlam0 = lam.gradient_at(origin)
-    eel = eta.apply(eta.apply(lam))
-    eel0 = eel.eval(origin)
-    if all(v == 0 for v in dlam0):
-        a, b, d = _hessian_at_zero(lam)
-        det_h = a * d - b * b
-        if det_h > 0:
+    for a corank-one plane germ that is not Morin.  Where dlambda(0) = 0,
+    eta eta lambda(0) = v^T hess lambda(0) v, v the integer kernel vector
+    of df(0).  Otherwise the prepared form, in the oriented frame (u, z),
+    gives eta = d/du, xi = d/dz and the chain as coefficients."""
+    comps, J0 = _integer_components(f)
+    rank, kernel = integer_kernel(J0)
+    if rank != 1:
+        raise NotCorankOneError("not corank one at 0 (corank %d)" % (2 - rank))
+    lam = _plane_lambda(comps)
+    if not lam.get((1, 0)) and not lam.get((0, 1)):
+        # det_h > 0 (lips): hess lambda(0) is definite, so eel0 != 0
+        det_h, eel0 = _second_order(lam, kernel[0])
+        if det_h and eel0:
+            family = "lips" if det_h > 0 else "beaks"
             eps = _sign(eel0)
-            return ClassLabel("lips", (eps, None), _plane_normal_form("lips", eps),
-                              None, ("etaetalam", eps))
-        if det_h < 0 and eel0 != 0:
-            eps = _sign(eel0)
-            return ClassLabel("beaks", (eps, None), _plane_normal_form("beaks", eps),
-                              None, ("etaetalam", eps))
+            return ClassLabel(family, (eps, None),
+                              _plane_normal_form(family, eps), None,
+                              ("etaetalam", eps))
         return ClassLabel("unrecognized")
-    # d lambda(0) != 0
-    el0 = eta.apply(lam).eval(origin)
-    eeel0 = eta.apply(eel).eval(origin)
-    if el0 == 0 and eel0 == 0 and eeel0 != 0:
-        a, b = eta.at_zero()
-        xi = VecField.constant([-b, a], 2)
-        xil0 = xi.apply(lam).eval(origin)
-        eps = _sign(xil0 * eeel0)
+    prep = prepared_form(f)
+    if prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
+        eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),
                           None, ("xilam-eta3lam", eps))
@@ -159,15 +169,11 @@ def classify_surface(f):
         return ClassLabel("whitney-umbrella",
                           normal_form=_surface_normal_form("whitney-umbrella"))
     # eta = v is constant, so eta eta w(0) = v^T hess w(0) v
-    a, b, d = _hessian_at_zero(w)
-    det_h = a * d - b * b
-    eew0 = a * v[0] ** 2 + 2 * b * v[0] * v[1] + d * v[1] ** 2
-    if det_h < 0 and eew0 != 0:
+    det_h, eew0 = _second_order(w.terms, v)
+    if det_h and eew0:
+        family = "S1+" if det_h < 0 else "S1-"
         eps = _sign(eew0)
-        return ClassLabel("S1+", (eps, None), _surface_normal_form("S1+", eps),
-                          None, ("etaetaw", eps))
-    if det_h > 0 and eew0 != 0:
-        eps = _sign(eew0)
-        return ClassLabel("S1-", (eps, None), _surface_normal_form("S1-", eps),
-                          None, ("etaetaw", eps))
+        return ClassLabel(family, (eps, None),
+                          _surface_normal_form(family, eps), None,
+                          ("etaetaw", eps))
     return ClassLabel("unrecognized")

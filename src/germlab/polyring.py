@@ -416,9 +416,6 @@ class PolyMatrix(_Frozen):
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j):
-        return [self.entry(i, j) for i in range(self.rows)]
-
     def _minor_det(self, rows, cols, memo, cap):
         """Determinant of the square submatrix on the last len(cols) of
         ``rows`` and on ``cols`` (both increasing tuples), by cofactor

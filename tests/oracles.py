@@ -8,13 +8,15 @@ the germ in its own coordinates, with any null field a test passes, and
 shares with the library's prepared-form route only the invariant rule
 ``morin.morin_invariants``.
 
-``classify_sigma20`` and ``classify_surface`` are the umbilic and surface
-routes as they ran on the cofactor/vector-field layer before they read
-the 2- and 3-jet of f on integers.  The umbilic reference analyzes f
-(``germ.analyze``), builds B o f as Polys (``target_normalize``) and
-takes second derivatives along the constant fields of ``kernel_frame``;
-the surface reference expands w = det(xi f, eta f, eta eta f) in full,
-along any constant null field a test passes.
+``classify_sigma20``, ``classify_surface`` and ``classify_degenerate_plane``
+are the umbilic, surface and plane routes as they ran on the
+cofactor/vector-field layer before they read integer coefficients of f.
+The umbilic reference analyzes f (``germ.analyze``), builds B o f as
+Polys (``target_normalize``) and takes second derivatives along the
+constant fields of ``kernel_frame``; the surface reference expands w = det(xi f, eta f, eta eta f) in full,
+along any constant null field a test passes; the plane reference applies
+the null field of ``analyze`` (or any a test passes) to lambda up to
+three times.
 
 ``sign_at_root`` is the refinement-based sign of a polynomial at a root of
 a constraint: it bisects the isolating interval until g has no root left
@@ -56,7 +58,7 @@ from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
                               clear_denominators, integer_adjugate,
                               integer_echelon, integer_kernel)
-from germlab.lowdim import _surface_normal_form
+from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import (DegenerateSigmaError, elli_normal_form,
                              hyp_normal_form)
 from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
@@ -386,6 +388,44 @@ def classify_surface(f, eta=None):
         eps = _sign(eew0)
         return ClassLabel("S1-", (eps, None), _surface_normal_form("S1-", eps),
                           None, ("etaetaw", eps))
+    return ClassLabel("unrecognized")
+
+
+def classify_degenerate_plane(f, analysis=None, eta=None):
+    """``lowdim.classify_degenerate_plane`` on lambda and a null field:
+    ``analysis`` is analyze(f) and ``eta`` a null field of f, each built
+    when not given."""
+    ana = analysis or analyze(f)
+    eta = eta or null_field(f, ana)
+    lam = ana.lam
+    origin = f.origin()
+    dlam0 = lam.gradient_at(origin)
+    eel = eta.apply(eta.apply(lam))
+    eel0 = eel.eval(origin)
+    if all(v == 0 for v in dlam0):
+        (a, b), (c, d) = [[lam.partial(i).partial(j).eval(origin)
+                           for j in (1, 2)] for i in (1, 2)]
+        det_h = a * d - b * c
+        if det_h > 0:
+            eps = _sign(eel0)
+            return ClassLabel("lips", (eps, None),
+                              _plane_normal_form("lips", eps), None,
+                              ("etaetalam", eps))
+        if det_h < 0 and eel0 != 0:
+            eps = _sign(eel0)
+            return ClassLabel("beaks", (eps, None),
+                              _plane_normal_form("beaks", eps), None,
+                              ("etaetalam", eps))
+        return ClassLabel("unrecognized")
+    el0 = eta.apply(lam).eval(origin)
+    eeel0 = eta.apply(eel).eval(origin)
+    if el0 == 0 and eel0 == 0 and eeel0 != 0:
+        a, b = eta.at_zero()
+        xi = VecField.constant([-b, a], 2)
+        eps = _sign(xi.apply(lam).eval(origin) * eeel0)
+        return ClassLabel("planar-swallowtail", (eps, None),
+                          _plane_normal_form("planar-swallowtail", eps),
+                          None, ("xilam-eta3lam", eps))
     return ClassLabel("unrecognized")
 
 

@@ -7,9 +7,8 @@ from fractions import Fraction
 from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, null_field, translate
 from germlab.morin import recognize_morin, normal_form, class_count
-from germlab.lowdim import (classify_plane, classify_degenerate_plane,
-                            classify_surface, _plane_normal_form,
-                            _surface_normal_form)
+from germlab.lowdim import (classify_plane, classify_surface,
+                            _plane_normal_form, _surface_normal_form)
 from germlab.sigma20 import (classify_sigma20, hyp_normal_form,
                              elli_normal_form)
 from germlab import perturb as pt
@@ -239,10 +238,10 @@ def test_criterion_09_lowdim_suite():
 def test_criterion_10_eta_invariance():
     """Reversing eta or rescaling it by a positive constant never changes
     an emitted label, across the corank-one corpus.  Morin labels are read
-    by the eta-chain reference, plane labels by
-    ``classify_degenerate_plane`` and surface labels by the full-w
-    reference, each of which takes a null field; the library routes build
-    their own, and must agree."""
+    by the eta-chain reference, plane labels by the null-field plane
+    reference and surface labels by the full-w reference, each of which
+    takes a null field; the library routes read integer coefficients, and
+    must agree."""
     corpus = corpus_30()
     checked = 0
     for f in corpus:
@@ -253,10 +252,11 @@ def test_criterion_10_eta_invariance():
             eta = null_field(f, ana)
             variants = [-eta, eta.scale(F(7, 3))]
             if f.src_dim == 2 and classify_plane(f).k is None:
-                base = classify_degenerate_plane(f, ana, eta)
+                reference = oracles.classify_degenerate_plane
+                base = reference(f, ana, eta)
                 assert classify_plane(f) == base
                 for v in variants:
-                    assert classify_degenerate_plane(f, ana, v) == base
+                    assert reference(f, ana, v) == base
             else:
                 base = eta_chain_label(f, ana, eta)
                 assert recognize_morin(f) == base

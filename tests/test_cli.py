@@ -351,7 +351,7 @@ def test_help_text_does_not_depend_on_the_environment(capsys, monkeypatch):
     assert "None" not in texts[0]
 
 
-# ---- at most one analyze per germ ---------------------------------------
+# ---- no cofactor layer on any classify request --------------------------
 
 def _count_calls(monkeypatch, original):
     """Wrap ``original`` in every germlab module that holds it; return the
@@ -370,12 +370,6 @@ def _count_calls(monkeypatch, original):
     return calls
 
 
-# the families whose criteria read lambda and eta from ``analyze``; a Morin
-# germ is read from its prepared form and an umbilic from its 2-jet, with
-# no analyze and no cofactors
-ANALYZED = ("lips", "beaks", "planar-swallowtail")
-
-
 @pytest.mark.parametrize("text,family", [
     ("x1^3 + x1*x2^2 ; x2", "lips"),
     ("x1^3 - x1*x2^2 ; x2", "beaks"),
@@ -387,8 +381,9 @@ ANALYZED = ("lips", "beaks", "planar-swallowtail")
      "sigma20-elli"),
 ])
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
-    """Morin germs and umbilics make no analyze and no eta-chain call; the
-    plane criteria analyze the germ once and build no eta-chain."""
+    """No germ is analyzed or gets an eta-chain.  Morin recognition builds
+    the prepared form once; the planar-swallowtail criteria read it once
+    more, after Morin recognition rejects the germ."""
     import germlab.germ as germ
     import germlab.morin as morin
     calls = _count_calls(monkeypatch, germ.analyze)
@@ -397,9 +392,9 @@ def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
-    assert len(calls) == (1 if family in ANALYZED else 0)
+    assert len(calls) == 0
     assert len(chains) == 0
-    assert len(prepared) == 1
+    assert len(prepared) == (2 if family == "planar-swallowtail" else 1)
 
 
 def _count_cofactor_calls(monkeypatch):
@@ -427,17 +422,14 @@ def _count_cofactor_calls(monkeypatch):
 ])
 def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
                                              family):
-    """Only the n = 2 plane fallback expands the Jacobian's cofactors: one
-    adjugate column, to degree 3.  The surface route expands one 3 x 3
-    determinant, capped at degree 2.  Morin germs and the corank-two route
-    expand none."""
+    """Only the surface route expands a determinant of Polys: one 3 x 3
+    determinant, capped at degree 2.  Morin germs, the plane criteria and
+    the corank-two route expand none."""
     calls = _count_cofactor_calls(monkeypatch)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
-    expected = {"lips": [("adjugate_column", (0, 3))],
-                "S1+": [("det", (2,))]}
-    assert calls == expected.get(family, [])
+    assert calls == ([("det", (2,))] if family == "S1+" else [])
 
 
 @pytest.mark.parametrize("command", [["classify"], ["classify", "--json"],
@@ -522,6 +514,27 @@ def test_reflection_orbits_of_the_other_families(f, size):
 
 
 CORPUS = corpus_30()
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_classify_reaches_no_cofactor_layer(capsys, monkeypatch, index):
+    """No corpus germ reaches analyze, null_field, an adjugate column or a
+    VecField: every route reads integer coefficients of f."""
+    import germlab.germ as germ
+    calls = [_count_calls(monkeypatch, germ.analyze),
+             _count_calls(monkeypatch, germ.null_field)]
+    cofactors = _count_cofactor_calls(monkeypatch)
+    fields = []
+    original = germ.VecField.__init__
+
+    def counted(self, components):
+        fields.append(self)
+        original(self, components)
+    monkeypatch.setattr(germ.VecField, "__init__", counted)
+    assert run(capsys, "classify", "--json", render_map(CORPUS[index]))[0] == 0
+    assert calls == [[], []]
+    assert [c for c in cofactors if c[0] == "adjugate_column"] == []
+    assert fields == []
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))

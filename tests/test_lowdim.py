@@ -7,6 +7,7 @@ import pytest
 
 from germlab.polyring import Poly
 from germlab.germ import MapGerm, analyze, null_field
+from germlab.germparse import parse_map
 from germlab.lowdim import (classify_plane, classify_degenerate_plane,
                             classify_surface, surface_w,
                             _plane_normal_form, _surface_normal_form)
@@ -81,14 +82,58 @@ def test_plane_labels_stable_under_changes():
 
 
 def test_plane_eta_reversal():
+    """On the reference, reversing or rescaling the null field keeps the
+    label, which is the one the library reads."""
     for fam in ("lips", "beaks", "planar-swallowtail"):
         for eps in (1, -1):
             f = _plane_normal_form(fam, eps)
             ana = analyze(f)
             eta = null_field(f, ana)
             base = classify_plane(f)
+            assert classify_degenerate_plane(f) == base
             for v in (eta, -eta, eta.scale(Fraction(5, 2))):
-                assert classify_degenerate_plane(f, ana, v) == base
+                assert oracles.classify_degenerate_plane(f, ana, v) == base
+
+
+# ---- route agreement: the integer reading against the null-field one ----
+
+PLANE_FORMS = [_plane_normal_form(fam, s)
+               for fam in ("lips", "beaks", "planar-swallowtail")
+               for s in (1, -1)]
+# unrecognized (lambda = x2^2), lips plus a cubic term, then unrecognized:
+# eta eta lambda(0) = 0, eta^3 lambda(0) = 0, a fold (eta lambda(0) != 0)
+# and eta eta lambda(0) = 0 again
+PLANE_DEGENERATE = [parse_map(t) for t in (
+    "x1*x2^2 ; x2", "x1^3 + x1*x2^2 + x2^3 ; x2", "x1^2*x2 + x1^4 ; x2",
+    "x1^5 + x1*x2 ; x2", "x1^2 + x1*x2 ; x2", "x1^2*x2 + x1*x2^3 ; x2")]
+
+
+@pytest.mark.parametrize("index", range(len(PLANE_FORMS + PLANE_DEGENERATE)))
+def test_plane_routes_agree_under_changes_and_higher_terms(index):
+    """Dense, rational, non-integral-kernel and quadratic nonlinear
+    changes, each also with terms of degree 3, 4 and 5 added: the 3-jet
+    and prepared-form reading gives the label of lambda and the null
+    field of ``analyze``."""
+    rng = random.Random(6100 + index)
+    f = (PLANE_FORMS + PLANE_DEGENERATE)[index]
+    germs = [f,
+             change_coordinates(f, random_gl_pos(rng, 2),
+                                random_gl_pos(rng, 2)),
+             change_coordinates(f, random_rational_gl_pos(rng, 2),
+                                random_rational_gl_pos(rng, 2)),
+             quadratic_change(rng, f, 5)] + \
+        non_integral_kernel_changes(rng, f, 1)
+    for g in germs:
+        for h in [g] + [add_high_terms(rng, g, low) for low in (3, 4, 5)]:
+            assert_labels_agree(classify_degenerate_plane,
+                                oracles.classify_degenerate_plane, h)
+
+
+@pytest.mark.parametrize("text", ["x1 ; x2", "x1^2 ; x2^2",
+                                  "x1^2 + x2^2 ; x1*x2"])
+def test_plane_criteria_refuse_a_corank_other_than_one(text):
+    assert_labels_agree(classify_degenerate_plane,
+                        oracles.classify_degenerate_plane, parse_map(text))
 
 
 # ---- surface germs -----------------------------------------------------

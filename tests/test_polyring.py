@@ -326,8 +326,9 @@ def test_capped_det_is_truncated_det(term_dicts, cap):
     M = PolyMatrix(3, 3, [Poly(2, d) for d in term_dicts])
     assert M.det(cap) == M.det().truncate(cap)
     for j in range(3):
+        adj = M.adjugate()
         assert M.adjugate_column(j, cap) == \
-            [c.truncate(cap) for c in M.adjugate().column(j)]
+            [adj.entry(i, j).truncate(cap) for i in range(3)]
 
 
 def _value_by_definition(p, point):
