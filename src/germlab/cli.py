@@ -24,7 +24,7 @@ from fractions import Fraction
 from .polyring import _rat_str
 from .germ import NotCorankOneError, DegenerateGermError, GermError
 from .morin import recognize_morin, class_count
-from .lowdim import classify_degenerate_plane, classify_surface
+from .lowdim import _degenerate_plane, classify_surface
 from .sigma20 import classify_sigma20, DegenerateSigmaError
 from .germparse import parse_map, render_map, ParseError
 from . import perturb as pt
@@ -95,9 +95,9 @@ def classify_any(f):
             % (f.src_dim, f.tgt_dim))
     try:
         return recognize_morin(f), "morin"
-    except DegenerateGermError:
+    except DegenerateGermError as e:
         if f.src_dim == 2:
-            label = classify_degenerate_plane(f)
+            label = _degenerate_plane(f, e.prepared)
             if label.family != "unrecognized":
                 return label, "plane"
         raise UnrecognizedError("degenerate germ: no criterion matched")

@@ -15,8 +15,7 @@ from math import comb, factorial
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
                        rat, _sum_of_products, clear_denominators,
-                       integer_adjugate, integer_echelon, integer_kernel,
-                       _series_mul)
+                       integer_adjugate, integer_kernel, _series_mul)
 
 
 def jet_degree(n):
@@ -41,7 +40,13 @@ class NotCorankOneError(GermError):
 
 
 class DegenerateGermError(GermError):
-    """The germ fails the non-degeneracy (rank) part of the criteria."""
+    """The germ fails the non-degeneracy (rank) part of the criteria.
+    ``prepared`` is its PreparedForm when ``recognize_morin`` found no
+    k <= n with eta^k lambda(0) != 0, else None."""
+
+    def __init__(self, message, prepared=None):
+        super().__init__(message)
+        self.prepared = prepared
 
 
 class VecField(_Frozen):
@@ -160,20 +165,21 @@ def analyze(f):
     """Exact Jacobian, rank of df(0) and, when n = m, lambda and (at
     corank one) eta from one column j of adj(J): lambda is the Laplace
     expansion along row j, eta the column mod m^D.  At corank one j is the
-    first row of J(0) whose removal leaves rank n - 1, else j = 0.  The
-    expansion reaches up to 2^(n-1) minors; no classifier route calls it,
-    the test references do."""
+    first row of J(0) whose removal leaves rank n - 1, the first nonzero
+    entry of the left kernel vector; else j = 0.  The expansion reaches
+    up to 2^(n-1) minors; no classifier route calls it, the test
+    references do."""
     n = f.src_dim
     J = jacobian(f)
     J0 = [clear_denominators(row) for row in J.eval(f.origin())]
-    rank0 = len(integer_echelon(J0)[1])
+    rank0 = integer_kernel(J0)[0]
     lam = eta = None
     if n == f.tgt_dim:
         D = jet_degree(n)
         j = 0
         if rank0 == n - 1:
-            j = next(j for j in range(n)
-                     if len(integer_echelon(J0[:j] + J0[j + 1:])[1]) == n - 1)
+            w = integer_kernel(list(zip(*J0)))[1][0]
+            j = next(i for i, x in enumerate(w) if x)
         col = J.adjugate_column(j, D)
         lam = _sum_of_products(n, list(zip(J.row(j), col)), D)
         if rank0 == n - 1:
@@ -245,8 +251,9 @@ def prepared_form(f):
     kernel, P = [v | e_j, j != p] and T = [w; e_i, i != q] put f in the
     shape T f(P y) = (f1, f'), where df1(0) = 0 and d'f'(0) = (0 | L).
     One complement column of P is negated if det L < 0, and then v or w,
-    so that det P, det T and d = det L are positive.  With y1 = d u every
-    coefficient below stays an integer:
+    so that det P, det T and d = det L are positive.  L is eliminated once:
+    the negated column takes d to -d and negates every row of adj L but
+    the first.  With y1 = d u every coefficient below stays an integer:
       * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0 mod u^t, t =
         jet_degree(n) + 1 = max(n + 1, 4), solved one degree per step with
         the constant matrix L;
@@ -275,9 +282,8 @@ def prepared_form(f):
     signs = [1] * (n - 1)
     if d < 0:
         signs[0] = -1
-        for row in L:
-            row[0] = -row[0]
-        d, adj = integer_adjugate(L)
+        d = -d
+        adj = adj[:1] + [[-x for x in row] for row in adj[1:]]
     if (-1) ** p * v[p] * (signs[0] if cols else 1) < 0:
         v = [-x for x in v]
     if (-1) ** q * w[q] < 0:

@@ -73,8 +73,8 @@ def classify_plane(f):
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
     try:
         return recognize_morin(f)
-    except DegenerateGermError:
-        return classify_degenerate_plane(f)
+    except DegenerateGermError as e:
+        return _degenerate_plane(f, e.prepared)
 
 
 def _plane_lambda(comps):
@@ -96,6 +96,11 @@ def classify_degenerate_plane(f):
     eta eta lambda(0) = v^T hess lambda(0) v, v the integer kernel vector
     of df(0).  Otherwise the prepared form, in the oriented frame (u, z),
     gives eta = d/du, xi = d/dz and the chain as coefficients."""
+    return _degenerate_plane(f, None)
+
+
+def _degenerate_plane(f, prep):
+    """``classify_degenerate_plane`` given f's prepared form, or None."""
     comps, J0 = _integer_components(f)
     rank, kernel = integer_kernel(J0)
     if rank != 1:
@@ -111,7 +116,7 @@ def classify_degenerate_plane(f):
                               _plane_normal_form(family, eps), None,
                               ("etaetalam", eps))
         return ClassLabel("unrecognized")
-    prep = prepared_form(f)
+    prep = prep or prepared_form(f)
     if prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
         eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),

@@ -15,7 +15,7 @@ normal-form representative is attached for reference.
 
 import functools
 
-from .polyring import Poly, _Frozen, integer_adjugate, integer_echelon
+from .polyring import Poly, _Frozen, integer_adjugate, integer_kernel
 from .germ import (MapGerm, prepared_form, NotCorankOneError,
                    DegenerateGermError)
 
@@ -145,22 +145,25 @@ def recognize_morin(f):
     k = next((j for j in range(1, n + 1) if prep.chain_value(j)), None)
     if k is None:
         raise DegenerateGermError(
-            "no k <= n with eta^k lambda(0) != 0; not a Morin singularity")
-    rows = [prep.chain_gradient(j) for j in range(k)]
-    if len(integer_echelon(rows)[1]) != k:
-        raise DegenerateGermError(
-            "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")
-    return morin_invariants(n, k, prep.chain_value(k), rows)
+            "no k <= n with eta^k lambda(0) != 0; not a Morin singularity",
+            prep)
+    return morin_invariants(n, k, prep.chain_value(k),
+                            [prep.chain_gradient(j) for j in range(k)])
 
 
 def morin_invariants(n, k, eta_k_lambda, grad_rows):
-    """The ClassLabel of a recognized k-Morin germ in n variables from its
-    criterion values: eta_k_lambda = eta^k lambda(0) and ``grad_rows``, the
+    """The ClassLabel of a k-Morin germ in n variables from its criterion
+    values: eta_k_lambda = eta^k lambda(0) != 0 and ``grad_rows``, the
     integer rows d(eta^j lambda)(0) for j < k (positive multiples of them
     do as well: only signs are read).  Its invariant (see
-    ``invariant_kind``) and the signed normal form that carries it."""
+    ``invariant_kind``) and the signed normal form that carries it.
+    Raises DegenerateGermError if the rows have rank below k; at k = n
+    that is det = 0, read from the one elimination that gives the sign."""
     s_etak = _sign(eta_k_lambda)
     s_det = _sign(integer_adjugate(grad_rows)[0]) if k == n else None
+    if s_det == 0 or k < n and integer_kernel(grad_rows)[0] < k:
+        raise DegenerateGermError(
+            "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")
     kind = invariant_kind(k, n)
     invariant = invariant_value(kind, s_etak, s_det)
     signs = _NORMAL_FORM_SIGNS[kind](invariant[-1])

@@ -50,7 +50,7 @@ from functools import cache
 from math import ceil, gcd
 
 from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
-                       clear_denominators)
+                       clear_denominators, _series_mul)
 from .germ import MapGerm, translate, GermError
 from .morin import recognize_morin, invariant_kind, invariant_value
 
@@ -82,12 +82,7 @@ def up_neg(c):
 def up_mul(a, b):
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return up_trim(out)
+    return up_trim(_series_mul(a, b, len(a) + len(b) - 2))
 
 
 # Signs, gcds and quotients are taken on integer polynomials.  Each one is

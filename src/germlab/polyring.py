@@ -3,10 +3,10 @@ integer linear algebra below it.
 
 Everything downstream (germ analysis, classifiers, the perturbation lab)
 runs on these types.  Coefficients are `fractions.Fraction` ("Rat"), terms
-are stored sparsely keyed by exponent vector.  Ranks, kernels and
-determinants of scalar matrices are taken on integers, each row scaled by
-the lcm of its denominators, so every sign and rank test is exact -- there
-are no tolerances anywhere in the classification paths.
+are stored sparsely keyed by exponent vector.  Every rank, kernel,
+determinant and adjugate of a scalar matrix comes from one fraction-free
+(Bareiss) elimination on integers, each row scaled by the lcm of its
+denominators: every sign and rank test is exact, with no tolerances.
 """
 
 import operator
@@ -355,9 +355,10 @@ def _sum_of_products(nvars, pairs, cap=None):
 
 
 def _series_mul(a, b, cap):
-    """The product of two univariate integer series (coefficient lists,
-    index = degree) truncated at degree ``cap``: terms above it are never
-    formed.  The prepared-form route multiplies its curve series with it."""
+    """The product of two univariate series (coefficient lists, index =
+    degree) truncated at degree ``cap``: terms above it are never formed.
+    The prepared-form route multiplies its integer curve series with it,
+    and ``perturb.up_mul`` takes it to full degree."""
     out = [0] * (cap + 1)
     for i, x in enumerate(a[:cap + 1]):
         if x:
@@ -503,31 +504,35 @@ def clear_denominators(row):
     return [x.numerator * (d // x.denominator) for x in row]
 
 
-def integer_echelon(mat):
-    """Fraction-free Gauss-Jordan form of an integer matrix: (rows,
-    pivot_columns), where row r has its pivot in column pivot_columns[r]
-    and a zero in every other pivot column.  Each combined row is divided
-    by the gcd of its entries, so the entries stay small."""
+def _bareiss(mat, width):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
+    matrix on its first ``width`` columns, skipping those with no pivot:
+    (rows, pivots, pivot).  A step takes each other row to (a * row -
+    b * top) / prev, a the new pivot, b the row's entry in its column and
+    prev the pivot before; every entry is a minor of the input
+    (Sylvester's identity), so each division is exact.  Row r ends with
+    its pivot in column pivots[r] and 0 in the other pivot columns; every
+    pivot equals the last, ``pivot`` (1 if none).  A swap negates the row
+    it moves up: a square matrix of full rank has determinant ``pivot``."""
     rows = [list(row) for row in mat]
-    ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if p != r:
+            rows[r], rows[p] = [-x for x in rows[p]], rows[r]
         top = rows[r]
         a = top[c]
         for i, row in enumerate(rows):
-            b = row[c]
-            if i != r and b:
-                new = [a * x - b * y for x, y in zip(row, top)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+            if i != r:
+                b = row[c]
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
         pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    return rows, pivots, prev
 
 
 def integer_kernel(mat):
@@ -536,41 +541,26 @@ def integer_kernel(mat):
     other free columns.  Each is a positive multiple of the reduced
     row echelon nullspace vector of c, which is 1 at c."""
     ncols = len(mat[0])
-    rows, pivots = integer_echelon(mat)
-    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    rows, pivots, pivot = _bareiss(mat, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
-        vec[free] = scale
+        vec[free] = pivot
         for row, c in zip(rows, pivots):
-            vec[c] = -row[free] * (scale // row[c])
-        g = gcd(*vec)
+            vec[c] = -row[free]
+        g = gcd(*vec) if pivot > 0 else -gcd(*vec)
         basis.append([x // g for x in vec])
     return len(pivots), basis
 
 
 def integer_adjugate(mat):
-    """(det M, adj M) of a square integer matrix, by fraction-free
-    (Bareiss) Gauss-Jordan elimination of [M | I]: every division is
-    exact, the left block ends as D * I and the right block as D * M^-1,
-    where D is the determinant of M with its rows in pivot order.  adj M
-    is None when M is singular."""
+    """(det M, adj M) of a square integer matrix from the elimination of
+    [M | I]: the left block ends as det M * I and the right block as
+    det M * M^-1 = adj M.  adj M is None when M is singular."""
     n = len(mat)
-    rows = [list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(mat)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        top = rows[k]
-        a = top[k]
-        for i, row in enumerate(rows):
-            b = row[k]
-            if i != k:
-                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
-        prev = a
-    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
+    rows, pivots, det = _bareiss(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
+        return 0, None
+    return det, [row[n:] for row in rows]

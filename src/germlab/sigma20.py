@@ -19,7 +19,7 @@ B, so one deterministic choice suffices; the tests exercise this.
 
 import functools
 
-from .polyring import Poly, integer_adjugate, integer_echelon, integer_kernel
+from .polyring import Poly, integer_adjugate, integer_kernel
 from .germ import MapGerm, GermError, _integer_components
 from .morin import ClassLabel, _sign
 
@@ -70,7 +70,7 @@ def classify_sigma20(f):
     B = integer_kernel(J0t)[1]
     for i in range(4):
         cand = B + [[int(j == i) for j in range(4)]]
-        if len(B) < 4 and len(integer_echelon(cand)[1]) == len(cand):
+        if len(B) < 4 and integer_kernel(cand)[0] == len(cand):
             B = cand
     if _det(B) < 0:
         B[3] = [-v for v in B[3]]

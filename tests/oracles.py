@@ -57,7 +57,7 @@ from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
                               clear_denominators, integer_adjugate,
-                              integer_echelon, integer_kernel)
+                              integer_kernel)
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import (DegenerateSigmaError, elli_normal_form,
                              hyp_normal_form)
@@ -262,7 +262,7 @@ def target_normalize(f, analysis=None):
     # complete with standard basis rows keeping the matrix invertible
     for i in range(4):
         cand = B + [[int(j == i) for j in range(4)]]
-        if len(B) < 4 and len(integer_echelon(cand)[1]) == len(cand):
+        if len(B) < 4 and rational_rank(cand) == len(cand):
             B = cand
     if integer_adjugate(B)[0] < 0:
         B[3] = [-v for v in B[3]]

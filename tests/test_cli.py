@@ -382,8 +382,8 @@ def _count_calls(monkeypatch, original):
 ])
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
     """No germ is analyzed or gets an eta-chain.  Morin recognition builds
-    the prepared form once; the planar-swallowtail criteria read it once
-    more, after Morin recognition rejects the germ."""
+    the prepared form once; when it rejects a planar swallowtail, the
+    plane criteria read the form its error carries."""
     import germlab.germ as germ
     import germlab.morin as morin
     calls = _count_calls(monkeypatch, germ.analyze)
@@ -394,7 +394,7 @@ def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
     assert json.loads(out)["label"]["family"] == family
     assert len(calls) == 0
     assert len(chains) == 0
-    assert len(prepared) == (2 if family == "planar-swallowtail" else 1)
+    assert len(prepared) == 1
 
 
 def _count_cofactor_calls(monkeypatch):

@@ -113,11 +113,16 @@ def test_corank_two_rejected():
 
 
 def test_degenerate_germ_rejected():
-    # lips germ: the whole chain vanishes / rank drops -> not Morin
+    # lips germ: the whole chain vanishes / rank drops -> not Morin; with
+    # a third variable k = 2 < n = 3 and dlambda(0) = 0, so the rank of
+    # the gradient rows drops below k
     x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
     f = MapGerm([x1 * (x1 ** 2 + x2 ** 2), x2])
     with pytest.raises(DegenerateGermError):
         recognize_morin(f)
+    x1, x2, x3 = (Poly.var(i, 3) for i in (1, 2, 3))
+    with pytest.raises(DegenerateGermError):
+        recognize_morin(MapGerm([x1 * (x1 ** 2 + x2 ** 2), x2, x3]))
 
 
 def test_eta_chain_lengths():
@@ -267,6 +272,53 @@ def test_routes_agree_on_rational_germs_with_inexact_curves(monkeypatch):
             scaled, random_rational_gl_pos(rng, n),
             random_rational_gl_pos(rng, n)))
     assert sum(1 for d in dets if abs(d) > 1) > len(forms) // 2
+
+
+def test_prepared_form_eliminates_l_once(monkeypatch):
+    """At det L < 0 the prepared form negates a column of L and reads -d
+    and adj L with every row but the first negated from the one
+    elimination of L."""
+    import germlab.germ as germ
+    from germlab.germparse import parse_map
+    dets = []
+    original = germ.integer_adjugate
+
+    def recorded(mat):
+        det, adj = original(mat)
+        dets.append(det)
+        return det, adj
+    monkeypatch.setattr(germ, "integer_adjugate", recorded)
+    prep = prepared_form(parse_map("x1^3 + x1*x2 ; -x2"))
+    assert dets == [-1]
+    assert prep.chain_value(2) == -6 and prep.chain_gradient(0) == [0, 1]
+
+
+def test_recognize_morin_eliminates_each_matrix_once(monkeypatch):
+    """One integer elimination each for J(0), its transpose, L and the
+    gradient rows, at every k <= n and either sign of det L: at k = n
+    one elimination gives both the rank check and the sign of det."""
+    import germlab.polyring as polyring
+    pivots = []
+    original = polyring._bareiss
+
+    def recorded(mat, width):
+        got = original(mat, width)
+        pivots.append(got[2])
+        return got
+    monkeypatch.setattr(polyring, "_bareiss", recorded)
+    rng = random.Random(20261019)
+    flipped = 0
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            for f, _, _ in all_signed(k, n):
+                g = change_coordinates(f, random_gl_pos(rng, n),
+                                       random_gl_pos(rng, n))
+                pivots.clear()
+                label = recognize_morin(g)
+                assert len(pivots) == 4
+                flipped += pivots[2] < 0    # the third is L, with det L
+                assert label == recognize_morin(f)
+    assert flipped > 0
 
 
 def test_an_inexact_division_raises():

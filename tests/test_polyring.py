@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, clear_denominators,
-                              integer_adjugate, integer_echelon,
-                              integer_kernel, _series_mul)
+                              integer_adjugate, integer_kernel,
+                              _series_mul)
 from germlab.germ import MapGerm, VecField, analyze, prepared_form
 from germlab.morin import ClassLabel
 from germlab.perturb import UnfoldingSpec, morin_points
@@ -353,33 +353,61 @@ def test_eval_and_gradient_at_origin_match_the_general_path(p, point):
         _value_by_definition(p.partial(i), point) for i in (1, 2)]
 
 
+def _random_integer_matrix(rng, nrows, ncols):
+    """An integer matrix whose later rows are sometimes combinations of
+    its first ones and whose columns are sometimes zero, in random row
+    order: every rank from 0 to min(nrows, ncols) occurs."""
+    mat = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.5:
+        rank = rng.randint(0, nrows - 1)
+        for i in range(rank, nrows):
+            coefs = [rng.randint(-2, 2) for _ in range(rank)]
+            mat[i] = [sum(c * row[j] for c, row in zip(coefs, mat))
+                      for j in range(ncols)]
+    if rng.random() < 0.2:
+        zero = rng.randrange(ncols)
+        for row in mat:
+            row[zero] = 0
+    rng.shuffle(mat)
+    return mat
+
+
 def test_integer_linear_algebra_matches_the_rational_routines():
+    """The one fraction-free elimination below integer_kernel and
+    integer_adjugate, on square, tall and wide matrices of every rank:
+    the kernel has the rank of the rational elimination and is the
+    primitive positive multiple of its nullspace; det M is the rational
+    determinant, and adj M satisfies M adj M = det M * I or is None when
+    M is singular.  M with column 0 negated is M diag(-1, 1, ...), with
+    determinant -det M and adjugate diag(1, -1, ...) adj M: the prepared
+    form reads it so rather than eliminating L again when det L < 0."""
     rng = random.Random(77)
     for _ in range(400):
         n = rng.randint(1, 6)
-        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.4:      # make some singular
-            M[-1] = [a + b for a, b in zip(M[0], M[(1 % n)])]
+        M = _random_integer_matrix(rng, n, n)
         d, adj = integer_adjugate(M)
         assert d == rational_det(M)
+        flipped = integer_adjugate([[-row[0]] + row[1:] for row in M])
         if d:
             for i in range(n):
                 for j in range(n):
                     assert sum(M[i][k] * adj[k][j] for k in range(n)) == \
                         (d if i == j else 0)
+            assert flipped == (-d, adj[:1] + [[-x for x in row]
+                                              for row in adj[1:]])
         else:
-            assert adj is None
-        assert len(integer_echelon(M)[1]) == rational_rank(M)
-        wide = [[rng.randint(-2, 2) for _ in range(n + 1)]
-                for _ in range(rng.randint(1, 4))]
-        assert len(integer_echelon(wide)[1]) == rational_rank(wide)
-        rank, basis = integer_kernel(M)
-        assert rank == rational_rank(M)
-        assert len(basis) == n - rank
-        for v in basis:
-            assert any(v)
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
+            assert adj is None and flipped == (0, None)
+        for mat in (M, _random_integer_matrix(rng, rng.randint(1, 6), n)):
+            rank, basis = integer_kernel(mat)
+            reference = rational_nullspace(mat)
+            assert rank == rational_rank(mat)
+            assert len(basis) == len(reference) == n - rank
+            for v, w in zip(basis, reference):
+                c = v[w.index(1)]
+                assert c > 0 and v == [c * x for x in w]
+                assert math.gcd(*v) == 1
     assert integer_adjugate([]) == (1, [])
+    assert integer_adjugate([[0, 0], [0, 0]]) == (0, None)
 
 
 _nonzero_rat = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
