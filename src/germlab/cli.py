@@ -8,9 +8,9 @@ Commands:
   tables    -- machine-readable class-count and family-invariant tables
   verify    -- classify and compare against a claimed label
 
-Exit codes: 0 success, 1 verify mismatch, 2 parse error, 3 unrecognized
-germ.  JSON output is deterministic (sorted keys, fixed separators) so
-identical inputs give byte-identical bytes.
+Exit codes: 0 success, 1 verify mismatch, 2 parse error or unreadable
+--input, 3 unrecognized germ.  JSON output is deterministic (sorted keys,
+fixed separators) so identical inputs give byte-identical bytes.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .polyring import _rat_str
 from .germ import NotCorankOneError, DegenerateGermError, GermError
 from .morin import recognize_morin, class_count
-from .lowdim import _degenerate_plane, classify_surface
+from .lowdim import classify_plane, classify_surface
 from .sigma20 import classify_sigma20, DegenerateSigmaError
 from .germparse import parse_map, render_map, ParseError
 from . import perturb as pt
@@ -40,6 +40,10 @@ MAX_GRID_POINTS = 10000
 
 class UnrecognizedError(Exception):
     pass
+
+
+class InputError(Exception):
+    """The --input path cannot be read (exit 2, like a parse error)."""
 
 
 def _emit(payload, as_json, human_lines):
@@ -71,16 +75,17 @@ def _label_dict(label):
 
 
 def classify_any(f):
-    """Dispatch: Morin recognition first, then the plane-germ criteria
-    (n=m=2), the surface criteria (n=2, m=3) and the corank-two criteria
-    (n=m=4).  Returns (label, route); raises UnrecognizedError when no
+    """Dispatch, one entry per route: ``classify_surface`` (n=2, m=3),
+    ``classify_plane`` (n=m=2) or ``recognize_morin`` (other n = m), and
+    then the corank-two criteria (n=m=4).  Returns (label, route), route
+    "morin" for a label with a k; raises UnrecognizedError when no
     criterion applies.
 
     Morin recognition reads the rank of df(0) first: a regular germ is
     labelled at once, and a corank other than one (two at n = 4) is
     refused before any polynomial is built.  Every route reads integer
-    Taylor coefficients of f or its prepared form; none expands the
-    Jacobian's cofactors."""
+    jets of f (``germ._jet_det``) or its prepared form, built once and
+    kept on f; none expands the Jacobian's cofactors."""
     if f.src_dim == 2 and f.tgt_dim == 3:
         try:
             label = classify_surface(f)
@@ -94,41 +99,40 @@ def classify_any(f):
             "no classifier for a germ (R^%d,0) -> (R^%d,0)"
             % (f.src_dim, f.tgt_dim))
     try:
-        return recognize_morin(f), "morin"
-    except DegenerateGermError as e:
-        if f.src_dim == 2:
-            label = _degenerate_plane(f, e.prepared)
-            if label.family != "unrecognized":
-                return label, "plane"
-        raise UnrecognizedError("degenerate germ: no criterion matched")
+        label = (classify_plane if f.src_dim == 2 else recognize_morin)(f)
+    except DegenerateGermError:
+        label = None
     except NotCorankOneError as e:
-        corank = e.corank
-    if corank == 2 and f.src_dim == 4:
+        if e.corank != 2 or f.src_dim != 4:
+            raise UnrecognizedError("corank %d at the origin: out of scope"
+                                    % e.corank)
         try:
             return classify_sigma20(f), "sigma20"
-        except DegenerateSigmaError as e:
-            raise UnrecognizedError(str(e))
-    raise UnrecognizedError("corank %d at the origin: out of scope" % corank)
+        except DegenerateSigmaError as err:
+            raise UnrecognizedError(str(err))
+    if label is None or label.family == "unrecognized":
+        raise UnrecognizedError("degenerate germ: no criterion matched")
+    return label, "plane" if label.k is None else "morin"
 
 
 def _read_input(args):
+    """The germ: the bytes of the --input file or of stdin's buffer ("-"),
+    which ``parse_map`` decodes, or the inline text."""
     if args.input:
-        if args.input == "-":
-            return sys.stdin.read()
-        with open(args.input) as fh:
-            return fh.read()
+        try:
+            if args.input == "-":
+                return getattr(sys.stdin, "buffer", sys.stdin).read()
+            with open(args.input, "rb") as fh:
+                return fh.read()
+        except OSError as e:
+            raise InputError("cannot read %r: %s" % (args.input, e.strerror))
     if args.germ:
         return args.germ
     raise ParseError("no germ given (use --input or an inline argument)", 1, 1)
 
 
 def cmd_classify(args):
-    text = _read_input(args)
-    f = parse_map(text)
-    try:
-        label, route = classify_any(f)
-    except UnrecognizedError as e:
-        return _unrecognized(e, args.json)
+    label, route = classify_any(parse_map(_read_input(args)))
     # the human lines reuse the payload's text: one render of the normal form
     shown = _label_dict(label)
     payload = {"route": route, "label": shown}
@@ -159,12 +163,7 @@ def _parse_claim(claim):
 
 
 def cmd_verify(args):
-    text = _read_input(args)
-    f = parse_map(text)
-    try:
-        label, route = classify_any(f)
-    except UnrecognizedError as e:
-        return _unrecognized(e, args.json)
+    label, route = classify_any(parse_map(_read_input(args)))
     family, signs = _parse_claim(args.claim)
     got = dict(zip(("eps1", "eps2"), label.signs))
     ok = (label.family == family and
@@ -361,6 +360,11 @@ def main(argv=None):
     except ParseError as e:
         sys.stderr.write("parse error: %s\n" % e)
         return EXIT_PARSE_ERROR
+    except InputError as e:
+        sys.stderr.write("input error: %s\n" % e)
+        return EXIT_PARSE_ERROR
+    except UnrecognizedError as e:
+        return _unrecognized(e, args.json)
     except NotCorankOneError as e:
         sys.stderr.write("unrecognized: %s\n" % e)
         return EXIT_UNRECOGNIZED

@@ -1,7 +1,8 @@
 """Map-germ container and the shared geometric primitives:
 Jacobian, rank/corank at the origin, the prepared form the criteria of
-the Morin and plane routes are read from, lambda (= det Jacobian) and
-the null vector field eta from one adjugate column, and point translation.
+the Morin and plane routes are read from (kept on the germ), integer
+jets for the other routes, lambda (= det Jacobian) and the null vector
+field eta from one adjugate column, and point translation.
 
 The values eta^j lambda(0) for j <= jet_degree(n) and the gradients at 0
 of eta^j lambda for j < n are coefficients of the prepared form
@@ -40,13 +41,7 @@ class NotCorankOneError(GermError):
 
 
 class DegenerateGermError(GermError):
-    """The germ fails the non-degeneracy (rank) part of the criteria.
-    ``prepared`` is its PreparedForm when ``recognize_morin`` found no
-    k <= n with eta^k lambda(0) != 0, else None."""
-
-    def __init__(self, message, prepared=None):
-        super().__init__(message)
-        self.prepared = prepared
+    """The germ fails the non-degeneracy (rank) part of the criteria."""
 
 
 class VecField(_Frozen):
@@ -97,10 +92,11 @@ class MapGerm(_Frozen):
     """A polynomial map-germ (R^n, 0) -> (R^m, 0).
 
     The germ condition f(0) = 0 is enforced at construction: any constant
-    terms are dropped (``translate`` relies on this).
+    terms are dropped (``translate`` relies on this).  ``prepared_form``
+    writes the PreparedForm into the slot ``_prepared`` once.
     """
 
-    __slots__ = ("src_dim", "tgt_dim", "components")
+    __slots__ = ("src_dim", "tgt_dim", "components", "_prepared")
 
     def __init__(self, components, src_dim=None):
         comps = list(components)
@@ -244,7 +240,44 @@ def _integer_components(f):
     return comps, [[c.get(e, 0) for e in units] for c in comps]
 
 
+def _jet_deriv(jet, v, cap):
+    """The derivative along the integer vector v of the integer jet
+    ``jet`` ({exponent: int}) mod m^(cap+2), taken mod m^(cap+1)."""
+    out = {}
+    for e, c in jet.items():
+        for i, (vi, ei) in enumerate(zip(v, e)):
+            if vi and ei and sum(e) <= cap + 1:
+                low = e[:i] + (ei - 1,) + e[i + 1:]
+                out[low] = out.get(low, 0) + vi * ei * c
+    return out
+
+
+def _jet_det(rows, cap):
+    """det mod m^(cap+1) of a square matrix of integer jets, expanded along
+    the first row: each entry meets its minor, already mod m^(cap+1), and
+    no term of degree above ``cap`` is formed."""
+    if len(rows) == 1:
+        return {e: c for e, c in rows[0][0].items() if sum(e) <= cap}
+    out = {}
+    for j, entry in enumerate(rows[0]):
+        minor = _jet_det([row[:j] + row[j + 1:] for row in rows[1:]], cap)
+        for e1, c1 in entry.items():
+            for e2, c2 in minor.items():
+                if sum(e1) + sum(e2) <= cap:
+                    e = tuple(map(sum, zip(e1, e2)))
+                    out[e] = out.get(e, 0) + (-1) ** j * c1 * c2
+    return out
+
+
 def prepared_form(f):
+    """``_prepare(f)``, built on first use and kept on f: a MapGerm is
+    immutable, so the form it keeps cannot go stale."""
+    if getattr(f, "_prepared", None) is None:
+        object.__setattr__(f, "_prepared", _prepare(f))
+    return f._prepared
+
+
+def _prepare(f):
     """The PreparedForm of an equidimensional germ f, on integers only.
 
     With integer vectors v spanning ker df(0) and w spanning its left

@@ -3,11 +3,12 @@ integer Taylor coefficients of f:
 
 * plane-to-plane (n = m = 2): lips, beaks, planar swallowtail
   (folds and cusps are delegated to the Morin classifier), read from
-  lambda mod m^3 and from the prepared form (``germ.prepared_form``);
+  lambda mod m^3 and from the prepared form Morin recognition left on
+  the germ (``germ.prepared_form``);
 * plane-to-3-space (n = 2, m = 3): Whitney umbrella and the S1+ / S1-
   singularities, recognized through w = det(xi f, eta f, eta eta f) mod
   m^3, with a constant eta read from the linear coefficients of f and
-  only the 3-jet of f expanded.
+  only the 3-jet of f read: lambda and w are integer-jet determinants.
 
 Frame convention.  Given the kernel field eta with eta(0) = (a, b), the
 partner field xi is the constant field with xi(0) = (-b, a) (eta rotated
@@ -26,9 +27,10 @@ and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 
 import functools
 
-from .polyring import Poly, PolyMatrix, dir_deriv, integer_kernel
-from .germ import (MapGerm, prepared_form, _integer_components, GermError,
-                   NotCorankOneError, DegenerateGermError)
+from .polyring import Poly, integer_kernel
+from .germ import (MapGerm, prepared_form, _integer_components, _jet_deriv,
+                   _jet_det, GermError, NotCorankOneError,
+                   DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
 
 
@@ -42,18 +44,11 @@ def _second_order(terms, v):
 
 @functools.cache
 def _plane_normal_form(family, eps):
-    x1 = Poly.var(1, 2)
-    x2 = Poly.var(2, 2)
-    if family == "lips":
-        first = x1 * (x1 ** 2 + x2 ** 2)
-    elif family == "beaks":
-        first = x1 * (x1 ** 2 - x2 ** 2)
-    else:  # planar swallowtail
-        first = x1 * x2
-    if eps == -1:
-        first = -first
+    x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
+    first = {"lips": x1 * (x1 ** 2 + x2 ** 2), "beaks": x1 * (x1 ** 2 - x2 ** 2),
+             "planar-swallowtail": x1 * x2}[family].scale(eps)
     if family == "planar-swallowtail":
-        first = first + Poly.var(1, 2) ** 4
+        first = first + x1 ** 4
     return MapGerm([first, x2], src_dim=2)
 
 
@@ -73,21 +68,8 @@ def classify_plane(f):
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
     try:
         return recognize_morin(f)
-    except DegenerateGermError as e:
-        return _degenerate_plane(f, e.prepared)
-
-
-def _plane_lambda(comps):
-    """lambda mod m^3 from the 3-jets of the integer components (c1, c2):
-    d(x^a y^b, x^c y^d)/d(x, y) = (ad - bc) x^(a+c-1) y^(b+d-1)."""
-    jets = [[(e, c) for e, c in comp.items() if sum(e) <= 3] for comp in comps]
-    lam = {}
-    for (a, b), p in jets[0]:
-        for (c, d), q in jets[1]:
-            if a + b + c + d <= 4 and a * d != b * c:
-                e = (a + c - 1, b + d - 1)
-                lam[e] = lam.get(e, 0) + (a * d - b * c) * p * q
-    return lam
+    except DegenerateGermError:
+        return classify_degenerate_plane(f)
 
 
 def classify_degenerate_plane(f):
@@ -96,16 +78,13 @@ def classify_degenerate_plane(f):
     eta eta lambda(0) = v^T hess lambda(0) v, v the integer kernel vector
     of df(0).  Otherwise the prepared form, in the oriented frame (u, z),
     gives eta = d/du, xi = d/dz and the chain as coefficients."""
-    return _degenerate_plane(f, None)
-
-
-def _degenerate_plane(f, prep):
-    """``classify_degenerate_plane`` given f's prepared form, or None."""
     comps, J0 = _integer_components(f)
     rank, kernel = integer_kernel(J0)
     if rank != 1:
         raise NotCorankOneError("not corank one at 0 (corank %d)" % (2 - rank))
-    lam = _plane_lambda(comps)
+    # lambda mod m^3: the determinant of the partials of the 3-jets
+    lam = _jet_det([[_jet_deriv(c, e, 2) for e in ((1, 0), (0, 1))]
+                    for c in comps], 2)
     if not lam.get((1, 0)) and not lam.get((0, 1)):
         # det_h > 0 (lips): hess lambda(0) is definite, so eel0 != 0
         det_h, eel0 = _second_order(lam, kernel[0])
@@ -116,7 +95,7 @@ def _degenerate_plane(f, prep):
                               _plane_normal_form(family, eps), None,
                               ("etaetalam", eps))
         return ClassLabel("unrecognized")
-    prep = prep or prepared_form(f)
+    prep = prepared_form(f)
     if prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
         eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),
@@ -127,16 +106,9 @@ def _degenerate_plane(f, prep):
 
 @functools.cache
 def _surface_normal_form(family, eps=1):
-    x1 = Poly.var(1, 2)
-    x2 = Poly.var(2, 2)
-    if family == "whitney-umbrella":
-        mid = x1 * x2
-    elif family == "S1+":
-        mid = x1 * (x1 ** 2 + x2 ** 2)
-    else:
-        mid = x1 * (x1 ** 2 - x2 ** 2)
-    if eps == -1:
-        mid = -mid
+    x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
+    mid = {"whitney-umbrella": x1 * x2, "S1+": x1 * (x1 ** 2 + x2 ** 2),
+           "S1-": x1 * (x1 ** 2 - x2 ** 2)}[family].scale(eps)
     return MapGerm([x1 ** 2, mid, x2], src_dim=2)
 
 
@@ -145,21 +117,22 @@ def surface_w(f):
     for a corank-one germ (R^2,0) -> (R^3,0): eta = v, the integer kernel
     vector of df(0) with its first nonzero entry positive, and xi = v
     rotated by +90 degrees.  eta f vanishes at 0, so w mod m^3 reads only
-    f mod m^4.  Returns (w, v)."""
+    f mod m^4.  w is read from the integer components of f, so it is a
+    positive multiple of the rational w (equal when f has integer
+    coefficients).  Returns (w, v), w a Poly."""
     if f.src_dim != 2 or f.tgt_dim != 3:
         raise GermError("needs a germ (R^2,0) -> (R^3,0)")
-    rank, kernel = integer_kernel(_integer_components(f)[1])
+    comps, J0 = _integer_components(f)
+    rank, kernel = integer_kernel(J0)
     if rank != 1:
         raise NotCorankOneError("not corank one at 0 (rank %d)" % rank)
     v = kernel[0]
     if next(x for x in v if x) < 0:
         v = [-x for x in v]
-    comps = [c.truncate(3) for c in f.components]
-    xif = [dir_deriv(c, [-v[1], v[0]], 2) for c in comps]
-    vf = [dir_deriv(c, v, 2) for c in comps]
-    vvf = [dir_deriv(c, v, 2) for c in vf]
-    w = PolyMatrix(3, 3, [e for row in zip(xif, vf, vvf) for e in row]).det(2)
-    return w, v
+    xif = [_jet_deriv(c, [-v[1], v[0]], 2) for c in comps]
+    vf = [_jet_deriv(c, v, 2) for c in comps]
+    vvf = [_jet_deriv(c, v, 2) for c in vf]
+    return Poly(2, _jet_det(list(zip(xif, vf, vvf)), 2)), v
 
 
 def classify_surface(f):
@@ -170,7 +143,7 @@ def classify_surface(f):
     S1-: dw(0) = 0, det hess w(0) > 0; eps = sign eta eta w.
     """
     w, v = surface_w(f)
-    if any(x != 0 for x in w.gradient_at(f.origin())):
+    if w.terms.get((1, 0)) or w.terms.get((0, 1)):
         return ClassLabel("whitney-umbrella",
                           normal_form=_surface_normal_form("whitney-umbrella"))
     # eta = v is constant, so eta eta w(0) = v^T hess w(0) v

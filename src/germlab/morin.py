@@ -145,8 +145,7 @@ def recognize_morin(f):
     k = next((j for j in range(1, n + 1) if prep.chain_value(j)), None)
     if k is None:
         raise DegenerateGermError(
-            "no k <= n with eta^k lambda(0) != 0; not a Morin singularity",
-            prep)
+            "no k <= n with eta^k lambda(0) != 0; not a Morin singularity")
     return morin_invariants(n, k, prep.chain_value(k),
                             [prep.chain_gradient(j) for j in range(k)])
 

@@ -249,13 +249,8 @@ class Poly(_Frozen):
         return _sum_of_products(m, pairs)
 
     def gradient_at(self, point):
-        """Row vector of exact partial-derivative values at a point.  At
-        the origin these are the coefficients of the linear terms."""
-        n = self.nvars
-        if len(point) == n and not any(rat(p) for p in point):
-            return [self.terms.get(tuple(int(i == j) for j in range(n)),
-                                   Fraction(0)) for i in range(n)]
-        return [self.partial(i).eval(point) for i in range(1, n + 1)]
+        """Row vector of exact partial-derivative values at a point."""
+        return [self.partial(i).eval(point) for i in range(1, self.nvars + 1)]
 
     # ---- comparisons / display ----------------------------------------
     def __eq__(self, other):

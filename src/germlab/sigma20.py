@@ -15,12 +15,14 @@ With G_k = sum_i B_ki hess f_i(0) and r_k row k of B df(0), dg(x) =
 Hessian of lambda along a, b is det[G1 a; G2 b; r3; r4] + det[G1 b; G2 a;
 r3; r4].  Each sign is insensitive to the choice of kernel basis and of
 B, so one deterministic choice suffices; the tests exercise this.
+On f's integer components, G_k a is the linear part of the derivative
+along a (``germ._jet_deriv``) of the 2-jet of g_k, r_k that of g_k.
 """
 
 import functools
 
 from .polyring import Poly, integer_adjugate, integer_kernel
-from .germ import MapGerm, GermError, _integer_components
+from .germ import MapGerm, GermError, _integer_components, _jet_deriv
 from .morin import ClassLabel, _sign
 
 
@@ -48,10 +50,6 @@ def _det(rows):
     return integer_adjugate(rows)[0]
 
 
-def _times(mat, vec):
-    return [sum(x * y for x, y in zip(row, vec)) for row in mat]
-
-
 def classify_sigma20(f):
     """The ClassLabel of a rank-2 germ (R^4,0) -> (R^4,0): a signed
     hyperbolic or elliptic umbilic, with the signs of det hess lambda(0),
@@ -65,30 +63,28 @@ def classify_sigma20(f):
     if rank != 2:
         raise GermError("rank df(0) must be 2, got %d" % rank)
     # the left kernel of J0 is the right kernel of its transpose,
-    # completed with standard basis rows keeping the matrix invertible
-    J0t = [list(col) for col in zip(*J0)]
-    B = integer_kernel(J0t)[1]
+    # completed with the first standard basis rows that keep the rank
+    # full; the 4-row candidate is eliminated once, for its determinant,
+    # which is nonzero exactly at rank 4 and whose sign orients B
+    B = integer_kernel([list(col) for col in zip(*J0)])[1]
     for i in range(4):
         cand = B + [[int(j == i) for j in range(4)]]
-        if len(B) < 4 and integer_kernel(cand)[0] == len(cand):
+        if len(B) == 2 and integer_kernel(cand)[0] == 3:
             B = cand
-    if _det(B) < 0:
-        B[3] = [-v for v in B[3]]
-    # G_k = sum_i B_ki hess f_i(0) for k = 1, 2: a term c x_a x_b of f_i
-    # adds B_ki c at (a, b) and at (b, a), so 2 B_ki c when a = b
-    G = []
-    for k in (0, 1):
-        h = [[0] * 4 for _ in range(4)]
-        for bi, c in zip(B[k], comps):
+        elif len(B) == 3 and (det_b := _det(cand)):
+            B = cand[:3] + [[_sign(det_b) * v for v in cand[3]]]
+    # the 2-jets of g_k = sum_i B_ki f_i
+    g = [{} for _ in B]
+    for jet, row in zip(g, B):
+        for bi, c in zip(row, comps):
             for e, coef in c.items():
-                if bi and sum(e) == 2:
-                    a, b = (j for j in range(4) for _ in range(e[j]))
-                    h[a][b] += bi * coef
-                    h[b][a] += bi * coef
-        G.append(h)
-    # G_k a for a in the kernel basis (xi, eta)
-    (p1, p2), (q1, q2) = [[_times(g, a) for g in G] for a in kernel]
-    rest = [_times(J0t, B[k]) for k in (2, 3)]
+                if bi and sum(e) <= 2:
+                    jet[e] = jet.get(e, 0) + bi * coef
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    # G_k a = grad(a g_k)(0) for a in the kernel basis (xi, eta)
+    (p1, p2), (q1, q2) = [[[_jet_deriv(g[k], a, 1).get(e, 0) for e in units]
+                           for k in (0, 1)] for a in kernel]
+    rest = [[g[k].get(e, 0) for e in units] for k in (2, 3)]
     h11 = 2 * _det([p1, p2] + rest)
     h22 = 2 * _det([q1, q2] + rest)
     h12 = _det([p1, q2] + rest) + _det([q1, p2] + rest)

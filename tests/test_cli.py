@@ -268,6 +268,37 @@ def test_file_input(capsys, tmp_path):
     assert "cusp" in out
 
 
+@pytest.mark.parametrize("name", ["missing.germ", "."])
+def test_unreadable_input_path_exit_2(capsys, tmp_path, name):
+    """A missing path or a directory is one stderr line and exit 2."""
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "classify", "--json", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("input error: cannot read %r" % path)
+
+
+def test_input_file_of_invalid_utf8_exit_2(capsys, tmp_path):
+    p = tmp_path / "bad.germ"
+    p.write_bytes(b"x1^2 ; x2 \xff\xfe")
+    code, out, err = run(capsys, "classify", "-i", str(p))
+    assert (code, out) == (2, "")
+    assert err == "parse error: input is not valid UTF-8 text " \
+        "(line 1, column 1)\n"
+
+
+def test_stdin_bytes_not_utf8_exit_2(capsys, monkeypatch):
+    """Invalid bytes on stdin are refused the same way whatever the
+    locale: stdin's byte buffer is read, not its decoded text."""
+    import io
+    stdin = io.TextIOWrapper(io.BytesIO(b"x1^2 ; \xc3x2"), encoding="latin-1")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "classify", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err == "parse error: input is not valid UTF-8 text " \
+        "(line 1, column 1)\n"
+
+
 @pytest.mark.parametrize("text,rank", [("x1^2 ; x2^2 ; x1*x2", 0),
                                        ("x1 ; x2 ; 0", 2)])
 def test_surface_germ_of_rank_other_than_one_prints_json(capsys, text, rank):
@@ -383,12 +414,12 @@ def _count_calls(monkeypatch, original):
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
     """No germ is analyzed or gets an eta-chain.  Morin recognition builds
     the prepared form once; when it rejects a planar swallowtail, the
-    plane criteria read the form its error carries."""
+    plane criteria read the form it left on the germ."""
     import germlab.germ as germ
     import germlab.morin as morin
     calls = _count_calls(monkeypatch, germ.analyze)
     chains = _count_calls(monkeypatch, morin.eta_lambda_chain)
-    prepared = _count_calls(monkeypatch, germ.prepared_form)
+    prepared = _count_calls(monkeypatch, germ._prepare)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
@@ -422,14 +453,14 @@ def _count_cofactor_calls(monkeypatch):
 ])
 def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
                                              family):
-    """Only the surface route expands a determinant of Polys: one 3 x 3
-    determinant, capped at degree 2.  Morin germs, the plane criteria and
-    the corank-two route expand none."""
+    """No route expands a determinant of Polys: the surface route reads its
+    3 x 3 determinant from integer jets, like the plane and corank-two
+    routes, and Morin germs read the prepared form."""
     calls = _count_cofactor_calls(monkeypatch)
     code, out, _ = run(capsys, "classify", "--json", text)
     assert code == 0
     assert json.loads(out)["label"]["family"] == family
-    assert calls == ([("det", (2,))] if family == "S1+" else [])
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", [["classify"], ["classify", "--json"],
@@ -518,11 +549,14 @@ CORPUS = corpus_30()
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_classify_reaches_no_cofactor_layer(capsys, monkeypatch, index):
-    """No corpus germ reaches analyze, null_field, an adjugate column or a
-    VecField: every route reads integer coefficients of f."""
+    """No corpus germ reaches analyze, null_field, dir_deriv, a Poly
+    determinant, an adjugate column or a VecField: every route reads
+    integer coefficients of f."""
     import germlab.germ as germ
+    import germlab.polyring as polyring
     calls = [_count_calls(monkeypatch, germ.analyze),
-             _count_calls(monkeypatch, germ.null_field)]
+             _count_calls(monkeypatch, germ.null_field),
+             _count_calls(monkeypatch, polyring.dir_deriv)]
     cofactors = _count_cofactor_calls(monkeypatch)
     fields = []
     original = germ.VecField.__init__
@@ -532,8 +566,8 @@ def test_classify_reaches_no_cofactor_layer(capsys, monkeypatch, index):
         original(self, components)
     monkeypatch.setattr(germ.VecField, "__init__", counted)
     assert run(capsys, "classify", "--json", render_map(CORPUS[index]))[0] == 0
-    assert calls == [[], []]
-    assert [c for c in cofactors if c[0] == "adjugate_column"] == []
+    assert calls == [[], [], []]
+    assert cofactors == []
     assert fields == []
 
 
@@ -625,6 +659,26 @@ def test_dense_morin_form_in_7_variables_is_quick(capsys):
     assert (label["family"], label["k"]) == ("morin-7", 7)
     assert label["describe"] == classify_any(f)[0].describe()
     assert seconds < 5
+
+
+LONG_TAIL = "x1^2*(x1 + x2 + x1*x2)^60"
+
+
+@pytest.mark.parametrize("text,describe,route", [
+    ("x1^2 ; x1^3 + x1*x2^2 + %s ; x2" % LONG_TAIL, "S1+ eps1=+1", "surface"),
+    ("x1^3 + x1*x2^2 + %s ; x2" % LONG_TAIL, "lips eps1=+1", "plane"),
+])
+def test_germs_with_a_long_high_degree_tail_are_quick(capsys, text, describe,
+                                                      route):
+    """A component of 1893 terms, all but two of degree 62 or more: the
+    integer-jet determinants differentiate and pair only the terms of
+    degree at most 3, never products of the long entries."""
+    code, out, _, seconds = _timed_classify(capsys, text)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["label"]["describe"], payload["route"]) == (describe,
+                                                                route)
+    assert seconds < 1
 
 
 def test_corank_8_in_14_variables_is_refused_without_cofactors(

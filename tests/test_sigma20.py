@@ -176,3 +176,31 @@ def test_routes_agree_under_changes_and_higher_terms(index):
         assert_labels_agree(classify_sigma20, oracles.classify_sigma20, g)
         assert_labels_agree(classify_sigma20, oracles.classify_sigma20,
                             add_high_terms(rng, g, 3))
+
+
+def test_target_change_is_eliminated_once(monkeypatch):
+    """The completed target change B is eliminated once per germ: one
+    determinant of the 4-row candidate gives both its rank (nonzero) and
+    the sign that orients B."""
+    import germlab.polyring as polyring
+    from germlab.germ import _integer_components
+    from germlab.polyring import integer_kernel
+    firsts = []
+    original = polyring._bareiss
+
+    def recorded(mat, width):
+        if len(mat) == 4:
+            firsts.append([list(row[:4]) for row in mat[:2]])
+        return original(mat, width)
+    rng = random.Random(31)
+    for f in FORMS:
+        g = change_coordinates(f, random_gl_pos(rng, 4), random_gl_pos(rng, 4))
+        J0 = _integer_components(g)[1]
+        left = integer_kernel([list(col) for col in zip(*J0)])[1]
+        expected = classify_sigma20(f)
+        monkeypatch.setattr(polyring, "_bareiss", recorded)
+        firsts.clear()
+        assert classify_sigma20(g) == expected
+        monkeypatch.setattr(polyring, "_bareiss", original)
+        # B's first two rows are the left kernel of J0
+        assert firsts.count(left) == 1
