@@ -22,7 +22,8 @@ import sys
 from fractions import Fraction
 
 from .polyring import _rat_str
-from .germ import NotCorankOneError, DegenerateGermError, GermError
+from .germ import (NotCorankOneError, DegenerateGermError, GermError,
+                   prepared_form)
 from .morin import recognize_morin, class_count
 from .lowdim import classify_plane, classify_surface
 from .sigma20 import classify_sigma20, DegenerateSigmaError
@@ -81,11 +82,11 @@ def classify_any(f):
     "morin" for a label with a k; raises UnrecognizedError when no
     criterion applies.
 
-    Morin recognition reads the rank of df(0) first: a regular germ is
-    labelled at once, and a corank other than one (two at n = 4) is
-    refused before any polynomial is built.  Every route reads integer
-    jets of f (``germ._jet_det``) or its prepared form, built once and
-    kept on f; none expands the Jacobian's cofactors."""
+    Every route reads f's prepared form, built once and kept on f: its
+    integer jets, and the rank and kernels of df(0).  A regular germ is
+    labelled at once, and a corank other than one (two at n = 4), read
+    from the form, is refused before any polynomial is built.  No route
+    expands the Jacobian's cofactors."""
     if f.src_dim == 2 and f.tgt_dim == 3:
         try:
             label = classify_surface(f)
@@ -102,10 +103,11 @@ def classify_any(f):
         label = (classify_plane if f.src_dim == 2 else recognize_morin)(f)
     except DegenerateGermError:
         label = None
-    except NotCorankOneError as e:
-        if e.corank != 2 or f.src_dim != 4:
+    except NotCorankOneError:
+        corank = prepared_form(f).corank
+        if corank != 2 or f.src_dim != 4:
             raise UnrecognizedError("corank %d at the origin: out of scope"
-                                    % e.corank)
+                                    % corank)
         try:
             return classify_sigma20(f), "sigma20"
         except DegenerateSigmaError as err:
@@ -241,11 +243,10 @@ def cmd_perturb(args):
              (spec, rep.count, rep.c_f_bound, rep.stable)]
     for note in rep.notes:
         human.append("note: %s" % note)
-    for p in rep.points:
-        d = pt.point_to_dict(p)
+    for d in payload["points"]:
         human.append("  t ~ %s  invariant=%s  table=%s  verified=%s" %
                      (d["t"]["approx"], d["invariant"], d["table_invariant"],
-                      p.verified))
+                      d["verified"]))
     _emit(payload, args.json, human)
     return EXIT_OK
 

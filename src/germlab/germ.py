@@ -1,8 +1,8 @@
 """Map-germ container and the shared geometric primitives:
-Jacobian, rank/corank at the origin, the prepared form the criteria of
-the Morin and plane routes are read from (kept on the germ), integer
-jets for the other routes, lambda (= det Jacobian) and the null vector
-field eta from one adjugate column, and point translation.
+Jacobian, the prepared form (the one integer reading of a germ that
+every classify route reads, kept on the germ), integer jets, lambda
+(= det Jacobian) and the null vector field eta from one adjugate
+column, and point translation.
 
 The values eta^j lambda(0) for j <= jet_degree(n) and the gradients at 0
 of eta^j lambda for j < n are coefficients of the prepared form
@@ -32,12 +32,7 @@ class GermError(Exception):
 
 
 class NotCorankOneError(GermError):
-    """The construction needs corank exactly one at the origin.
-    ``corank`` is the corank of df(0) when it is known, else None."""
-
-    def __init__(self, message, corank=None):
-        super().__init__(message)
-        self.corank = corank
+    """The construction needs corank exactly one at the origin."""
 
 
 class DegenerateGermError(GermError):
@@ -199,21 +194,30 @@ def null_field(f, analysis=None):
 
 
 class PreparedForm(_Frozen):
-    """An equidimensional germ read in prepared coordinates.
+    """The one integer reading of a germ, which every classify route reads.
+    ``comps`` holds each component of f times the lcm of its denominators
+    (a target change that keeps the orientation) as {exponent: int}, and
+    J0 their linear coefficients; ``corank`` is n - rank J0, ``kernel``
+    the ``integer_kernel`` basis of J0 and, for a square germ of corank
+    one or two, ``left`` that of its transpose (else None).
 
     At corank one there are orientation-preserving changes of source
     coordinates (u, z_2, ..., z_n) and of target coordinates in which the
-    germ is (g, z_2, ..., z_n).  There eta = d/du is a null field and
-    lambda = dg/du, so the Morin criteria read only the coefficients of
-    u^a and of u^a z_i in g.  ``curve[a]`` is the integer coefficient of
-    u^a in g for a <= max(n + 1, 4), and ``transverse[a][i]`` that of
-    u^a z_(i+2) for a <= n.  At any other corank both are None.
+    square germ is (g, z_2, ..., z_n).  There eta = d/du is a null field
+    and lambda = dg/du, so the Morin criteria read only the coefficients
+    of u^a and of u^a z_i in g.  ``curve[a]`` is the integer coefficient
+    of u^a in g for a <= max(n + 1, 4), and ``transverse[a][i]`` that of
+    u^a z_(i+2) for a <= n.  Otherwise, or if n != m, both are None.
     """
 
-    __slots__ = ("corank", "curve", "transverse")
+    __slots__ = ("corank", "comps", "kernel", "left", "curve", "transverse")
 
-    def __init__(self, corank, curve=None, transverse=None):
+    def __init__(self, corank, comps, kernel, left=None, curve=None,
+                 transverse=None):
         object.__setattr__(self, "corank", corank)
+        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "left", left)
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "transverse", transverse)
 
@@ -227,17 +231,6 @@ class PreparedForm(_Frozen):
         f = factorial(j + 1)
         return [(j + 2) * f * self.curve[j + 2]] + \
             [f * b for b in self.transverse[j + 1]]
-
-
-def _integer_components(f):
-    """(comps, J0): each component of f times the lcm of its denominators
-    (a target change that keeps the orientation), as {exponent: int}, and
-    J0 the integer matrix of their linear coefficients."""
-    comps = [dict(zip(c.terms, clear_denominators(c.terms.values())))
-             for c in f.components]
-    units = [tuple(int(i == j) for i in range(f.src_dim))
-             for j in range(f.src_dim)]
-    return comps, [[c.get(e, 0) for e in units] for c in comps]
 
 
 def _jet_deriv(jet, v, cap):
@@ -278,10 +271,11 @@ def prepared_form(f):
 
 
 def _prepare(f):
-    """The PreparedForm of an equidimensional germ f, on integers only.
+    """The PreparedForm of f, on integers only, read no further than the
+    kernels when n != m or the corank is not one.
 
-    With integer vectors v spanning ker df(0) and w spanning its left
-    kernel, P = [v | e_j, j != p] and T = [w; e_i, i != q] put f in the
+    At corank one, v = kernel[0] spans ker df(0) and w = left[0] its left
+    kernel; P = [v | e_j, j != p] and T = [w; e_i, i != q] put f in the
     shape T f(P y) = (f1, f'), where df1(0) = 0 and d'f'(0) = (0 | L).
     One complement column of P is negated if det L < 0, and then v or w,
     so that det P, det T and d = det L are positive.  L is eliminated once:
@@ -297,15 +291,17 @@ def _prepare(f):
     division by d that leaves a remainder raises GermError; by the
     construction it is always exact."""
     n = f.src_dim
-    if f.tgt_dim != n:
-        raise NotCorankOneError("the prepared form needs an equidimensional germ")
-    top = jet_degree(n) + 1
-    comps, J0 = _integer_components(f)
+    comps = [dict(zip(c.terms, clear_denominators(c.terms.values())))
+             for c in f.components]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    J0 = [[c.get(e, 0) for e in units] for c in comps]
     rank, kernel = integer_kernel(J0)
-    if rank != n - 1:
-        return PreparedForm(n - rank)
-    v = kernel[0]
-    w = integer_kernel(list(zip(*J0)))[1][0]
+    left = (integer_kernel([list(col) for col in zip(*J0)])[1]
+            if f.tgt_dim == n and rank in (n - 1, n - 2) else None)
+    if rank != n - 1 or left is None:
+        return PreparedForm(n - rank, comps, kernel, left)
+    top = jet_degree(n) + 1
+    v, w = kernel[0], left[0]
     p = min((abs(x), j) for j, x in enumerate(v) if x)[1]
     q = min((abs(x), i) for i, x in enumerate(w) if x)[1]
     cols = [j for j in range(n) if j != p]
@@ -330,7 +326,9 @@ def _prepare(f):
                 acc = first.setdefault(beta, [0] * (top + 1))
                 for a, c in enumerate(coefs):
                     acc[a] += wi * c
-    return _read_prepared(n, top, d, adj, first, [series[i] for i in rows])
+    curve, transverse = _read_prepared(n, top, d, adj, first,
+                                       [series[i] for i in rows])
+    return PreparedForm(1, comps, kernel, left, curve, transverse)
 
 
 def _substitute(terms, n, top, p, a, signs):
@@ -390,7 +388,7 @@ def _exact_div(x, d):
 
 
 def _read_prepared(n, top, d, adj, first, rest):
-    """The PreparedForm from the substituted components: ``first`` is f1
+    """(curve, transverse) from the substituted components: ``first`` is f1
     and ``rest`` the rows of f', each {beta: series in u to degree
     ``top``} (see ``_substitute``); L = d'f'(0) has determinant d > 0 and
     adjugate ``adj``."""
@@ -450,7 +448,7 @@ def _read_prepared(n, top, d, adj, first, rest):
                 x[k] -= sum(prev[r] * M[c][r][k] for r in range(m1))
         transverse.append([sum(x[k] * adj[k][r] for k in range(m1))
                            for r in range(m1)])
-    return PreparedForm(1, curve, transverse)
+    return curve, transverse
 
 
 def _lower(beta, k):

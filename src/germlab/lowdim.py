@@ -1,5 +1,5 @@
 """Classifiers for the low-dimensional codimension-one germs, read from
-integer Taylor coefficients of f:
+integer Taylor coefficients of f and the kernel of df(0) in its prepared form:
 
 * plane-to-plane (n = m = 2): lips, beaks, planar swallowtail
   (folds and cusps are delegated to the Morin classifier), read from
@@ -27,10 +27,9 @@ and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 
 import functools
 
-from .polyring import Poly, integer_kernel
-from .germ import (MapGerm, prepared_form, _integer_components, _jet_deriv,
-                   _jet_det, GermError, NotCorankOneError,
-                   DegenerateGermError)
+from .polyring import Poly
+from .germ import (MapGerm, prepared_form, _jet_deriv, _jet_det, GermError,
+                   NotCorankOneError, DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
 
 
@@ -77,17 +76,18 @@ def classify_degenerate_plane(f):
     for a corank-one plane germ that is not Morin.  Where dlambda(0) = 0,
     eta eta lambda(0) = v^T hess lambda(0) v, v the integer kernel vector
     of df(0).  Otherwise the prepared form, in the oriented frame (u, z),
-    gives eta = d/du, xi = d/dz and the chain as coefficients."""
-    comps, J0 = _integer_components(f)
-    rank, kernel = integer_kernel(J0)
-    if rank != 1:
-        raise NotCorankOneError("not corank one at 0 (corank %d)" % (2 - rank))
+    gives eta = d/du, xi = d/dz and the chain as coefficients.  f, v and
+    the chain are read from the form Morin recognition built."""
+    prep = prepared_form(f)
+    if prep.corank != 1:
+        raise NotCorankOneError("not corank one at 0 (corank %d)"
+                                % prep.corank)
     # lambda mod m^3: the determinant of the partials of the 3-jets
     lam = _jet_det([[_jet_deriv(c, e, 2) for e in ((1, 0), (0, 1))]
-                    for c in comps], 2)
+                    for c in prep.comps], 2)
     if not lam.get((1, 0)) and not lam.get((0, 1)):
         # det_h > 0 (lips): hess lambda(0) is definite, so eel0 != 0
-        det_h, eel0 = _second_order(lam, kernel[0])
+        det_h, eel0 = _second_order(lam, prep.kernel[0])
         if det_h and eel0:
             family = "lips" if det_h > 0 else "beaks"
             eps = _sign(eel0)
@@ -95,7 +95,6 @@ def classify_degenerate_plane(f):
                               _plane_normal_form(family, eps), None,
                               ("etaetalam", eps))
         return ClassLabel("unrecognized")
-    prep = prepared_form(f)
     if prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
         eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),
@@ -117,20 +116,20 @@ def surface_w(f):
     for a corank-one germ (R^2,0) -> (R^3,0): eta = v, the integer kernel
     vector of df(0) with its first nonzero entry positive, and xi = v
     rotated by +90 degrees.  eta f vanishes at 0, so w mod m^3 reads only
-    f mod m^4.  w is read from the integer components of f, so it is a
-    positive multiple of the rational w (equal when f has integer
-    coefficients).  Returns (w, v), w a Poly."""
+    f mod m^4.  w is read from the integer components of f that its
+    prepared form keeps, so it is a positive multiple of the rational w
+    (equal when f has integer coefficients).  Returns (w, v), w a Poly."""
     if f.src_dim != 2 or f.tgt_dim != 3:
         raise GermError("needs a germ (R^2,0) -> (R^3,0)")
-    comps, J0 = _integer_components(f)
-    rank, kernel = integer_kernel(J0)
-    if rank != 1:
-        raise NotCorankOneError("not corank one at 0 (rank %d)" % rank)
-    v = kernel[0]
+    prep = prepared_form(f)
+    if prep.corank != 1:
+        raise NotCorankOneError("not corank one at 0 (rank %d)"
+                                % (2 - prep.corank))
+    v = prep.kernel[0]
     if next(x for x in v if x) < 0:
         v = [-x for x in v]
-    xif = [_jet_deriv(c, [-v[1], v[0]], 2) for c in comps]
-    vf = [_jet_deriv(c, v, 2) for c in comps]
+    xif = [_jet_deriv(c, [-v[1], v[0]], 2) for c in prep.comps]
+    vf = [_jet_deriv(c, v, 2) for c in prep.comps]
     vvf = [_jet_deriv(c, v, 2) for c in vf]
     return Poly(2, _jet_det(list(zip(xif, vf, vvf)), 2)), v
 

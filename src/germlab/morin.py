@@ -130,8 +130,8 @@ def recognize_morin(f):
     """The ClassLabel of a Morin germ: find k per the recognition criteria,
     then its invariants, all read from ``prepared_form(f)``.  Raises
     DegenerateGermError if no k <= n works or the rank condition fails,
-    NotCorankOneError (with its ``corank``) for corank >= 2.  A regular
-    germ (corank 0) yields k = 0 / family 'regular'."""
+    NotCorankOneError for corank >= 2, whose corank the prepared form
+    keeps.  A regular germ (corank 0) yields k = 0 / family 'regular'."""
     if f.src_dim != f.tgt_dim:
         raise NotCorankOneError("Morin recognition needs an equidimensional germ")
     n = f.src_dim
@@ -140,7 +140,7 @@ def recognize_morin(f):
         return ClassLabel("regular", k=0)
     if prep.corank >= 2:
         raise NotCorankOneError("not corank one at 0 (corank %d)"
-                                % prep.corank, prep.corank)
+                                % prep.corank)
     # lambda(0) = 0 is guaranteed by corank >= 1
     k = next((j for j in range(1, n + 1) if prep.chain_value(j)), None)
     if k is None:

@@ -15,14 +15,15 @@ With G_k = sum_i B_ki hess f_i(0) and r_k row k of B df(0), dg(x) =
 Hessian of lambda along a, b is det[G1 a; G2 b; r3; r4] + det[G1 b; G2 a;
 r3; r4].  Each sign is insensitive to the choice of kernel basis and of
 B, so one deterministic choice suffices; the tests exercise this.
-On f's integer components, G_k a is the linear part of the derivative
-along a (``germ._jet_deriv``) of the 2-jet of g_k, r_k that of g_k.
+On the integer components of f's prepared form, G_k a is the linear
+part of the derivative along a (``germ._jet_deriv``) of the 2-jet of g_k,
+r_k that of g_k; the form also holds (xi, eta) and B's first two rows.
 """
 
 import functools
 
 from .polyring import Poly, integer_adjugate, integer_kernel
-from .germ import MapGerm, GermError, _integer_components, _jet_deriv
+from .germ import MapGerm, GermError, prepared_form, _jet_deriv
 from .morin import ClassLabel, _sign
 
 
@@ -58,15 +59,14 @@ def classify_sigma20(f):
     quantity vanishes."""
     if f.src_dim != 4 or f.tgt_dim != 4:
         raise GermError("needs a germ (R^4,0) -> (R^4,0)")
-    comps, J0 = _integer_components(f)
-    rank, kernel = integer_kernel(J0)
-    if rank != 2:
-        raise GermError("rank df(0) must be 2, got %d" % rank)
-    # the left kernel of J0 is the right kernel of its transpose,
-    # completed with the first standard basis rows that keep the rank
-    # full; the 4-row candidate is eliminated once, for its determinant,
-    # which is nonzero exactly at rank 4 and whose sign orients B
-    B = integer_kernel([list(col) for col in zip(*J0)])[1]
+    prep = prepared_form(f)
+    if prep.corank != 2:
+        raise GermError("rank df(0) must be 2, got %d" % (4 - prep.corank))
+    # the left kernel of J0 (the prepared form's ``left``), completed
+    # with the first standard basis rows that keep the rank full; the
+    # 4-row candidate is eliminated once, for its determinant, which is
+    # nonzero exactly at rank 4 and whose sign orients B
+    B = prep.left
     for i in range(4):
         cand = B + [[int(j == i) for j in range(4)]]
         if len(B) == 2 and integer_kernel(cand)[0] == 3:
@@ -76,14 +76,14 @@ def classify_sigma20(f):
     # the 2-jets of g_k = sum_i B_ki f_i
     g = [{} for _ in B]
     for jet, row in zip(g, B):
-        for bi, c in zip(row, comps):
+        for bi, c in zip(row, prep.comps):
             for e, coef in c.items():
                 if bi and sum(e) <= 2:
                     jet[e] = jet.get(e, 0) + bi * coef
     units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
     # G_k a = grad(a g_k)(0) for a in the kernel basis (xi, eta)
     (p1, p2), (q1, q2) = [[[_jet_deriv(g[k], a, 1).get(e, 0) for e in units]
-                           for k in (0, 1)] for a in kernel]
+                           for k in (0, 1)] for a in prep.kernel]
     rest = [[g[k].get(e, 0) for e in units] for k in (2, 3)]
     h11 = 2 * _det([p1, p2] + rest)
     h22 = 2 * _det([q1, q2] + rest)

@@ -225,7 +225,7 @@ def eta_chain_label(f, analysis=None, eta=None):
         return ClassLabel("regular", k=0)
     if ana.corank0 >= 2:
         raise NotCorankOneError("not corank one at 0 (corank %d)"
-                                % ana.corank0, ana.corank0)
+                                % ana.corank0)
     eta = eta or null_field(f, ana)
     chain = eta_lambda_chain(ana.lam, eta, n)
     origin = f.origin()

@@ -127,6 +127,40 @@ def test_perturb_json_deterministic(capsys):
 
 # ---- perturb / tables --------------------------------------------------
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_perturb_serializes_each_point_once(capsys, monkeypatch, as_json):
+    """``perturb`` builds each point's dict once, for the JSON payload, and
+    the human lines read it there; their text is as it was built from
+    each point, for every reference spec of ``tables``."""
+    import germlab.cli as cli
+    original = pt.point_to_dict
+    for family in ("A", "B", "C"):
+        for n in (2, 3, 4, 5):
+            spec = cli._REFERENCE_SPECS[family](n)
+            argv = ["perturb", "--family", family, "--n", str(n),
+                    "--params", ",".join(str(v) for v in spec.u)]
+            if spec.l is not None:
+                argv += ["--l", str(spec.l)]
+            rep = pt.morin_points(spec)
+            human = ["%r: %d Morin point(s), bound c(f)=%d, stable=%s" %
+                     (spec, rep.count, rep.c_f_bound, rep.stable)]
+            human += ["note: %s" % note for note in rep.notes]
+            for p in rep.points:
+                d = original(p)
+                human.append("  t ~ %s  invariant=%s  table=%s  verified=%s"
+                             % (d["t"]["approx"], d["invariant"],
+                                d["table_invariant"], p.verified))
+            calls = _count_calls(monkeypatch, original)
+            code, out, _ = run(capsys, *argv + ["--json"] * as_json)
+            monkeypatch.undo()
+            assert code == 0
+            assert len(calls) == rep.count > 0
+            if as_json:
+                assert json.loads(out) == pt.report_to_dict(rep)
+            else:
+                assert out == "".join(line + "\n" for line in human)
+
+
 def test_perturb_single(capsys):
     code, out, _ = run(capsys, "perturb", "--family", "B", "--n", "3",
                        "--params", "-10")
@@ -401,6 +435,14 @@ def _count_calls(monkeypatch, original):
     return calls
 
 
+def _classified_family(code, out):
+    """The family of a ``classify --json`` line: the label's, or
+    "unrecognized" with exit 3."""
+    payload = json.loads(out)
+    assert code == (3 if "error" in payload else 0)
+    return payload["label"]["family"] if code == 0 else payload["family"]
+
+
 @pytest.mark.parametrize("text,family", [
     ("x1^3 + x1*x2^2 ; x2", "lips"),
     ("x1^3 - x1*x2^2 ; x2", "beaks"),
@@ -410,22 +452,70 @@ def _count_calls(monkeypatch, original):
      "sigma20-hyp"),
     ("x1^2 - x2^2 + x1*x3 + x2*x4 ; x1*x2 + x1*x4 - x2*x3 ; x3 ; x4",
      "sigma20-elli"),
+    ("x1^2 ; x1^3 + x1*x2^2 ; x2", "S1+"),
+    ("x1^2 ; x1*x2 ; x2", "whitney-umbrella"),
+    ("x1^2 ; x2^2 ; x3^2 ; x4", "unrecognized"),
 ])
 def test_classify_analyzes_the_germ_once(capsys, monkeypatch, text, family):
-    """No germ is analyzed or gets an eta-chain.  Morin recognition builds
-    the prepared form once; when it rejects a planar swallowtail, the
-    plane criteria read the form it left on the germ."""
+    """No germ is analyzed or gets an eta-chain.  Every route reads the
+    prepared form, built once: when Morin recognition rejects a planar
+    swallowtail or a corank-two germ, the plane and corank-two criteria
+    read the form it left on the germ, and so does the out-of-scope
+    message of a corank-three germ."""
     import germlab.germ as germ
     import germlab.morin as morin
     calls = _count_calls(monkeypatch, germ.analyze)
     chains = _count_calls(monkeypatch, morin.eta_lambda_chain)
     prepared = _count_calls(monkeypatch, germ._prepare)
     code, out, _ = run(capsys, "classify", "--json", text)
-    assert code == 0
-    assert json.loads(out)["label"]["family"] == family
+    assert _classified_family(code, out) == family
     assert len(calls) == 0
     assert len(chains) == 0
     assert len(prepared) == 1
+
+
+ROUTE_GERMS = [
+    (normal_form(2, 2), "cusp"),
+    (_plane_normal_form("lips", 1), "lips"),
+    (_plane_normal_form("beaks", -1), "beaks"),
+    (_plane_normal_form("planar-swallowtail", 1), "planar-swallowtail"),
+    (_surface_normal_form("S1+", 1), "S1+"),
+    (_surface_normal_form("whitney-umbrella"), "whitney-umbrella"),
+    (hyp_normal_form(1), "sigma20-hyp"),
+    (elli_normal_form(1, -1), "sigma20-elli"),
+    (MapGerm([v ** 2 for v in (Poly.var(i, 4) for i in (1, 2, 3))] +
+             [Poly.var(4, 4)]), "unrecognized"),
+]
+
+
+@pytest.mark.parametrize("f,family", ROUTE_GERMS,
+                         ids=[family for _, family in ROUTE_GERMS])
+def test_classify_eliminates_df0_once(capsys, monkeypatch, f, family):
+    """Each classify request eliminates J(0) once, and its transpose at
+    most once, whichever route reads them.  The germs are sheared by
+    integer changes, so J(0) is their linear part, and so that it differs
+    from its transpose."""
+    import germlab.polyring as polyring
+    rng = random.Random(18)
+    n, m = f.src_dim, f.tgt_dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    while True:
+        g = change_coordinates(f, random_gl_pos(rng, n), random_gl_pos(rng, m))
+        J0 = [[int(c.terms.get(e, 0)) for e in units] for c in g.components]
+        transpose = [list(col) for col in zip(*J0)]
+        if J0 != transpose:
+            break
+    seen = []
+    original = polyring._bareiss
+
+    def recorded(mat, width):
+        seen.append([list(row) for row in mat])
+        return original(mat, width)
+    monkeypatch.setattr(polyring, "_bareiss", recorded)
+    code, out, _ = run(capsys, "classify", "--json", render_map(g))
+    assert _classified_family(code, out) == family
+    assert seen.count(J0) == 1
+    assert seen.count(transpose) <= 1
 
 
 def _count_cofactor_calls(monkeypatch):

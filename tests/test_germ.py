@@ -7,10 +7,12 @@ import pytest
 
 from germlab.polyring import Poly
 from germlab.germ import (MapGerm, VecField, analyze, null_field, translate,
-                          jacobian, jet_degree, NotCorankOneError)
+                          jacobian, jet_degree, prepared_form,
+                          NotCorankOneError)
 from germlab.morin import normal_form
-from conftest import change_coordinates, corpus_30, random_gl_pos
-from oracles import rational_rank
+from conftest import (change_coordinates, corpus_30, random_gl_pos,
+                      random_rational_gl_pos)
+from oracles import rational_nullspace, rational_rank
 
 
 def cusp2():
@@ -63,6 +65,50 @@ def test_null_field_contract():
     hits = [i for i, p in enumerate(prods) if p == ana.lam]
     zeros = [i for i, p in enumerate(prods) if p.is_zero()]
     assert len(hits) == 1 and len(zeros) == 2
+
+
+def _same_span(basis, reference):
+    """The rows of ``basis`` are independent and span the same subspace
+    as the rows of ``reference``."""
+    return (len(basis) == len(reference) == rational_rank(basis)
+            == rational_rank(basis + reference))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prepared_form_reads_the_kernels_and_the_integer_components(n):
+    """For square germs of corank 0 to 3 under rational coordinate
+    changes, each of the prepared form's ``comps`` is a positive multiple
+    c_i of the component f_i it was read from, so its J0 is diag(c) J(0).
+    Its ``kernel`` spans the rational nullspace of J(0), and at corank
+    one or two its ``left``, times diag(c), that of the transpose of J(0)
+    (else it is None)."""
+    rng = random.Random(1800 + n)
+    x = [Poly.var(i, n) for i in range(1, n + 1)]
+    for corank in range(min(n, 3) + 1):
+        for _ in range(4):
+            # rank n - corank, with a rational cubic term in each component
+            f = MapGerm([(xi if i < n - corank else xi ** 2) +
+                         (x[0] ** 2 * xi).scale(
+                             Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+                         for i, xi in enumerate(x)])
+            g = change_coordinates(f, random_rational_gl_pos(rng, n),
+                                   random_rational_gl_pos(rng, n))
+            prep = prepared_form(g)
+            scale = []
+            for c, ints in zip(g.components, prep.comps):
+                assert ints.keys() == c.terms.keys()
+                ratios = {ints[e] / q for e, q in c.terms.items()}
+                assert len(ratios) == 1 and min(ratios) > 0
+                scale.append(ratios.pop())
+            J0 = [c.gradient_at(g.origin()) for c in g.components]
+            assert prep.corank == corank
+            assert _same_span(prep.kernel, rational_nullspace(J0))
+            left = rational_nullspace([list(col) for col in zip(*J0)])
+            if corank in (1, 2):
+                assert _same_span([[y * c for y, c in zip(vec, scale)]
+                                   for vec in prep.left], left)
+            else:
+                assert prep.left is None
 
 
 def test_null_field_requires_corank_one():

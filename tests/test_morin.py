@@ -332,7 +332,8 @@ def test_prepared_form_of_the_signed_forms():
     """In prepared coordinates a k = n form reads eta^n lambda(0) =
     (n+1)! eps1 (eps2 = 1) or (n+1)! eps1 (-1)^(n+1) (eps2 = -1: x1 and
     x2 are both reversed to keep the orientation); the corank is 0, 1 or
-    n for the regular germ, the forms and the zero germ."""
+    n for the regular germ, the forms and the zero germ.  A germ with
+    n != m has its corank and kernel read, and no curve."""
     for n in range(1, 7):
         for f, e1, e2 in all_signed(n, n):
             prep = prepared_form(f)
@@ -344,6 +345,12 @@ def test_prepared_form_of_the_signed_forms():
     assert prepared_form(MapGerm(x)).corank == 0
     assert prepared_form(MapGerm([Poly.zero(3)] * 3)).corank == 3
     assert prepared_form(MapGerm(x)).curve is None
+    y1, y2 = Poly.var(1, 2), Poly.var(2, 2)
+    for comps, corank, kernel in (([y1, y2, y1 * y2], 0, []),
+                                  ([y1 ** 2, y1 * y2, y2], 1, [[1, 0]])):
+        prep = prepared_form(MapGerm(comps))
+        assert (prep.corank, prep.kernel) == (corank, kernel)
+        assert prep.left is prep.curve is prep.transverse is None
 
 
 @pytest.mark.parametrize("make,args", [

@@ -183,8 +183,8 @@ def test_target_change_is_eliminated_once(monkeypatch):
     determinant of the 4-row candidate gives both its rank (nonzero) and
     the sign that orients B."""
     import germlab.polyring as polyring
-    from germlab.germ import _integer_components
     from germlab.polyring import integer_kernel
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
     firsts = []
     original = polyring._bareiss
 
@@ -195,7 +195,10 @@ def test_target_change_is_eliminated_once(monkeypatch):
     rng = random.Random(31)
     for f in FORMS:
         g = change_coordinates(f, random_gl_pos(rng, 4), random_gl_pos(rng, 4))
-        J0 = _integer_components(g)[1]
+        # g has integer coefficients, so J0 holds its linear ones as they are
+        assert all(x.denominator == 1 for c in g.components
+                   for x in c.terms.values())
+        J0 = [[int(c.terms.get(e, 0)) for e in units] for c in g.components]
         left = integer_kernel([list(col) for col in zip(*J0)])[1]
         expected = classify_sigma20(f)
         monkeypatch.setattr(polyring, "_bareiss", recorded)
