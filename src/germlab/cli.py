@@ -26,7 +26,7 @@ from .germ import (NotCorankOneError, DegenerateGermError, GermError,
                    prepared_form)
 from .morin import recognize_morin, class_count
 from .lowdim import classify_plane, classify_surface
-from .sigma20 import classify_sigma20, DegenerateSigmaError
+from .sigma20 import classify_sigma20
 from .germparse import parse_map, render_map, ParseError
 from . import perturb as pt
 
@@ -63,58 +63,59 @@ def _unrecognized(e, as_json):
     return EXIT_UNRECOGNIZED
 
 
+@functools.cache
+def _rendered(normal_form):
+    """A class's normal form (one cached MapGerm) as text, once a process."""
+    return render_map(normal_form)
+
+
 def _label_dict(label):
     return {
         "family": label.family,
         "k": label.k,
         "signs": list(label.signs),
         "invariant": pt.inv_to_json(label.invariant),
-        "normal_form": (render_map(label.normal_form)
+        "normal_form": (_rendered(label.normal_form)
                         if label.normal_form is not None else None),
         "describe": label.describe(),
     }
 
 
 def classify_any(f):
-    """Dispatch, one entry per route: ``classify_surface`` (n=2, m=3),
-    ``classify_plane`` (n=m=2) or ``recognize_morin`` (other n = m), and
-    then the corank-two criteria (n=m=4).  Returns (label, route), route
-    "morin" for a label with a k; raises UnrecognizedError when no
-    criterion applies.
+    """Dispatch to the one route that applies, read from (n, m) and, for
+    a square germ, the corank of df(0): ``classify_surface`` (n=2, m=3),
+    ``classify_sigma20`` (corank two at n=4), and ``classify_plane``
+    (n=2) or ``recognize_morin`` (corank at most one).  Returns (label,
+    route), route "morin" for a label with a k.  Raises
+    UnrecognizedError for any other germ before a route runs, and with
+    the route's reason when the route refuses the germ.
 
     Every route reads f's prepared form, built once and kept on f: its
-    integer jets, and the rank and kernels of df(0).  A regular germ is
-    labelled at once, and a corank other than one (two at n = 4), read
-    from the form, is refused before any polynomial is built.  No route
-    expands the Jacobian's cofactors."""
-    if f.src_dim == 2 and f.tgt_dim == 3:
-        try:
-            label = classify_surface(f)
-        except NotCorankOneError as e:
-            raise UnrecognizedError(str(e))
-        if label.family == "unrecognized":
-            raise UnrecognizedError("no surface criterion matched")
-        return label, "surface"
-    if f.src_dim != f.tgt_dim:
+    integer jets, and the rank and kernels of df(0).  No route expands
+    the Jacobian's cofactors."""
+    n, m = f.src_dim, f.tgt_dim
+    reason = None       # a route's refusal is shown with its own message
+    if (n, m) == (2, 3):
+        route, classify = "surface", classify_surface
+    elif n != m:
         raise UnrecognizedError(
-            "no classifier for a germ (R^%d,0) -> (R^%d,0)"
-            % (f.src_dim, f.tgt_dim))
-    try:
-        label = (classify_plane if f.src_dim == 2 else recognize_morin)(f)
-    except DegenerateGermError:
-        label = None
-    except NotCorankOneError:
+            "no classifier for a germ (R^%d,0) -> (R^%d,0)" % (n, m))
+    else:
         corank = prepared_form(f).corank
-        if corank != 2 or f.src_dim != 4:
+        if corank == 2 and n == 4:
+            route, classify = "sigma20", classify_sigma20
+        elif corank > 1:
             raise UnrecognizedError("corank %d at the origin: out of scope"
                                     % corank)
-        try:
-            return classify_sigma20(f), "sigma20"
-        except DegenerateSigmaError as err:
-            raise UnrecognizedError(str(err))
-    if label is None or label.family == "unrecognized":
-        raise UnrecognizedError("degenerate germ: no criterion matched")
-    return label, "plane" if label.k is None else "morin"
+        else:
+            route = "plane"
+            classify = classify_plane if n == 2 else recognize_morin
+            reason = "degenerate germ: no criterion matched"
+    try:
+        label = classify(f)
+    except (DegenerateGermError, NotCorankOneError) as e:
+        raise UnrecognizedError(reason or str(e))
+    return label, route if label.k is None else "morin"
 
 
 def _read_input(args):
@@ -160,6 +161,8 @@ def _parse_claim(claim):
         name, val = b.split("=", 1)
         if name not in ("eps1", "eps2"):
             raise ValueError("unknown sign name %r" % name)
+        if val not in ("1", "+1", "-1"):
+            raise ValueError("sign %s must be +1 or -1, got %r" % (name, val))
         signs[name] = int(val)
     return family, signs
 
@@ -203,7 +206,11 @@ def _parse_grid(text, nparams):
     more than MAX_GRID_POINTS is rejected before any list is built."""
     ranges = []
     for chunk in text.split(","):
-        lo, hi, step = (_rational(v) for v in chunk.split(":"))
+        bounds = chunk.split(":")
+        if len(bounds) != 3:
+            raise ValueError("grid range %r is not of the form lo:hi:step"
+                             % chunk)
+        lo, hi, step = (_rational(v) for v in bounds)
         if step <= 0:
             raise ValueError("grid step must be positive")
         ranges.append((lo, step, max(0, (hi - lo) // step + 1)))
@@ -366,9 +373,6 @@ def main(argv=None):
         return EXIT_PARSE_ERROR
     except UnrecognizedError as e:
         return _unrecognized(e, args.json)
-    except NotCorankOneError as e:
-        sys.stderr.write("unrecognized: %s\n" % e)
-        return EXIT_UNRECOGNIZED
     except (GermError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_UNRECOGNIZED

@@ -62,6 +62,7 @@ def classify_plane(f):
       planar swallowtail: d lambda(0) != 0,
               eta lambda(0) = eta eta lambda(0) = 0, eta^3 lambda(0) != 0;
               eps = sign(xi lambda(0) * eta^3 lambda(0))
+    Raises DegenerateGermError when no criterion matches.
     """
     if f.src_dim != 2 or f.tgt_dim != 2:
         raise GermError("classify_plane needs a germ (R^2,0) -> (R^2,0)")
@@ -77,7 +78,8 @@ def classify_degenerate_plane(f):
     eta eta lambda(0) = v^T hess lambda(0) v, v the integer kernel vector
     of df(0).  Otherwise the prepared form, in the oriented frame (u, z),
     gives eta = d/du, xi = d/dz and the chain as coefficients.  f, v and
-    the chain are read from the form Morin recognition built."""
+    the chain are read from the form Morin recognition built.  Raises
+    DegenerateGermError when no criterion matches."""
     prep = prepared_form(f)
     if prep.corank != 1:
         raise NotCorankOneError("not corank one at 0 (corank %d)"
@@ -94,13 +96,12 @@ def classify_degenerate_plane(f):
             return ClassLabel(family, (eps, None),
                               _plane_normal_form(family, eps), None,
                               ("etaetalam", eps))
-        return ClassLabel("unrecognized")
-    if prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
+    elif prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
         eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),
                           None, ("xilam-eta3lam", eps))
-    return ClassLabel("unrecognized")
+    raise DegenerateGermError("no plane criterion matched")
 
 
 @functools.cache
@@ -140,6 +141,7 @@ def classify_surface(f):
     Whitney umbrella: dw(0) != 0 (single class).
     S1+: dw(0) = 0, det hess w(0) < 0, eta eta w(0) != 0; eps = sign eta eta w.
     S1-: dw(0) = 0, det hess w(0) > 0; eps = sign eta eta w.
+    Raises DegenerateGermError when no criterion matches.
     """
     w, v = surface_w(f)
     if w.terms.get((1, 0)) or w.terms.get((0, 1)):
@@ -153,4 +155,4 @@ def classify_surface(f):
         return ClassLabel(family, (eps, None),
                           _surface_normal_form(family, eps), None,
                           ("etaetaw", eps))
-    return ClassLabel("unrecognized")
+    raise DegenerateGermError("no surface criterion matched")

@@ -385,8 +385,8 @@ class UnfoldingSpec(_Frozen):
 
     def __repr__(self):
         extra = " l=%d" % self.l if self.family == "A" else ""
-        return "UnfoldingSpec(%s n=%d%s u=%s)" % (
-            self.family, self.n, extra, list(self.u))
+        return "UnfoldingSpec(%s n=%d%s u=[%s])" % (
+            self.family, self.n, extra, ", ".join(map(_rat_str, self.u)))
 
 
 def _qbar_coeffs(l, u):
@@ -716,9 +716,8 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     # having no rational root, it never collapses an interval to a point.
     # Without rational roots ``remaining`` is sf, already isolated above.
     if exact:
-        intervals = isolate_real_roots(remaining, width=width)
-    else:
-        intervals = [refine_root(sf, lo, hi, width) for lo, hi in found]
+        found = isolate_real_roots(remaining)
+    intervals = [refine_root(remaining, lo, hi, width) for lo, hi in found]
     if spec.family in ("B", "C"):
         if 0 in exact:
             exact.remove(0)

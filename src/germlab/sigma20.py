@@ -23,11 +23,12 @@ r_k that of g_k; the form also holds (xi, eta) and B's first two rows.
 import functools
 
 from .polyring import Poly, integer_adjugate, integer_kernel
-from .germ import MapGerm, GermError, prepared_form, _jet_deriv
+from .germ import (MapGerm, GermError, DegenerateGermError, prepared_form,
+                   _jet_deriv)
 from .morin import ClassLabel, _sign
 
 
-class DegenerateSigmaError(GermError):
+class DegenerateSigmaError(DegenerateGermError):
     """The second-order data is degenerate: not a stable umbilic."""
 
 

@@ -388,7 +388,7 @@ def classify_surface(f, eta=None):
         eps = _sign(eew0)
         return ClassLabel("S1-", (eps, None), _surface_normal_form("S1-", eps),
                           None, ("etaetaw", eps))
-    return ClassLabel("unrecognized")
+    raise DegenerateGermError("no surface criterion matched")
 
 
 def classify_degenerate_plane(f, analysis=None, eta=None):
@@ -416,7 +416,7 @@ def classify_degenerate_plane(f, analysis=None, eta=None):
             return ClassLabel("beaks", (eps, None),
                               _plane_normal_form("beaks", eps), None,
                               ("etaetalam", eps))
-        return ClassLabel("unrecognized")
+        raise DegenerateGermError("no plane criterion matched")
     el0 = eta.apply(lam).eval(origin)
     eeel0 = eta.apply(eel).eval(origin)
     if el0 == 0 and eel0 == 0 and eeel0 != 0:
@@ -426,7 +426,7 @@ def classify_degenerate_plane(f, analysis=None, eta=None):
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),
                           None, ("xilam-eta3lam", eps))
-    return ClassLabel("unrecognized")
+    raise DegenerateGermError("no plane criterion matched")
 
 
 def sturm_chain(c):

@@ -175,6 +175,28 @@ def test_perturb_sweep(capsys):
     assert "attained" in out
 
 
+def test_perturb_header_prints_rational_parameters(capsys):
+    code, out, _ = run(capsys, "perturb", "--family", "C", "--n", "4",
+                       "--params", "1/4,2")
+    assert code == 0
+    assert out.startswith("UnfoldingSpec(C n=4 u=[1/4, 2]): ")
+
+
+def test_perturb_grid_range_of_two_bounds_is_a_bad_value(capsys):
+    code, out, err = run(capsys, "perturb", "--family", "B", "--n", "3",
+                         "--grid", "0:1")
+    assert (code, out) == (3, "")
+    assert err == "error: grid range '0:1' is not of the form lo:hi:step\n"
+
+
+@pytest.mark.parametrize("sign", ["x", "2", "0", "+2", "-1/1"])
+def test_verify_claim_sign_other_than_one_is_a_bad_value(capsys, sign):
+    code, out, err = run(capsys, "verify", "--claim", "cusp eps1=%s" % sign,
+                         "x1^3 + x1*x2 ; x2")
+    assert (code, out) == (3, "")
+    assert err == "error: sign eps1 must be +1 or -1, got '%s'\n" % sign
+
+
 def test_parse_grid_points():
     half = Fraction(1, 2)
     assert _parse_grid("-1:1:1/2", 1) == [(v,) for v in
@@ -354,6 +376,86 @@ def test_classify_any_dispatch_errors():
     # (R^3, 0) -> (R^2, 0): no classifier route
     with pytest.raises(UnrecognizedError):
         classify_any(parse_map("x1 ; x2*x3"))
+
+
+# the seven ways classify refuses a germ, each with its reason
+REFUSALS = [
+    ("x1*x2^2 ; x2", "degenerate germ: no criterion matched"),
+    ("x1^5 ; x2 ; x3", "degenerate germ: no criterion matched"),
+    ("x1^2 ; x1^3 ; x2", "no surface criterion matched"),
+    ("x1^2 ; x2^2 ; x1*x2", "not corank one at 0 (rank 0)"),
+    ("x1^2 ; x2^2 ; x3", "corank 2 at the origin: out of scope"),
+    ("vars: x1,x2,x3,x4 | x1^2 + x2*x3 ; x2^2 ; x3 ; x4",
+     "the 4x4 determinant vanishes: not stable"),
+    ("x1 ; x2*x3", "no classifier for a germ (R^3,0) -> (R^2,0)"),
+]
+
+
+@pytest.mark.parametrize("command", [["classify"],
+                                     ["verify", "--claim", "cusp"]])
+@pytest.mark.parametrize("text,error", REFUSALS)
+def test_refused_germs_print_one_line_and_exit_3(capsys, text, error,
+                                                 command):
+    """A refusal is one line on stdout, JSON or human, the same for
+    classify and verify, and exit 3."""
+    assert run(capsys, *command, "--json", text) == (
+        3, '{"error":"%s","family":"unrecognized"}\n' % error, "")
+    assert run(capsys, *command, text) == (3, "unrecognized: %s\n" % error,
+                                           "")
+
+
+@pytest.mark.parametrize("f,family", [
+    (parse_map("x1^2 ; x2^2"), "unrecognized"),
+    (parse_map("x1^2 ; x2^2 ; x3"), "unrecognized"),
+    (MapGerm([v ** 2 for v in (Poly.var(i, 4) for i in (1, 2, 3))] +
+             [Poly.var(4, 4)]), "unrecognized"),
+    (hyp_normal_form(1), "sigma20-hyp"),
+    (elli_normal_form(1, -1), "sigma20-elli"),
+], ids=["corank-2-n-2", "corank-2-n-3", "corank-3-n-4", "sigma20-hyp",
+        "sigma20-elli"])
+def test_corank_two_or_more_runs_no_corank_one_route(capsys, monkeypatch, f,
+                                                     family):
+    """classify_any reads the corank from the prepared form and calls
+    neither Morin recognition nor the plane criteria on a square germ of
+    corank two or more."""
+    import germlab.lowdim as lowdim
+    import germlab.morin as morin
+    morin_calls = _count_calls(monkeypatch, morin.recognize_morin)
+    plane_calls = _count_calls(monkeypatch, lowdim.classify_plane)
+    code, out, _ = run(capsys, "classify", "--json", render_map(f))
+    assert _classified_family(code, out) == family
+    assert (morin_calls, plane_calls) == ([], [])
+
+
+def test_no_route_returns_a_label_of_no_class(monkeypatch):
+    """Every route returns the label of a class or raises: over the corpus
+    and the refused germs, no route returns the family "unrecognized"."""
+    import sys
+    import germlab.lowdim as lowdim
+    import germlab.morin as morin
+    import germlab.sigma20 as sigma20
+    families = []
+    for original in (morin.recognize_morin, lowdim.classify_plane,
+                     lowdim.classify_degenerate_plane, lowdim.classify_surface,
+                     sigma20.classify_sigma20):
+        def recorded(f, _original=original):
+            label = _original(f)
+            families.append(label.family)
+            return label
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("germlab") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, recorded)
+    refused = 0
+    for f in CORPUS + [parse_map(text) for text, _ in REFUSALS]:
+        try:
+            classify_any(f)
+        except UnrecognizedError:
+            refused += 1
+    assert refused == len(REFUSALS)
+    assert len(families) > len(CORPUS)
+    assert "unrecognized" not in families
 
 
 # ---- GERMLAB_PRECISION and the shared parser -----------------------------
@@ -559,20 +661,26 @@ def test_classify_expands_the_cofactors_once(capsys, monkeypatch, text,
 def test_normal_form_is_rendered_once_per_request(capsys, monkeypatch,
                                                   command):
     """The human lines of classify reuse the JSON label's text of the
-    normal form; those of verify do not show it, so render none."""
+    normal form; those of verify do not show it, so render none.  The
+    text is kept, so a repeat request renders nothing."""
     import germlab.cli as cli
     calls = []
 
     def counted(f, names=None):
         calls.append(f)
         return render_map(f, names)
+    cli._rendered.cache_clear()
     monkeypatch.setattr(cli, "render_map", counted)
-    code, out, _ = run(capsys, *command, "x1^3 + x1*x2 ; x2")
+    first = run(capsys, *command, "x1^3 + x1*x2 ; x2")
+    code, out, _ = first
     assert code == 0
     assert len(calls) == (0 if command == ["verify", "--claim", "cusp"]
                           else 1)
     if "--json" not in command and command[0] == "classify":
         assert "normal form: %s" % render_map(calls[0]) in out
+    rendered = len(calls)
+    assert run(capsys, *command, "x1^3 + x1*x2 ; x2") == first
+    assert len(calls) == rendered
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -1,12 +1,14 @@
 """Plane-to-plane and plane-to-3-space classifiers."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from germlab.polyring import Poly
-from germlab.germ import MapGerm, GermError, analyze, null_field
+from germlab.germ import (MapGerm, GermError, DegenerateGermError,
+                          NotCorankOneError, analyze, null_field)
 from germlab.germparse import parse_map
 from germlab.lowdim import (classify_plane, classify_degenerate_plane,
                             classify_surface, surface_w,
@@ -66,7 +68,9 @@ def test_plane_sign_variants_are_distinct():
 def test_plane_unrecognized():
     # lambda = x2^2: d lambda(0) = 0 but hess degenerate
     f = g2(X1 * X2 ** 2, X2)
-    assert classify_plane(f).family == "unrecognized"
+    with pytest.raises(DegenerateGermError,
+                       match="^no plane criterion matched$"):
+        classify_plane(f)
 
 
 def test_plane_labels_stable_under_changes():
@@ -100,7 +104,7 @@ def test_plane_eta_reversal():
 PLANE_FORMS = [_plane_normal_form(fam, s)
                for fam in ("lips", "beaks", "planar-swallowtail")
                for s in (1, -1)]
-# unrecognized (lambda = x2^2), lips plus a cubic term, then unrecognized:
+# refused (lambda = x2^2), lips plus a cubic term, then refused:
 # eta eta lambda(0) = 0, eta^3 lambda(0) = 0, a fold (eta lambda(0) != 0)
 # and eta eta lambda(0) = 0 again
 PLANE_DEGENERATE = [parse_map(t) for t in (
@@ -127,6 +131,29 @@ def test_plane_routes_agree_under_changes_and_higher_terms(index):
         for h in [g] + [add_high_terms(rng, g, low) for low in (3, 4, 5)]:
             assert_labels_agree(classify_degenerate_plane,
                                 oracles.classify_degenerate_plane, h)
+
+
+@pytest.mark.parametrize("text,family", [
+    ("x1*x2^2 ; x2", None), ("x1^3 + x1*x2^2 + x2^3 ; x2", "lips"),
+    ("x1^2*x2 + x1^4 ; x2", None), ("x1^5 + x1*x2 ; x2", None),
+    ("x1^2 + x1*x2 ; x2", "fold"), ("x1^2*x2 + x1*x2^3 ; x2", None)])
+def test_plane_routes_refuse_by_raising(text, family):
+    """Each germ of PLANE_DEGENERATE, also under a linear change, gets the
+    label of a class or a DegenerateGermError, never a label of no class.
+    The fold is a Morin germ, so only ``classify_plane`` labels it."""
+    f = parse_map(text)
+    rng = random.Random(19)
+    for g in (f, change_coordinates(f, random_gl_pos(rng, 2),
+                                    random_gl_pos(rng, 2))):
+        for route, expected in ((classify_plane, family),
+                                (classify_degenerate_plane,
+                                 None if family == "fold" else family)):
+            if expected is None:
+                with pytest.raises(DegenerateGermError,
+                                   match="^no plane criterion matched$"):
+                    route(g)
+            else:
+                assert route(g).family == expected
 
 
 @pytest.mark.parametrize("text", ["x1 ; x2", "x1^2 ; x2^2",
@@ -241,7 +268,7 @@ def test_surface_labels_where_the_kernel_is_not_integral(index):
 
 SURFACE_FORMS = [_surface_normal_form("whitney-umbrella")] + \
     [_surface_normal_form(fam, s) for fam in ("S1+", "S1-") for s in (1, -1)]
-# unrecognized (det hess w(0) = 0, twice), then rank 0 and rank 2
+# refused (det hess w(0) = 0, twice), then rank 0 and rank 2
 SURFACE_DEGENERATE = [s3(X1 ** 3), s3(X1 * X2 ** 2),
                       MapGerm([X1 ** 2, X2 ** 2, X1 * X2]),
                       MapGerm([X1, X2, X1 * X2])]
@@ -259,6 +286,23 @@ def assert_w_is_a_positive_multiple(g):
     assert ratio > 0 and w == ref.scale(ratio)
     if all(c.denominator == 1 for p in g.components for c in p.terms.values()):
         assert ratio == 1
+
+
+@pytest.mark.parametrize("index,error,message", [
+    (0, DegenerateGermError, "no surface criterion matched"),
+    (1, DegenerateGermError, "no surface criterion matched"),
+    (2, NotCorankOneError, "not corank one at 0 (rank 0)"),
+    (3, NotCorankOneError, "not corank one at 0 (rank 2)")])
+def test_surface_route_refuses_by_raising(index, error, message):
+    """The germs of SURFACE_DEGENERATE, also under a linear change, are
+    refused with the reason: no criterion matched at rank 1, else the
+    rank of df(0)."""
+    f = SURFACE_DEGENERATE[index]
+    rng = random.Random(19 + index)
+    for g in (f, change_coordinates(f, random_gl_pos(rng, 2),
+                                    random_gl_pos(rng, 3))):
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            classify_surface(g)
 
 
 @pytest.mark.parametrize("index",
