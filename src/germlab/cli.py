@@ -168,8 +168,9 @@ def _parse_claim(claim):
 
 
 def cmd_verify(args):
-    label, route = classify_any(parse_map(_read_input(args)))
+    # a malformed claim is reported before any germ is classified
     family, signs = _parse_claim(args.claim)
+    label, route = classify_any(parse_map(_read_input(args)))
     got = dict(zip(("eps1", "eps2"), label.signs))
     ok = (label.family == family and
           all(got.get(k) == v for k, v in signs.items()))

@@ -4,11 +4,12 @@ every classify route reads, kept on the germ), integer jets, lambda
 (= det Jacobian) and the null vector field eta from one adjugate
 column, and point translation.
 
-The values eta^j lambda(0) for j <= jet_degree(n) and the gradients at 0
-of eta^j lambda for j < n are coefficients of the prepared form
-(``prepared_form``), computed on integer series.  No classifier route
-calls ``analyze`` or ``null_field``: they keep lambda mod m^(D+1) and eta
-mod m^D, D = jet_degree(n), for the test references.
+The values eta^j lambda(0) up to the first that is not 0 (at most
+j = jet_degree(n)) and the gradients at 0 of eta^j lambda below it are
+coefficients of the prepared form (``prepared_form``), computed on
+integer series.  No classifier route calls ``analyze`` or
+``null_field``: they keep lambda mod m^(D+1) and eta mod m^D,
+D = jet_degree(n), for the test references.
 """
 
 from fractions import Fraction
@@ -22,8 +23,8 @@ from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
 def jet_degree(n):
     """D = max(n, 3): the Morin criteria read eta^j lambda(0) for j <= n,
     the planar-swallowtail criterion eta^3 lambda(0).  The prepared form
-    reads g(u, 0) to degree D + 1; ``analyze`` keeps lambda mod m^(D+1)
-    and eta mod m^D."""
+    reads g(u, 0) to degree D + 1 at most; ``analyze`` keeps lambda mod
+    m^(D+1) and eta mod m^D."""
     return max(n, 3)
 
 
@@ -88,10 +89,11 @@ class MapGerm(_Frozen):
 
     The germ condition f(0) = 0 is enforced at construction: any constant
     terms are dropped (``translate`` relies on this).  ``prepared_form``
-    writes the PreparedForm into the slot ``_prepared`` once.
+    writes the PreparedForm into the slot ``_prepared`` once, and
+    ``__hash__`` its value into ``_hash``.
     """
 
-    __slots__ = ("src_dim", "tgt_dim", "components", "_prepared")
+    __slots__ = ("src_dim", "tgt_dim", "components", "_prepared", "_hash")
 
     def __init__(self, components, src_dim=None):
         comps = list(components)
@@ -118,7 +120,10 @@ class MapGerm(_Frozen):
                 self.components == other.components)
 
     def __hash__(self):
-        return hash((self.src_dim, self.components))
+        if getattr(self, "_hash", None) is None:
+            object.__setattr__(self, "_hash",
+                               hash((self.src_dim, self.components)))
+        return self._hash
 
     def __repr__(self):
         return "MapGerm(%s)" % "; ".join(c.render() for c in self.components)
@@ -206,8 +211,13 @@ class PreparedForm(_Frozen):
     square germ is (g, z_2, ..., z_n).  There eta = d/du is a null field
     and lambda = dg/du, so the Morin criteria read only the coefficients
     of u^a and of u^a z_i in g.  ``curve[a]`` is the integer coefficient
-    of u^a in g for a <= max(n + 1, 4), and ``transverse[a][i]`` that of
-    u^a z_(i+2) for a <= n.  Otherwise, or if n != m, both are None.
+    of u^a in g, read up to the first a >= 2 with curve[a] != 0, which is
+    a = k + 1 for the k with eta^k lambda(0) != 0 = eta^j lambda(0), j < k,
+    or else up to max(n + 1, 4).  ``transverse[a][i]`` is that of
+    u^a z_(i+2), read for a <= min(k, n) - 1 (only a = 0, a row of zeros,
+    when no k was found).  Otherwise, or if n != m, both are None.  The
+    lengths of the two lists record how far the form was read, and
+    ``chain_value`` and ``chain_gradient`` raise GermError past them.
     """
 
     __slots__ = ("corank", "comps", "kernel", "left", "curve", "transverse")
@@ -223,11 +233,17 @@ class PreparedForm(_Frozen):
 
     def chain_value(self, j):
         """eta^j lambda(0) = (j+1)! * curve[j+1]."""
+        if j + 1 >= len(self.curve):
+            raise GermError("eta^%d lambda(0) is past the degree read, %d"
+                            % (j, len(self.curve) - 1))
         return factorial(j + 1) * self.curve[j + 1]
 
     def chain_gradient(self, j):
         """d(eta^j lambda)(0) in the coordinates (u, z_2, ..., z_n):
         [(j+2)! curve[j+2], (j+1)! transverse[j+1][i] ...]."""
+        if j + 2 >= len(self.curve) or j + 1 >= len(self.transverse):
+            raise GermError("d(eta^%d lambda)(0) is past the degree read"
+                            % j)
         f = factorial(j + 1)
         return [(j + 2) * f * self.curve[j + 2]] + \
             [f * b for b in self.transverse[j + 1]]
@@ -281,12 +297,15 @@ def _prepare(f):
     so that det P, det T and d = det L are positive.  L is eliminated once:
     the negated column takes d to -d and negates every row of adj L but
     the first.  With y1 = d u every coefficient below stays an integer:
-      * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0 mod u^t, t =
-        jet_degree(n) + 1 = max(n + 1, 4), solved one degree per step with
-        the constant matrix L;
-      * g(u, 0) = f1(d u, Gamma(u)) mod u^(t+1);
+      * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0, solved one
+        degree per step with the constant matrix L;
+      * g(u, 0) = f1(d u, Gamma(u)), one degree per step as well: f1 has
+        no linear part, so its coefficient of u^m reads Gamma below
+        degree m.  The steps stop at the first m >= 2 with a nonzero
+        coefficient, m = k + 1, or at m = t = jet_degree(n) + 1 =
+        max(n + 1, 4);
       * the transverse row d * df1/dy' (df'/dy')^-1 at (d u, Gamma(u))
-        mod u^(n+1), the derivative of g along z' = d * zeta'.
+        to degree min(k, n) - 1, the derivative of g along z' = d * zeta'.
     Terms of f of degree above t never reach these coefficients.  A
     division by d that leaves a remainder raises GermError; by the
     construction it is always exact."""
@@ -317,67 +336,70 @@ def _prepare(f):
         v = [-x for x in v]
     if (-1) ** q * w[q] < 0:
         w = [-x for x in w]
-    series = [_substitute(c, n, top, p, [x * d for x in v], signs)
-              for c in comps]
-    first = {}
-    for wi, h in zip(w, series):
+    f1 = {}
+    for wi, c in zip(w, comps):
         if wi:
-            for beta, coefs in h.items():
-                acc = first.setdefault(beta, [0] * (top + 1))
-                for a, c in enumerate(coefs):
-                    acc[a] += wi * c
-    curve, transverse = _read_prepared(n, top, d, adj, first,
-                                       [series[i] for i in rows])
+            for e, coef in c.items():
+                f1[e] = f1.get(e, 0) + wi * coef
+    # the rows of f' are read only below degree t: by the curve's steps
+    # and, to degree min(k, n) - 2 <= t - 3, by the transverse row
+    first, *rest = _substitute(
+        [(f1, top)] + [(comps[i], top - 1) for i in rows],
+        n, p, [x * d for x in v], signs)
+    curve, transverse = _read_prepared(n, top, d, adj, first, rest)
     return PreparedForm(1, comps, kernel, left, curve, transverse)
 
 
-def _substitute(terms, n, top, p, a, signs):
-    """{beta: [coefficient of u^m y'^beta, m = 0..top]} for the integer
-    polynomial ``terms`` at x_j = a_j u + signs_k y'_k (k the place of j
-    among the coordinates other than p) and x_p = a_p u.  The curve has
-    y' = O(u^2), so a term u^m y'^beta enters the coefficients read at
-    degree m + 2|beta|; only terms with m + 2|beta| <= max(n + 2, top)
-    are formed."""
+def _substitute(polys, n, p, a, signs):
+    """For each (terms, weight) of ``polys``, {beta: [coefficient of
+    u^m y'^beta, m = 0..weight]} for the integer polynomial ``terms`` at
+    x_j = a_j u + signs_k y'_k (k the place of j among the coordinates
+    other than p) and x_p = a_p u.  The curve has y' = O(u^2), so a term
+    u^m y'^beta enters the coefficients read at degree m + 2|beta|; only
+    terms with m + 2|beta| <= weight are formed.  The expansion of each
+    power x_j^e is built once for all of ``polys``."""
     place = {j: k for k, j in enumerate(j for j in range(n) if j != p)}
-    weight = max(n + 2, top)
-    base = weight + 1
+    base = max(weight for _, weight in polys) + 1
     expansions = {}
-    out = {}
-    for alpha, coef in terms.items():
-        deg = sum(alpha)
-        if deg > top:
-            continue
-        room = weight - deg         # the largest |beta| kept
-        partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed beta)
-        for j, e in enumerate(alpha):
-            if not e:
+    found = []
+    for terms, weight in polys:
+        out = {}
+        for alpha, coef in terms.items():
+            deg = sum(alpha)
+            if deg > weight:
                 continue
-            table = expansions.get((j, e))
-            if table is None:
-                if j == p:
-                    table = [(0, a[j] ** e, 0)]
-                else:
-                    k = place[j]
-                    table = [(b, comb(e, b) * a[j] ** (e - b) * signs[k] ** b,
-                              b * base ** k)
-                             for b in range(e + 1) if a[j] or b == e]
-                expansions[(j, e)] = table
-            partial = [(c * t, size + b, key + packed)
-                       for c, size, key in partial
-                       for b, t, packed in table if size + b <= room]
-        for c, size, key in partial:
-            coefs = out.get(key)
-            if coefs is None:
-                coefs = out[key] = [0] * (top + 1)
-            coefs[deg - size] += c
-    unpacked = {}
-    for key, coefs in out.items():
-        beta = []
-        for _ in range(n - 1):
-            key, b = divmod(key, base)
-            beta.append(b)
-        unpacked[tuple(beta)] = coefs
-    return unpacked
+            room = weight - deg         # the largest |beta| kept
+            partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed beta)
+            for j, e in enumerate(alpha):
+                if not e:
+                    continue
+                table = expansions.get((j, e))
+                if table is None:
+                    if j == p:
+                        table = [(0, a[j] ** e, 0)]
+                    else:
+                        k = place[j]
+                        table = [(b, comb(e, b) * a[j] ** (e - b) *
+                                  signs[k] ** b, b * base ** k)
+                                 for b in range(e + 1) if a[j] or b == e]
+                    expansions[(j, e)] = table
+                partial = [(c * t, size + b, key + packed)
+                           for c, size, key in partial
+                           for b, t, packed in table if size + b <= room]
+            for c, size, key in partial:
+                coefs = out.get(key)
+                if coefs is None:
+                    coefs = out[key] = [0] * (weight + 1)
+                coefs[deg - size] += c
+        unpacked = {}
+        for key, coefs in out.items():
+            beta = []
+            for _ in range(n - 1):
+                key, b = divmod(key, base)
+                beta.append(b)
+            unpacked[tuple(beta)] = coefs
+        found.append(unpacked)
+    return found
 
 
 def _exact_div(x, d):
@@ -388,10 +410,10 @@ def _exact_div(x, d):
 
 
 def _read_prepared(n, top, d, adj, first, rest):
-    """(curve, transverse) from the substituted components: ``first`` is f1
-    and ``rest`` the rows of f', each {beta: series in u to degree
-    ``top``} (see ``_substitute``); L = d'f'(0) has determinant d > 0 and
-    adjugate ``adj``."""
+    """(curve, transverse) from the substituted components: ``first`` is f1,
+    {beta: series in u to degree ``top``}, and ``rest`` the rows of f', to
+    degree top - 1 (see ``_substitute``); L = d'f'(0) has determinant
+    d > 0 and adjugate ``adj``."""
     m1 = n - 1
     units = [tuple(int(i == k) for i in range(m1)) for k in range(m1)]
     # the powers Gamma^beta of the curve for every beta read and every
@@ -414,12 +436,16 @@ def _read_prepared(n, top, d, adj, first, rest):
                              powers[units[k]]))
     gamma = [powers[e] for e in units]
     # At degree m, Gamma^beta with |beta| >= 2 reads Gamma below degree
-    # m - 1, and f'(d u, Gamma) reads Gamma[m] only through L Gamma[m],
-    # left out while Gamma[m] is still 0; so Gamma[m] = -L^-1 residual.
+    # m - 1, and so does f1(d u, Gamma), which has no linear part;
+    # f'(d u, Gamma) reads Gamma[m] only through L Gamma[m], left out
+    # while Gamma[m] is still 0; so Gamma[m] = -L^-1 residual.
+    curve = [0, 0]
     for m in range(2, top + 1):
         for series, low, below, gk in products:
             series[m] = sum(below[b] * gk[m - b] for b in range(low, m - 1))
-        if m == top:
+        curve.append(sum(c * powers[beta][m - a] for beta, s in first.items()
+                         for a, c in enumerate(s[:m + 1]) if c))
+        if curve[m] or m == top:
             break
         residual = [sum(c * powers[beta][m - a] for beta, s in h.items()
                         for a, c in enumerate(s[:m + 1]) if c)
@@ -427,20 +453,21 @@ def _read_prepared(n, top, d, adj, first, rest):
         for k in range(m1):
             gamma[k][m] = _exact_div(
                 -sum(x * r for x, r in zip(adj[k], residual)), d)
-    curve = [0] * (top + 1)
-    for beta, s in first.items():
-        for a, c in enumerate(_series_mul(s, powers[beta], top)):
-            curve[a] += c
-    # R = df1/dy' and L + M = df'/dy' on the curve, mod u^(n+1); every
-    # coefficient of M is a multiple of d.  The transverse row B solves
-    # B (L + M) = d R one degree at a time: B[m] = (R[m] - sum_c B[m-c]
-    # M[c] / d) adj.
-    R = _gradient_on_curve(first, powers, m1, n)
-    rows = [_gradient_on_curve(h, powers, m1, n) for h in rest]
+    # The routes read the gradient rows d(eta^j lambda)(0) for
+    # j < min(k, n) - 1 (the plane route row 0 at k = 3 > n = 2), so the
+    # transverse row to degree min(k, n) - 1; with no k, none of them.
+    cap = min(m - 1, n) - 1 if curve[m] else 0
+    # R = df1/dy' on the curve mod u^(cap+1), and L + M = df'/dy' on it
+    # mod u^cap; every coefficient of M is a multiple of d.  The
+    # transverse row B solves B (L + M) = d R one degree at a time:
+    # B[m] = (R[m] - sum_c B[m-c] M[c] / d) adj, which reads M[c] for
+    # c < m only.
+    R = _gradient_on_curve(first, powers, m1, cap)
+    rows = [_gradient_on_curve(h, powers, m1, cap - 1) for h in rest]
     M = [None] + [[[_exact_div(g[c], d) for g in row] for row in rows]
-                  for c in range(1, n + 1)]
+                  for c in range(1, cap)]
     transverse = [[0] * m1]
-    for m in range(1, n + 1):
+    for m in range(1, cap + 1):
         x = [R[k][m] for k in range(m1)]
         for c in range(1, m):
             prev = transverse[m - c]

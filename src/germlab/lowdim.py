@@ -96,7 +96,8 @@ def classify_degenerate_plane(f):
             return ClassLabel(family, (eps, None),
                               _plane_normal_form(family, eps), None,
                               ("etaetalam", eps))
-    elif prep.chain_value(1) == prep.chain_value(2) == 0 != prep.chain_value(3):
+    elif (prep.chain_value(1) == 0 and prep.chain_value(2) == 0 and
+          prep.chain_value(3) != 0):
         eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),

@@ -15,7 +15,7 @@ normal-form representative is attached for reference.
 
 import functools
 
-from .polyring import Poly, _Frozen, integer_adjugate, integer_kernel
+from .polyring import Poly, _Frozen, integer_det, integer_kernel
 from .germ import (MapGerm, prepared_form, NotCorankOneError,
                    DegenerateGermError)
 
@@ -146,8 +146,14 @@ def recognize_morin(f):
     if k is None:
         raise DegenerateGermError(
             "no k <= n with eta^k lambda(0) != 0; not a Morin singularity")
-    return morin_invariants(n, k, prep.chain_value(k),
-                            [prep.chain_gradient(j) for j in range(k)])
+    # Row j < k - 1 of the gradients starts with (j+2)! curve[j+2] =
+    # eta^(j+1) lambda(0) = 0, and row k - 1 with eta^k lambda(0): by a
+    # Laplace expansion along that column, the rank and the determinant
+    # are those of the rows j < k - 1 and (eta^k lambda(0), 0, ..., 0).
+    eta_k_lambda = prep.chain_value(k)
+    return morin_invariants(n, k, eta_k_lambda,
+                            [prep.chain_gradient(j) for j in range(k - 1)] +
+                            [[eta_k_lambda] + [0] * (n - 1)])
 
 
 def morin_invariants(n, k, eta_k_lambda, grad_rows):
@@ -159,7 +165,7 @@ def morin_invariants(n, k, eta_k_lambda, grad_rows):
     Raises DegenerateGermError if the rows have rank below k; at k = n
     that is det = 0, read from the one elimination that gives the sign."""
     s_etak = _sign(eta_k_lambda)
-    s_det = _sign(integer_adjugate(grad_rows)[0]) if k == n else None
+    s_det = _sign(integer_det(grad_rows)) if k == n else None
     if s_det == 0 or k < n and integer_kernel(grad_rows)[0] < k:
         raise DegenerateGermError(
             "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")

@@ -548,6 +548,13 @@ def integer_kernel(mat):
     return len(pivots), basis
 
 
+def integer_det(mat):
+    """det M of a square integer matrix from one elimination of M itself,
+    with no identity block: 0 when M is singular."""
+    rows, pivots, det = _bareiss(mat, len(mat))
+    return det if len(pivots) == len(mat) else 0
+
+
 def integer_adjugate(mat):
     """(det M, adj M) of a square integer matrix from the elimination of
     [M | I]: the left block ends as det M * I and the right block as

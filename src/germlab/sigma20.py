@@ -22,7 +22,7 @@ r_k that of g_k; the form also holds (xi, eta) and B's first two rows.
 
 import functools
 
-from .polyring import Poly, integer_adjugate, integer_kernel
+from .polyring import Poly, integer_det, integer_kernel
 from .germ import (MapGerm, GermError, DegenerateGermError, prepared_form,
                    _jet_deriv)
 from .morin import ClassLabel, _sign
@@ -48,10 +48,6 @@ def elli_normal_form(eps1=1, eps2=1):
     return MapGerm([first, second, x3, last], src_dim=4)
 
 
-def _det(rows):
-    return integer_adjugate(rows)[0]
-
-
 def classify_sigma20(f):
     """The ClassLabel of a rank-2 germ (R^4,0) -> (R^4,0): a signed
     hyperbolic or elliptic umbilic, with the signs of det hess lambda(0),
@@ -72,7 +68,7 @@ def classify_sigma20(f):
         cand = B + [[int(j == i) for j in range(4)]]
         if len(B) == 2 and integer_kernel(cand)[0] == 3:
             B = cand
-        elif len(B) == 3 and (det_b := _det(cand)):
+        elif len(B) == 3 and (det_b := integer_det(cand)):
             B = cand[:3] + [[_sign(det_b) * v for v in cand[3]]]
     # the 2-jets of g_k = sum_i B_ki f_i
     g = [{} for _ in B]
@@ -86,13 +82,13 @@ def classify_sigma20(f):
     (p1, p2), (q1, q2) = [[[_jet_deriv(g[k], a, 1).get(e, 0) for e in units]
                            for k in (0, 1)] for a in prep.kernel]
     rest = [[g[k].get(e, 0) for e in units] for k in (2, 3)]
-    h11 = 2 * _det([p1, p2] + rest)
-    h22 = 2 * _det([q1, q2] + rest)
-    h12 = _det([p1, q2] + rest) + _det([q1, p2] + rest)
+    h11 = 2 * integer_det([p1, p2] + rest)
+    h22 = 2 * integer_det([q1, q2] + rest)
+    h12 = integer_det([p1, q2] + rest) + integer_det([q1, p2] + rest)
     hess_det = h11 * h22 - h12 * h12
     if hess_det == 0:
         raise DegenerateSigmaError("det hess lambda(0) = 0: degenerate germ")
-    big_det = _det([p1, p2, q1, q2])
+    big_det = integer_det([p1, p2, q1, q2])
     if big_det == 0:
         raise DegenerateSigmaError("the 4x4 determinant vanishes: not stable")
     hs = _sign(hess_det)

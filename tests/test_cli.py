@@ -197,6 +197,20 @@ def test_verify_claim_sign_other_than_one_is_a_bad_value(capsys, sign):
     assert err == "error: sign eps1 must be +1 or -1, got '%s'\n" % sign
 
 
+@pytest.mark.parametrize("text", ["x1*x2^2 ; x2", "x1^3 + x1*x2 ; x2"],
+                         ids=["refused", "cusp"])
+def test_verify_reads_the_claim_before_classifying(capsys, monkeypatch,
+                                                   text):
+    """A malformed claim is the one error, for a germ that would be
+    refused and for one that classifies, and no germ is classified."""
+    import germlab.cli as cli
+    classified = []
+    monkeypatch.setattr(cli, "classify_any", classified.append)
+    code, out, err = run(capsys, "verify", "--claim", "cusp eps1=x", text)
+    assert (code, out, classified) == (3, "", [])
+    assert err == "error: sign eps1 must be +1 or -1, got 'x'\n"
+
+
 def test_parse_grid_points():
     half = Fraction(1, 2)
     assert _parse_grid("-1:1:1/2", 1) == [(v,) for v in
@@ -857,6 +871,26 @@ def test_dense_morin_form_in_7_variables_is_quick(capsys):
     assert (label["family"], label["k"]) == ("morin-7", 7)
     assert label["describe"] == classify_any(f)[0].describe()
     assert seconds < 5
+
+
+def sheared_cusp_text(n):
+    """The cusp (x1^3 + x1*x2, x2, ..., xn), n even, under the cyclic shear
+    y_i = x_i + x_(i+1), y_n = x_n - x_1 of the source and the same shear
+    of the target, each of determinant 2 (the text the CI step builds for
+    n = 100)."""
+    y = ["(x%d + x%d)" % (i, i + 1) for i in range(1, n)] + ["(x%d - x1)" % n]
+    g = ["%s^3 + %s*%s" % (y[0], y[0], y[1])] + y[1:]
+    return " ; ".join(["%s + %s" % (g[i], g[i + 1]) for i in range(n - 1)] +
+                      ["%s - (%s)" % (g[n - 1], g[0])])
+
+
+def test_sheared_cusp_in_100_variables_is_quick(capsys):
+    """A cusp is read to degree k + 1 = 3 whatever n is, and its
+    transverse row to degree k - 1 = 1."""
+    code, out, _, seconds = _timed_classify(capsys, sheared_cusp_text(100))
+    assert code == 0
+    assert json.loads(out)["label"]["describe"] == "cusp eps1=+1 eps2=+1"
+    assert seconds < 2
 
 
 LONG_TAIL = "x1^2*(x1 + x2 + x1*x2)^60"

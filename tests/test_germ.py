@@ -27,6 +27,25 @@ def test_constant_terms_dropped():
     assert f.components[0] == x1 ** 2
 
 
+def test_equal_germs_hash_equal_and_each_hashes_once(monkeypatch):
+    """Equal germs hash equal, and a germ hashes its components once: a
+    lookup keyed by a germ is then a dict probe."""
+    calls = []
+    original = Poly.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+    monkeypatch.setattr(Poly, "__hash__", counted)
+    x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
+    f, g = cusp2(), MapGerm([x1 * x2 + 7 + x1 ** 3, x2 + 0], src_dim=2)
+    assert f == g and f is not g
+    assert hash(f) == hash(g)
+    assert len(calls) == 4
+    assert {f: "cusp"}[g] == "cusp" and hash(f) == hash(g)
+    assert len(calls) == 4
+
+
 def test_analyze_cusp():
     ana = analyze(cusp2())
     assert ana.rank0 == 1 and ana.corank0 == 1

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from germlab.cli import main
-from germlab.germ import analyze, jet_degree, null_field
+from germlab.germ import analyze, jet_degree, null_field, prepared_form
 from germlab.germparse import render_map
 from germlab.lowdim import _plane_normal_form
 from germlab.morin import eta_lambda_chain, normal_form
@@ -124,14 +124,20 @@ def classify_json(capsys, f):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_terms_above_determinacy_degree_change_nothing(capsys, n):
-    """A k-Morin germ is (k+1)-determined: terms of degree >= n + 2 added
-    to a changed k = n form leave the classify --json output unchanged."""
-    rng = random.Random(100 + n)
-    f = normal_form(n, n, rng.choice([1, -1]), rng.choice([1, -1]))
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 3), (4, 4), (5, 5), (2, 12),
+                                 (3, 12)],
+                         ids=["2", "3", "4", "5", "cusp-12", "swallowtail-12"])
+def test_terms_above_determinacy_degree_change_nothing(capsys, k, n):
+    """A k-Morin germ is (k+1)-determined: terms of degree >= k + 2 added
+    to a changed form leave the classify --json output unchanged.  At
+    n = 12 the prepared form stops at curve degree k + 1, far below
+    max(n + 1, 4), and the added terms lie above where it stops."""
+    rng = random.Random(100 + n if k == n else 1000 * k + n)
+    f = normal_form(k, n, rng.choice([1, -1]), rng.choice([1, -1]))
     g = change_coordinates(f, random_gl_pos(rng, n), random_gl_pos(rng, n))
     base = classify_json(capsys, g)
     assert '"route":"morin"' in base
     for _ in range(2):
-        assert classify_json(capsys, add_high_terms(rng, g, n + 2)) == base
+        h = add_high_terms(rng, g, k + 2)
+        assert classify_json(capsys, h) == base
+        assert len(prepared_form(h).curve) == k + 2

@@ -9,7 +9,7 @@ import pytest
 
 from germlab.polyring import Poly
 from germlab.germ import (MapGerm, analyze, null_field, translate, jet_degree,
-                          prepared_form, NotCorankOneError,
+                          prepared_form, GermError, NotCorankOneError,
                           DegenerateGermError)
 from germlab.morin import (recognize_morin, normal_form, class_count,
                            invariant_kind, eta_lambda_chain)
@@ -351,6 +351,46 @@ def test_prepared_form_of_the_signed_forms():
         prep = prepared_form(MapGerm(comps))
         assert (prep.corank, prep.kernel) == (corank, kernel)
         assert prep.left is prep.curve is prep.transverse is None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_prepared_form_is_read_to_degree_k_plus_one(n):
+    """A changed k-Morin form is read to curve degree k + 1 and transverse
+    degree k - 1 (k <= n): every chain value and gradient row the criteria
+    read is there, and chain_value(k + 1) and chain_gradient(k - 1), past
+    the degree read, raise GermError rather than give a wrong 0."""
+    rng = random.Random(2020 + n)
+    for k in range(1, n + 1):
+        g = change_coordinates(normal_form(k, n), random_gl_pos(rng, n),
+                               random_gl_pos(rng, n))
+        prep = prepared_form(g)
+        assert (len(prep.curve), len(prep.transverse)) == (k + 2, k)
+        assert [prep.chain_value(j) != 0 for j in range(k + 1)] == \
+            [False] * k + [True]
+        assert all(len(prep.chain_gradient(j)) == n for j in range(k - 1))
+        with pytest.raises(GermError):
+            prep.chain_value(k + 1)
+        with pytest.raises(GermError):
+            prep.chain_gradient(k - 1)
+
+
+def test_prepared_form_of_germs_that_are_not_morin():
+    """k = 3 > n = 2 (the planar swallowtail) reads the transverse row to
+    degree n - 1 = 1; with no nonzero chain value the curve is read to
+    max(n + 1, 4) and no transverse row past degree 0."""
+    prep = prepared_form(_plane_normal_form("planar-swallowtail", 1))
+    assert (len(prep.curve), len(prep.transverse)) == (5, 2)
+    assert prep.chain_value(3) and prep.chain_gradient(0)
+    with pytest.raises(GermError):
+        prep.chain_gradient(1)
+    y = [Poly.var(i, 3) for i in (1, 2, 3)]
+    prep = prepared_form(MapGerm([y[0] ** 9, y[1], y[2]]))
+    assert (prep.curve, prep.transverse) == ([0] * 5, [[0, 0]])
+    assert prep.chain_value(3) == 0
+    with pytest.raises(GermError):
+        prep.chain_value(4)
+    with pytest.raises(GermError):
+        prep.chain_gradient(0)
 
 
 @pytest.mark.parametrize("make,args", [

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, clear_denominators,
-                              integer_adjugate, integer_kernel,
+                              integer_adjugate, integer_det, integer_kernel,
                               _series_mul)
 from germlab.germ import MapGerm, VecField, analyze, prepared_form
 from germlab.morin import ClassLabel
@@ -447,6 +447,31 @@ def test_integer_kernel_is_a_positive_multiple_of_the_rref_nullspace(data):
         c = v[w.index(1)]
         assert c > 0 and v == [c * x for x in w]
         assert math.gcd(*v) == 1
+
+
+def test_integer_det_eliminates_the_matrix_alone(monkeypatch):
+    """integer_det reads det M from one elimination of M itself, with no
+    identity block, through ``polyring._bareiss`` as it is at call time;
+    it is the rational determinant, 0 for a singular M."""
+    import germlab.polyring as polyring
+    seen = []
+    original = polyring._bareiss
+
+    def recorded(mat, width):
+        seen.append(([list(row) for row in mat], width))
+        return original(mat, width)
+    monkeypatch.setattr(polyring, "_bareiss", recorded)
+    rng = random.Random(551)
+    singular = 0
+    for n in range(1, 6):
+        for _ in range(20):
+            M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            seen.clear()
+            assert integer_det(M) == rational_det(M)
+            assert seen == [(M, n)]
+            singular += rational_det(M) == 0
+    assert singular > 0
+    assert integer_det([]) == 1
 
 
 def test_clear_denominators_scales_by_the_lcm():
