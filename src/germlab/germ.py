@@ -53,7 +53,7 @@ class VecField(_Frozen):
             for c in comps:
                 if c.nvars != nv:
                     raise DimensionError("vector field components disagree on nvars")
-        object.__setattr__(self, "components", comps)
+        _Frozen.__init__(self, comps)
 
     @classmethod
     def constant(cls, values, nvars):
@@ -109,9 +109,7 @@ class MapGerm(_Frozen):
             if ct != 0:
                 c = c - Poly.const(ct, n)
             fixed.append(c)
-        object.__setattr__(self, "src_dim", n)
-        object.__setattr__(self, "tgt_dim", len(fixed))
-        object.__setattr__(self, "components", tuple(fixed))
+        _Frozen.__init__(self, n, len(fixed), tuple(fixed))
 
     def __eq__(self, other):
         if not isinstance(other, MapGerm):
@@ -120,10 +118,7 @@ class MapGerm(_Frozen):
                 self.components == other.components)
 
     def __hash__(self):
-        if getattr(self, "_hash", None) is None:
-            object.__setattr__(self, "_hash",
-                               hash((self.src_dim, self.components)))
-        return self._hash
+        return self._once("_hash", hash, (self.src_dim, self.components))
 
     def __repr__(self):
         return "MapGerm(%s)" % "; ".join(c.render() for c in self.components)
@@ -140,12 +135,8 @@ class GermAnalysis(_Frozen):
     __slots__ = ("germ", "jacobian", "lam", "rank0", "corank0", "eta")
 
     def __init__(self, germ, jacobian, lam, rank0, eta=None):
-        object.__setattr__(self, "germ", germ)
-        object.__setattr__(self, "jacobian", jacobian)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "rank0", rank0)
-        object.__setattr__(self, "corank0", germ.src_dim - rank0)
-        object.__setattr__(self, "eta", eta)
+        _Frozen.__init__(self, germ, jacobian, lam, rank0,
+                         germ.src_dim - rank0, eta)
 
 
 def jacobian(f):
@@ -224,12 +215,8 @@ class PreparedForm(_Frozen):
 
     def __init__(self, corank, comps, kernel, left=None, curve=None,
                  transverse=None):
-        object.__setattr__(self, "corank", corank)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "transverse", transverse)
+        _Frozen.__init__(self, corank, comps, kernel, left, curve,
+                         transverse)
 
     def chain_value(self, j):
         """eta^j lambda(0) = (j+1)! * curve[j+1]."""
@@ -281,9 +268,7 @@ def _jet_det(rows, cap):
 def prepared_form(f):
     """``_prepare(f)``, built on first use and kept on f: a MapGerm is
     immutable, so the form it keeps cannot go stale."""
-    if getattr(f, "_prepared", None) is None:
-        object.__setattr__(f, "_prepared", _prepare(f))
-    return f._prepared
+    return f._once("_prepared", _prepare, f)
 
 
 def _prepare(f):

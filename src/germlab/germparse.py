@@ -22,6 +22,7 @@ Fraction, and parse_map makes one Fraction per distinct coefficient left.
 """
 
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -46,15 +47,28 @@ _OTHER = r"[^\w \t\r\n+\-*^();,:/|]"
 _EOF = ""
 
 
+def _digit_limit():
+    """The most digits int() reads from text (4300 by default), 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 def _tokenize(text):
-    """The token strings of ``text`` followed by _EOF.  Positions are
-    worked out only for an error, by ``_position``."""
+    """The token strings of ``text`` followed by _EOF, with no number too
+    long for int().  Positions are worked out only for an error, by
+    ``_position``."""
     tokens = re.findall(_TOKEN, text)
     if not text.isascii() or re.search(_OTHER, text):
         for k, t in enumerate(tokens):
             if t not in _PUNCT and not t[0].isdecimal() and \
                     not (t[0].isalpha() or t[0] == "_"):
                 raise ParseError("unexpected character %r" % t[0],
+                                 *_position(text, k))
+    limit = _digit_limit()
+    if 0 < limit < len(text) and max(map(len, tokens), default=0) > limit:
+        for k, t in enumerate(tokens):
+            if len(t) > limit and t.isdecimal():
+                raise ParseError("number too long: %d digits, over the "
+                                 "limit of %d" % (len(t), limit),
                                  *_position(text, k))
     tokens.append(_EOF)
     return tokens
@@ -302,7 +316,12 @@ def _infer_vars(text, tokens):
             raise ParseError(
                 "identifier %r needs a 'vars:' header (only x1, x2, ... "
                 "can be inferred)" % t, *_position(text, k))
-        nvars = max(nvars, int(t[1:]))
+        try:
+            nvars = max(nvars, int(t[1:]))
+        except ValueError:      # more digits than _digit_limit()
+            raise ParseError("variable index too long: %d digits, over the "
+                             "limit of %d" % (len(t) - 1, _digit_limit()),
+                             *_position(text, k)) from None
     return max(nvars, 1)    # a positive dimension even without variables
 
 

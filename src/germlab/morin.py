@@ -47,12 +47,8 @@ class ClassLabel(_Frozen):
 
     def __init__(self, family, signs=(None, None), normal_form=None,
                  k=None, invariant=("none",), witness=None):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "signs", tuple(signs))
-        object.__setattr__(self, "normal_form", normal_form)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "invariant", tuple(invariant))
-        object.__setattr__(self, "witness", dict(witness or {}))
+        _Frozen.__init__(self, family, tuple(signs), normal_form, k,
+                         tuple(invariant), dict(witness or {}))
 
     def key(self):
         return (self.family, self.k, self.signs)

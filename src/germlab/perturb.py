@@ -370,10 +370,7 @@ class UnfoldingSpec(_Frozen):
                              % (family, count, len(u)))
         if family != "A":
             l = None
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "u", u)
+        _Frozen.__init__(self, family, n, l, u)
 
     @property
     def genotype(self):
@@ -661,25 +658,16 @@ class MorinPoint(_Frozen):
 
     def __init__(self, t, exact, location, k, invariant_value, table_value,
                  verified):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "invariant_value", tuple(invariant_value))
-        object.__setattr__(self, "table_value", tuple(table_value))
-        object.__setattr__(self, "verified", verified)
+        _Frozen.__init__(self, t, exact, location, k, tuple(invariant_value),
+                         tuple(table_value), verified)
 
 
 class PerturbationReport(_Frozen):
     __slots__ = ("spec", "points", "count", "c_f_bound", "stable", "notes")
 
     def __init__(self, spec, points, stable, notes):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "count", len(points))
-        object.__setattr__(self, "c_f_bound", spec.c_f_bound())
-        object.__setattr__(self, "stable", stable)
-        object.__setattr__(self, "notes", tuple(notes))
+        _Frozen.__init__(self, spec, tuple(points), len(points),
+                         spec.c_f_bound(), stable, tuple(notes))
 
 
 def _classifier_invariant_on_curve(n, criteria, constraint, root, sequences):

@@ -12,6 +12,7 @@ denominators: every sign and rank test is exact, with no tolerances.
 import operator
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 
@@ -31,10 +32,26 @@ class DimensionError(ValueError):
 
 
 class _Frozen:
-    """Base of the immutable value types.  Their constructors write each
-    slot once with ``object.__setattr__``; any later assignment raises."""
+    """Base of the immutable value types, and the one place that knows how
+    a value is frozen.  A value type declares its fields once, in
+    ``__slots__``, and hands their values to ``_Frozen.__init__`` in that
+    order; a trailing slot left out holds None until ``_once`` writes it.
+    Any other assignment raises.  Only ``Poly``, built far more often than
+    any other value, writes its two slots itself."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        """Writes ``values``, then None, into ``__slots__`` in order."""
+        slots = self.__slots__
+        any(map(object.__setattr__, repeat(self), slots,
+                values + (None,) * (len(slots) - len(values))))
+
+    def _once(self, name, make, arg):
+        """The slot ``name``, written with ``make(arg)`` on first use."""
+        if getattr(self, name) is None:
+            object.__setattr__(self, name, make(arg))
+        return getattr(self, name)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -248,10 +265,6 @@ class Poly(_Frozen):
                           Poly.one(m) if monomial is None else monomial))
         return _sum_of_products(m, pairs)
 
-    def gradient_at(self, point):
-        """Row vector of exact partial-derivative values at a point."""
-        return [self.partial(i).eval(point) for i in range(1, self.nvars + 1)]
-
     # ---- comparisons / display ----------------------------------------
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -402,9 +415,7 @@ class PolyMatrix(_Frozen):
             for e in entries:
                 if e.nvars != nv:
                     raise DimensionError("matrix entries disagree on nvars")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _Frozen.__init__(self, rows, cols, entries)
 
     def entry(self, i, j):
         return self.entries[i * self.cols + j]

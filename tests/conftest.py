@@ -11,7 +11,7 @@ from germlab.germ import MapGerm, GermError
 from germlab.morin import normal_form
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import hyp_normal_form, elli_normal_form
-from oracles import rational_det, rational_nullspace
+from oracles import gradient_at, rational_det, rational_nullspace
 
 
 def signed_morin_forms(n):
@@ -70,7 +70,7 @@ def non_integral_kernel_changes(rng, f, count):
     while len(out) < count:
         g = change_coordinates(f, random_rational_gl_pos(rng, f.src_dim),
                                random_rational_gl_pos(rng, f.tgt_dim))
-        J0 = [c.gradient_at(g.origin()) for c in g.components]
+        J0 = [gradient_at(c, g.origin()) for c in g.components]
         vectors = rational_nullspace(J0) + \
             rational_nullspace([list(col) for col in zip(*J0)])
         if any(x.denominator != 1 for v in vectors for x in v):

@@ -213,6 +213,12 @@ def up_squarefree(c):
     return q
 
 
+def gradient_at(p, point):
+    """The exact values of the partial derivatives of the Poly p at a
+    point, as a row."""
+    return [p.partial(i).eval(point) for i in range(1, p.nvars + 1)]
+
+
 def eta_chain_label(f, analysis=None, eta=None):
     """The ClassLabel of a Morin germ by the eta-chain route; ``analysis``
     is analyze(f) and ``eta`` a null field of f, each built when not
@@ -233,7 +239,7 @@ def eta_chain_label(f, analysis=None, eta=None):
     k = next((j for j in range(1, n + 1) if values[j]), None)
     if k is None:
         raise DegenerateGermError("no k <= n with eta^k lambda(0) != 0")
-    rows = [chain[j].gradient_at(origin) for j in range(k)]
+    rows = [gradient_at(chain[j], origin) for j in range(k)]
     if rational_rank(rows) != k:
         raise DegenerateGermError("rank d(lambda,...,eta^{k-1} lambda)(0) < k")
     # each row times the positive lcm of its denominators: same det sign
@@ -311,7 +317,7 @@ def classify_sigma20(f):
     grads = []
     for field in (xi, eta):
         for comp in g.components[:2]:
-            grads.append(field.apply(comp).gradient_at(origin))
+            grads.append(gradient_at(field.apply(comp), origin))
     big_det = integer_adjugate([clear_denominators(r) for r in grads])[0]
     if big_det == 0:
         raise DegenerateSigmaError("the 4x4 determinant vanishes: not stable")
@@ -373,7 +379,7 @@ def classify_surface(f, eta=None):
     the given constant null field ``eta`` or the deterministic one."""
     w, xi, eta = surface_w(f, eta=eta)
     origin = f.origin()
-    if any(v != 0 for v in w.gradient_at(origin)):
+    if any(v != 0 for v in gradient_at(w, origin)):
         return ClassLabel("whitney-umbrella",
                           normal_form=_surface_normal_form("whitney-umbrella"))
     (a, b), (c, d) = [[w.partial(i).partial(j).eval(origin) for j in (1, 2)]
@@ -399,7 +405,7 @@ def classify_degenerate_plane(f, analysis=None, eta=None):
     eta = eta or null_field(f, ana)
     lam = ana.lam
     origin = f.origin()
-    dlam0 = lam.gradient_at(origin)
+    dlam0 = gradient_at(lam, origin)
     eel = eta.apply(eta.apply(lam))
     eel0 = eel.eval(origin)
     if all(v == 0 for v in dlam0):

@@ -17,7 +17,7 @@ from germlab.cli import classify_any
 
 from conftest import corpus_30, random_gl_pos, change_coordinates
 import oracles
-from oracles import eta_chain_label
+from oracles import eta_chain_label, gradient_at
 from test_perturb import family_b_symbolic_identity
 
 F = Fraction
@@ -198,7 +198,7 @@ def test_criterion_08_sigma20():
          for f1 in (xi, eta)]
     assert h[0][0] * h[1][1] - h[0][1] * h[1][0] == -16
     from oracles import rational_det
-    grads = [fld.apply(c).gradient_at(o)
+    grads = [gradient_at(fld.apply(c), o)
              for fld in (xi, eta) for c in g.components[:2]]
     assert rational_det(grads) == -4
     print("ACCEPTANCE 8: PASS - sigma20 2+4 classes, hess det -16, det -4")

@@ -369,6 +369,46 @@ def test_stdin_bytes_not_utf8_exit_2(capsys, monkeypatch):
         "(line 1, column 1)\n"
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the digits int() reads from text
+    (Python 3.10.7 and later), whatever the environment set."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("text,what,line,column", [
+    (LONG + "*x1^2 ; x2", "number", 1, 1),             # a coefficient
+    ("1/" + LONG + "*x1^2 ; x2", "number", 1, 3),      # a denominator
+    ("x1^" + LONG + " ; x2", "number", 1, 4),          # an exponent
+    ("x1^2 ;\n  x2 " + LONG, "number", 2, 6),          # quoted in a message
+    ("x" + LONG + " ; x1", "variable index", 1, 1),    # the dimension
+])
+def test_over_long_literal_is_a_parse_error(capsys, digit_limit, text, what,
+                                            line, column):
+    """A literal too long for int() is one parse error line at its token,
+    exit 2, not the interpreter's ValueError."""
+    code, out, err = run(capsys, "classify", text)
+    assert (code, out) == (2, "")
+    assert err == "parse error: %s too long: 5000 digits, over the limit of " \
+        "%d (line %d, column %d)\n" % (what, digit_limit, line, column)
+
+
+def test_literal_at_the_digit_limit_classifies(capsys, digit_limit):
+    code, out, _ = run(capsys, "classify", "7" * digit_limit + "*x1^2 ; x2")
+    assert code == 0
+    assert "class: fold" in out
+    # a blank text longer than the limit has no token to measure
+    code, _, err = run(capsys, "classify", " " * (digit_limit + 1))
+    assert code == 2
+    assert err.startswith("parse error: expected a number")
+
+
 @pytest.mark.parametrize("text,rank", [("x1^2 ; x2^2 ; x1*x2", 0),
                                        ("x1 ; x2 ; 0", 2)])
 def test_surface_germ_of_rank_other_than_one_prints_json(capsys, text, rank):
@@ -961,3 +1001,17 @@ def test_cli_runs_on_the_bare_standard_library():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"codes": [0, 0, 0], "foreign": []}
+
+
+def test_cold_cli_loads_no_dataclasses():
+    """Importing ``dataclasses`` would add 8-14 ms to a cold start of the
+    CLI, so the value types freeze themselves through ``_Frozen``."""
+    import germlab
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(germlab.__file__))))
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         "import sys; sys.path.insert(0, 'src'); import germlab.cli; "
+         "sys.exit('dataclasses' in sys.modules)"],
+        cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -12,7 +12,7 @@ from germlab.germ import (MapGerm, VecField, analyze, null_field, translate,
 from germlab.morin import normal_form
 from conftest import (change_coordinates, corpus_30, random_gl_pos,
                       random_rational_gl_pos)
-from oracles import rational_nullspace, rational_rank
+from oracles import gradient_at, rational_nullspace, rational_rank
 
 
 def cusp2():
@@ -119,7 +119,7 @@ def test_prepared_form_reads_the_kernels_and_the_integer_components(n):
                 ratios = {ints[e] / q for e, q in c.terms.items()}
                 assert len(ratios) == 1 and min(ratios) > 0
                 scale.append(ratios.pop())
-            J0 = [c.gradient_at(g.origin()) for c in g.components]
+            J0 = [gradient_at(c, g.origin()) for c in g.components]
             assert prep.corank == corank
             assert _same_span(prep.kernel, rational_nullspace(J0))
             left = rational_nullspace([list(col) for col in zip(*J0)])

@@ -13,12 +13,14 @@ from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, clear_denominators,
                               integer_adjugate, integer_det, integer_kernel,
                               _series_mul)
-from germlab.germ import MapGerm, VecField, analyze, prepared_form
+import germlab.germ as germ_module
+from germlab.germ import (MapGerm, PreparedForm, VecField, analyze,
+                           prepared_form)
 from germlab.morin import ClassLabel
 from germlab.perturb import UnfoldingSpec, morin_points
 from conftest import compose_linear
-from oracles import (rational_det, rational_nullspace, rational_rank,
-                     rational_rref)
+from oracles import (gradient_at, rational_det, rational_nullspace,
+                     rational_rank, rational_rref)
 
 
 def P(nvars, terms):
@@ -131,6 +133,49 @@ def test_value_types_are_immutable(name):
     with pytest.raises(AttributeError, match="^%s is immutable$" % name):
         obj.extra = 1
     assert getattr(obj, slot) is before
+    for slot in type(obj).__slots__:    # every slot was written
+        getattr(obj, slot)
+
+
+def test_value_types_keep_their_keyword_forms():
+    """Each value type keeps its documented signature; a trailing field
+    left out reads None."""
+    label = ClassLabel("regular", k=0)
+    assert (label.family, label.signs, label.normal_form, label.k,
+            label.invariant, label.witness) == \
+        ("regular", (None, None), None, 0, ("none",), {})
+    spec = UnfoldingSpec("A", 2, [1], l=2)
+    assert (spec.family, spec.n, spec.l, spec.u) == ("A", 2, 2, (1,))
+    form = PreparedForm(0, [], [], left=None)
+    assert (form.corank, form.comps, form.kernel, form.left, form.curve,
+            form.transverse) == (0, [], [], None, None, None)
+    regular = prepared_form(MapGerm([Poly.var(1, 2), Poly.var(2, 2)]))
+    assert regular.corank == 0
+    assert regular.left is regular.curve is regular.transverse is None
+    g = MapGerm([Poly.var(1, 1) ** 2])
+    assert g._prepared is None and g._hash is None
+
+
+def test_prepared_form_and_hash_are_written_once(monkeypatch):
+    """``prepared_form`` builds the form once per germ and ``hash`` the
+    hash once, each kept in its slot."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return prepare(f)
+    prepare = germ_module._prepare
+    monkeypatch.setattr(germ_module, "_prepare", counted)
+    f = MapGerm([Poly.var(1, 2) ** 3 + Poly.var(1, 2) * Poly.var(2, 2),
+                 Poly.var(2, 2)])
+    form = prepared_form(f)
+    assert prepared_form(f) is form is f._prepared
+    assert calls == [f]
+    assert f._hash is None
+    h = hash(f)
+    assert f._hash == h == hash((f.src_dim, f.components))
+    monkeypatch.setattr(Poly, "__hash__", None)     # a re-hash would raise
+    assert hash(f) == h
 
 
 def test_dimension_errors():
@@ -347,9 +392,9 @@ def test_eval_and_gradient_at_origin_match_the_general_path(p, point):
     origin = [Fraction(0)] * 2
     assert p.eval(origin) == _value_by_definition(p, origin)
     assert p.eval(point) == _value_by_definition(p, point)
-    assert p.gradient_at([0, 0]) == p.gradient_at(origin) == [
+    assert gradient_at(p, [0, 0]) == gradient_at(p, origin) == [
         _value_by_definition(p.partial(i), origin) for i in (1, 2)]
-    assert p.gradient_at(point) == [
+    assert gradient_at(p, point) == [
         _value_by_definition(p.partial(i), point) for i in (1, 2)]
 
 
