@@ -336,7 +336,9 @@ def build_parser():
     pp.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
     pp.add_argument("--l", type=int,
                     help="family A degree (2 <= l <= %d)" % pt.MAX_L)
-    pp.add_argument("--params", help="comma-separated rational parameters")
+    pp.add_argument("--params", help="comma-separated rational parameters, "
+                    "at most %d bits in all (MAX_PARAM_BITS)"
+                    % pt.MAX_PARAM_BITS)
     pp.add_argument("--grid", help="sweep grid 'lo:hi:step[,lo:hi:step...]'")
 
     pts = sub.add_parser("tables", help="machine-readable golden tables")

@@ -11,7 +11,8 @@ Without a header the variables are inferred: every identifier must be of
 the form x<k> and the source dimension is the largest k mentioned.
 
 The constant term of every component must vanish (germ condition); a
-nonzero constant term is reported with its component index.
+nonzero constant term is reported with its component index.  ``parse_poly``
+reads one polynomial over given names, where a constant term is allowed.
 
 All failures raise ParseError with a line/column position -- the parser
 never escapes with anything else, whatever the input bytes.
@@ -183,6 +184,13 @@ class _Parser:
         self.pos += 1
         return self.tokens[self.pos] != "-" or not self.negated()
 
+    def polynomial(self):
+        """The expression at the next token, as a dict."""
+        try:
+            return self.expr()
+        except RecursionError:
+            self.fail("expression nested too deeply")
+
     # expr := "+"? term (("+" | "-") term)*
     def expr(self):
         tokens, acc, minus = self.tokens, {}, False
@@ -306,22 +314,24 @@ def _split_header(text):
 
 
 def _infer_vars(text, tokens):
-    """Without a header every identifier must be x<k>; nvars = max k."""
+    """Without a header every identifier must be x<k>; nvars = max k.
+    Distinct tokens are read once, in order of first occurrence; a bad
+    one's position is looked up only for the error."""
     nvars = 0
-    for k, t in enumerate(tokens):
+    for t in dict.fromkeys(tokens):
         if t in _PUNCT or t == _EOF or t.isdecimal():
             continue
         if not (t.startswith("x") and t[1:].isdecimal() and
                 not t[1:].startswith("0")):
             raise ParseError(
                 "identifier %r needs a 'vars:' header (only x1, x2, ... "
-                "can be inferred)" % t, *_position(text, k))
+                "can be inferred)" % t, *_position(text, tokens.index(t)))
         try:
             nvars = max(nvars, int(t[1:]))
         except ValueError:      # more digits than _digit_limit()
             raise ParseError("variable index too long: %d digits, over the "
                              "limit of %d" % (len(t) - 1, _digit_limit()),
-                             *_position(text, k)) from None
+                             *_position(text, tokens.index(t))) from None
     return max(nvars, 1)    # a positive dimension even without variables
 
 
@@ -340,10 +350,7 @@ def parse_map(text):
     comps, starts = [], []
     while True:
         starts.append(parser.pos)
-        try:
-            comps.append(parser.expr())
-        except RecursionError:
-            parser.fail("expression nested too deeply")
+        comps.append(parser.polynomial())
         t = parser.next()
         if t == _EOF:
             break
@@ -358,6 +365,18 @@ def parse_map(text):
             p[e] = shared.get(c) or shared.setdefault(c, Fraction(c))
     nvars = parser.nvars
     return MapGerm([Poly._trusted(nvars, p) for p in comps], src_dim=nvars)
+
+
+def parse_poly(text, names):
+    """One polynomial over the variables ``names``, a constant term
+    allowed, as a Poly; every failure is a ParseError, as in parse_map."""
+    parser = _Parser(text, _tokenize(text), names)
+    p = parser.polynomial()
+    t = parser.next()
+    if t != _EOF:
+        parser.fail("expected end of input, found %r" % _shown(t),
+                    parser.pos - 1)
+    return Poly(len(names), p)
 
 
 def render_map(f, names=None):

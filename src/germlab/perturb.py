@@ -38,6 +38,10 @@ Cauchy root bound, so the isolating intervals are those of the rational
 polynomial.  Both bisections run on integer pairs (num, den); Fractions
 are made only for the interval ends they return.
 
+The published inv rows are read from the text they are printed as
+(``INV_FORMULAS``, parsed once per key by ``_inv_row``), so the table's
+expected invariant is the sign of those polynomials at each root.
+
 The printed reference tables for families B and C contain a few
 inconsistent entries; ``table_discrepancy_report`` compares every printed
 constraint and coordinate formula with the same cached curve and lists
@@ -52,6 +56,7 @@ from math import ceil, gcd
 from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
                        clear_denominators, _series_mul)
 from .germ import MapGerm, translate, GermError
+from .germparse import parse_poly
 from .morin import recognize_morin, invariant_kind, invariant_value
 
 DEFAULT_PRECISION_BITS = 40
@@ -305,10 +310,11 @@ def sign_at_root(g, constraint, root, sequences=None):
     sign is the Tarski query of g on (lo, hi] (``tarski_sequence``).
 
     ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
-    each g with this one constraint, so that it serves every root."""
+    each g with this one constraint, so that it serves every root; g and
+    -g share one, as the query of -g is minus that of g."""
     g = up_integer(g)
-    if not g:
-        return 0
+    if len(g) < 2:
+        return g[0] if g else 0
     if not isinstance(root, tuple):
         return up_sign_at(g, root)
     lo, hi = root
@@ -316,17 +322,18 @@ def sign_at_root(g, constraint, root, sequences=None):
         return up_sign_at(g, lo)
     if sequences is None:
         sequences = {}
-    key = tuple(g)
+    lead = 1 if g[-1] > 0 else -1
+    key = tuple(lead * x for x in g)
     seq = sequences.get(key)
     if seq is None:
-        seq = sequences[key] = tarski_sequence(constraint, g)
+        seq = sequences[key] = tarski_sequence(constraint, key)
     at_hi = [up_sign_at(p, hi) for p in seq]
     if at_hi[0] == 0:
         return up_sign_at(g, hi)
     at_lo = [up_sign_at(p, lo) for p in seq]
     if at_lo[0] == 0:
         raise ValueError("interval end %s is a root of the constraint" % lo)
-    return _variations(at_lo) - _variations(at_hi)
+    return lead * (_variations(at_lo) - _variations(at_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +345,15 @@ FAMILY_B_CN = {2: 6, 3: 10, 4: 15, 5: 21}
 
 # The largest family A degree: a request at l = 64 takes seconds.
 MAX_L = 32
+# The largest size of a request's parameters, summed over all of them:
+# each counts the bits of its numerator and of its denominator, less one
+# (an integer counts its own bits).  Root isolation works on the
+# constraint cleared of denominators, whose coefficients grow with this
+# sum, so one bound on each parameter would not do.  At this bound the
+# slowest request found (family A, l = MAX_L, n = 2..5, 4 to 16 of the
+# parameters +-1/d with distinct odd d) ends within a second, and no
+# printed integer nears the 4300 digits int() converts.
+MAX_PARAM_BITS = 352
 
 
 def param_count(family, l):
@@ -353,7 +369,8 @@ def param_count(family, l):
 
 class UnfoldingSpec(_Frozen):
     """family 'A' | 'B' | 'C'; n in 2..5; 2 <= l <= MAX_L (family A only);
-    u = parameter values (length l-1 for A, 1 for B, 2 for C)."""
+    u = parameter values (length l-1 for A, 1 for B, 2 for C), of at most
+    MAX_PARAM_BITS bits in all."""
 
     __slots__ = ("family", "n", "l", "u")
 
@@ -364,6 +381,12 @@ class UnfoldingSpec(_Frozen):
         if not 2 <= n <= 5:
             raise ValueError("n must be in 2..5")
         u = tuple(rat(v) for v in u)
+        bits = sum(v.numerator.bit_length() + v.denominator.bit_length() - 1
+                   for v in u)
+        if bits > MAX_PARAM_BITS:
+            raise ValueError("parameters of %d bits in all, over the limit "
+                             "of %d (numerators plus denominators)"
+                             % (bits, MAX_PARAM_BITS))
         count = param_count(family, l)
         if len(u) != count:
             raise ValueError("family %s needs %d parameter(s), got %d"
@@ -384,15 +407,6 @@ class UnfoldingSpec(_Frozen):
         extra = " l=%d" % self.l if self.family == "A" else ""
         return "UnfoldingSpec(%s n=%d%s u=[%s])" % (
             self.family, self.n, extra, ", ".join(map(_rat_str, self.u)))
-
-
-def _qbar_coeffs(l, u):
-    """qbar(s) = s^l + u0 + u1 s + ... + u_{l-2} s^{l-2} as a coeff list."""
-    c = [Fraction(0)] * (l + 1)
-    c[l] = Fraction(1)
-    for i, ui in enumerate(u):
-        c[i] += rat(ui)
-    return up_trim(c)
 
 
 def _q_poly(family, n, l, u):
@@ -555,8 +569,8 @@ def _vanishing_on_curve(on_curve, constraint):
 
 
 def _at_params(p, u):
-    """The coefficient list in t of a Poly in (t, u0, u1, ...) at the
-    parameter values ``u``."""
+    """The primitive integer coefficient list in t (``up_integer``) of a
+    Poly in (t, u0, u1, ...) at the parameter values ``u``."""
     if not p.terms:
         return []
     out = [Fraction(0)] * (p.degree_in(1) + 1)
@@ -565,18 +579,15 @@ def _at_params(p, u):
             if k:
                 coef *= ui ** k
         out[e] += coef
-    return up_trim(out)
+    return up_integer(out)
 
 
 def curve_data(spec):
-    """Numeric-parameter curve: (sigma, constraint_coeffs) where sigma is
-    the list of n univariate Polys [t, x2(t), ..., xn(t)] and the
-    constraint is a univariate coefficient list in t."""
-    sigma, constraint, _, _ = curve_criteria(spec.family, spec.n, spec.l)
-    return ([Poly._trusted(1, {(e,): c for e, c in
-                               enumerate(_at_params(x, spec.u)) if c})
-             for x in sigma],
-            _at_params(constraint, spec.u))
+    """The one place a request's parameters go in: ``curve_criteria``'s
+    (sigma, constraint, etak, detgrad), sigma kept in (t, u...) for exact
+    roots only, the others as primitive integer coefficient lists in t."""
+    sigma, *rest = curve_criteria(spec.family, spec.n, spec.l)
+    return (sigma,) + tuple(_at_params(p, spec.u) for p in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +605,26 @@ INV_FORMULAS = {
 }
 
 
+@cache
+def _inv_row(family, n, l):
+    """The slots of the printed row ``INV_FORMULAS[(family, n)]`` as Polys
+    in (t, u0[, u1, ...]), each slot parsed by ``parse_poly``.  A family A
+    row may name qbar_x<n>, which stands for d/ds of the family's
+    constraint qbar(s, u) (t is s there)."""
+    names = ["t"] + ["u%d" % i for i in range(param_count(family, l))]
+    reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
+    if family == "A":
+        names.append("qbar_x%d" % n)
+        reps.append(curve_criteria(family, n, l)[1].partial(1))
+    text = INV_FORMULAS[(family, n)]
+    # a row with a comma is a pair "(a, b)": no polynomial holds a comma
+    slots = text[1:-1].split(",") if "," in text else [text]
+    return tuple(parse_poly(slot, names).subs(reps) for slot in slots)
+
+
 def table_invariant(spec, root, constraint, sequences=None):
-    """Expected invariant tuple at a root of the constraint, straight from
-    the published inv rows (``INV_FORMULAS``); ``sequences`` is passed on
-    to ``sign_at_root``.
+    """Expected invariant tuple at a root of the constraint: the signs of
+    the inv row's polynomials (``_inv_row``) there, by ``sign_at_root``.
 
     The published n=4 pairs for families A and B are (eps1*eps2, eps2);
     the classifier's pair is (sign eta^4 lambda, sign det grad) =
@@ -605,36 +632,12 @@ def table_invariant(spec, root, constraint, sequences=None):
     The family C n=4 row tracks sign det grad directly (verified on-curve
     against the classifier), so it is compared as printed.
     """
-    n = spec.n
-    kind = invariant_kind(n, n)
-
-    def s(poly_coeffs):
-        return sign_at_root(poly_coeffs, constraint, root, sequences)
-
-    if spec.family == "A":
-        dqbar = up_deriv(_qbar_coeffs(spec.l, spec.u))
-        if n == 2:
-            return (kind, 1)
-        if n == 4:
-            return (kind, (1, -s(dqbar)))
-        return (kind, s(dqbar))
-    t = [Fraction(0), Fraction(1)]
-    if spec.family == "B":
-        if n == 3:
-            return (kind, s(up_mul(t, t)))
-        if n == 4:
-            st = s(t)
-            return (kind, (st, -st))
-        return (kind, s(t))
-    u1 = spec.u[1]
-    if n == 2:
-        return (kind, s(t))
-    if n == 3:
-        return (kind, s([u1, Fraction(3), Fraction(-20)]))
-    if n == 4:
-        inner = [Fraction(0), -u1, Fraction(-4), Fraction(30)]
-        return (kind, (s(t), s(inner)))
-    return (kind, s([Fraction(0), u1, Fraction(5), Fraction(-42)]))
+    signs = [sign_at_root(_at_params(p, spec.u), constraint, root, sequences)
+             for p in _inv_row(spec.family, spec.n, spec.l)]
+    if spec.n == 4 and spec.family != "C":
+        signs[1] = -signs[1]
+    return (invariant_kind(spec.n, spec.n),
+            signs[0] if len(signs) == 1 else tuple(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +689,7 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     """Enumerate the n-Morin points of the perturbation described by
     ``spec``.  See the module docstring for the method."""
     n = spec.n
-    sigma, constraint = curve_data(spec)
+    sigma, constraint, etak, detgrad = curve_data(spec)
     notes = []
     stable = True
     sf = up_squarefree(constraint)
@@ -719,16 +722,13 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
         intervals = kept
     points = []
     roots = exact + intervals
-    if roots:
-        _, _, etak, detgrad = curve_criteria(spec.family, n, spec.l)
-        criteria = (_at_params(etak, spec.u), _at_params(detgrad, spec.u))
     # Tarski sequences with ``remaining``, one per polynomial, this request only
     sequences = {}
     F = None
     for root in roots:
         is_exact = not isinstance(root, tuple)
         inv = _classifier_invariant_on_curve(
-            n, criteria, remaining, root, sequences)
+            n, (etak, detgrad), remaining, root, sequences)
         if inv is None:
             stable = False
             notes.append("degenerate point (a criterion quantity vanishes)")
@@ -736,7 +736,7 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
         tbl = table_invariant(spec, root, remaining, sequences)
         verified = (inv == tbl)
         if is_exact:
-            coords = [p.eval([root]) for p in sigma]
+            coords = [p.eval((root,) + spec.u) for p in sigma]
             if F is None:
                 F = build_unfolding(spec)
             res = recognize_morin(translate(F, coords))
@@ -754,12 +754,11 @@ def sweep(family, n, grid, l=None, precision_bits=DEFAULT_PRECISION_BITS):
     Returns (reports, summary); summary gives the max count observed and
     whether the family bound c(f) was attained.  Degenerate grid points
     are flagged in their reports, never fatal."""
-    reports = []
-    for u in grid:
-        spec = UnfoldingSpec(family, n, u, l=l)
-        reports.append(morin_points(spec, precision_bits=precision_bits))
+    specs = [UnfoldingSpec(family, n, u, l=l) for u in grid]
+    reports = [morin_points(spec, precision_bits=precision_bits)
+               for spec in specs]
     max_count = max((r.count for r in reports), default=0)
-    bound = UnfoldingSpec(family, n, grid[0], l=l).c_f_bound() if grid else None
+    bound = specs[0].c_f_bound() if specs else None
     summary = {
         "family": family,
         "n": n,

@@ -33,7 +33,10 @@ n[, l]): it builds the unfolding F with the parameters substituted, its
 chain lambda, ..., eta^n lambda and the n x n determinant of the gradient
 stack, restricts them to the curve by ``Poly.subs``, and checks that the
 chain vanishes modulo the square-free constraint, on every request.  It
-finds the roots with this module's bisections.
+finds the roots with this module's bisections, and reads the table's
+invariant from ``table_invariant_reference``: the published inv rows as
+hand-coded branches on (family, n), with qbar from ``qbar_coeffs`` and the
+signs from this module's ``sign_at_root``.
 
 ``rational_rref``, ``rational_rank``, ``rational_nullspace`` and
 ``rational_det`` are Gauss-Jordan elimination on Fractions, and
@@ -54,7 +57,7 @@ from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
                           GermAnalysis, MapGerm, VecField, analyze, jacobian,
                           null_field, translate)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
-                           morin_invariants, recognize_morin)
+                           invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
                               clear_denominators, integer_adjugate,
                               integer_kernel)
@@ -65,9 +68,8 @@ from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
 from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
                              PerturbationReport, _classifier_invariant_on_curve,
-                             _lambda_chain, _qbar_coeffs, build_unfolding,
-                             eliminate_curve, table_invariant,
-                             up_deg, up_deriv, up_neg, up_trim)
+                             _lambda_chain, build_unfolding,
+                             eliminate_curve, up_deg, up_deriv, up_neg, up_trim)
 
 
 # ---- rational Gauss-Jordan elimination (plain lists of Fractions) --------
@@ -577,12 +579,59 @@ def _curve_data(spec):
     if spec.family == "A":
         # t = x2 = ... = x_{n-1} = 0, xn = s (the qbar root parameter)
         sigma = [Poly.zero(1)] * (n - 1) + [Poly.var(1, 1)]
-        return sigma, _qbar_coeffs(spec.l, spec.u)
+        return sigma, qbar_coeffs(spec.l, spec.u)
     coords, constraint = eliminate_curve(spec.family, n)
     t = Poly.var(1, 1)
     reps = [t] + [Poly.const(v, 1) for v in spec.u]
     sigma = [t] + [x.subs(reps) for x in coords]
     return sigma, poly_to_coeffs(constraint.subs(reps))
+
+
+def qbar_coeffs(l, u):
+    """qbar(s) = s^l + u0 + u1 s + ... + u_{l-2} s^{l-2} as a coefficient
+    list."""
+    c = [Fraction(0)] * (l + 1)
+    c[l] = Fraction(1)
+    for i, ui in enumerate(u):
+        c[i] += rat(ui)
+    return up_trim(c)
+
+
+def table_invariant_reference(spec, root, constraint):
+    """The invariant tuple of the published inv rows at a root of the
+    square-free ``constraint``, one hand-coded branch per (family, n).
+    The n = 4 pairs of families A and B have their second slot negated,
+    as the library's ``table_invariant`` documents."""
+    n = spec.n
+    kind = invariant_kind(n, n)
+
+    def s(coeffs):
+        return sign_at_root(coeffs, constraint, root)
+
+    if spec.family == "A":
+        dqbar = up_deriv(qbar_coeffs(spec.l, spec.u))
+        if n == 2:
+            return (kind, 1)
+        if n == 4:
+            return (kind, (1, -s(dqbar)))
+        return (kind, s(dqbar))
+    t = [Fraction(0), Fraction(1)]
+    if spec.family == "B":
+        if n == 3:
+            return (kind, s([Fraction(0), Fraction(0), Fraction(1)]))
+        if n == 4:
+            st = s(t)
+            return (kind, (st, -st))
+        return (kind, s(t))
+    u1 = spec.u[1]
+    if n == 2:
+        return (kind, s(t))
+    if n == 3:
+        return (kind, s([u1, Fraction(3), Fraction(-20)]))
+    if n == 4:
+        return (kind, (s(t), s([Fraction(0), -u1, Fraction(-4),
+                                Fraction(30)])))
+    return (kind, s([Fraction(0), u1, Fraction(5), Fraction(-42)]))
 
 
 def _curve_criteria(chain_n, sigma, n):
@@ -649,7 +698,7 @@ def morin_points_reference(spec, precision_bits=DEFAULT_PRECISION_BITS):
             stable = False
             notes.append("degenerate point (a criterion quantity vanishes)")
             continue
-        tbl = table_invariant(spec, root, remaining, sequences)
+        tbl = table_invariant_reference(spec, root, remaining)
         verified = (inv == tbl)
         if is_exact:
             coords = [p.eval([root]) for p in sigma]

@@ -129,7 +129,7 @@ def test_criterion_06_family_a():
     roots: exactly l points, all classifier-verified, invariant =
     sign qbar'(root) for n >= 3 and +1 for n = 2."""
     for l, u in ((2, [F(-1)]), (3, [F(0), F(-1)])):
-        qbar = pt._qbar_coeffs(l, u)
+        qbar = oracles.qbar_coeffs(l, u)
         dqbar = pt.up_deriv(qbar)
         roots = pt.rational_roots(qbar)
         assert len(roots) == l

@@ -255,6 +255,40 @@ def test_perturb_family_a_at_the_degree_cap_ends_quickly(capsys):
     assert json.loads(out)["count"] == MAX_L
 
 
+def test_perturb_parameters_past_the_bit_limit_refused_at_once(capsys):
+    """Parameters of more than MAX_PARAM_BITS bits in all end at once with
+    one error line (exit 3), whether by --params or --grid; a 4000-digit
+    P once computed for seconds and then failed to print its result."""
+    p4000 = "7" * 4000
+    just_past = str(2 ** pt.MAX_PARAM_BITS)     # MAX_PARAM_BITS + 1 bits
+    for argv in (["--family", "A", "--n", "2", "--l", "3",
+                  "--params=%s,-%s" % (p4000, p4000)],
+                 ["--family", "B", "--n", "3", "--params=-" + just_past],
+                 ["--family", "C", "--n", "4",
+                  "--params=1/%s,1" % just_past],
+                 ["--family", "B", "--n", "2", "--grid=-%s:0:%s"
+                  % (just_past, just_past)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "perturb", "--json", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 3 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: parameters "
+                                                         "of "), argv
+        assert "over the limit of %d" % pt.MAX_PARAM_BITS in err
+
+
+def test_perturb_parameters_at_the_bit_limit_complete(capsys):
+    """At the limit a request ends with its count, every point verified."""
+    at_bound = 2 ** pt.MAX_PARAM_BITS - 1
+    for argv in (["--family", "B", "--n", "5", "--params=-%d" % at_bound],
+                 ["--family", "A", "--n", "4", "--l", str(MAX_L),
+                  "--params=-1/%d" % at_bound + ",0" * (MAX_L - 2)]):
+        code, out, _ = run(capsys, "perturb", "--json", *argv)
+        assert code == 0
+        d = json.loads(out)
+        assert d["count"] == 2 and all(p["verified"] for p in d["points"])
+
+
 def test_warm_perturb_request_builds_no_unfolding_and_no_determinant(
         capsys, monkeypatch):
     """With its (family, n) cached, a request whose roots are all

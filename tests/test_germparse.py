@@ -14,7 +14,7 @@ from conftest import change_coordinates, sparse_gl_pos
 from germlab import germparse
 from germlab.morin import normal_form
 from germlab.polyring import Poly
-from germlab.germparse import parse_map, render_map, ParseError
+from germlab.germparse import parse_map, parse_poly, render_map, ParseError
 from germlab.germ import MapGerm
 
 
@@ -189,6 +189,47 @@ def test_malformed_input_reports_exact_position(text, message, line, col):
         parse_map(text)
     assert (info.value.message, info.value.line, info.value.col) == \
         (message, line, col)
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    # the first bad identifier is reported at its first occurrence
+    ("x1 + t*x2 ; t^2 + x2", "identifier 't' needs a 'vars:' header "
+     "(only x1, x2, ... can be inferred)", 1, 6),
+    ("x1 ;\n x2 + x0 - x0*y ; y", "identifier 'x0' needs a 'vars:' header "
+     "(only x1, x2, ... can be inferred)", 2, 7),
+])
+def test_repeated_bad_identifier_reports_its_first_place(text, message,
+                                                         line, col):
+    with pytest.raises(ParseError) as info:
+        parse_map(text)
+    assert (info.value.message, info.value.line, info.value.col) == \
+        (message, line, col)
+
+
+def test_parse_poly_allows_a_constant_term():
+    t, u = Poly.var(1, 2), Poly.var(2, 2)
+    assert parse_poly("1", ["t", "u"]) == Poly.one(2)
+    assert parse_poly("-20*t^2 + 3*t + u - 1/2", ["t", "u"]) == \
+        -20 * t * t + 3 * t + u - Fraction(1, 2)
+    assert parse_poly("t*(30*t^2 - u)", ["t", "u"]) == t * (30 * t * t - u)
+    assert parse_poly("qbar_x3 + 2", ["qbar_x3"]) == \
+        Poly.var(1, 1) + 2
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    ("t +", "expected a number, variable or parenthesized expression",
+     1, 4),
+    ("t ;\n u", "expected end of input, found ';'", 1, 3),
+    ("t*(u + 1", "expected ')', found None", 1, 9),
+    ("t +\n v", "unknown identifier 'v'", 2, 2),
+    ("(" * 5000 + "t" + ")" * 5000, "expression nested too deeply", None,
+     None),
+])
+def test_parse_poly_errors_carry_their_position(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, ["t", "u"])
+    assert info.value.message == message
+    assert line is None or (info.value.line, info.value.col) == (line, col)
 
 
 @pytest.mark.parametrize("text,message,col", [

@@ -294,9 +294,12 @@ def test_eliminate_curve_consistency():
         for n in (2, 3, 4, 5):
             for u in grid:
                 spec = pt.UnfoldingSpec(family, n, u)
-                sigma, con = pt.curve_data(spec)
+                sigma, con, _, _ = pt.curve_data(spec)
                 assert pt.up_deg(con) >= 1
-                assert sigma[0] == Poly.var(1, 1)
+                assert sigma[0] == Poly.var(1, 1 + len(u))
+                # sigma is in (t, u...): put in t and the parameters
+                at_u = [Poly.var(1, 1)] + [Poly.const(v, 1) for v in u]
+                sigma = [x.subs(at_u) for x in sigma]
                 q = pt.build_unfolding(spec).components[0]
                 for eq in pt._lambda_chain(q, n - 1):
                     on_curve = oracles.poly_to_coeffs(eq.subs(sigma))
@@ -493,6 +496,79 @@ def test_table_discrepancy_report_flags_known_typos():
     c4 = next(e for e in entries
               if (e["family"], e["n"], e["item"]) == ("C", 4, "constraint"))
     assert "255*t^4" in c4["printed"] and "225*t^4" in c4["derived"]
+
+
+# (family, l, parameter tuples): for each family, roots of both kinds
+TABLE_PARAMS = [
+    ("A", 3, [[0, -1], [0, -2], [1, -3], [F(1, 8), F(-3, 4)]]),
+    ("A", 5, [[0, 4, 0, -5], [F(-1, 2), 3, F(5, 2), -4]]),
+    ("B", None, [[-1], [-3], [F(-7, 2)]]),   # and u0 = -c_n, -4 c_n
+    ("C", None, [[F(1, 4), 2], [-1, F(1, 2)], [1, -3]]),  # and t = 1 a root
+]
+
+
+def _roots(spec):
+    """The constraint with its rational roots divided out, and every root
+    of the square-free constraint as morin_points takes it: exact, or an
+    isolating interval of that quotient."""
+    sf = pt.up_squarefree(pt.curve_data(spec)[1])
+    exact = pt.rational_roots(sf)
+    remaining = sf
+    for r in exact:
+        remaining = pt.up_quotient(remaining, [-r.numerator, r.denominator])
+    return remaining, exact + pt.isolate_real_roots(remaining)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_table_invariant_matches_the_hand_coded_rows(n):
+    """The inv rows read from their printed text give, at every root,
+    the signs of the hand-coded reference rows."""
+    for family, l, grid in TABLE_PARAMS:
+        seen = set()
+        if family == "B":
+            grid = grid + [[-pt.FAMILY_B_CN[n]], [-4 * pt.FAMILY_B_CN[n]]]
+        if family == "C":   # the constraint is linear in u0
+            con = pt.eliminate_curve("C", n)[1]
+            at = con.eval([1, 0, 1])
+            grid = grid + [[-at / (con.eval([1, 1, 1]) - at), 1]]
+        for u in grid:
+            spec = pt.UnfoldingSpec(family, n, u, l=l)
+            remaining, roots = _roots(spec)
+            sequences = {}
+            for root in roots:
+                seen.add(isinstance(root, tuple))
+                assert pt.table_invariant(spec, root, remaining, sequences) \
+                    == oracles.table_invariant_reference(
+                        spec, root, remaining), (spec, root)
+        assert seen == {True, False}, (family, n)
+
+
+def test_inv_rows_parse_from_their_printed_text():
+    assert set(pt.INV_FORMULAS) == {
+        (f, n) for f in "ABC" for n in (2, 3, 4, 5)}
+    t, u0, u1 = (Poly.var(i, 3) for i in (1, 2, 3))
+    assert pt._inv_row("C", 4, None) == (t, t * (30 * t * t - 4 * t - u1))
+    assert pt._inv_row("B", 4, None) == (Poly.var(1, 2),) * 2
+    # qbar_x4 is d/ds of family A's constraint s^3 + u1 s + u0
+    s, v0, v1 = (Poly.var(i, 3) for i in (1, 2, 3))
+    assert pt._inv_row("A", 4, 3) == (Poly.one(3), 3 * s * s + v1)
+
+
+def test_parameter_size_is_bounded():
+    """Parameters of more than MAX_PARAM_BITS bits in all are refused
+    when the spec is made; at the bound a request completes."""
+    big = 2 ** pt.MAX_PARAM_BITS
+    for family, n, u, l in (("B", 3, [-big], None),
+                            ("C", 4, [2 ** 200, F(-1, 2 ** 160)], None),
+                            ("A", 2, [1] * 30 + [F(1, big // 2 ** 29)], 32)):
+        with pytest.raises(ValueError, match="over the limit of %d"
+                           % pt.MAX_PARAM_BITS):
+            pt.UnfoldingSpec(family, n, u, l=l)
+    # an integer counts its own bits, and 1/2^k counts k + 1
+    at_bound = [-(big - 1)]
+    assert pt.morin_points(pt.UnfoldingSpec("B", 3, at_bound)).count == 2
+    with pytest.raises(ValueError):
+        pt.sweep("B", 2, [[-1], [-big]])
 
 
 def test_report_serialization_deterministic():
