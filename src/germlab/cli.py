@@ -27,7 +27,7 @@ from .germ import (NotCorankOneError, DegenerateGermError, GermError,
 from .morin import recognize_morin, class_count
 from .lowdim import classify_plane, classify_surface
 from .sigma20 import classify_sigma20
-from .germparse import parse_map, render_map, ParseError
+from .germparse import parse_map, parse_poly, render_map, ParseError
 from . import perturb as pt
 
 EXIT_OK = 0
@@ -187,26 +187,35 @@ def cmd_verify(args):
 
 
 def _rational(text):
-    """The Fraction a parameter or grid bound spells; a zero denominator
-    is a bad value like any other (ValueError, exit 3)."""
+    """The rational a parameter or grid bound spells, read as a constant
+    of the germ format (``parse_poly`` over no variables), so its digit
+    limit and power budget hold here too; decimals and exponents such as
+    1.5 or 1e5 are not numbers of it.  A refused value is a ValueError
+    that quotes it (exit 3)."""
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
+        return parse_poly(text, ()).constant_term()
+    except ParseError as e:
+        raise ValueError("%s in %r" % (e.message, text)) from None
 
 
 def _parse_params(text):
     if not text:
         return ()
-    return tuple(_rational(p.strip()) for p in text.split(","))
+    return tuple(_rational(p) for p in text.split(","))
 
 
 def _parse_grid(text, nparams):
     """--grid 'lo:hi:step[,lo:hi:step...]' -> list of parameter tuples.
-    The number of points is computed from lo/hi/step first, and a grid of
-    more than MAX_GRID_POINTS is rejected before any list is built."""
+    With fewer ranges than parameters the last range repeats; more are
+    refused.  The number of points is computed from lo/hi/step first, and
+    a grid of more than MAX_GRID_POINTS is rejected before any list is
+    built."""
+    chunks = text.split(",")
+    if len(chunks) > nparams:
+        raise ValueError("grid has %d ranges for %d parameter(s)"
+                         % (len(chunks), nparams))
     ranges = []
-    for chunk in text.split(","):
+    for chunk in chunks:
         bounds = chunk.split(":")
         if len(bounds) != 3:
             raise ValueError("grid range %r is not of the form lo:hi:step"
@@ -215,13 +224,14 @@ def _parse_grid(text, nparams):
         if step <= 0:
             raise ValueError("grid step must be positive")
         ranges.append((lo, step, max(0, (hi - lo) // step + 1)))
-    while len(ranges) < nparams:
-        ranges.append(ranges[-1])
-    ranges = ranges[:nparams]
+    ranges += ranges[-1:] * (nparams - len(ranges))
     size = math.prod(count for _, _, count in ranges)
     if size > MAX_GRID_POINTS:
-        raise ValueError("grid has %d points, more than the cap of %d"
-                         % (size, MAX_GRID_POINTS))
+        # str() refuses an int past 4300 digits: a long count shows its size
+        raise ValueError("grid has %s points, more than the cap of %d"
+                         % (size if size < 10 ** 100 else
+                            "over 2^%d" % (size.bit_length() - 1),
+                            MAX_GRID_POINTS))
     grid = [()]
     for lo, step, count in ranges:
         grid = [g + (lo + i * step,) for g in grid for i in range(count)]
@@ -336,10 +346,11 @@ def build_parser():
     pp.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
     pp.add_argument("--l", type=int,
                     help="family A degree (2 <= l <= %d)" % pt.MAX_L)
-    pp.add_argument("--params", help="comma-separated rational parameters, "
-                    "at most %d bits in all (MAX_PARAM_BITS)"
-                    % pt.MAX_PARAM_BITS)
-    pp.add_argument("--grid", help="sweep grid 'lo:hi:step[,lo:hi:step...]'")
+    pp.add_argument("--params", help="comma-separated rational parameters "
+                    "written as in germ text (3, -1/2), at most %d bits in "
+                    "all (MAX_PARAM_BITS)" % pt.MAX_PARAM_BITS)
+    pp.add_argument("--grid", help="sweep grid 'lo:hi:step[,lo:hi:step...]', "
+                    "numbers as in --params")
 
     pts = sub.add_parser("tables", help="machine-readable golden tables")
     common(pts)

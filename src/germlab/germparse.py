@@ -12,7 +12,9 @@ the form x<k> and the source dimension is the largest k mentioned.
 
 The constant term of every component must vanish (germ condition); a
 nonzero constant term is reported with its component index.  ``parse_poly``
-reads one polynomial over given names, where a constant term is allowed.
+reads one polynomial over given names, where a constant term is allowed:
+the perturbation lab's printed rows, and over no names the CLI's
+parameters, so every number the program takes as text is read here.
 
 All failures raise ParseError with a line/column position -- the parser
 never escapes with anything else, whatever the input bytes.

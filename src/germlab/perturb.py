@@ -2,16 +2,10 @@
 corank-one germs, enumeration of the n-Morin points of their stable
 perturbations, and verification of counts and invariant signs.
 
-Families (q is the first component of F_u = (q, x2, ..., xn); the null
-field is d/dt and lambda = q_t):
-
-  A: qbar(xn, u) = xn^l + u0 + u1*xn + ... + u_{l-2}*xn^{l-2}
-     n=2: t^3 + qbar(x2)t          n=3: t^4 + x2 t + qbar(x3) t^2
-     n=4: t^5 + x2 t + x3 t^2 + qbar(x4) t^3
-     n=5: t^6 + x2 t + x3 t^2 + x4 t^3 + qbar(x5) t^4
-  B: n=2: t^4 + x2 t + u0 t^2 ... n=5: t^7 + x2 t + ... + x5 t^4 + u0 t^5
-  C: like B but with (xn^2 + u0 + u1 xn) t^{n-1} + xn t^n in place of the
-     last two terms.
+Families A, B and C (q is the first component of F_u = (q, x2, ..., xn);
+the null field is d/dt and lambda = q_t): the rows of q are printed in
+``Q_FORMULAS``, family A's with qbar(xn, u) = xn^l + u0 + u1*xn + ... +
+u_{l-2}*xn^{l-2}.
 
 Morin points are found exactly: for families B and C the defining
 equations lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated
@@ -30,23 +24,21 @@ roots also by full recognition of the unfolding, built only then).
 
 Everything after the parameters are put in runs on integer coefficient
 lists, each a positive multiple of the rational polynomial it stands for
-(``up_integer``): the square-free part by a primitive remainder sequence
-(``up_gcd``), the division by each rational root p/q as the exact
-quotient by q t - p (``up_quotient``), the Sturm and Tarski sequences,
-and every sign.  A positive multiple has the same signs and the same
-Cauchy root bound, so the isolating intervals are those of the rational
-polynomial.  Both bisections run on integer pairs (num, den); Fractions
-are made only for the interval ends they return.
+(``up_integer``): the square-free part by the gcd that ends a Sturm
+sequence (``up_squarefree``), the division by each rational root p/q as
+the exact quotient by q t - p (``up_quotient``), the Sturm and Tarski
+sequences, and every sign.  A positive multiple has the same signs and
+the same Cauchy root bound, so the isolating intervals are those of the
+rational polynomial.  Both bisections run on integer pairs (num, den);
+Fractions are made only for the interval ends they return.
 
-The published inv rows are read from the text they are printed as
-(``INV_FORMULAS``, parsed once per key by ``_inv_row``), so the table's
-expected invariant is the sign of those polynomials at each root.
-
-The printed reference tables for families B and C contain a few
-inconsistent entries; ``table_discrepancy_report`` compares every printed
-constraint and coordinate formula with the same cached curve and lists
-printed vs derived, so discrepancies are surfaced rather than silently
-absorbed.
+Every published row is read by ``parse_poly`` from the text it is
+printed as: the q rows (``Q_FORMULAS``), the inv rows (``INV_FORMULAS``),
+whose signs at each root are the table's expected invariant, and the B
+and C tables' constraints and coordinates (``_PRINTED``).  Those tables
+contain a few inconsistent entries; ``table_discrepancy_report``
+compares each with the same cached curve and lists printed vs derived,
+so discrepancies are surfaced rather than silently absorbed.
 """
 
 from fractions import Fraction
@@ -152,23 +144,15 @@ def up_quotient(a, b):
     return up_trim(q)
 
 
-def up_gcd(a, b):
-    """The gcd of a and b as a primitive integer polynomial with a
-    positive leading coefficient: a primitive remainder sequence, each
-    ``_pseudo_rem`` replaced by its primitive part."""
-    a, b = up_integer(a), up_integer(b)
-    while b:
-        a, b = b, up_integer(_pseudo_rem(a, b))
-    return up_neg(a) if a and a[-1] < 0 else a
-
-
 def up_squarefree(c):
     """The square-free part c / gcd(c, c'), a primitive integer
-    polynomial."""
+    polynomial.  The last term of c's Sturm sequence is gcd(c, c') up to
+    sign: a primitive remainder sequence of (c, c')."""
     c = up_integer(c)
     if up_deg(c) <= 0:
         return c
-    return up_quotient(c, up_gcd(c, up_deriv(c)))
+    g = sturm_chain(c)[-1]
+    return up_quotient(c, up_neg(g) if g[-1] < 0 else g)
 
 
 def tarski_sequence(c, g):
@@ -409,42 +393,46 @@ class UnfoldingSpec(_Frozen):
             self.family, self.n, extra, ", ".join(map(_rat_str, self.u)))
 
 
-def _q_poly(family, n, l, u):
-    """The first unfolding component q in the variables (x1=t, x2..xn,
-    then any symbolic parameters); ``u`` holds one Poly per parameter,
-    all in those variables."""
-    nvars = u[0].nvars
-    t = Poly.var(1, nvars)
-    xs = [None] + [Poly.var(i, nvars) for i in range(1, nvars + 1)]
+# the rows of q as printed, keyed by (family, n); qbar is family A's
+# qbar(xn, u), which depends on l
+Q_FORMULAS = {
+    ("A", 2): "t^3 + qbar*t",
+    ("A", 3): "t^4 + x2*t + qbar*t^2",
+    ("A", 4): "t^5 + x2*t + x3*t^2 + qbar*t^3",
+    ("A", 5): "t^6 + x2*t + x3*t^2 + x4*t^3 + qbar*t^4",
+    ("B", 2): "t^4 + x2*t + u0*t^2",
+    ("B", 3): "t^5 + x2*t + x3*t^2 + u0*t^3",
+    ("B", 4): "t^6 + x2*t + x3*t^2 + x4*t^3 + u0*t^4",
+    ("B", 5): "t^7 + x2*t + x3*t^2 + x4*t^3 + x5*t^4 + u0*t^5",
+    ("C", 2): "t^4 + (x2^2 + u0 + u1*x2)*t + x2*t^2",
+    ("C", 3): "t^5 + x2*t + (x3^2 + u0 + u1*x3)*t^2 + x3*t^3",
+    ("C", 4): "t^6 + x2*t + x3*t^2 + (x4^2 + u0 + u1*x4)*t^3 + x4*t^4",
+    ("C", 5): "t^7 + x2*t + x3*t^2 + x4*t^3 + (x5^2 + u0 + u1*x5)*t^4"
+              " + x5*t^5",
+}
+
+
+@cache
+def _q(family, n, l):
+    """The first unfolding component q, the row ``Q_FORMULAS[(family,
+    n)]``, as a Poly in (t, x2, ..., xn, u0, ...).  A family A row names
+    qbar, the constraint of ``family_a_curve`` at s = xn."""
+    names = ["t"] + ["x%d" % i for i in range(2, n + 1)] + \
+        ["u%d" % i for i in range(param_count(family, l))]
+    reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
     if family == "A":
-        xn = xs[n]
-        qbar = xn ** l + u[0]
-        for i in range(1, l - 1):
-            qbar = qbar + u[i] * xn ** i
-        q = t ** (n + 1) + qbar * t ** (n - 1)
-        for i in range(2, n):
-            q = q + xs[i] * t ** (i - 1)
-        return q
-    if family == "B":
-        q = t ** (n + 2) + u[0] * t ** n
-        for i in range(2, n + 1):
-            q = q + xs[i] * t ** (i - 1)
-        return q
-    # family C
-    xn = xs[n]
-    P = xn ** 2 + u[0] + u[1] * xn
-    q = t ** (n + 2) + P * t ** (n - 1) + xn * t ** n
-    for i in range(2, n):
-        q = q + xs[i] * t ** (i - 1)
-    return q
+        names.append("qbar")
+        reps.append(family_a_curve(n, l)[1].subs(reps[n - 1:]))
+    return parse_poly(Q_FORMULAS[(family, n)], names).subs(reps)
 
 
 def build_unfolding(spec):
     """F_u = (q(t, x, u), x2, ..., xn) with the parameters substituted."""
     n = spec.n
-    q = _q_poly(spec.family, n, spec.l, [Poly.const(v, n) for v in spec.u])
-    comps = [q] + [Poly.var(i, n) for i in range(2, n + 1)]
-    return MapGerm(comps, src_dim=n)
+    xs = [Poly.var(i, n) for i in range(1, n + 1)]
+    q = _q(spec.family, n, spec.l).subs(
+        xs + [Poly.const(v, n) for v in spec.u])
+    return MapGerm([q] + xs[1:], src_dim=n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +460,8 @@ def eliminate_curve(family, n):
     """
     if family == "A":
         raise GermError("family A points are not a one-parameter curve")
-    npar = param_count(family, None)
-    nvars = n + npar
-    q = _q_poly(family, n, None,
-                [Poly.var(n + 1 + i, nvars) for i in range(npar)])
-    reps = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
+    q = _q(family, n, None)
+    reps = [Poly.var(i, q.nvars) for i in range(1, q.nvars + 1)]
     constraint = None
     for eq in reversed(_lambda_chain(q, n - 1)):
         e = eq.subs(reps)
@@ -544,9 +529,7 @@ def curve_criteria(family, n, l):
         coords, constraint = eliminate_curve(family, n)
         sigma = (Poly.var(1, constraint.nvars),) + coords
     m = constraint.nvars
-    q = _q_poly(family, n, l, [Poly.var(n + i, n + m - 1)
-                               for i in range(1, m)])
-    chain = _lambda_chain(q, n)
+    chain = _lambda_chain(_q(family, n, l), n)
     # x_i -> sigma_i, and the parameters stay themselves
     reps = list(sigma) + [Poly.var(i, m) for i in range(2, m + 1)]
     if not _vanishing_on_curve([p.subs(reps) for p in chain[:n]], constraint):
@@ -775,64 +758,52 @@ def sweep(family, n, grid, l=None, precision_bits=DEFAULT_PRECISION_BITS):
 # printed-table cross-check
 # ---------------------------------------------------------------------------
 
-def _parse_tu(entries, nvars):
-    """A Poly in (t, u0[, u1]) from printed (coef, dt, du0[, du1]) rows."""
-    return Poly(nvars, {tuple(e[1:]): rat(e[0]) for e in entries})
-
-
-# the equations and coordinate rows exactly as printed in the source tables
-_PRINTED_C = {
-    2: {"constraint": [(36, 4, 0, 0), (-8, 3, 0, 0), (-6, 2, 0, 1), (1, 0, 1, 0)],
-        "x2": [(-6, 2, 0, 0)]},
-    3: {"constraint": [(100, 4, 0, 0), (-20, 3, 0, 0), (-10, 2, 0, 1), (1, 0, 1, 0)],
-        "x2": [(25, 4, 0, 0), (-200, 5, 0, 0), (20, 3, 0, 1), (-2, 1, 1, 0)],
-        "x3": [(-10, 2, 0, 0)]},
-    4: {"constraint": [(255, 4, 0, 0), (-40, 3, 0, 0), (-15, 2, 0, 1), (1, 0, 1, 0)],
-        "x2": [(675, 6, 0, 0), (-96, 5, 0, 0), (-45, 4, 0, 1), (3, 2, 1, 0)],
-        "x3": [(-675, 5, 0, 0), (75, 4, 0, 0), (45, 3, 0, 1), (-3, 1, 1, 0)],
-        "x4": [(-15, 2, 0, 0)]},
-    5: {"constraint": [(441, 4, 0, 0), (-70, 3, 0, 0), (-21, 2, 0, 1), (1, 0, 1, 0)],
-        "x2": [(-4, 3, 1, 0), (84, 5, 0, 1), (245, 6, 0, 0), (-1764, 7, 0, 0)],
-        "x3": [(2640, 6, 0, 0), (-336, 5, 0, 0), (-126, 4, 0, 1), (6, 2, 1, 0)],
-        "x4": [(-1764, 5, 0, 0), (175, 4, 0, 0), (84, 3, 0, 1), (-4, 1, 1, 0)],
-        "x5": [(-21, 2, 0, 0)]},
-}
-
-# family B printed coordinate rows (pure polynomials in t, after t^2 = -u0/c_n)
-_PRINTED_B = {
-    2: {"x2": [(8, 3, 0)]},
-    3: {"x2": [(105, 4, 0)], "x3": [(-40, 3, 0)]},
-    4: {"x2": [(24, 5, 0)], "x3": [(-45, 4, 0)], "x4": [(40, 3, 0)]},
-    5: {"x2": [(-35, 6, 0)], "x3": [(84, 5, 0)], "x4": [(-105, 4, 0)],
-        "x5": [(70, 3, 0)]},
+# the equations (family C) and coordinate rows exactly as printed in the
+# source tables, in (t, u0[, u1]); family B's rows are pure polynomials in
+# t, after t^2 = -u0/c_n
+_PRINTED = {
+    ("B", 2): {"x2": "8*t^3"},
+    ("B", 3): {"x2": "105*t^4", "x3": "-40*t^3"},
+    ("B", 4): {"x2": "24*t^5", "x3": "-45*t^4", "x4": "40*t^3"},
+    ("B", 5): {"x2": "-35*t^6", "x3": "84*t^5", "x4": "-105*t^4",
+               "x5": "70*t^3"},
+    ("C", 2): {"constraint": "36*t^4 - 8*t^3 - 6*t^2*u1 + u0",
+               "x2": "-6*t^2"},
+    ("C", 3): {"constraint": "100*t^4 - 20*t^3 - 10*t^2*u1 + u0",
+               "x2": "25*t^4 - 200*t^5 + 20*t^3*u1 - 2*t*u0",
+               "x3": "-10*t^2"},
+    ("C", 4): {"constraint": "255*t^4 - 40*t^3 - 15*t^2*u1 + u0",
+               "x2": "675*t^6 - 96*t^5 - 45*t^4*u1 + 3*t^2*u0",
+               "x3": "-675*t^5 + 75*t^4 + 45*t^3*u1 - 3*t*u0",
+               "x4": "-15*t^2"},
+    ("C", 5): {"constraint": "441*t^4 - 70*t^3 - 21*t^2*u1 + u0",
+               "x2": "-4*t^3*u0 + 84*t^5*u1 + 245*t^6 - 1764*t^7",
+               "x3": "2640*t^6 - 336*t^5 - 126*t^4*u1 + 6*t^2*u0",
+               "x4": "-1764*t^5 + 175*t^4 + 84*t^3*u1 - 4*t*u0",
+               "x5": "-21*t^2"},
 }
 
 
 def table_discrepancy_report():
     """Compare every constraint equation and coordinate formula of the
-    printed family B and C tables with the curve ``eliminate_curve``
-    derives, the one the lab itself uses.  Coordinates are compared with
-    u0 solved from the constraint.  Returns a list of entries
-    {family, n, item, printed, derived, match}; mismatches are the
+    printed family B and C tables (``_PRINTED``) with the curve
+    ``eliminate_curve`` derives, the one the lab itself uses.  Coordinates
+    are compared with u0 solved from the constraint.  Returns a list of
+    entries {family, n, item, printed, derived, match}; mismatches are the
     published typos, surfaced rather than silently corrected."""
     entries = []
-    for family, printed_all in (("B", _PRINTED_B), ("C", _PRINTED_C)):
-        for n in (2, 3, 4, 5):
-            coords, constraint = eliminate_curve(family, n)
-            nvars = constraint.nvars
-            printed = printed_all[n]
-            if family == "C":
-                entries.append(_compare(
-                    family, n, "constraint",
-                    _normalize_primitive(_parse_tu(printed["constraint"], nvars)),
-                    _normalize_primitive(constraint)))
-            reps = [Poly.var(i, nvars) for i in range(1, nvars + 1)]
-            reps[1] = _solve_linear(constraint, 2, "u0")
-            for j, x in enumerate(coords, start=2):
-                item = "x%d" % j
-                entries.append(_compare(
-                    family, n, item, _parse_tu(printed[item], nvars).subs(reps),
-                    x.subs(reps)))
+    for (family, n), printed in _PRINTED.items():
+        coords, constraint = eliminate_curve(family, n)
+        names = _tu_names(constraint.nvars)
+        reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
+        reps[1] = _solve_linear(constraint, 2, "u0")
+        for item, text in printed.items():
+            p = parse_poly(text, names)
+            if item == "constraint":
+                pair = _normalize_primitive(p), _normalize_primitive(constraint)
+            else:
+                pair = p.subs(reps), coords[int(item[1:]) - 2].subs(reps)
+            entries.append(_compare(family, n, item, *pair))
     return entries
 
 

@@ -168,14 +168,7 @@ class Poly(_Frozen):
         return (-self) + other
 
     def __mul__(self, other):
-        return self.mul(other)
-
-    def mul(self, other, cap=None):
-        """Product with ``other``.  With a degree ``cap`` it is the product
-        in Q[x]/m^(cap+1): terms of total degree above ``cap`` are never
-        formed, so the result is the exact product truncated at ``cap``."""
-        other = self._coerce(other)
-        return _sum_of_products(self.nvars, [(self, other)], cap)
+        return _sum_of_products(self.nvars, [(self, self._coerce(other))])
 
     __rmul__ = __mul__
 

@@ -30,13 +30,15 @@ its ``rational_roots`` tests one candidate per interval refined by them.
 ``morin_points_reference`` enumerates the Morin points of a perturbation
 as each request did before the curve criteria were cached per (family,
 n[, l]): it builds the unfolding F with the parameters substituted, its
-chain lambda, ..., eta^n lambda and the n x n determinant of the gradient
-stack, restricts them to the curve by ``Poly.subs``, and checks that the
-chain vanishes modulo the square-free constraint, on every request.  It
-finds the roots with this module's bisections, and reads the table's
-invariant from ``table_invariant_reference``: the published inv rows as
-hand-coded branches on (family, n), with qbar from ``qbar_coeffs`` and the
-signs from this module's ``sign_at_root``.
+first component by Poly arithmetic (``q_poly``) rather than from the
+library's printed rows, its chain lambda, ..., eta^n lambda and the n x n
+determinant of the gradient stack, restricts them to the curve by
+``Poly.subs``, and checks that the chain vanishes modulo the square-free
+constraint, on every request.  It finds the roots with this module's
+bisections, and reads the table's invariant from
+``table_invariant_reference``: the published inv rows as hand-coded
+branches on (family, n), with qbar from ``qbar_coeffs`` and the signs
+from this module's ``sign_at_root``.
 
 ``rational_rref``, ``rational_rank``, ``rational_nullspace`` and
 ``rational_det`` are Gauss-Jordan elimination on Fractions, and
@@ -68,8 +70,8 @@ from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
 from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
                              PerturbationReport, _classifier_invariant_on_curve,
-                             _lambda_chain, build_unfolding,
-                             eliminate_curve, up_deg, up_deriv, up_neg, up_trim)
+                             _lambda_chain, eliminate_curve, up_deg,
+                             up_deriv, up_neg, up_trim)
 
 
 # ---- rational Gauss-Jordan elimination (plain lists of Fractions) --------
@@ -572,6 +574,37 @@ def poly_to_coeffs(p):
     return up_trim(out)
 
 
+def q_poly(family, n, l, u):
+    """The first unfolding component q in the variables (x1=t, x2..xn,
+    then any symbolic parameters), by Poly arithmetic; ``u`` holds one
+    Poly per parameter, all in those variables.  The library reads q from
+    its printed rows instead."""
+    nvars = u[0].nvars
+    t = Poly.var(1, nvars)
+    xs = [None] + [Poly.var(i, nvars) for i in range(1, nvars + 1)]
+    if family == "A":
+        xn = xs[n]
+        qbar = xn ** l + u[0]
+        for i in range(1, l - 1):
+            qbar = qbar + u[i] * xn ** i
+        q = t ** (n + 1) + qbar * t ** (n - 1)
+        for i in range(2, n):
+            q = q + xs[i] * t ** (i - 1)
+        return q
+    if family == "B":
+        q = t ** (n + 2) + u[0] * t ** n
+        for i in range(2, n + 1):
+            q = q + xs[i] * t ** (i - 1)
+        return q
+    # family C
+    xn = xs[n]
+    P = xn ** 2 + u[0] + u[1] * xn
+    q = t ** (n + 2) + P * t ** (n - 1) + xn * t ** n
+    for i in range(2, n):
+        q = q + xs[i] * t ** (i - 1)
+    return q
+
+
 def _curve_data(spec):
     """(sigma, constraint coefficients) with the parameters substituted
     into the cached symbolic curve by ``Poly.subs``."""
@@ -654,7 +687,8 @@ def _vanishes_on_curve(sigma, constraint, chain_n, n):
 def morin_points_reference(spec, precision_bits=DEFAULT_PRECISION_BITS):
     """The PerturbationReport of ``spec``, everything derived per request."""
     n = spec.n
-    F = build_unfolding(spec)
+    q = q_poly(spec.family, n, spec.l, [Poly.const(v, n) for v in spec.u])
+    F = MapGerm([q] + [Poly.var(i, n) for i in range(2, n + 1)], src_dim=n)
     chain_n = _lambda_chain(F.components[0], n)
     sigma, constraint = _curve_data(spec)
     notes = []

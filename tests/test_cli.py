@@ -231,6 +231,27 @@ def test_perturb_grid_over_cap_rejected_at_once(capsys):
     code, _, err = run(capsys, "perturb", "--family", "C", "--n", "3",
                        "--grid=0:100:1")
     assert code == 3 and "10201 points" in err
+    # a count of 5001 digits is named by its size, not printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "perturb", "--family", "B", "--n", "3",
+                         "--grid=0:10^5000:1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: grid has over 2^16609 points, more than the cap " \
+        "of 10000\n"
+
+
+def test_perturb_grid_with_more_ranges_than_parameters_refused(capsys):
+    """A range past the family's parameter count is refused, like a
+    range of two bounds (``test_parse_grid_points`` has fewer ranges)."""
+    for grid in ("0:1:1/2,0:1:1/2,0:1:1/2", "0:1:1/2,0:1"):
+        code, out, err = run(capsys, "perturb", "--family", "A", "--n", "2",
+                             "--l", "3", "--grid=" + grid)
+        assert (code, out) == (3, ""), grid
+        assert err.count("\n") == 1 and err.startswith("error: grid "), grid
+    assert "3 ranges for 2 parameter(s)" in run(
+        capsys, "perturb", "--family", "A", "--n", "2", "--l", "3",
+        "--grid=0:1:1/2,0:1:1/2,0:1:1/2")[2]
 
 
 def test_perturb_family_a_degree_over_cap_rejected_at_once(capsys):
@@ -332,6 +353,22 @@ def test_perturb_zero_denominator_is_a_bad_value(capsys, values):
                          *values)
     assert (code, out) == (3, "")
     assert err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("values", [
+    ["--params", "1e10000000"], ["--params", "1.5"],
+    ["--params", "7" * 5000], ["--grid=-2:2:1e-10000000"]],
+    ids=["exponent", "decimal", "5000-digits", "grid-exponent"])
+def test_perturb_number_outside_the_germ_format_refused_at_once(capsys,
+                                                                values):
+    """--params and --grid read numbers as germ text does: a decimal, an
+    exponent or a literal past the digit limit is one error line."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "perturb", "--family", "B", "--n", "3",
+                         *values)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_tables(capsys):

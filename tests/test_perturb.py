@@ -34,6 +34,9 @@ def test_up_gcd_and_squarefree():
     sf = pt.up_squarefree(p)
     assert pt.up_deg(sf) == 2
     assert oracles.up_eval(sf, 1) == 0 and oracles.up_eval(sf, -2) == 0
+    # p over its square-free part is gcd(p, p') = x - 1
+    common, rest = oracles.up_divmod(p, sf)
+    assert rest == [] and common == oracles.up_gcd(p, pt.up_deriv(p))
 
 
 def test_rational_roots():
@@ -220,26 +223,25 @@ def _proportional(p, q):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_int_factor, st.integers(1, 3)), min_size=1,
                 max_size=3),
-       st.lists(_int_factor, max_size=2), st.integers(1, 6))
+       st.integers(1, 6))
 def test_integer_gcd_squarefree_and_quotient_match_the_fraction_ones(
-        powers, others, den):
-    """a: a product of integer factors, some repeated, divided by den;
-    b: a's first factor times others.  The integer up_gcd, up_squarefree
-    and up_quotient agree with the Fraction long division of ``oracles``
-    up to a nonzero constant, and the gcd is primitive with a positive
-    leading coefficient."""
+        powers, den):
+    """a: a product of integer factors, some repeated, divided by den.  The
+    integer up_squarefree and up_quotient agree with the Fraction long
+    division of ``oracles`` up to a nonzero constant: a over the
+    square-free part is gcd(a, a'), and the square-free part is primitive
+    with the sign of a's leading coefficient."""
     a = [F(1)]
     for f, e in powers:
         for _ in range(e):
             a = pt.up_mul(a, f)
     a = [F(x) / den for x in a]
-    b = [F(x) for x in powers[0][0]]
-    for f in others:
-        b = pt.up_mul(b, f)
-    g = pt.up_gcd(a, b)
-    assert _proportional(g, oracles.up_gcd(a, b))
-    assert g[-1] > 0 and math.gcd(*g) == 1
-    assert _proportional(pt.up_squarefree(a), oracles.up_squarefree(a))
+    sf = pt.up_squarefree(a)
+    assert _proportional(sf, oracles.up_squarefree(a))
+    assert sf[-1] * a[-1] > 0 and math.gcd(*sf) == 1
+    common, rest = oracles.up_divmod(a, sf)
+    assert rest == []
+    assert _proportional(common, oracles.up_gcd(a, pt.up_deriv(a)))
     divisor = pt.up_integer(powers[-1][0])
     quotient, rest = oracles.up_divmod(a, divisor)
     assert rest == []
@@ -280,6 +282,18 @@ def test_build_unfolding_shape():
     # components 2..n are the identity in x2..xn
     assert f.components[1] == Poly.var(2, 3)
     assert f.components[2] == Poly.var(3, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("family,l", [("A", l) for l in range(2, 7)] +
+                         [("B", None), ("C", None)])
+def test_q_rows_match_the_poly_arithmetic(family, l, n):
+    """Each printed q row (``Q_FORMULAS``), read by ``_q`` with the
+    parameters symbolic, equals q built by Poly arithmetic."""
+    q = pt._q(family, n, l)
+    assert q.nvars == n + pt.param_count(family, l)
+    u = [Poly.var(i, q.nvars) for i in range(n + 1, q.nvars + 1)]
+    assert q == oracles.q_poly(family, n, l, u)
 
 
 def test_eliminate_curve_consistency():
@@ -474,7 +488,7 @@ def family_b_symbolic_identity(n):
     t = Poly.var(1, 2)
     u0 = (t * t).scale(-pt.FAMILY_B_CN[n])
     on_curve = [t] + [x.subs([t, u0]) for x in coords] + [u0]
-    q = pt._q_poly("B", n, None, [Poly.var(n + 1, n + 1)])
+    q = pt._q("B", n, None)
     return constraint.subs([t, u0]).is_zero() and all(
         eq.subs(on_curve).is_zero() for eq in pt._lambda_chain(q, n - 1))
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, clear_denominators,
                               integer_adjugate, integer_det, integer_kernel,
-                              _series_mul)
+                              _series_mul, _sum_of_products)
 import germlab.germ as germ_module
 from germlab.germ import (MapGerm, PreparedForm, VecField, analyze,
                            prepared_form)
@@ -360,8 +360,9 @@ def test_det_and_adjugate_match_rational_values(n):
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, st.integers(0, 7))
 def test_capped_product_is_truncated_product(p, q, cap):
-    assert p.mul(q, cap) == (p * q).truncate(cap)
-    assert all(sum(e) <= cap for e in p.mul(q, cap).terms)
+    capped = _sum_of_products(p.nvars, [(p, q)], cap)
+    assert capped == (p * q).truncate(cap)
+    assert all(sum(e) <= cap for e in capped.terms)
 
 
 @settings(max_examples=25, deadline=None)
