@@ -27,7 +27,7 @@ from .germ import (NotCorankOneError, DegenerateGermError, GermError,
 from .morin import recognize_morin, class_count
 from .lowdim import classify_plane, classify_surface
 from .sigma20 import classify_sigma20
-from .germparse import parse_map, parse_poly, render_map, ParseError
+from .germparse import parse_map, render_map, ParseError
 from . import perturb as pt
 
 EXIT_OK = 0
@@ -186,24 +186,6 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
 
-def _rational(text):
-    """The rational a parameter or grid bound spells, read as a constant
-    of the germ format (``parse_poly`` over no variables), so its digit
-    limit and power budget hold here too; decimals and exponents such as
-    1.5 or 1e5 are not numbers of it.  A refused value is a ValueError
-    that quotes it (exit 3)."""
-    try:
-        return parse_poly(text, ()).constant_term()
-    except ParseError as e:
-        raise ValueError("%s in %r" % (e.message, text)) from None
-
-
-def _parse_params(text):
-    if not text:
-        return ()
-    return tuple(_rational(p) for p in text.split(","))
-
-
 def _parse_grid(text, nparams):
     """--grid 'lo:hi:step[,lo:hi:step...]' -> list of parameter tuples.
     With fewer ranges than parameters the last range repeats; more are
@@ -220,7 +202,7 @@ def _parse_grid(text, nparams):
         if len(bounds) != 3:
             raise ValueError("grid range %r is not of the form lo:hi:step"
                              % chunk)
-        lo, hi, step = (_rational(v) for v in bounds)
+        lo, hi, step = (pt.parse_rational(v) for v in bounds)
         if step <= 0:
             raise ValueError("grid step must be positive")
         ranges.append((lo, step, max(0, (hi - lo) // step + 1)))
@@ -253,8 +235,8 @@ def cmd_perturb(args):
                  "all points verified: %s" % summary["all_verified"]]
         _emit(payload, args.json, human)
         return EXIT_OK
-    spec = pt.UnfoldingSpec(family, args.n, _parse_params(args.params),
-                            l=args.l)
+    params = args.params.split(",") if args.params else ()
+    spec = pt.UnfoldingSpec(family, args.n, params, l=args.l)
     rep = pt.morin_points(spec, precision_bits=args.precision)
     payload = pt.report_to_dict(rep)
     human = ["%r: %d Morin point(s), bound c(f)=%d, stable=%s" %

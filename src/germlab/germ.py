@@ -13,7 +13,7 @@ D = jet_degree(n), for the test references.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
                        rat, _sum_of_products, clear_denominators,
@@ -482,12 +482,45 @@ def _gradient_on_curve(h, powers, m1, cap):
 
 
 def translate(f, p):
-    """g(x) = f(x + p) - f(p): re-center the germ at the point p."""
+    """g(x) = f(x + p) - f(p): re-center the germ at the point p, by an
+    integer Taylor shift of each component (``_shift``)."""
     n = f.src_dim
     if len(p) != n:
         raise DimensionError("translation point has wrong length")
     p = [rat(v) for v in p]
-    reps = [Poly.var(i, n) + Poly.const(p[i - 1], n) for i in range(1, n + 1)]
-    # the MapGerm constructor subtracts f(p) (the constant terms)
-    shifted = [c.subs(reps) for c in f.components]
-    return MapGerm(shifted, src_dim=n)
+    moved = [i for i in range(n) if p[i]]
+    return MapGerm([_shift(c, p, moved) for c in f.components], src_dim=n)
+
+
+def _shift(c, p, moved):
+    """c(x + p) - c(p), x_i shifted for the i in ``moved`` only (p_i != 0).
+
+    With L the lcm of c's denominators, p_i = a_i/d_i and D_i the degree
+    of c in x_i, L prod d_i^D_i c(x + p) has integer coefficients: each
+    d_i^D_i (x_i + p_i)^e expands to sum_k C(e, k) a_i^(e-k) d_i^(D_i-e+k)
+    x_i^k.  The sums are taken on integers, and one Fraction is made per
+    term of the result; its constant term, c(p), is left out."""
+    if not c.terms:
+        return c
+    den = lcm(*(x.denominator for x in c.terms.values()))
+    top = {i: max(e[i] for e in c.terms) for i in moved}
+    rows = {}           # (i, e) -> [(k, coefficient of x_i^k)]
+    out = {}
+    for expo, coef in c.terms.items():
+        partial = [(expo, coef.numerator * (den // coef.denominator))]
+        for i in moved:
+            e = expo[i]
+            row = rows.get((i, e))
+            if row is None:
+                a, d = p[i].numerator, p[i].denominator
+                row = rows[(i, e)] = [
+                    (k, comb(e, k) * a ** (e - k) * d ** (top[i] - e + k))
+                    for k in range(e + 1)]
+            partial = [(x[:i] + (k,) + x[i + 1:], v * w)
+                       for x, v in partial for k, w in row]
+        for x, v in partial:
+            out[x] = out.get(x, 0) + v
+    out.pop((0,) * c.nvars, None)
+    scale = den * prod(p[i].denominator ** top[i] for i in moved)
+    return Poly._trusted(c.nvars, {x: Fraction(v, scale)
+                                   for x, v in out.items() if v})

@@ -18,19 +18,26 @@ in Q[t, u], and restricts the classifier's criteria to it.  Each request
 only puts in its parameter values (``curve_data``).  Real roots of the
 constraint are isolated by Sturm sequences, and the rational ones found
 exactly inside their isolating intervals (see ``rational_roots``).
-Every point is verified against the Morin classifier (by Tarski queries
-along the curve at irrational roots, see ``sign_at_root``; at rational
-roots also by full recognition of the unfolding, built only then).
+Every point is verified against the Morin classifier: by the signs of its
+criteria along the curve (``sign_at_root``), and at rational roots also
+by full recognition of the unfolding, built only then.  A sign at an
+irrational root is certified by one evaluation at the interval end and a
+bound on the derivative (``_certified_sign``); only where that fails does
+a Tarski query decide it.
 
 Everything after the parameters are put in runs on integer coefficient
 lists, each a positive multiple of the rational polynomial it stands for
 (``up_integer``): the square-free part by the gcd that ends a Sturm
-sequence (``up_squarefree``), the division by each rational root p/q as
-the exact quotient by q t - p (``up_quotient``), the Sturm and Tarski
+sequence (``up_squarefree``), whose chain also isolates the roots of a
+square-free constraint, the division by each rational root p/q as the
+exact quotient by q t - p (``up_quotient``), the Sturm and Tarski
 sequences, and every sign.  A positive multiple has the same signs and
 the same Cauchy root bound, so the isolating intervals are those of the
 rational polynomial.  Both bisections run on integer pairs (num, den);
-Fractions are made only for the interval ends they return.
+Fractions are made only for the interval ends they return.  At exact
+roots the unfolding is built with its parameters put in term by term
+(``_with_params``) and re-centered by an integer Taylor shift
+(``germ.translate``), with no Poly product.
 
 Every published row is read by ``parse_poly`` from the text it is
 printed as: the q rows (``Q_FORMULAS``), the inv rows (``INV_FORMULAS``),
@@ -43,12 +50,12 @@ so discrepancies are surfaced rather than silently absorbed.
 
 from fractions import Fraction
 from functools import cache
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 
 from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
                        clear_denominators, _series_mul)
 from .germ import MapGerm, translate, GermError
-from .germparse import parse_poly
+from .germparse import parse_poly, ParseError
 from .morin import recognize_morin, invariant_kind, invariant_value
 
 DEFAULT_PRECISION_BITS = 40
@@ -103,13 +110,20 @@ def up_sign_at(c, x):
     return _sign_at(c, x.numerator, x.denominator)
 
 
-def _sign_at(c, a, b):
-    """Sign of the integer polynomial c at a/b, b > 0, in any terms: that of
-    sum c_i a^i b^(d-i) = b^d c(a/b), by Horner's rule on integers."""
+def _homogeneous(c, a, b):
+    """sum c_i a^i b^(d-i) = b^d c(a/b), d = deg c, by Horner's rule on
+    integers."""
     total, bpow = 0, 1
     for coef in reversed(c):
         total = total * a + coef * bpow
         bpow *= b
+    return total
+
+
+def _sign_at(c, a, b):
+    """Sign of the integer polynomial c at a/b, b > 0, in any terms: that of
+    ``_homogeneous(c, a, b)``."""
+    total = _homogeneous(c, a, b)
     return (total > 0) - (total < 0)
 
 
@@ -145,14 +159,20 @@ def up_quotient(a, b):
 
 
 def up_squarefree(c):
-    """The square-free part c / gcd(c, c'), a primitive integer
-    polynomial.  The last term of c's Sturm sequence is gcd(c, c') up to
-    sign: a primitive remainder sequence of (c, c')."""
+    """(sf, chain): the square-free part sf = c / gcd(c, c'), a primitive
+    integer polynomial, and its Sturm chain.  The last term of c's Sturm
+    chain is gcd(c, c') up to sign: a primitive remainder sequence of
+    (c, c').  When that gcd is constant, sf is c and its chain is the one
+    just built; only a c with repeated roots needs a second chain."""
     c = up_integer(c)
     if up_deg(c) <= 0:
-        return c
-    g = sturm_chain(c)[-1]
-    return up_quotient(c, up_neg(g) if g[-1] < 0 else g)
+        return c, [c] if c else []
+    chain = sturm_chain(c)
+    g = chain[-1]
+    if up_deg(g) == 0:
+        return c, chain
+    sf = up_quotient(c, up_neg(g) if g[-1] < 0 else g)
+    return sf, sturm_chain(sf)
 
 
 def tarski_sequence(c, g):
@@ -208,8 +228,8 @@ def rational_roots(c, intervals=None):
     if up_deg(c) <= 0:
         return []
     if intervals is None:
-        c = up_squarefree(c)
-        intervals = isolate_real_roots(c)
+        c, chain = up_squarefree(c)
+        intervals = isolate_real_roots(c, chain=chain)
     ci = up_integer(c)
     a = abs(ci[-1])
     roots = []
@@ -221,15 +241,18 @@ def rational_roots(c, intervals=None):
     return sorted(roots)
 
 
-def isolate_real_roots(c, width=None):
+def isolate_real_roots(c, width=None, chain=None):
     """Isolating intervals for the distinct real roots of c (assumed
     square-free).  Returns sorted (lo, hi) pairs, each containing exactly
-    one root in (lo, hi], optionally refined below ``width``.  The stack
-    holds (a/d, b/d] as integers, with the chain's variations at both ends."""
+    one root in (lo, hi], optionally refined below ``width``.  ``chain``
+    is c's Sturm chain when the caller has it (``up_squarefree``).  The
+    stack holds (a/d, b/d] as integers, with the chain's variations at
+    both ends."""
     c = up_trim(c)
     if up_deg(c) <= 0:
         return []
-    chain = sturm_chain(c)
+    if chain is None:
+        chain = sturm_chain(c)
 
     def variations(a, d):
         return _variations([_sign_at(p, a, d) for p in chain])
@@ -285,13 +308,36 @@ def refine_root(c, lo, hi, width):
     return (Fraction(x, d), Fraction(x + w, d))
 
 
+def _certified_sign(g, lo, hi):
+    """The one sign of the integer polynomial g (degree >= 1) on all of
+    [lo, hi], lo < hi, when one evaluation proves it; else None.
+
+    Over a common denominator d, lo = a/d and hi = b/d.  G = d^deg g(hi)
+    (``_homogeneous``), and B = sum i |g_i| M^(i-1) d^(deg-i), with
+    M = max(|a|, |b|), bounds d^(deg-1) |g'| on [lo, hi].  By the mean
+    value theorem d^deg |g(x) - g(hi)| <= (b - a) B there, so
+    |G| > (b - a) B keeps g off 0 on the interval, with the sign of G."""
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    value = _homogeneous(g, b, d)
+    bound = _homogeneous([i * abs(x) for i, x in enumerate(g)][1:],
+                         max(abs(a), abs(b)), d)
+    if abs(value) > (b - a) * bound:
+        return 1 if value > 0 else -1
+    return None
+
+
 def sign_at_root(g, constraint, root, sequences=None):
     """Exact sign (+1, -1 or 0) of the univariate polynomial g at one real
     root of ``constraint``.  The root is either an exact rational, or an
     interval (lo, hi) such that the constraint has exactly one root in the
     half-open (lo, hi] and lo is not a root of it (as from
-    ``isolate_real_roots``).  A root at hi is read exactly; otherwise the
-    sign is the Tarski query of g on (lo, hi] (``tarski_sequence``).
+    ``isolate_real_roots``).  On an interval the sign is first certified
+    by one evaluation at hi and a bound on g' (``_certified_sign``).  Only
+    where that fails, as when g vanishes at the root, is a root at hi read
+    exactly, and otherwise the sign is the Tarski query of g on (lo, hi]
+    (``tarski_sequence``).
 
     ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
     each g with this one constraint, so that it serves every root; g and
@@ -304,6 +350,9 @@ def sign_at_root(g, constraint, root, sequences=None):
     lo, hi = root
     if lo == hi:
         return up_sign_at(g, lo)
+    certified = _certified_sign(g, lo, hi)
+    if certified is not None:
+        return certified
     if sequences is None:
         sequences = {}
     lead = 1 if g[-1] > 0 else -1
@@ -351,10 +400,24 @@ def param_count(family, l):
     return {"B": 1, "C": 2}[family]
 
 
+def parse_rational(text):
+    """The rational a parameter or grid bound spells, read as a constant
+    of the germ format (``parse_poly`` over no variables), so its digit
+    limit and power budget hold here too; decimals and exponents such as
+    1.5 or 1e5 are not numbers of it.  A refused value is a ValueError
+    that quotes it."""
+    try:
+        return parse_poly(text, ()).constant_term()
+    except ParseError as e:
+        raise ValueError("%s in %r" % (e.message, text)) from None
+
+
 class UnfoldingSpec(_Frozen):
     """family 'A' | 'B' | 'C'; n in 2..5; 2 <= l <= MAX_L (family A only);
     u = parameter values (length l-1 for A, 1 for B, 2 for C), of at most
-    MAX_PARAM_BITS bits in all."""
+    MAX_PARAM_BITS bits in all.  A value given as a str is read by
+    ``parse_rational``, so an over-long one is refused before it is
+    computed."""
 
     __slots__ = ("family", "n", "l", "u")
 
@@ -364,7 +427,8 @@ class UnfoldingSpec(_Frozen):
             raise ValueError("family must be A, B or C")
         if not 2 <= n <= 5:
             raise ValueError("n must be in 2..5")
-        u = tuple(rat(v) for v in u)
+        u = tuple(parse_rational(v) if isinstance(v, str) else rat(v)
+                  for v in u)
         bits = sum(v.numerator.bit_length() + v.denominator.bit_length() - 1
                    for v in u)
         if bits > MAX_PARAM_BITS:
@@ -427,12 +491,13 @@ def _q(family, n, l):
 
 
 def build_unfolding(spec):
-    """F_u = (q(t, x, u), x2, ..., xn) with the parameters substituted."""
+    """F_u = (q(t, x, u), x2, ..., xn): the parameter values put into the
+    cached q (``_q``) term by term (``_with_params``), no Poly product."""
     n = spec.n
-    xs = [Poly.var(i, n) for i in range(1, n + 1)]
-    q = _q(spec.family, n, spec.l).subs(
-        xs + [Poly.const(v, n) for v in spec.u])
-    return MapGerm([q] + xs[1:], src_dim=n)
+    q = {e: c for e, c in _with_params(_q(spec.family, n, spec.l),
+                                       spec.u).items() if c}
+    return MapGerm([Poly._trusted(n, q)] +
+                   [Poly.var(i, n) for i in range(2, n + 1)], src_dim=n)
 
 
 # ---------------------------------------------------------------------------
@@ -551,26 +616,40 @@ def _vanishing_on_curve(on_curve, constraint):
                for p in on_curve)
 
 
+def _with_params(p, u):
+    """The terms of a Poly in (v..., u0, u1, ...) at the parameter values
+    ``u``: {exponents in v: rational coefficient}, a zero sum kept.  The
+    one place parameter values go into a polynomial."""
+    k = p.nvars - len(u)
+    out = {}
+    for expo, coef in p.terms.items():
+        for ui, e in zip(u, expo[k:]):
+            if e:
+                coef *= ui ** e
+        head = expo[:k]
+        out[head] = out.get(head, 0) + coef
+    return out
+
+
 def _at_params(p, u):
     """The primitive integer coefficient list in t (``up_integer``) of a
     Poly in (t, u0, u1, ...) at the parameter values ``u``."""
-    if not p.terms:
-        return []
     out = [Fraction(0)] * (p.degree_in(1) + 1)
-    for (e, *ks), coef in p.terms.items():
-        for ui, k in zip(u, ks):
-            if k:
-                coef *= ui ** k
-        out[e] += coef
+    for (e,), coef in _with_params(p, u).items():
+        out[e] = coef
     return up_integer(out)
 
 
 def curve_data(spec):
-    """The one place a request's parameters go in: ``curve_criteria``'s
-    (sigma, constraint, etak, detgrad), sigma kept in (t, u...) for exact
-    roots only, the others as primitive integer coefficient lists in t."""
+    """The parameters of a request put into what its points share:
+    ``curve_criteria``'s (sigma, constraint, etak, detgrad) and the inv
+    row (``_inv_row``).  sigma stays in (t, u...), for exact roots only;
+    the others become primitive integer coefficient lists in t, the inv
+    row a tuple of them."""
     sigma, *rest = curve_criteria(spec.family, spec.n, spec.l)
-    return (sigma,) + tuple(_at_params(p, spec.u) for p in rest)
+    row = tuple(_at_params(p, spec.u)
+                for p in _inv_row(spec.family, spec.n, spec.l))
+    return (sigma, *(_at_params(p, spec.u) for p in rest), row)
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +684,10 @@ def _inv_row(family, n, l):
     return tuple(parse_poly(slot, names).subs(reps) for slot in slots)
 
 
-def table_invariant(spec, root, constraint, sequences=None):
-    """Expected invariant tuple at a root of the constraint: the signs of
-    the inv row's polynomials (``_inv_row``) there, by ``sign_at_root``.
+def table_invariant(spec, row, root, constraint, sequences=None):
+    """Expected invariant tuple at a root of the constraint: the signs
+    there, by ``sign_at_root``, of the inv row's polynomials (``_inv_row``)
+    at the request's parameters, ``row`` as ``curve_data`` gives it.
 
     The published n=4 pairs for families A and B are (eps1*eps2, eps2);
     the classifier's pair is (sign eta^4 lambda, sign det grad) =
@@ -615,8 +695,7 @@ def table_invariant(spec, root, constraint, sequences=None):
     The family C n=4 row tracks sign det grad directly (verified on-curve
     against the classifier), so it is compared as printed.
     """
-    signs = [sign_at_root(_at_params(p, spec.u), constraint, root, sequences)
-             for p in _inv_row(spec.family, spec.n, spec.l)]
+    signs = [sign_at_root(p, constraint, root, sequences) for p in row]
     if spec.n == 4 and spec.family != "C":
         signs[1] = -signs[1]
     return (invariant_kind(spec.n, spec.n),
@@ -672,15 +751,15 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     """Enumerate the n-Morin points of the perturbation described by
     ``spec``.  See the module docstring for the method."""
     n = spec.n
-    sigma, constraint, etak, detgrad = curve_data(spec)
+    sigma, constraint, etak, detgrad, row = curve_data(spec)
     notes = []
     stable = True
-    sf = up_squarefree(constraint)
+    sf, chain = up_squarefree(constraint)
     if up_deg(sf) < up_deg(constraint):
         stable = False
         notes.append("non-stable parameter: the constraint has repeated roots")
     width = Fraction(1, 2 ** precision_bits)
-    found = isolate_real_roots(sf)
+    found = isolate_real_roots(sf, chain=chain)
     exact = rational_roots(sf, found)
     remaining = sf
     for r in exact:
@@ -705,7 +784,8 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
         intervals = kept
     points = []
     roots = exact + intervals
-    # Tarski sequences with ``remaining``, one per polynomial, this request only
+    # Tarski sequences with ``remaining`` for the signs no evaluation
+    # certifies, one per polynomial, this request only
     sequences = {}
     F = None
     for root in roots:
@@ -716,7 +796,7 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
             stable = False
             notes.append("degenerate point (a criterion quantity vanishes)")
             continue
-        tbl = table_invariant(spec, root, remaining, sequences)
+        tbl = table_invariant(spec, row, root, remaining, sequences)
         verified = (inv == tbl)
         if is_exact:
             coords = [p.eval((root,) + spec.u) for p in sigma]

@@ -27,6 +27,11 @@ code with the library's integer signs and Tarski queries.  This module's
 library ran before it bisected on integer numerator/denominator pairs, and
 its ``rational_roots`` tests one candidate per interval refined by them.
 
+``translate`` re-centers a germ by ``Poly.subs`` of x_i + p_i, and
+``build_unfolding`` puts the parameter values into the library's cached q
+by ``Poly.subs``: the Poly-product bodies the library ran before its
+integer Taylor shift and term-by-term parameter values.
+
 ``morin_points_reference`` enumerates the Morin points of a perturbation
 as each request did before the curve criteria were cached per (family,
 n[, l]): it builds the unfolding F with the parameters substituted, its
@@ -38,7 +43,8 @@ constraint, on every request.  It finds the roots with this module's
 bisections, and reads the table's invariant from
 ``table_invariant_reference``: the published inv rows as hand-coded
 branches on (family, n), with qbar from ``qbar_coeffs`` and the signs
-from this module's ``sign_at_root``.
+from this module's ``sign_at_root``.  Exact points are re-centered by
+this module's ``translate``.
 
 ``rational_rref``, ``rational_rank``, ``rational_nullspace`` and
 ``rational_det`` are Gauss-Jordan elimination on Fractions, and
@@ -57,7 +63,7 @@ from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
                           GermAnalysis, MapGerm, VecField, analyze, jacobian,
-                          null_field, translate)
+                          null_field)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
@@ -70,7 +76,7 @@ from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
 from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
                              PerturbationReport, _classifier_invariant_on_curve,
-                             _lambda_chain, eliminate_curve, up_deg,
+                             _lambda_chain, _q, eliminate_curve, up_deg,
                              up_deriv, up_neg, up_trim)
 
 
@@ -563,6 +569,27 @@ def sign_at_root(g, constraint, root, max_iter=200):
 
 
 # ---- reference Morin-point enumeration -----------------------------------
+
+def translate(f, p):
+    """g(x) = f(x + p) - f(p), by ``Poly.subs`` of x_i + p_i for every
+    x_i: the MapGerm constructor drops the constant terms f(p)."""
+    n = f.src_dim
+    if len(p) != n:
+        raise DimensionError("translation point has wrong length")
+    p = [rat(v) for v in p]
+    reps = [Poly.var(i, n) + Poly.const(p[i - 1], n) for i in range(1, n + 1)]
+    return MapGerm([c.subs(reps) for c in f.components], src_dim=n)
+
+
+def build_unfolding(spec):
+    """F_u = (q(t, x, u), x2, ..., xn), the parameter values put into the
+    library's cached q by ``Poly.subs``."""
+    n = spec.n
+    xs = [Poly.var(i, n) for i in range(1, n + 1)]
+    q = _q(spec.family, n, spec.l).subs(
+        xs + [Poly.const(v, n) for v in spec.u])
+    return MapGerm([q] + xs[1:], src_dim=n)
+
 
 def poly_to_coeffs(p):
     """Univariate Poly (nvars == 1) -> coefficient list."""

@@ -325,6 +325,32 @@ def test_warm_perturb_request_builds_no_unfolding_and_no_determinant(
     assert unfoldings == [] and all(name != "det" for name, _ in cofactors)
 
 
+def test_warm_perturb_request_builds_one_chain_and_no_poly_product(
+        capsys, monkeypatch):
+    """Warm, a request with irrational roots builds one remainder sequence,
+    its constraint's Sturm chain: every sign is certified without a
+    Tarski query.  A request with three exact points builds its unfolding
+    and re-centers it at each without one Poly product."""
+    chains = ["perturb", "--json", "--family", "C", "--n", "4",
+              "--params=-1,1/2"]
+    exact = ["perturb", "--json", "--family", "A", "--n", "5", "--l", "3",
+             "--params", "0,-1"]
+    outs = [run(capsys, *argv) for argv in (chains, exact)]
+    points = json.loads(outs[1][1])["points"]
+    assert len(points) == 3 and all(p["t"].get("exact") for p in points)
+    sequences = _count_calls(monkeypatch, pt.tarski_sequence)
+    assert run(capsys, *chains) == outs[0] and len(sequences) == 1
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(Poly, name)
+
+        def counted(a, b, _original=original):
+            products.append(b)
+            return _original(a, b)
+        monkeypatch.setattr(Poly, name, counted)
+    assert run(capsys, *exact) == outs[1] and products == []
+
+
 @pytest.mark.parametrize("family,n,params", [
     ("B", "3", "-123456789012345678"),
     ("C", "4", "-98765432109876543/7,3"),

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germlab.polyring import Poly
 from germlab.germ import (MapGerm, VecField, analyze, null_field, translate,
@@ -12,6 +13,7 @@ from germlab.germ import (MapGerm, VecField, analyze, null_field, translate,
 from germlab.morin import normal_form
 from conftest import (change_coordinates, corpus_30, random_gl_pos,
                       random_rational_gl_pos)
+import oracles
 from oracles import gradient_at, rational_nullspace, rational_rank
 
 
@@ -179,6 +181,29 @@ def test_translate_round_trip():
     p = [Fraction(1, 2), Fraction(-1, 3)]
     g = translate(translate(f, p), [-v for v in p])
     assert g == f
+
+
+_COEFFICIENTS = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                          st.integers(1, 6))
+_SHIFTS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
+                           Fraction(-2), Fraction(1, 2), Fraction(-5, 3),
+                           Fraction(7, 4)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_translate_matches_the_subs_reference(data):
+    """The integer Taylor shift equals x_i -> x_i + p_i by ``Poly.subs``
+    (``oracles.translate``), for germs in 1 to 4 variables with rational
+    coefficients, at points with some p_i = 0."""
+    n = data.draw(st.integers(1, 4))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                            _COEFFICIENTS, max_size=6)
+    f = MapGerm([Poly(n, t) for t in data.draw(st.lists(terms, min_size=1,
+                                                        max_size=3))],
+                src_dim=n)
+    p = data.draw(st.lists(_SHIFTS, min_size=n, max_size=n))
+    assert translate(f, p) == oracles.translate(f, p)
 
 
 def test_vecfield_apply_and_neg():

@@ -2,6 +2,7 @@
 Morin-point enumeration, symbolic identities, table cross-checks."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ def test_up_basics():
 def test_up_gcd_and_squarefree():
     # (x - 1)^2 (x + 2)
     p = pt.up_mul(pt.up_mul([F(-1), F(1)], [F(-1), F(1)]), [F(2), F(1)])
-    sf = pt.up_squarefree(p)
+    sf, _ = pt.up_squarefree(p)
     assert pt.up_deg(sf) == 2
     assert oracles.up_eval(sf, 1) == 0 and oracles.up_eval(sf, -2) == 0
     # p over its square-free part is gcd(p, p') = x - 1
@@ -96,6 +97,57 @@ def test_sign_at_root_matches_refinement_oracle(roots, d, h, share):
             if width is None:
                 assert pt.refine_root(c, *iv, F(1, 2 ** 40)) == \
                     oracles.refine_root(c, *iv, F(1, 2 ** 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+       st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+                max_size=2, unique=True),
+       st.sampled_from([2, 3, 5]),
+       st.integers(20, 120))
+def test_certified_sign_agrees_with_the_refinement_oracle(h, roots, d, bits):
+    """g: a random integer polynomial.  Constraint: x^2 - d times rational
+    factors, its roots isolated and refined below 2^-bits.  Wherever one
+    evaluation certifies g's sign on an interval, that is g's sign at the
+    root by the refinement oracle, and ``sign_at_root`` returns it."""
+    g = pt.up_integer(h)
+    c = [F(-d), F(0), F(1)]
+    for r in roots:
+        c = pt.up_mul(c, [-r, F(1)])
+    if pt.up_deg(g) < 1:
+        return
+    for lo, hi in pt.isolate_real_roots(c, width=F(1, 2 ** bits)):
+        if lo == hi:
+            continue
+        sign = pt._certified_sign(g, lo, hi)
+        if sign is not None:
+            assert sign == oracles.sign_at_root(g, c, (lo, hi))
+            assert pt.sign_at_root(g, c, (lo, hi), {}) == sign
+
+
+@pytest.mark.parametrize("g,interval,sign", [
+    # g shares the root sqrt(2) of the constraint: its sign there is 0
+    ([-2, 0, 1], None, 0),
+    ([-2, -2, 1, 1], None, 0),
+    # at the isolating interval (0, 3] of sqrt(2), unrefined, g has a root
+    # inside: x - 1 is positive at sqrt(2), and 2x - 3 negative although
+    # it is positive at the end 3
+    ([-1, 1], (F(0), F(3)), 1),
+    ([-3, 2], (F(0), F(3)), -1),
+])
+def test_uncertified_sign_is_the_tarski_query(g, interval, sign):
+    """Where g vanishes in the interval the certificate cannot hold: the
+    sign is the Tarski query's, built once under g's key."""
+    c = [-2, 0, 1]
+    if interval is None:
+        interval = pt.isolate_real_roots(c, width=F(1, 2 ** 40))[1]
+    lo, hi = interval
+    assert lo ** 2 < 2 < hi ** 2
+    assert pt._certified_sign(g, lo, hi) is None
+    sequences = {}
+    assert pt.sign_at_root(g, c, interval, sequences) == sign
+    assert oracles.sign_at_root([F(x) for x in g], c, interval) == sign
+    assert list(sequences) == [tuple(g)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,7 +218,7 @@ def test_integer_bisection_matches_the_fraction_bisection(roots, other,
     c = [scale]
     for r in roots:
         c = pt.up_mul(c, [-r.numerator, r.denominator])
-    c = pt.up_squarefree(pt.up_mul(c, pt.up_trim(other)))
+    c, _ = pt.up_squarefree(pt.up_mul(c, pt.up_trim(other)))
     if not 1 <= pt.up_deg(c) <= 6:
         return
     a = abs(c[-1])
@@ -230,13 +282,15 @@ def test_integer_gcd_squarefree_and_quotient_match_the_fraction_ones(
     integer up_squarefree and up_quotient agree with the Fraction long
     division of ``oracles`` up to a nonzero constant: a over the
     square-free part is gcd(a, a'), and the square-free part is primitive
-    with the sign of a's leading coefficient."""
+    with the sign of a's leading coefficient.  The chain returned with it
+    is its Sturm chain, the one built for a when a is square-free."""
     a = [F(1)]
     for f, e in powers:
         for _ in range(e):
             a = pt.up_mul(a, f)
     a = [F(x) / den for x in a]
-    sf = pt.up_squarefree(a)
+    sf, chain = pt.up_squarefree(a)
+    assert chain == pt.sturm_chain(sf)
     assert _proportional(sf, oracles.up_squarefree(a))
     assert sf[-1] * a[-1] > 0 and math.gcd(*sf) == 1
     common, rest = oracles.up_divmod(a, sf)
@@ -287,6 +341,32 @@ def test_build_unfolding_shape():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("family,l", [("A", l) for l in range(2, 7)] +
                          [("B", None), ("C", None)])
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_build_unfolding_matches_the_subs_reference(family, l, n, data):
+    """Parameters put in term by term give the unfolding that
+    ``Poly.subs`` gives (``oracles.build_unfolding``)."""
+    count = pt.param_count(family, l)
+    u = data.draw(st.lists(st.builds(F, st.integers(-9, 9),
+                                     st.integers(1, 9)),
+                           min_size=count, max_size=count))
+    spec = pt.UnfoldingSpec(family, n, u, l=l)
+    assert pt.build_unfolding(spec) == oracles.build_unfolding(spec)
+
+
+def test_parameters_go_in_at_every_power():
+    """Every printed row is linear in the parameters; the helper that puts
+    them in also takes powers, and keeps a sum that cancels as 0."""
+    t, u0, u1 = (Poly.var(i, 3) for i in (1, 2, 3))
+    p = t ** 2 * u0 ** 2 - 4 * t ** 2 + t * u1 ** 3 + 3 * u0 * u1
+    assert pt._with_params(p, (F(2), F(-1, 2))) == {
+        (2,): 0, (1,): F(-1, 8), (0,): F(-3)}
+    assert pt._at_params(p, (F(2), F(-1, 2))) == [-24, -1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("family,l", [("A", l) for l in range(2, 7)] +
+                         [("B", None), ("C", None)])
 def test_q_rows_match_the_poly_arithmetic(family, l, n):
     """Each printed q row (``Q_FORMULAS``), read by ``_q`` with the
     parameters symbolic, equals q built by Poly arithmetic."""
@@ -308,7 +388,7 @@ def test_eliminate_curve_consistency():
         for n in (2, 3, 4, 5):
             for u in grid:
                 spec = pt.UnfoldingSpec(family, n, u)
-                sigma, con, _, _ = pt.curve_data(spec)
+                sigma, con, *_ = pt.curve_data(spec)
                 assert pt.up_deg(con) >= 1
                 assert sigma[0] == Poly.var(1, 1 + len(u))
                 # sigma is in (t, u...): put in t and the parameters
@@ -525,7 +605,7 @@ def _roots(spec):
     """The constraint with its rational roots divided out, and every root
     of the square-free constraint as morin_points takes it: exact, or an
     isolating interval of that quotient."""
-    sf = pt.up_squarefree(pt.curve_data(spec)[1])
+    sf, _ = pt.up_squarefree(pt.curve_data(spec)[1])
     exact = pt.rational_roots(sf)
     remaining = sf
     for r in exact:
@@ -548,10 +628,12 @@ def test_table_invariant_matches_the_hand_coded_rows(n):
         for u in grid:
             spec = pt.UnfoldingSpec(family, n, u, l=l)
             remaining, roots = _roots(spec)
+            row = pt.curve_data(spec)[-1]
             sequences = {}
             for root in roots:
                 seen.add(isinstance(root, tuple))
-                assert pt.table_invariant(spec, root, remaining, sequences) \
+                assert pt.table_invariant(spec, row, root, remaining,
+                                          sequences) \
                     == oracles.table_invariant_reference(
                         spec, root, remaining), (spec, root)
         assert seen == {True, False}, (family, n)
@@ -566,6 +648,19 @@ def test_inv_rows_parse_from_their_printed_text():
     # qbar_x4 is d/ds of family A's constraint s^3 + u1 s + u0
     s, v0, v1 = (Poly.var(i, 3) for i in (1, 2, 3))
     assert pt._inv_row("A", 4, 3) == (Poly.one(3), 3 * s * s + v1)
+
+
+def test_string_parameters_are_read_as_germ_numbers():
+    """A str parameter is read by parse_poly, as --params is: 1e10000000
+    is refused at its token, before 10^(10^7) is computed."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="expected end of input, found "
+                       "'e10000000' in '1e10000000'"):
+        pt.UnfoldingSpec("B", 3, ["1e10000000"])
+    assert time.perf_counter() - start < 1
+    assert pt.UnfoldingSpec("C", 3, ["-1/2", "3"]).u == (F(-1, 2), F(3))
+    with pytest.raises(ValueError, match="over the limit"):
+        pt.UnfoldingSpec("B", 3, [str(2 ** pt.MAX_PARAM_BITS)])
 
 
 def test_parameter_size_is_bounded():
