@@ -294,8 +294,9 @@ def cmd_tables(args):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and then shared.  It holds
-    no per-call state: ``--precision`` defaults to None, and ``main``
+    """(parser, commands): the top-level argument parser and its
+    subcommand parsers by name, built on first use and then shared.  They
+    hold no per-call state: ``--precision`` defaults to None, and ``main``
     resolves that from GERMLAB_PRECISION on every call."""
     ap = argparse.ArgumentParser(
         prog="germlab",
@@ -336,12 +337,22 @@ def build_parser():
 
     pts = sub.add_parser("tables", help="machine-readable golden tables")
     common(pts)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    ap, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known command's arguments are parsed once, by its own parser; the
+    # top-level parser reads any other argv: a missing or unknown command,
+    # or --help
+    parser = commands.get(argv[0]) if argv else None
+    if parser is None:
+        args = ap.parse_args(argv)
+    else:
+        args = parser.parse_args(argv[1:])
+        args.command = argv[0]
     if args.precision is None:
         env = os.environ.get("GERMLAB_PRECISION")
         if env is None:

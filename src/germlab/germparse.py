@@ -13,15 +13,17 @@ the form x<k> and the source dimension is the largest k mentioned.
 The constant term of every component must vanish (germ condition); a
 nonzero constant term is reported with its component index.  ``parse_poly``
 reads one polynomial over given names, where a constant term is allowed:
-the perturbation lab's printed rows, and over no names the CLI's
-parameters, so every number the program takes as text is read here.
+the perturbation lab's printed rows.  ``parse_number`` reads one over no
+names, the CLI's parameters, so every number the program takes as text
+is read here.
 
 All failures raise ParseError with a line/column position -- the parser
 never escapes with anything else, whatever the input bytes.
 
 Each term is read in one loop over its factors, on int coefficients
-(see _Parser); only a p/q literal or an expanded product makes a
-Fraction, and parse_map makes one Fraction per distinct coefficient left.
+(see _Parser); only a p/q literal, folded into the coefficient so far
+as one Fraction, or an expanded product makes a Fraction, and parse_map
+makes one Fraction per distinct coefficient left.
 """
 
 import re
@@ -219,15 +221,17 @@ class _Parser:
             if i is not None:
                 expo[i] += self.exponent() if tokens[self.pos] == "^" else 1
             elif t.isdecimal():
-                c = int(t)
+                c, d = int(t), 1
                 if tokens[self.pos] == "/":
                     self.pos += 1
                     d = int(self.expect("int"))
                     if d == 0:
                         self.fail("zero denominator", self.pos - 1)
-                    c = Fraction(c, d)
                 if tokens[self.pos] == "^":
+                    c = Fraction(c, d) if d > 1 else c
                     q = {self.zero: c} if c else {}
+                elif d > 1:     # one Fraction for the literal and coef
+                    coef = Fraction(coef * c, d)
                 else:
                     coef *= c
             elif t == "(":
@@ -369,16 +373,30 @@ def parse_map(text):
     return MapGerm([Poly._trusted(nvars, p) for p in comps], src_dim=nvars)
 
 
-def parse_poly(text, names):
-    """One polynomial over the variables ``names``, a constant term
-    allowed, as a Poly; every failure is a ParseError, as in parse_map."""
+def _whole_polynomial(text, names):
+    """The terms of the one polynomial over ``names`` that is all of
+    ``text``, a constant term allowed; every failure is a ParseError, as
+    in parse_map."""
     parser = _Parser(text, _tokenize(text), names)
     p = parser.polynomial()
     t = parser.next()
     if t != _EOF:
         parser.fail("expected end of input, found %r" % _shown(t),
                     parser.pos - 1)
-    return Poly(len(names), p)
+    return p
+
+
+def parse_poly(text, names):
+    """One polynomial over the variables ``names``, a constant term
+    allowed, as a Poly (``_whole_polynomial``)."""
+    return Poly(len(names), _whole_polynomial(text, names))
+
+
+def parse_number(text):
+    """The rational number ``text`` spells: a polynomial over no
+    variables (``_whole_polynomial``), its constant term read straight
+    from the parser's terms."""
+    return Fraction(_whole_polynomial(text, ()).get((), 0))
 
 
 def render_map(f, names=None):

@@ -14,16 +14,20 @@ constraint (``eliminate_curve``); family A's points lie on t = x2 = ... =
 x_{n-1} = 0, xn = s with the constraint qbar(s, u).  ``curve_criteria``
 works once per (family, n), or (n, l) for A, with the parameters
 symbolic: it checks that the curve satisfies the equations, an identity
-in Q[t, u], and restricts the classifier's criteria to it.  Each request
-only puts in its parameter values (``curve_data``).  Real roots of the
-constraint are isolated by Sturm sequences, and the rational ones found
-exactly inside their isolating intervals (see ``rational_roots``).
-Every point is verified against the Morin classifier: by the signs of its
-criteria along the curve (``sign_at_root``), and at rational roots also
-by full recognition of the unfolding, built only then.  A sign at an
-irrational root is certified by one evaluation at the interval end and a
-bound on the derivative (``_certified_sign``); only where that fails does
-a Tarski query decide it.
+in Q[t, u], and restricts the classifier's criteria to it, cleared of
+denominators.  Each request only puts in its parameter values, on
+integers (``curve_data``).  Real roots of the constraint are isolated by
+Sturm sequences, and the rational ones found exactly inside their
+isolating intervals (see ``rational_roots``).  An isolating interval is
+refined by bisection, whose first halvings doubles may skip by proposing
+the dyadic cell of the root, kept only where two exact signs confirm it
+(``refine_root``).  Every point is verified against the Morin
+classifier: by the signs of its criteria along the curve
+(``sign_at_root``), and at rational roots also by full recognition of
+the unfolding, built only then.  A sign at an irrational root is
+certified by one evaluation at the interval end and a bound on the
+derivative (``_certified_sign``), if need be on a few halvings of the
+interval; only where that fails does a Tarski query decide it.
 
 Everything after the parameters are put in runs on integer coefficient
 lists, each a positive multiple of the rational polynomial it stands for
@@ -50,12 +54,13 @@ so discrepancies are surfaced rather than silently absorbed.
 
 from fractions import Fraction
 from functools import cache
-from math import ceil, gcd, lcm
+from math import ceil, floor, gcd, lcm, ldexp, log2, prod
+from operator import getitem
 
 from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
                        clear_denominators, _series_mul)
 from .germ import MapGerm, translate, GermError
-from .germparse import parse_poly, ParseError
+from .germparse import parse_poly, parse_number, ParseError
 from .morin import recognize_morin, invariant_kind, invariant_value
 
 DEFAULT_PRECISION_BITS = 40
@@ -97,10 +102,11 @@ def up_mul(a, b):
 def up_integer(c):
     """The primitive integer polynomial that is a positive rational
     multiple of c (rational or integer coefficients)."""
-    c = up_trim(c)
-    if not c:
-        return c
-    ints = clear_denominators(c)
+    return _primitive(clear_denominators(up_trim(c)))
+
+
+def _primitive(ints):
+    """The trimmed integer list ``ints`` over the gcd of its entries."""
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -284,7 +290,13 @@ def refine_root(c, lo, hi, width):
     """Bisect an isolating interval of a square-free c below ``width``.
     Returns (r, r) if an exact rational root is hit.  After j of the k
     halvings, the least k with (hi - lo)/2^k <= width, the interval is
-    (x/d, (x + w)/d], d the common denominator of lo and hi times 2^j."""
+    (x/d, (x + w)/d], d the common denominator of lo and hi times 2^j.
+
+    The first j halvings are skipped where doubles propose the level-j
+    cell (``_float_cell``) and the exact signs at its two ends bracket the
+    root: then it is the one cell of that level that holds the root, the
+    cell the halvings reach.  A 0 at an end is the root itself, a point
+    strictly inside (lo, hi) that bisection meets as a midpoint."""
     if lo == hi:
         return (lo, hi)
     c = up_integer(c)
@@ -297,7 +309,16 @@ def refine_root(c, lo, hi, width):
     x = lo.numerator * hi.denominator
     w = hi.numerator * lo.denominator - x
     ratio = -(-w * width.denominator // (d * width.numerator))
-    for _ in range((ratio - 1).bit_length()):
+    k = (ratio - 1).bit_length()
+    j, m = _float_cell(c, lo, hi, slo, k)
+    if j:
+        left, dj = (x << j) + m * w, d << j
+        signs = [_sign_at(c, end, dj) for end in (left, left + w)]
+        if 0 in signs:
+            return (Fraction(left + signs.index(0) * w, dj),) * 2
+        if signs == [slo, -slo]:
+            x, d, k = left, dj, k - j
+    for _ in range(k):
         x, d = 2 * x, 2 * d
         mid = x + w
         sm = _sign_at(c, mid, d)
@@ -306,6 +327,62 @@ def refine_root(c, lo, hi, width):
         if sm == slo:
             x = mid
     return (Fraction(x, d), Fraction(x + w, d))
+
+
+# The deepest dyadic cell doubles are asked for is 2^-FLOAT_CELL_BITS
+# times the larger of 1 and the interval ends' magnitude: a double holds
+# 53 bits, and the rest covers the rounding of the ends, of the root and
+# of the division that places it, a few hundredths of a cell.
+FLOAT_CELL_BITS = 44
+# Float steps allowed: Newton converges in a few, and halvings alone
+# reach the deepest cell in FLOAT_CELL_BITS + 4.
+FLOAT_STEPS = 64
+
+
+def _float_cell(c, lo, hi, slo, k):
+    """(j, m): the level-j dyadic cell (lo + m (hi - lo)/2^j, lo + (m + 1)
+    (hi - lo)/2^j] in which doubles put the root of the integer polynomial
+    c (sign ``slo`` at lo), j <= k.  Newton steps from the midpoint, each
+    one that leaves the bracket the float signs keep replaced by a
+    halving (safeguarded Newton).  (0, 0) when doubles cannot tell: a
+    level under 3, where two exact signs would save no halving, an
+    overflow or NaN, or no convergence within FLOAT_STEPS.  Only a
+    proposal: ``refine_root`` keeps the cell if two exact signs confirm
+    it."""
+    try:
+        base = left = float(lo)
+        right = float(hi)
+        span = right - left
+        j = min(k, FLOAT_CELL_BITS +
+                floor(log2(span / max(1.0, -left, right))))
+        if j < 3:
+            return 0, 0
+        cf = [float(v) for v in reversed(c)]
+        tolerance = ldexp(span, -j - 4)
+        x = (left + right) / 2
+        for _ in range(FLOAT_STEPS):
+            f, df = cf[0], 0.0
+            for v in cf[1:]:
+                df = df * x + f
+                f = f * x + v
+            if (f > 0) == (slo > 0):
+                left = x
+            else:
+                right = x
+            step = f / df if df else span
+            x -= step
+            if not left <= x <= right:
+                x = (left + right) / 2
+            elif abs(step) <= tolerance:
+                break
+            if right - left <= tolerance:
+                break
+        else:
+            return 0, 0
+        m = floor(ldexp((x - base) / span, j))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return 0, 0
+    return (j, m) if 0 <= m < 1 << j else (0, 0)
 
 
 def _certified_sign(g, lo, hi):
@@ -328,16 +405,23 @@ def _certified_sign(g, lo, hi):
     return None
 
 
+# Halvings of an interval root tried to certify a sign by evaluation
+# before a Tarski query: each halves the derivative term of the bound.
+SIGN_HALVINGS = 8
+
+
 def sign_at_root(g, constraint, root, sequences=None):
     """Exact sign (+1, -1 or 0) of the univariate polynomial g at one real
     root of ``constraint``.  The root is either an exact rational, or an
     interval (lo, hi) such that the constraint has exactly one root in the
     half-open (lo, hi] and lo is not a root of it (as from
     ``isolate_real_roots``).  On an interval the sign is first certified
-    by one evaluation at hi and a bound on g' (``_certified_sign``).  Only
-    where that fails, as when g vanishes at the root, is a root at hi read
-    exactly, and otherwise the sign is the Tarski query of g on (lo, hi]
-    (``tarski_sequence``).
+    by one evaluation at hi and a bound on g' (``_certified_sign``).  Where
+    that fails, a root at hi is read exactly; a simple root is then
+    bisected on a copy of the interval, up to SIGN_HALVINGS times, each
+    half certified afresh, as when g's coefficients are large and cancel.
+    Only where that fails too, as when g vanishes at the root, is the sign
+    the Tarski query of g on (lo, hi] (``tarski_sequence``).
 
     ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
     each g with this one constraint, so that it serves every root; g and
@@ -353,20 +437,36 @@ def sign_at_root(g, constraint, root, sequences=None):
     certified = _certified_sign(g, lo, hi)
     if certified is not None:
         return certified
+    c = up_integer(constraint)
+    s_hi = up_sign_at(c, hi)
+    if s_hi == 0:
+        return up_sign_at(g, hi)
+    if up_sign_at(c, lo) == -s_hi:
+        a, b = lo, hi
+        for _ in range(SIGN_HALVINGS):
+            mid = Fraction(a + b, 2)
+            s_mid = up_sign_at(c, mid)
+            if s_mid == 0:
+                return up_sign_at(g, mid)
+            if s_mid == s_hi:
+                b = mid
+            else:
+                a = mid
+            certified = _certified_sign(g, a, b)
+            if certified is not None:
+                return certified
     if sequences is None:
         sequences = {}
     lead = 1 if g[-1] > 0 else -1
     key = tuple(lead * x for x in g)
     seq = sequences.get(key)
     if seq is None:
-        seq = sequences[key] = tarski_sequence(constraint, key)
-    at_hi = [up_sign_at(p, hi) for p in seq]
-    if at_hi[0] == 0:
-        return up_sign_at(g, hi)
+        seq = sequences[key] = tarski_sequence(c, key)
     at_lo = [up_sign_at(p, lo) for p in seq]
     if at_lo[0] == 0:
         raise ValueError("interval end %s is a root of the constraint" % lo)
-    return lead * (_variations(at_lo) - _variations(at_hi))
+    return lead * (_variations(at_lo) - _variations([up_sign_at(p, hi)
+                                                      for p in seq]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +502,11 @@ def param_count(family, l):
 
 def parse_rational(text):
     """The rational a parameter or grid bound spells, read as a constant
-    of the germ format (``parse_poly`` over no variables), so its digit
-    limit and power budget hold here too; decimals and exponents such as
-    1.5 or 1e5 are not numbers of it.  A refused value is a ValueError
-    that quotes it."""
+    of the germ format (``parse_number``), so its digit limit and power
+    budget hold here too; decimals and exponents such as 1.5 or 1e5 are
+    not numbers of it.  A refused value is a ValueError that quotes it."""
     try:
-        return parse_poly(text, ()).constant_term()
+        return parse_number(text)
     except ParseError as e:
         raise ValueError("%s in %r" % (e.message, text)) from None
 
@@ -583,11 +682,14 @@ def family_a_curve(n, l):
 @cache
 def curve_criteria(family, n, l):
     """What the Morin points of one (family, n[, l]) share, whatever the
-    parameter values: (sigma, constraint, etak, detgrad), Polys in (t,
-    u...) (t is s for family A).  ``sigma`` is the curve's n source
-    coordinates, and etak and detgrad are eta^n lambda and det grad
-    (lambda, ..., eta^{n-1} lambda) restricted to it.  Raises GermError
-    unless the curve satisfies the equations (``_vanishing_on_curve``)."""
+    parameter values: (sigma, constraint, etak, detgrad, row), all in
+    (t, u...) (t is s for family A).  ``sigma`` is the curve's n source
+    coordinates, as Polys.  etak and detgrad are eta^n lambda and det
+    grad (lambda, ..., eta^{n-1} lambda) restricted to it, and ``row`` is
+    the inv row (``_inv_row``); these, the constraint and each slot of
+    the row are cleared of denominators for ``_at_params``
+    (``_integer_terms``).  Raises GermError unless the curve satisfies
+    the equations (``_vanishing_on_curve``)."""
     if family == "A":
         sigma, constraint = family_a_curve(n, l)
     else:
@@ -602,8 +704,9 @@ def curve_criteria(family, n, l):
     # restricting each entry first gives the same determinant, smaller
     grad = [chain[j].partial(i).subs(reps)
             for j in range(n) for i in range(1, n + 1)]
-    return (sigma, constraint, chain[n].subs(reps),
-            PolyMatrix(n, n, grad).det())
+    criteria = (constraint, chain[n].subs(reps), PolyMatrix(n, n, grad).det())
+    return (sigma, *map(_integer_terms, criteria),
+            tuple(map(_integer_terms, _inv_row(family, n, l))))
 
 
 def _vanishing_on_curve(on_curve, constraint):
@@ -618,8 +721,9 @@ def _vanishing_on_curve(on_curve, constraint):
 
 def _with_params(p, u):
     """The terms of a Poly in (v..., u0, u1, ...) at the parameter values
-    ``u``: {exponents in v: rational coefficient}, a zero sum kept.  The
-    one place parameter values go into a polynomial."""
+    ``u``: {exponents in v: rational coefficient}, a zero sum kept.  Only
+    the unfolding at an exact root (``build_unfolding``) is built this
+    way; ``_at_params`` puts the parameters into the criteria."""
     k = p.nvars - len(u)
     out = {}
     for expo, coef in p.terms.items():
@@ -631,25 +735,43 @@ def _with_params(p, u):
     return out
 
 
-def _at_params(p, u):
+def _integer_terms(p):
+    """A Poly in (t, u0, u1, ...) cleared of denominators, a positive
+    multiple, as (size, degrees, terms): ``size`` its length in t,
+    ``degrees`` its degree D_i in each u_i, and ``terms`` one (power of
+    t, int coefficient, exponents in u) per term."""
+    expos = list(p.terms)
+    degrees = tuple(max(e[i] for e in expos) if expos else 0
+                    for i in range(1, p.nvars))
+    return (p.degree_in(1) + 1, degrees,
+            [(e[0], c, e[1:]) for e, c in
+             zip(expos, clear_denominators(list(p.terms.values())))])
+
+
+def _at_params(form, u):
     """The primitive integer coefficient list in t (``up_integer``) of a
-    Poly in (t, u0, u1, ...) at the parameter values ``u``."""
-    out = [Fraction(0)] * (p.degree_in(1) + 1)
-    for (e,), coef in _with_params(p, u).items():
-        out[e] = coef
-    return up_integer(out)
+    polynomial cleared by ``_integer_terms``, at the parameter values
+    ``u``, on ints alone.  With u_i = a_i/b_i, b_i > 0, each u_i^e goes in
+    as a_i^e b_i^(D_i - e): every term is scaled by the same product of
+    the b_i^D_i, a positive multiple that the gcd takes out."""
+    size, degrees, terms = form
+    weights = [[v.numerator ** e * v.denominator ** (d - e)
+                for e in range(d + 1)] for v, d in zip(u, degrees)]
+    out = [0] * size
+    for i, c, e in terms:
+        out[i] += c * prod(map(getitem, weights, e))
+    return _primitive(up_trim(out))
 
 
 def curve_data(spec):
-    """The parameters of a request put into what its points share:
-    ``curve_criteria``'s (sigma, constraint, etak, detgrad) and the inv
-    row (``_inv_row``).  sigma stays in (t, u...), for exact roots only;
-    the others become primitive integer coefficient lists in t, the inv
-    row a tuple of them."""
-    sigma, *rest = curve_criteria(spec.family, spec.n, spec.l)
-    row = tuple(_at_params(p, spec.u)
-                for p in _inv_row(spec.family, spec.n, spec.l))
-    return (sigma, *(_at_params(p, spec.u) for p in rest), row)
+    """The parameters of a request put into what its points share
+    (``curve_criteria``): (sigma, constraint, etak, detgrad, row).  sigma
+    stays in (t, u...), for exact roots only; the others become primitive
+    integer coefficient lists in t (``_at_params``), the inv row a tuple
+    of them."""
+    sigma, *criteria, row = curve_criteria(spec.family, spec.n, spec.l)
+    return (sigma, *(_at_params(f, spec.u) for f in criteria),
+            tuple(_at_params(f, spec.u) for f in row))
 
 
 # ---------------------------------------------------------------------------
@@ -667,17 +789,17 @@ INV_FORMULAS = {
 }
 
 
-@cache
 def _inv_row(family, n, l):
     """The slots of the printed row ``INV_FORMULAS[(family, n)]`` as Polys
-    in (t, u0[, u1, ...]), each slot parsed by ``parse_poly``.  A family A
+    in (t, u0[, u1, ...]), each slot parsed by ``parse_poly``, once per key
+    (``curve_criteria``).  A family A
     row may name qbar_x<n>, which stands for d/ds of the family's
-    constraint qbar(s, u) (t is s there)."""
+    constraint qbar(s, u) (t is s there, ``family_a_curve``)."""
     names = ["t"] + ["u%d" % i for i in range(param_count(family, l))]
     reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
     if family == "A":
         names.append("qbar_x%d" % n)
-        reps.append(curve_criteria(family, n, l)[1].partial(1))
+        reps.append(family_a_curve(n, l)[1].partial(1))
     text = INV_FORMULAS[(family, n)]
     # a row with a comma is a pair "(a, b)": no polynomial holds a comma
     slots = text[1:-1].split(",") if "," in text else [text]

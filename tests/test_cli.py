@@ -669,6 +669,48 @@ def test_help_text_does_not_depend_on_the_environment(capsys, monkeypatch):
     assert "None" not in texts[0]
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "x1^3 + x1*x2 ; x2"],
+    ["classify", "--json", "x1^3 + x1*x2 ; x2"],
+    ["perturb", "--json", "--family", "C", "--n", "4", "--params=-1,1/2"],
+    ["perturb", "--family", "A", "--n", "3", "--l", "3", "--params", "0,-1"],
+])
+def test_argv_is_parsed_once(capsys, monkeypatch, argv):
+    """A request's argv is parsed by its command's parser alone: one
+    ``parse_known_args`` call, where the top-level parser would hand the
+    rest to the subparser for a second."""
+    import argparse
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == ["germlab %s" % argv[0]]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--bogus", "x1^2 ; x2"],
+     "germlab classify: error: unrecognized arguments: --bogus"),
+    (["perturb", "--family", "B", "--n", "3", "--params=-1", "extra"],
+     "germlab perturb: error: unrecognized arguments: extra"),
+    ([], "germlab: error: the following arguments are required: command"),
+    (["bogus"], "germlab: error: argument command: invalid choice: 'bogus'"),
+])
+def test_usage_errors_exit_2_naming_the_parser(capsys, argv, message):
+    """An extra argument is refused by the command's own parser, a missing
+    or unknown command by the top-level one: exit 2, the message last."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith(message)
+
+
 # ---- no cofactor layer on any classify request --------------------------
 
 def _count_calls(monkeypatch, original):

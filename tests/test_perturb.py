@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germlab import perturb as pt
 from germlab.germ import GermError, translate
@@ -130,14 +130,16 @@ def test_certified_sign_agrees_with_the_refinement_oracle(h, roots, d, bits):
     ([-2, 0, 1], None, 0),
     ([-2, -2, 1, 1], None, 0),
     # at the isolating interval (0, 3] of sqrt(2), unrefined, g has a root
-    # inside: x - 1 is positive at sqrt(2), and 2x - 3 negative although
-    # it is positive at the end 3
-    ([-1, 1], (F(0), F(3)), 1),
-    ([-3, 2], (F(0), F(3)), -1),
+    # inside, and inside each of the SIGN_HALVINGS halvings that keep
+    # sqrt(2), down to (45/32, 363/256]: 100x - 141 is positive at
+    # sqrt(2), and 1000x - 1417 negative although it is positive at 3
+    ([-141, 100], (F(0), F(3)), 1),
+    ([-1417, 1000], (F(0), F(3)), -1),
 ])
 def test_uncertified_sign_is_the_tarski_query(g, interval, sign):
-    """Where g vanishes in the interval the certificate cannot hold: the
-    sign is the Tarski query's, built once under g's key."""
+    """Where g vanishes in the interval, and in every halving of it that
+    holds the root, the certificate cannot hold: the sign is the Tarski
+    query's, built once under g's key."""
     c = [-2, 0, 1]
     if interval is None:
         interval = pt.isolate_real_roots(c, width=F(1, 2 ** 40))[1]
@@ -148,6 +150,60 @@ def test_uncertified_sign_is_the_tarski_query(g, interval, sign):
     assert pt.sign_at_root(g, c, interval, sequences) == sign
     assert oracles.sign_at_root([F(x) for x in g], c, interval) == sign
     assert list(sequences) == [tuple(g)]
+
+
+@pytest.mark.parametrize("g,sign,halvings", [
+    ([-1, 1], 1, 3),    # x - 1 at sqrt(2): certified on (9/8, 3/2]
+    ([-3, 2], -1, 7),   # 2x - 3, positive at 3: on (45/32, 183/128]
+])
+def test_sign_certified_after_halvings_builds_no_sequence(monkeypatch, g,
+                                                          sign, halvings):
+    """On the unrefined interval (0, 3] of sqrt(2), g has a root: one
+    evaluation cannot certify its sign there, but it can on a half of a
+    half ... that still holds sqrt(2), with no Tarski sequence; one
+    halving fewer would not do."""
+    c, interval = [-2, 0, 1], (F(0), F(3))
+    assert pt._certified_sign(g, *interval) is None
+    sequences = {}
+    assert pt.sign_at_root(g, c, interval, sequences) == sign
+    assert oracles.sign_at_root([F(x) for x in g], c, interval) == sign
+    assert sequences == {}
+    monkeypatch.setattr(pt, "SIGN_HALVINGS", halvings - 1)
+    assert pt.sign_at_root(g, c, interval, sequences) == sign
+    assert list(sequences) == [tuple(g)]
+
+
+def test_a_root_the_constraint_keeps_its_sign_across_is_not_halved():
+    """(x - 1)^2 has its one root in (0, 3] at 1 and is positive on both
+    sides, so halving on its signs would follow the wrong half, where
+    2x - 1 is negative.  The sign of 2x - 1 at 1 is the Tarski query's."""
+    g, c, interval = [-1, 2], [1, -2, 1], (F(0), F(3))
+    assert pt._certified_sign(g, *interval) is None
+    sequences = {}
+    assert pt.sign_at_root(g, c, interval, sequences) == 1
+    assert list(sequences) == [tuple(g)]
+
+
+def test_chebyshev_signs_certified_by_halvings(monkeypatch):
+    """Family A, n = 4, l = 32 at the monic Chebyshev parameters: their
+    large cancelling coefficients defeat one evaluation at some roots,
+    and halvings of those roots' intervals certify every sign, so the
+    request builds no Tarski sequence, only its constraint's Sturm chain
+    (g = 1).  Its report is the one the Tarski queries give."""
+    spec = pt.UnfoldingSpec("A", 4, _params(monic_chebyshev_params(32)),
+                            l=32)
+    built = []
+
+    def counted(c, g, original=pt.tarski_sequence):
+        built.append(list(g))
+        return original(c, g)
+    monkeypatch.setattr(pt, "tarski_sequence", counted)
+    report = pt.report_to_dict(pt.morin_points(spec))
+    assert built == [[1]]
+    monkeypatch.setattr(pt, "SIGN_HALVINGS", 0)
+    built.clear()
+    assert pt.report_to_dict(pt.morin_points(spec)) == report
+    assert len(built) > 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,6 +318,65 @@ def test_refine_root_exact_hit_and_integer_ends():
     _same_intervals([pt.refine_root(c, 1, 2, 1)], [(F(1), F(2))])
 
 
+# a coefficient past the largest double, about 1.8e308
+_HUGE = 10 ** 310 + 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 60),
+       st.integers(0, 2 ** 60), st.sampled_from([[1, 0, 1], [_HUGE, 0, 1]]),
+       st.integers(20, 120))
+def test_refine_root_meets_a_root_on_the_dyadic_grid(start, scale, level,
+                                                     numerator, other,
+                                                     bits):
+    """One real root on (lo, hi] = (start, start + 2^scale], at its level
+    ``level`` dyadic grid point lo + m (hi - lo)/2^level (m odd, drawn from
+    ``numerator``), times x^2 + 1 or x^2 + a coefficient past double
+    range.  The float-proposed cell and exact bisection return the same
+    interval or exact hit, whether the hit comes before, at or after the
+    last halving, below widths 2^-20 to 2^-120."""
+    lo, span = F(start), F(2) ** scale
+    m = (numerator % 2 ** level) | 1
+    root = lo + span * F(m, 2 ** level)
+    c = pt.up_mul([-root.numerator, root.denominator], other)
+    width = F(1, 2 ** bits)
+    _same_intervals([pt.refine_root(c, lo, lo + span, width)],
+                    [oracles.refine_root(c, lo, lo + span, width)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-50, 50), st.sampled_from(
+           [1, 2, 3, 7, 64, 2 ** 30])), min_size=1, max_size=3, unique=True),
+       st.sampled_from([None, 2, 3, 10 ** 40 + 1]),
+       st.lists(st.integers(1, 3), max_size=2, unique=True),
+       st.integers(20, 60), st.booleans(), st.integers(20, 120))
+@example([F(1)], None, [1, 2], 30, False, 120)
+@example([F(-1, 3)], 2, [1, 3], 20, True, 40)
+def test_refine_root_matches_the_fraction_bisection(roots, square, cluster,
+                                                    gap, huge, bits):
+    """Rational roots, the irrational roots of x^2 - ``square``, a cluster
+    of roots 1/3 + i 2^-gap around 1/3, and, when ``huge``, a factor
+    _HUGE x - (_HUGE + 1) whose coefficients no double holds: at every
+    isolating interval, refined below 2^-bits, the float-proposed cell
+    gives what exact bisection gives, exact hits included.  Near a
+    cluster doubles cannot place a root to 2^-44, so there the exact
+    signs refuse the proposed cell (both examples)."""
+    factors = [[-r.numerator, r.denominator] for r in roots]
+    if square is not None:
+        factors.append([-square, 0, 1])
+    factors += [[-(2 ** gap + 3 * i), 3 * 2 ** gap] for i in cluster]
+    if huge:
+        factors.append([-(_HUGE + 1), _HUGE])
+    c = [1]
+    for f in factors:
+        c = pt.up_mul(c, f)
+    c, _ = pt.up_squarefree(c)
+    width = F(1, 2 ** bits)
+    for lo, hi in pt.isolate_real_roots(c):
+        _same_intervals([pt.refine_root(c, lo, hi, width)],
+                        [oracles.refine_root(c, lo, hi, width)])
+
+
 _int_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
     lambda c: c[-1] != 0)
 
@@ -355,13 +470,16 @@ def test_build_unfolding_matches_the_subs_reference(family, l, n, data):
 
 
 def test_parameters_go_in_at_every_power():
-    """Every printed row is linear in the parameters; the helper that puts
-    them in also takes powers, and keeps a sum that cancels as 0."""
+    """Every printed row is linear in the parameters; the helpers that put
+    them in also take powers, and keep a sum that cancels as 0.  On ints,
+    u1 = -1/2 goes in as (-1)^e 2^(3 - e): the whole polynomial times 8."""
     t, u0, u1 = (Poly.var(i, 3) for i in (1, 2, 3))
     p = t ** 2 * u0 ** 2 - 4 * t ** 2 + t * u1 ** 3 + 3 * u0 * u1
     assert pt._with_params(p, (F(2), F(-1, 2))) == {
         (2,): 0, (1,): F(-1, 8), (0,): F(-3)}
-    assert pt._at_params(p, (F(2), F(-1, 2))) == [-24, -1]
+    assert pt._at_params(pt._integer_terms(p), (F(2), F(-1, 2))) == [-24, -1]
+    assert pt._at_params(pt._integer_terms(p.scale(F(1, 6))),
+                         (F(1, 3), F(5))) == pt.up_integer([5, 125, F(-35, 9)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
