@@ -17,12 +17,12 @@ symbolic: it checks that the curve satisfies the equations, an identity
 in Q[t, u], and restricts the classifier's criteria to it, cleared of
 denominators.  Each request only puts in its parameter values, on
 integers (``curve_data``).  Real roots of the constraint are isolated by
-Sturm sequences, and the rational ones found exactly inside their
-isolating intervals (see ``rational_roots``).  An isolating interval is
-refined by bisection, whose first halvings doubles may skip by proposing
-the dyadic cell of the root, kept only where two exact signs confirm it
-(``refine_root``).  Every point is verified against the Morin
-classifier: by the signs of its criteria along the curve
+Sturm sequences (``isolate_real_roots``).  Each isolating interval is
+refined once, by a bisection whose first halvings doubles may skip by
+proposing the dyadic cell of the root, kept only where two exact signs
+confirm it (``refine_root``), and the one rational candidate it holds is
+tested exactly (``rational_roots``).  Every point is verified against
+the Morin classifier: by the signs of its criteria along the curve
 (``sign_at_root``), and at rational roots also by full recognition of
 the unfolding, built only then.  A sign at an irrational root is
 certified by one evaluation at the interval end and a bound on the
@@ -37,11 +37,13 @@ square-free constraint, the division by each rational root p/q as the
 exact quotient by q t - p (``up_quotient``), the Sturm and Tarski
 sequences, and every sign.  A positive multiple has the same signs and
 the same Cauchy root bound, so the isolating intervals are those of the
-rational polynomial.  Both bisections run on integer pairs (num, den);
-Fractions are made only for the interval ends they return.  At exact
-roots the unfolding is built with its parameters put in term by term
-(``_with_params``) and re-centered by an integer Taylor shift
-(``germ.translate``), with no Poly product.
+rational polynomial.  A root stays one integer cell (a, b, d), the root
+in (a/d, b/d] or, when a == b, the exact root a/d, from its isolation
+through refinement, the rational test and every sign; Fractions are made
+of it only for the report's points.  At exact roots the unfolding is
+built with its parameters put in term by term (``_with_params``) and
+re-centered by an integer Taylor shift (``germ.translate``), with no
+Poly product.
 
 Every published row is read by ``parse_poly`` from the text it is
 printed as: the q rows (``Q_FORMULAS``), the inv rows (``INV_FORMULAS``),
@@ -53,8 +55,8 @@ so discrepancies are surfaced rather than silently absorbed.
 """
 
 from fractions import Fraction
-from functools import cache
-from math import ceil, floor, gcd, lcm, ldexp, log2, prod
+from functools import cache, partial
+from math import floor, gcd, ldexp, log2, prod
 from operator import getitem
 
 from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
@@ -109,11 +111,6 @@ def _primitive(ints):
     """The trimmed integer list ``ints`` over the gcd of its entries."""
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
-
-
-def up_sign_at(c, x):
-    """Sign of the integer polynomial c at the rational x (``_sign_at``)."""
-    return _sign_at(c, x.numerator, x.denominator)
 
 
 def _homogeneous(c, a, b):
@@ -182,17 +179,16 @@ def up_squarefree(c):
 
 
 def tarski_sequence(c, g):
-    """Signed remainder sequence of (c, c' g mod c), every term replaced by
-    the primitive integer polynomial it is a positive multiple of, so its
-    signs at any point are unchanged.  Its sign variations at lo minus
-    those at hi are the Tarski query of g at c on (lo, hi] when neither lo
-    nor hi is a root of c: the number of roots of c there with g > 0 minus
-    the number with g < 0 (Basu, Pollack, Roy, *Algorithms in Real
-    Algebraic Geometry*, ch. 2).  c' g may be reduced mod c because that
-    leaves the Cauchy index of c' g / c unchanged."""
-    ci = up_integer(c)
-    seq = [ci, up_integer(
-        _pseudo_rem(up_mul(up_deriv(ci), up_integer(g)), ci))]
+    """Signed remainder sequence of the integer polynomials (c, c' g mod
+    c), every remainder replaced by the primitive integer polynomial it is
+    a positive multiple of, so its signs at any point are unchanged.  Its
+    sign variations at lo minus those at hi are the Tarski query of g at c
+    on (lo, hi] when neither lo nor hi is a root of c: the number of roots
+    of c there with g > 0 minus the number with g < 0 (Basu, Pollack,
+    Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).  c' g may be
+    reduced mod c because that leaves the Cauchy index of c' g / c
+    unchanged."""
+    seq = [c, up_integer(_pseudo_rem(up_mul(up_deriv(c), g), c))]
     while seq[-1]:
         r = _pseudo_rem(seq[-2], seq[-1])
         if not r:
@@ -202,7 +198,7 @@ def tarski_sequence(c, g):
 
 
 def sturm_chain(c):
-    """Sturm sequence of a nonzero c on integers: the Tarski sequence of
+    """Sturm sequence of a nonzero integer c: the Tarski sequence of
     g = 1, whose query counts the roots."""
     return tarski_sequence(c, [1])
 
@@ -222,44 +218,27 @@ def up_root_bound(c):
     return 1 + Fraction(m, lead)
 
 
-def rational_roots(c, intervals=None):
-    """All rational roots (each once, sorted) of a nonzero univariate
-    polynomial.  A root p/q in lowest terms of the primitive integer
-    multiple of the square-free part has q | A, its leading coefficient, so
-    it lies on (1/A)Z: each Sturm isolating interval is refined below
-    1/(2A), where it holds at most one such point, and that one candidate is
-    tested exactly.  A caller that has already isolated a square-free c
-    passes its ``isolate_real_roots(c)`` as ``intervals``."""
-    c = up_trim(c)
-    if up_deg(c) <= 0:
-        return []
-    if intervals is None:
-        c, chain = up_squarefree(c)
-        intervals = isolate_real_roots(c, chain=chain)
-    ci = up_integer(c)
-    a = abs(ci[-1])
-    roots = []
-    for lo, hi in intervals:
-        lo, hi = refine_root(ci, lo, hi, Fraction(1, 2 * a))
-        cand = Fraction(ceil(lo * a), a)
-        if cand <= hi and up_sign_at(ci, cand) == 0:
-            roots.append(cand)
-    return sorted(roots)
+# ---------------------------------------------------------------------------
+# real roots on integer cells
+# ---------------------------------------------------------------------------
+#
+# A root of a square-free integer polynomial is one cell (a, b, d) of
+# integers, d > 0: the root is the one in (a/d, b/d], neither end a root,
+# or the exact root a/d when a == b.  A halving doubles d.  Fractions are
+# made of a cell only for a report (``morin_points``).
+
+def _levels(cell, num, den):
+    """The least k >= 0 with width / 2^k <= num/den, for a cell a < b."""
+    a, b, d = cell
+    return (-((a - b) * den // (d * num)) - 1).bit_length()
 
 
-def isolate_real_roots(c, width=None, chain=None):
-    """Isolating intervals for the distinct real roots of c (assumed
-    square-free).  Returns sorted (lo, hi) pairs, each containing exactly
-    one root in (lo, hi], optionally refined below ``width``.  ``chain``
-    is c's Sturm chain when the caller has it (``up_squarefree``).  The
-    stack holds (a/d, b/d] as integers, with the chain's variations at
-    both ends."""
-    c = up_trim(c)
-    if up_deg(c) <= 0:
-        return []
-    if chain is None:
-        chain = sturm_chain(c)
-
+def isolate_real_roots(c, chain):
+    """Isolating cells of the distinct real roots of the square-free
+    integer polynomial c, degree >= 1, in increasing order, by bisection
+    of (-M, M], M the Cauchy bound, on the variations of c's Sturm chain
+    ``chain``.  The stack holds cells with the variations at both ends,
+    the left half on top."""
     def variations(a, d):
         return _variations([_sign_at(p, a, d) for p in chain])
 
@@ -272,50 +251,41 @@ def isolate_real_roots(c, width=None, chain=None):
         if va == vb:
             continue
         if va - vb == 1:
-            found.append((Fraction(a, d), Fraction(b, d)))
+            found.append((a, b, d))
             continue
         # split at lo + (hi - lo)/j, the midpoint (j = 2) nudged off any root
         j = 2
-        while _sign_at(chain[0], a * j + b - a, d * j) == 0:
+        while _sign_at(c, a * j + b - a, d * j) == 0:
             j += 1
         mid = a * j + b - a
         vm = variations(mid, d * j)
-        stack.append((a * j, mid, d * j, va, vm))
         stack.append((mid, b * j, d * j, vm, vb))
-    return sorted(refine_root(chain[0], lo, hi, width) if width else (lo, hi)
-                  for lo, hi in found)
+        stack.append((a * j, mid, d * j, va, vm))
+    return found
 
 
-def refine_root(c, lo, hi, width):
-    """Bisect an isolating interval of a square-free c below ``width``.
-    Returns (r, r) if an exact rational root is hit.  After j of the k
-    halvings, the least k with (hi - lo)/2^k <= width, the interval is
-    (x/d, (x + w)/d], d the common denominator of lo and hi times 2^j.
+def refine_root(c, cell, k):
+    """The cell that k halvings of ``cell`` reach, c square-free, or the
+    exact root a midpoint meets.  After j halvings the cell is (x/d,
+    (x + w)/d], w its first width, d doubled at each.
 
     The first j halvings are skipped where doubles propose the level-j
     cell (``_float_cell``) and the exact signs at its two ends bracket the
     root: then it is the one cell of that level that holds the root, the
     cell the halvings reach.  A 0 at an end is the root itself, a point
-    strictly inside (lo, hi) that bisection meets as a midpoint."""
-    if lo == hi:
-        return (lo, hi)
-    c = up_integer(c)
-    slo = up_sign_at(c, lo)
-    if slo == 0:
-        return (lo, lo)
-    if up_sign_at(c, hi) == 0:
-        return (hi, hi)
-    d = lo.denominator * hi.denominator
-    x = lo.numerator * hi.denominator
-    w = hi.numerator * lo.denominator - x
-    ratio = -(-w * width.denominator // (d * width.numerator))
-    k = (ratio - 1).bit_length()
-    j, m = _float_cell(c, lo, hi, slo, k)
+    strictly inside the cell that bisection meets as a midpoint."""
+    x, b, d = cell
+    if x == b or not k:
+        return cell
+    w = b - x
+    slo = _sign_at(c, x, d)
+    j, m = _float_cell(c, x, b, d, slo, k)
     if j:
         left, dj = (x << j) + m * w, d << j
         signs = [_sign_at(c, end, dj) for end in (left, left + w)]
         if 0 in signs:
-            return (Fraction(left + signs.index(0) * w, dj),) * 2
+            end = left + signs.index(0) * w
+            return (end, end, dj)
         if signs == [slo, -slo]:
             x, d, k = left, dj, k - j
     for _ in range(k):
@@ -323,10 +293,10 @@ def refine_root(c, lo, hi, width):
         mid = x + w
         sm = _sign_at(c, mid, d)
         if sm == 0:
-            return (Fraction(mid, d),) * 2
+            return (mid, mid, d)
         if sm == slo:
             x = mid
-    return (Fraction(x, d), Fraction(x + w, d))
+    return (x, x + w, d)
 
 
 # The deepest dyadic cell doubles are asked for is 2^-FLOAT_CELL_BITS
@@ -339,19 +309,19 @@ FLOAT_CELL_BITS = 44
 FLOAT_STEPS = 64
 
 
-def _float_cell(c, lo, hi, slo, k):
+def _float_cell(c, a, b, d, slo, k):
     """(j, m): the level-j dyadic cell (lo + m (hi - lo)/2^j, lo + (m + 1)
-    (hi - lo)/2^j] in which doubles put the root of the integer polynomial
-    c (sign ``slo`` at lo), j <= k.  Newton steps from the midpoint, each
-    one that leaves the bracket the float signs keep replaced by a
-    halving (safeguarded Newton).  (0, 0) when doubles cannot tell: a
-    level under 3, where two exact signs would save no halving, an
-    overflow or NaN, or no convergence within FLOAT_STEPS.  Only a
-    proposal: ``refine_root`` keeps the cell if two exact signs confirm
-    it."""
+    (hi - lo)/2^j] of (lo, hi] = (a/d, b/d] in which doubles put the root
+    of the integer polynomial c (sign ``slo`` at lo), j <= k.  Newton
+    steps from the midpoint, each one that leaves the bracket the float
+    signs keep replaced by a halving (safeguarded Newton).  (0, 0) when
+    doubles cannot tell: a level under 3, where two exact signs would save
+    no halving, an overflow or NaN, or no convergence within FLOAT_STEPS.
+    Only a proposal: ``refine_root`` keeps the cell if two exact signs
+    confirm it."""
     try:
-        base = left = float(lo)
-        right = float(hi)
+        base = left = a / d
+        right = b / d
         span = right - left
         j = min(k, FLOAT_CELL_BITS +
                 floor(log2(span / max(1.0, -left, right))))
@@ -385,18 +355,40 @@ def _float_cell(c, lo, hi, slo, k):
     return (j, m) if 0 <= m < 1 << j else (0, 0)
 
 
-def _certified_sign(g, lo, hi):
-    """The one sign of the integer polynomial g (degree >= 1) on all of
-    [lo, hi], lo < hi, when one evaluation proves it; else None.
+def rational_roots(c, chain, bits):
+    """(exact, cells) for the square-free primitive integer c, degree >= 1,
+    and its Sturm chain: the rational roots as exact cells (p, p, q), p/q
+    in lowest terms, and every isolating cell refined below 2^-bits, both
+    in increasing order.
 
-    Over a common denominator d, lo = a/d and hi = b/d.  G = d^deg g(hi)
-    (``_homogeneous``), and B = sum i |g_i| M^(i-1) d^(deg-i), with
-    M = max(|a|, |b|), bounds d^(deg-1) |g'| on [lo, hi].  By the mean
-    value theorem d^deg |g(x) - g(hi)| <= (b - a) B there, so
+    A root p/q has q | A, A = |lead c|, so it lies on (1/A)Z, and a cell
+    no wider than 1/(2A) holds at most one such point: the least at or
+    above its low end, tested exactly.  Each cell is refined once: to
+    2^-bits, and on from there below 1/(2A) only where that is narrower
+    (A > 2^(bits - 1)), where the candidate is read."""
+    lead = abs(c[-1])
+    exact, cells = [], []
+    for cell in isolate_real_roots(c, chain):
+        k = _levels(cell, 1, 1 << bits)
+        fine = refine_root(c, cell, k)
+        deeper = _levels(cell, 1, 2 * lead) - k
+        a, b, d = refine_root(c, fine, deeper) if deeper > 0 else fine
+        p = -(-a * lead // d)
+        if p * d <= b * lead and _sign_at(c, p, lead) == 0:
+            g = gcd(p, lead)
+            exact.append((p // g, p // g, lead // g))
+        cells.append(fine)
+    return exact, cells
+
+
+def _certified_sign(g, a, b, d):
+    """The one sign of the integer polynomial g (degree >= 1) on all of
+    [a/d, b/d], a < b, when one evaluation proves it; else None.
+
+    G = d^deg g(b/d) (``_homogeneous``), and B = sum i |g_i| M^(i-1)
+    d^(deg-i), with M = max(|a|, |b|), bounds d^(deg-1) |g'| there.  By
+    the mean value theorem d^deg |g(x) - g(b/d)| <= (b - a) B, so
     |G| > (b - a) B keeps g off 0 on the interval, with the sign of G."""
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
     value = _homogeneous(g, b, d)
     bound = _homogeneous([i * abs(x) for i, x in enumerate(g)][1:],
                          max(abs(a), abs(b)), d)
@@ -407,66 +399,61 @@ def _certified_sign(g, lo, hi):
 
 # Halvings of an interval root tried to certify a sign by evaluation
 # before a Tarski query: each halves the derivative term of the bound.
+# ``morin_points`` adds one per bit of precision under the default, as
+# its intervals are that much wider.
 SIGN_HALVINGS = 8
 
 
-def sign_at_root(g, constraint, root, sequences=None):
-    """Exact sign (+1, -1 or 0) of the univariate polynomial g at one real
-    root of ``constraint``.  The root is either an exact rational, or an
-    interval (lo, hi) such that the constraint has exactly one root in the
-    half-open (lo, hi] and lo is not a root of it (as from
-    ``isolate_real_roots``).  On an interval the sign is first certified
-    by one evaluation at hi and a bound on g' (``_certified_sign``).  Where
-    that fails, a root at hi is read exactly; a simple root is then
-    bisected on a copy of the interval, up to SIGN_HALVINGS times, each
-    half certified afresh, as when g's coefficients are large and cancel.
-    Only where that fails too, as when g vanishes at the root, is the sign
-    the Tarski query of g on (lo, hi] (``tarski_sequence``).
+def sign_at_root(g, c, cell, sequences, halvings):
+    """Exact sign (+1, -1 or 0) of the trimmed integer polynomial g at the
+    root of the square-free integer c that ``cell`` holds.  At an exact
+    root it is read off.  On a cell it is first certified by one
+    evaluation at the high end and a bound on g' (``_certified_sign``).
+    Where that fails, a root at the high end is read exactly; a simple
+    root is then bisected on a copy of the cell, up to ``halvings`` times,
+    each half certified afresh, as when g's coefficients are large and
+    cancel.  Only where that fails too, as when g vanishes at the root, is
+    the sign the Tarski query of g on the cell (``tarski_sequence``).
 
     ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
-    each g with this one constraint, so that it serves every root; g and
-    -g share one, as the query of -g is minus that of g."""
-    g = up_integer(g)
+    each g with this one c, so that it serves every root; g and -g share
+    one, as the query of -g is minus that of g."""
     if len(g) < 2:
-        return g[0] if g else 0
-    if not isinstance(root, tuple):
-        return up_sign_at(g, root)
-    lo, hi = root
-    if lo == hi:
-        return up_sign_at(g, lo)
-    certified = _certified_sign(g, lo, hi)
+        return (g[0] > 0) - (g[0] < 0) if g else 0
+    a, b, d = cell
+    if a == b:
+        return _sign_at(g, a, d)
+    certified = _certified_sign(g, a, b, d)
     if certified is not None:
         return certified
-    c = up_integer(constraint)
-    s_hi = up_sign_at(c, hi)
+    s_hi = _sign_at(c, b, d)
     if s_hi == 0:
-        return up_sign_at(g, hi)
-    if up_sign_at(c, lo) == -s_hi:
-        a, b = lo, hi
-        for _ in range(SIGN_HALVINGS):
-            mid = Fraction(a + b, 2)
-            s_mid = up_sign_at(c, mid)
+        return _sign_at(g, b, d)
+    if _sign_at(c, a, d) == -s_hi:
+        x, y, e = a, b, d
+        for _ in range(halvings):
+            x, mid, y, e = 2 * x, x + y, 2 * y, 2 * e
+            s_mid = _sign_at(c, mid, e)
             if s_mid == 0:
-                return up_sign_at(g, mid)
+                return _sign_at(g, mid, e)
             if s_mid == s_hi:
-                b = mid
+                y = mid
             else:
-                a = mid
-            certified = _certified_sign(g, a, b)
+                x = mid
+            certified = _certified_sign(g, x, y, e)
             if certified is not None:
                 return certified
-    if sequences is None:
-        sequences = {}
     lead = 1 if g[-1] > 0 else -1
-    key = tuple(lead * x for x in g)
+    key = tuple(lead * v for v in g)
     seq = sequences.get(key)
     if seq is None:
         seq = sequences[key] = tarski_sequence(c, key)
-    at_lo = [up_sign_at(p, lo) for p in seq]
+    at_lo = [_sign_at(p, a, d) for p in seq]
     if at_lo[0] == 0:
-        raise ValueError("interval end %s is a root of the constraint" % lo)
-    return lead * (_variations(at_lo) - _variations([up_sign_at(p, hi)
-                                                      for p in seq]))
+        raise ValueError("interval end %s is a root of the constraint"
+                         % Fraction(a, d))
+    return lead * (_variations(at_lo) -
+                   _variations([_sign_at(p, b, d) for p in seq]))
 
 
 # ---------------------------------------------------------------------------
@@ -806,10 +793,11 @@ def _inv_row(family, n, l):
     return tuple(parse_poly(slot, names).subs(reps) for slot in slots)
 
 
-def table_invariant(spec, row, root, constraint, sequences=None):
+def table_invariant(spec, row, sign):
     """Expected invariant tuple at a root of the constraint: the signs
-    there, by ``sign_at_root``, of the inv row's polynomials (``_inv_row``)
-    at the request's parameters, ``row`` as ``curve_data`` gives it.
+    there, by ``sign`` (a function of a coefficient list), of the inv
+    row's polynomials (``_inv_row``) at the request's parameters, ``row``
+    as ``curve_data`` gives it.
 
     The published n=4 pairs for families A and B are (eps1*eps2, eps2);
     the classifier's pair is (sign eta^4 lambda, sign det grad) =
@@ -817,7 +805,7 @@ def table_invariant(spec, row, root, constraint, sequences=None):
     The family C n=4 row tracks sign det grad directly (verified on-curve
     against the classifier), so it is compared as printed.
     """
-    signs = [sign_at_root(p, constraint, root, sequences) for p in row]
+    signs = [sign(p) for p in row]
     if spec.n == 4 and spec.family != "C":
         signs[1] = -signs[1]
     return (invariant_kind(spec.n, spec.n),
@@ -857,13 +845,12 @@ class PerturbationReport(_Frozen):
                          spec.c_f_bound(), stable, tuple(notes))
 
 
-def _classifier_invariant_on_curve(n, criteria, constraint, root, sequences):
+def _classifier_invariant_on_curve(n, criteria, sign):
     """Invariant tuple from the classifier's own quantities (``criteria``,
     eta^n lambda and det grad as coefficient lists), their signs taken
-    exactly at a root of the constraint; None where either one vanishes."""
-    etak, detgrad = criteria
-    s_etak = sign_at_root(etak, constraint, root, sequences)
-    s_det = sign_at_root(detgrad, constraint, root, sequences)
+    exactly at a root of the constraint by ``sign``; None where either one
+    vanishes."""
+    s_etak, s_det = map(sign, criteria)
     if s_etak == 0 or s_det == 0:
         return None
     return invariant_value(invariant_kind(n, n), s_etak, s_det)
@@ -880,56 +867,59 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
     if up_deg(sf) < up_deg(constraint):
         stable = False
         notes.append("non-stable parameter: the constraint has repeated roots")
-    width = Fraction(1, 2 ** precision_bits)
-    found = isolate_real_roots(sf, chain=chain)
-    exact = rational_roots(sf, found)
+    exact, cells = rational_roots(sf, chain, precision_bits)
     remaining = sf
-    for r in exact:
-        remaining = up_quotient(remaining, [-r.numerator, r.denominator])
-    # isolating intervals come from ``remaining`` (rational roots divided
-    # out), so all interval arithmetic below must use ``remaining`` too;
-    # having no rational root, it never collapses an interval to a point.
-    # Without rational roots ``remaining`` is sf, already isolated above.
+    for p, _, q in exact:
+        remaining = up_quotient(remaining, [-p, q])
+    # the cells of irrational roots come from ``remaining`` (rational roots
+    # divided out), so all cell arithmetic below must use ``remaining``
+    # too; having no rational root, it never collapses a cell to a point.
+    # Without rational roots ``remaining`` is sf, already refined above.
     if exact:
-        found = isolate_real_roots(remaining)
-    intervals = [refine_root(remaining, lo, hi, width) for lo, hi in found]
+        cells = [refine_root(remaining, cell,
+                             _levels(cell, 1, 1 << precision_bits))
+                 for cell in isolate_real_roots(remaining,
+                                                sturm_chain(remaining))]
     if spec.family in ("B", "C"):
-        if 0 in exact:
-            exact.remove(0)
+        if (0, 0, 1) in exact:
+            exact.remove((0, 0, 1))
             notes.append("root t=0 excluded (not a Morin point)")
         kept = []
-        for lo, hi in intervals:
-            # refine until the interval excludes 0 (0 is not a root here)
-            while lo <= 0 <= hi:
-                lo, hi = refine_root(remaining, lo, hi, (hi - lo) / 2)
-            kept.append((lo, hi))
-        intervals = kept
+        for cell in cells:
+            # halve until the cell excludes 0 (0 is not a root here)
+            while cell[0] <= 0 <= cell[1]:
+                cell = refine_root(remaining, cell, 1)
+            kept.append(cell)
+        cells = kept
     points = []
-    roots = exact + intervals
     # Tarski sequences with ``remaining`` for the signs no evaluation
-    # certifies, one per polynomial, this request only
+    # certifies, one per polynomial, this request only; a wider interval
+    # gets more halvings before one is built
     sequences = {}
+    halvings = SIGN_HALVINGS + max(0, DEFAULT_PRECISION_BITS - precision_bits)
     F = None
-    for root in roots:
-        is_exact = not isinstance(root, tuple)
-        inv = _classifier_invariant_on_curve(
-            n, (etak, detgrad), remaining, root, sequences)
+    for cell in exact + cells:
+        sign = partial(sign_at_root, c=remaining, cell=cell,
+                       sequences=sequences, halvings=halvings)
+        inv = _classifier_invariant_on_curve(n, (etak, detgrad), sign)
         if inv is None:
             stable = False
             notes.append("degenerate point (a criterion quantity vanishes)")
             continue
-        tbl = table_invariant(spec, row, root, remaining, sequences)
+        tbl = table_invariant(spec, row, sign)
         verified = (inv == tbl)
-        if is_exact:
-            coords = [p.eval((root,) + spec.u) for p in sigma]
+        a, b, d = cell
+        t = Fraction(a, d)
+        if a == b:
+            location = [p.eval((t,) + spec.u) for p in sigma]
             if F is None:
                 F = build_unfolding(spec)
-            res = recognize_morin(translate(F, coords))
+            res = recognize_morin(translate(F, location))
             verified = verified and res.k == n and res.invariant == inv
-            location = coords
         else:
-            location = [root]
-        points.append(MorinPoint(root, is_exact, location, n, inv, tbl, verified))
+            t = (t, Fraction(b, d))
+            location = [t]
+        points.append(MorinPoint(t, a == b, location, n, inv, tbl, verified))
     return PerturbationReport(spec, points, stable, notes)
 
 

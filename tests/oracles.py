@@ -24,8 +24,8 @@ in it, then reads g's sign at the ends.  It runs on rational arithmetic
 throughout, with its own Sturm chain, count and bisection, so it shares no
 code with the library's integer signs and Tarski queries.  This module's
 ``isolate_real_roots`` and ``refine_root`` are the Fraction bisections the
-library ran before it bisected on integer numerator/denominator pairs, and
-its ``rational_roots`` tests one candidate per interval refined by them.
+library ran before it bisected on integer cells, and its
+``rational_roots`` tests one candidate per interval refined by them.
 
 ``translate`` re-centers a germ by ``Poly.subs`` of x_i + p_i, and
 ``build_unfolding`` puts the parameter values into the library's cached q
@@ -40,11 +40,12 @@ library's printed rows, its chain lambda, ..., eta^n lambda and the n x n
 determinant of the gradient stack, restricts them to the curve by
 ``Poly.subs``, and checks that the chain vanishes modulo the square-free
 constraint, on every request.  It finds the roots with this module's
-bisections, and reads the table's invariant from
+bisections, takes the criteria's signs with this module's
+``sign_at_root``, and reads the table's invariant from
 ``table_invariant_reference``: the published inv rows as hand-coded
 branches on (family, n), with qbar from ``qbar_coeffs`` and the signs
-from this module's ``sign_at_root``.  Exact points are re-centered by
-this module's ``translate``.
+from the same ``sign_at_root``.  Exact points are re-centered by this
+module's ``translate``.
 
 ``rational_rref``, ``rational_rank``, ``rational_nullspace`` and
 ``rational_det`` are Gauss-Jordan elimination on Fractions, and
@@ -750,11 +751,11 @@ def morin_points_reference(spec, precision_bits=DEFAULT_PRECISION_BITS):
     roots = exact + intervals
     if roots:
         criteria = _curve_criteria(chain_n, sigma, n)
-    sequences = {}
     for root in roots:
         is_exact = not isinstance(root, tuple)
         inv = _classifier_invariant_on_curve(
-            n, criteria, remaining, root, sequences)
+            n, criteria,
+            lambda g: sign_at_root(g, remaining, root))
         if inv is None:
             stable = False
             notes.append("degenerate point (a criterion quantity vanishes)")

@@ -16,6 +16,7 @@ from germlab.germparse import parse_map, render_map, ParseError
 from germlab.cli import classify_any
 
 from conftest import corpus_30, random_gl_pos, change_coordinates
+import fraction_view as fv
 import oracles
 from oracles import eta_chain_label, gradient_at
 from test_perturb import family_b_symbolic_identity
@@ -131,7 +132,7 @@ def test_criterion_06_family_a():
     for l, u in ((2, [F(-1)]), (3, [F(0), F(-1)])):
         qbar = oracles.qbar_coeffs(l, u)
         dqbar = pt.up_deriv(qbar)
-        roots = pt.rational_roots(qbar)
+        roots = fv.rational_roots(qbar)
         assert len(roots) == l
         for n in (2, 3, 4, 5):
             rep = pt.morin_points(pt.UnfoldingSpec("A", n, u, l=l))

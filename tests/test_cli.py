@@ -351,6 +351,22 @@ def test_warm_perturb_request_builds_one_chain_and_no_poly_product(
     assert run(capsys, *exact) == outs[1] and products == []
 
 
+def test_warm_perturb_request_refines_each_root_once(capsys, monkeypatch):
+    """Warm, a request whose roots are all irrational refines each
+    isolating interval once: one call of the cell refiner, and one of the
+    doubles' proposal, per interval, where the rational test and the
+    report's width each took one."""
+    argv = ["perturb", "--json", "--family", "C", "--n", "4",
+            "--params=-1,1/2"]
+    warm = run(capsys, *argv)
+    points = json.loads(warm[1])["points"]
+    assert points and not any(p["t"].get("exact") for p in points)
+    refined = _count_calls(monkeypatch, pt.refine_root)
+    proposed = _count_calls(monkeypatch, pt._float_cell)
+    assert run(capsys, *argv) == warm
+    assert len(refined) == len(proposed) == len(points)
+
+
 @pytest.mark.parametrize("family,n,params", [
     ("B", "3", "-123456789012345678"),
     ("C", "4", "-98765432109876543/7,3"),

@@ -6,13 +6,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from germlab import perturb as pt
 from germlab.germ import GermError, translate
 from germlab.morin import recognize_morin
 from germlab.polyring import Poly
 from conftest import monic_chebyshev_params
+import fraction_view as fv
 import oracles
 
 
@@ -43,13 +44,13 @@ def test_up_gcd_and_squarefree():
 def test_rational_roots():
     # 6x^3 - x^2 - 4x - 1 = (x - 1)(2x + 1)(3x + 1)
     p = [F(-1), F(-4), F(-1), F(6)]
-    assert pt.rational_roots(p) == [F(-1, 2), F(-1, 3), F(1)]
-    assert pt.rational_roots([F(0), F(0), F(1)]) == [F(0)]
+    assert fv.rational_roots(p) == [F(-1, 2), F(-1, 3), F(1)]
+    assert fv.rational_roots([F(0), F(0), F(1)]) == [F(0)]
 
 
 def test_isolate_real_roots_irrational():
     p = [F(-2), F(0), F(1)]  # x^2 - 2
-    ivs = pt.isolate_real_roots(p, width=F(1, 2 ** 30))
+    ivs = fv.isolate_real_roots(p, width=F(1, 2 ** 30))
     assert len(ivs) == 2
     for lo, hi in ivs:
         assert hi - lo <= F(1, 2 ** 30)
@@ -58,18 +59,18 @@ def test_isolate_real_roots_irrational():
 
 def test_sign_at_root_exact_and_interval():
     p = [F(-2), F(0), F(1)]  # roots +-sqrt(2)
-    ivs = pt.isolate_real_roots(p, width=F(1, 1024))
+    ivs = fv.isolate_real_roots(p, width=F(1, 1024))
     g = [F(-1), F(1)]  # x - 1
-    signs = sorted(pt.sign_at_root(g, p, iv) for iv in ivs)
+    signs = sorted(fv.sign_at_root(g, p, iv) for iv in ivs)
     assert signs == [-1, 1]
     # exact root
-    assert pt.sign_at_root(g, p, F(3)) == 1
+    assert fv.sign_at_root(g, p, F(3)) == 1
     # shared root -> 0
-    assert pt.sign_at_root(p, p, ivs[0]) == 0
+    assert fv.sign_at_root(p, p, ivs[0]) == 0
     # the one root of (x - 2)(x + 5) in (3/2, 2] is the end 2 itself
     c = [F(-10), F(3), F(1)]
-    assert pt.sign_at_root([F(-3), F(1)], c, (F(3, 2), F(2))) == -1
-    assert pt.sign_at_root([F(-2), F(1)], c, (F(3, 2), F(2))) == 0
+    assert fv.sign_at_root([F(-3), F(1)], c, (F(3, 2), F(2))) == -1
+    assert fv.sign_at_root([F(-2), F(1)], c, (F(3, 2), F(2))) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,10 +93,10 @@ def test_sign_at_root_matches_refinement_oracle(roots, d, h, share):
     factor = factors[share] if share < len(factors) else [F(1)]
     g = pt.up_mul([F(x) for x in h[:6 - len(factor)]], factor)
     for width in (None, F(1, 4), F(1, 2 ** 40)):
-        for iv in pt.isolate_real_roots(c, width=width):
-            assert pt.sign_at_root(g, c, iv) == oracles.sign_at_root(g, c, iv)
+        for iv in fv.isolate_real_roots(c, width=width):
+            assert fv.sign_at_root(g, c, iv) == oracles.sign_at_root(g, c, iv)
             if width is None:
-                assert pt.refine_root(c, *iv, F(1, 2 ** 40)) == \
+                assert fv.refine_root(c, *iv, F(1, 2 ** 40)) == \
                     oracles.refine_root(c, *iv, F(1, 2 ** 40))
 
 
@@ -116,13 +117,13 @@ def test_certified_sign_agrees_with_the_refinement_oracle(h, roots, d, bits):
         c = pt.up_mul(c, [-r, F(1)])
     if pt.up_deg(g) < 1:
         return
-    for lo, hi in pt.isolate_real_roots(c, width=F(1, 2 ** bits)):
+    for lo, hi in fv.isolate_real_roots(c, width=F(1, 2 ** bits)):
         if lo == hi:
             continue
-        sign = pt._certified_sign(g, lo, hi)
+        sign = pt._certified_sign(g, *fv.cell((lo, hi)))
         if sign is not None:
             assert sign == oracles.sign_at_root(g, c, (lo, hi))
-            assert pt.sign_at_root(g, c, (lo, hi), {}) == sign
+            assert fv.sign_at_root(g, c, (lo, hi), {}) == sign
 
 
 @pytest.mark.parametrize("g,interval,sign", [
@@ -142,12 +143,12 @@ def test_uncertified_sign_is_the_tarski_query(g, interval, sign):
     query's, built once under g's key."""
     c = [-2, 0, 1]
     if interval is None:
-        interval = pt.isolate_real_roots(c, width=F(1, 2 ** 40))[1]
+        interval = fv.isolate_real_roots(c, width=F(1, 2 ** 40))[1]
     lo, hi = interval
     assert lo ** 2 < 2 < hi ** 2
-    assert pt._certified_sign(g, lo, hi) is None
+    assert pt._certified_sign(g, *fv.cell((lo, hi))) is None
     sequences = {}
-    assert pt.sign_at_root(g, c, interval, sequences) == sign
+    assert fv.sign_at_root(g, c, interval, sequences) == sign
     assert oracles.sign_at_root([F(x) for x in g], c, interval) == sign
     assert list(sequences) == [tuple(g)]
 
@@ -163,13 +164,13 @@ def test_sign_certified_after_halvings_builds_no_sequence(monkeypatch, g,
     half ... that still holds sqrt(2), with no Tarski sequence; one
     halving fewer would not do."""
     c, interval = [-2, 0, 1], (F(0), F(3))
-    assert pt._certified_sign(g, *interval) is None
+    assert pt._certified_sign(g, *fv.cell(interval)) is None
     sequences = {}
-    assert pt.sign_at_root(g, c, interval, sequences) == sign
+    assert fv.sign_at_root(g, c, interval, sequences) == sign
     assert oracles.sign_at_root([F(x) for x in g], c, interval) == sign
     assert sequences == {}
     monkeypatch.setattr(pt, "SIGN_HALVINGS", halvings - 1)
-    assert pt.sign_at_root(g, c, interval, sequences) == sign
+    assert fv.sign_at_root(g, c, interval, sequences) == sign
     assert list(sequences) == [tuple(g)]
 
 
@@ -178,9 +179,9 @@ def test_a_root_the_constraint_keeps_its_sign_across_is_not_halved():
     sides, so halving on its signs would follow the wrong half, where
     2x - 1 is negative.  The sign of 2x - 1 at 1 is the Tarski query's."""
     g, c, interval = [-1, 2], [1, -2, 1], (F(0), F(3))
-    assert pt._certified_sign(g, *interval) is None
+    assert pt._certified_sign(g, *fv.cell(interval)) is None
     sequences = {}
-    assert pt.sign_at_root(g, c, interval, sequences) == 1
+    assert fv.sign_at_root(g, c, interval, sequences) == 1
     assert list(sequences) == [tuple(g)]
 
 
@@ -189,7 +190,10 @@ def test_chebyshev_signs_certified_by_halvings(monkeypatch):
     large cancelling coefficients defeat one evaluation at some roots,
     and halvings of those roots' intervals certify every sign, so the
     request builds no Tarski sequence, only its constraint's Sturm chain
-    (g = 1).  Its report is the one the Tarski queries give."""
+    (g = 1).  At 20 bits the intervals are 2^20 times wider than at the
+    default 40 and get 20 more halvings, 28 in all: one sign there needs
+    21, where at 40 bits none needs more than 1.  Each report is the one
+    the Tarski queries give, with no halvings at all."""
     spec = pt.UnfoldingSpec("A", 4, _params(monic_chebyshev_params(32)),
                             l=32)
     built = []
@@ -198,12 +202,17 @@ def test_chebyshev_signs_certified_by_halvings(monkeypatch):
         built.append(list(g))
         return original(c, g)
     monkeypatch.setattr(pt, "tarski_sequence", counted)
-    report = pt.report_to_dict(pt.morin_points(spec))
-    assert built == [[1]]
+    reports = {}
+    for bits in (40, 20):
+        built.clear()
+        reports[bits] = pt.report_to_dict(pt.morin_points(spec, bits))
+        assert built == [[1]], bits
     monkeypatch.setattr(pt, "SIGN_HALVINGS", 0)
-    built.clear()
-    assert pt.report_to_dict(pt.morin_points(spec)) == report
-    assert len(built) > 1
+    for bits in (40, 20):
+        monkeypatch.setattr(pt, "DEFAULT_PRECISION_BITS", bits)
+        built.clear()
+        assert pt.report_to_dict(pt.morin_points(spec, bits)) == reports[bits]
+        assert len(built) > 1, bits
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,22 +226,22 @@ def test_isolation_finds_exactly_the_constructed_roots(roots, factor):
     p, irrational = factor
     for r in roots:
         p = pt.up_mul(p, [-r, F(1)])
-    assert pt.rational_roots(p) == sorted(roots)
-    found = pt.isolate_real_roots(p, width=F(1, 256))
+    assert fv.rational_roots(p) == sorted(roots)
+    found = fv.isolate_real_roots(p, width=F(1, 256))
     assert len(found) == len(roots) + irrational
 
 
 def test_sturm_count_interval():
     """The sign variations of the Sturm chain at the ends of (lo, hi]
     differ by the number of roots in it."""
-    p = [F(0), F(-1), F(0), F(1)]  # x^3 - x: roots -1, 0, 1
+    p = [0, -1, 0, 1]  # x^3 - x: roots -1, 0, 1
 
     def count(lo, hi):
-        return (pt._variations([pt.up_sign_at(q, lo) for q in chain]) -
-                pt._variations([pt.up_sign_at(q, hi) for q in chain]))
+        return (pt._variations([pt._sign_at(q, *lo) for q in chain]) -
+                pt._variations([pt._sign_at(q, *hi) for q in chain]))
     chain = pt.sturm_chain(p)
-    assert count(F(-2), F(2)) == 3
-    assert count(F(1, 2), F(2)) == 1
+    assert count((-2, 1), (2, 1)) == 3
+    assert count((1, 2), (2, 1)) == 1
 
 
 def test_integer_input_isolates_and_finds_roots():
@@ -243,10 +252,10 @@ def test_integer_input_isolates_and_finds_roots():
     assert pt.up_root_bound(p) == 3
     assert isinstance(pt.up_root_bound(p), Fraction)
     for width in (None, F(1, 2 ** 20)):
-        (lo1, hi1), (lo2, hi2) = pt.isolate_real_roots(p, width=width)
+        (lo1, hi1), (lo2, hi2) = fv.isolate_real_roots(p, width=width)
         assert lo1 < hi1 <= 0 and lo1 ** 2 > 2 >= hi1 ** 2
         assert 0 <= lo2 < hi2 and lo2 ** 2 < 2 <= hi2 ** 2
-    assert pt.rational_roots([-1, 0, 4]) == [F(-1, 2), F(1, 2)]
+    assert fv.rational_roots([-1, 0, 4]) == [F(-1, 2), F(1, 2)]
 
 
 def _same_intervals(got, want):
@@ -280,14 +289,14 @@ def test_integer_bisection_matches_the_fraction_bisection(roots, other,
     a = abs(c[-1])
     for width in (None, F(1, 2), F(1, 2 * a), F(1, 2 ** 20), F(1, 2 ** 40),
                   F(1, 2 ** 120)):
-        _same_intervals(pt.isolate_real_roots(c, width),
+        _same_intervals(fv.isolate_real_roots(c, width),
                         oracles.isolate_real_roots(c, width))
-    found = pt.isolate_real_roots(c)
+    found = fv.isolate_real_roots(c)
     for lo, hi in found:
         for width in (F(1, 2 * a), F(1, 2 ** 40), hi - lo, 2 * (hi - lo)):
-            _same_intervals([pt.refine_root(c, lo, hi, width)],
+            _same_intervals([fv.refine_root(c, lo, hi, width)],
                             [oracles.refine_root(c, lo, hi, width)])
-    exact = pt.rational_roots(c)
+    exact = fv.rational_roots(c)
     assert exact == oracles.rational_roots(c, found)
     assert set(roots) <= set(exact)
 
@@ -297,10 +306,10 @@ def test_isolation_nudges_a_split_point_off_a_root():
     so the first split is at -2 + 4/3 = -2/3.  Refined to 1/4, every
     root is an exact hit."""
     c = [0, -1, 0, 1]
-    _same_intervals(pt.isolate_real_roots(c),
+    _same_intervals(fv.isolate_real_roots(c),
                     [(F(-2), F(-2, 3)), (F(-2, 3), F(2, 3)), (F(2, 3), F(2))])
-    _same_intervals(pt.isolate_real_roots(c), oracles.isolate_real_roots(c))
-    _same_intervals(pt.isolate_real_roots(c, F(1, 4)),
+    _same_intervals(fv.isolate_real_roots(c), oracles.isolate_real_roots(c))
+    _same_intervals(fv.isolate_real_roots(c, F(1, 4)),
                     [(F(-1), F(-1)), (F(0), F(0)), (F(1), F(1))])
 
 
@@ -308,14 +317,14 @@ def test_refine_root_exact_hit_and_integer_ends():
     """8x - 3 on (0, 1]: the third midpoint 3/8 is the root.  Integer
     ends given as int bisect as Fractions do and return Fractions; a
     width of at least the interval returns it unhalved."""
-    _same_intervals([pt.refine_root([-3, 8], F(0), F(1), F(1, 2 ** 20))],
+    _same_intervals([fv.refine_root([-3, 8], F(0), F(1), F(1, 2 ** 20))],
                     [(F(3, 8), F(3, 8))])
     c = [-2, 0, 1]
-    _same_intervals([pt.refine_root(c, 1, 2, F(1, 2 ** 40))],
+    _same_intervals([fv.refine_root(c, 1, 2, F(1, 2 ** 40))],
                     [oracles.refine_root(c, F(1), F(2), F(1, 2 ** 40))])
-    _same_intervals([pt.refine_root([-3, 2], 1, 2, F(1, 8))],
+    _same_intervals([fv.refine_root([-3, 2], 1, 2, F(1, 8))],
                     [(F(3, 2), F(3, 2))])
-    _same_intervals([pt.refine_root(c, 1, 2, 1)], [(F(1), F(2))])
+    _same_intervals([fv.refine_root(c, 1, 2, 1)], [(F(1), F(2))])
 
 
 # a coefficient past the largest double, about 1.8e308
@@ -340,7 +349,7 @@ def test_refine_root_meets_a_root_on_the_dyadic_grid(start, scale, level,
     root = lo + span * F(m, 2 ** level)
     c = pt.up_mul([-root.numerator, root.denominator], other)
     width = F(1, 2 ** bits)
-    _same_intervals([pt.refine_root(c, lo, lo + span, width)],
+    _same_intervals([fv.refine_root(c, lo, lo + span, width)],
                     [oracles.refine_root(c, lo, lo + span, width)])
 
 
@@ -372,9 +381,38 @@ def test_refine_root_matches_the_fraction_bisection(roots, square, cluster,
         c = pt.up_mul(c, f)
     c, _ = pt.up_squarefree(c)
     width = F(1, 2 ** bits)
-    for lo, hi in pt.isolate_real_roots(c):
-        _same_intervals([pt.refine_root(c, lo, hi, width)],
+    for lo, hi in fv.isolate_real_roots(c):
+        _same_intervals([fv.refine_root(c, lo, hi, width)],
                         [oracles.refine_root(c, lo, hi, width)])
+
+
+@pytest.mark.parametrize("bits", [20, 40, 120])
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-2 ** 92, 2 ** 92),
+                          st.integers(2 ** 62, 2 ** 90)),
+                max_size=2, unique=True),
+       st.one_of(st.just(1), st.integers(2 ** 62, 2 ** 80)))
+@example([], 3 ** 40)
+@example([F(1, 2 ** 70), F(-5, 3 ** 50)], 1)
+def test_one_refinement_of_a_cell_wider_than_the_rational_grid(bits, roots,
+                                                               scale):
+    """Rational roots p/q with large q, times (scale x)^2 - 2: the leading
+    coefficient A passes 2^(bits + 1), so a cell of width 2^-bits is wider
+    than 1/(2A), and each is refined on from there for the rational test.
+    The exact roots, and every cell at 2^-bits, are those the Fraction
+    bisections of ``oracles`` give."""
+    c = [-2, 0, scale ** 2]
+    for r in roots:
+        c = pt.up_mul(c, [-r.numerator, r.denominator])
+    sf, chain = pt.up_squarefree(c)
+    assume(abs(sf[-1]) > 2 ** (bits + 1))
+    exact, cells = pt.rational_roots(sf, chain, bits)
+    found = oracles.isolate_real_roots(sf)
+    assert [F(p, q) for p, _, q in exact] == \
+        oracles.rational_roots(sf, found) == sorted(roots)
+    _same_intervals([fv.interval(x) for x in cells],
+                    [oracles.refine_root(sf, lo, hi, F(1, 2 ** bits))
+                     for lo, hi in found])
 
 
 _int_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
@@ -724,11 +762,11 @@ def _roots(spec):
     of the square-free constraint as morin_points takes it: exact, or an
     isolating interval of that quotient."""
     sf, _ = pt.up_squarefree(pt.curve_data(spec)[1])
-    exact = pt.rational_roots(sf)
+    exact = fv.rational_roots(sf)
     remaining = sf
     for r in exact:
         remaining = pt.up_quotient(remaining, [-r.numerator, r.denominator])
-    return remaining, exact + pt.isolate_real_roots(remaining)
+    return remaining, exact + fv.isolate_real_roots(remaining)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -750,8 +788,9 @@ def test_table_invariant_matches_the_hand_coded_rows(n):
             sequences = {}
             for root in roots:
                 seen.add(isinstance(root, tuple))
-                assert pt.table_invariant(spec, row, root, remaining,
-                                          sequences) \
+                def sign(g, root=root):
+                    return fv.sign_at_root(g, remaining, root, sequences)
+                assert pt.table_invariant(spec, row, sign) \
                     == oracles.table_invariant_reference(
                         spec, root, remaining), (spec, root)
         assert seen == {True, False}, (family, n)
