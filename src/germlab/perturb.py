@@ -26,8 +26,8 @@ the Morin classifier: by the signs of its criteria along the curve
 (``sign_at_root``), and at rational roots also by full recognition of
 the unfolding, built only then.  A sign at an irrational root is
 certified by one evaluation at the interval end and a bound on the
-derivative (``_certified_sign``), if need be on a few halvings of the
-interval; only where that fails does a Tarski query decide it.
+derivative (``_certified_sign``); only where that fails does a Tarski
+query decide it, its sequence built once per polynomial and request.
 
 Everything after the parameters are put in runs on integer coefficient
 lists, each a positive multiple of the rational polynomial it stands for
@@ -397,23 +397,15 @@ def _certified_sign(g, a, b, d):
     return None
 
 
-# Halvings of an interval root tried to certify a sign by evaluation
-# before a Tarski query: each halves the derivative term of the bound.
-# ``morin_points`` adds one per bit of precision under the default, as
-# its intervals are that much wider.
-SIGN_HALVINGS = 8
-
-
-def sign_at_root(g, c, cell, sequences, halvings):
+def sign_at_root(g, c, cell, sequences):
     """Exact sign (+1, -1 or 0) of the trimmed integer polynomial g at the
     root of the square-free integer c that ``cell`` holds.  At an exact
-    root it is read off.  On a cell it is first certified by one
-    evaluation at the high end and a bound on g' (``_certified_sign``).
-    Where that fails, a root at the high end is read exactly; a simple
-    root is then bisected on a copy of the cell, up to ``halvings`` times,
-    each half certified afresh, as when g's coefficients are large and
-    cancel.  Only where that fails too, as when g vanishes at the root, is
-    the sign the Tarski query of g on the cell (``tarski_sequence``).
+    root it is read off.  On a cell it is certified by one evaluation at
+    the high end and a bound on g' (``_certified_sign``).  Where that
+    fails, as when g vanishes at the root or its coefficients are large
+    and cancel, a root at the high end is read exactly, and otherwise the
+    sign is the Tarski query of g on the cell (``tarski_sequence``), which
+    assumes neither end is a root.
 
     ``sequences``, a dict owned by the caller, keeps the Tarski sequence of
     each g with this one c, so that it serves every root; g and -g share
@@ -426,23 +418,8 @@ def sign_at_root(g, c, cell, sequences, halvings):
     certified = _certified_sign(g, a, b, d)
     if certified is not None:
         return certified
-    s_hi = _sign_at(c, b, d)
-    if s_hi == 0:
+    if _sign_at(c, b, d) == 0:
         return _sign_at(g, b, d)
-    if _sign_at(c, a, d) == -s_hi:
-        x, y, e = a, b, d
-        for _ in range(halvings):
-            x, mid, y, e = 2 * x, x + y, 2 * y, 2 * e
-            s_mid = _sign_at(c, mid, e)
-            if s_mid == 0:
-                return _sign_at(g, mid, e)
-            if s_mid == s_hi:
-                y = mid
-            else:
-                x = mid
-            certified = _certified_sign(g, x, y, e)
-            if certified is not None:
-                return certified
     lead = 1 if g[-1] > 0 else -1
     key = tuple(lead * v for v in g)
     seq = sequences.get(key)
@@ -893,14 +870,12 @@ def morin_points(spec, precision_bits=DEFAULT_PRECISION_BITS):
         cells = kept
     points = []
     # Tarski sequences with ``remaining`` for the signs no evaluation
-    # certifies, one per polynomial, this request only; a wider interval
-    # gets more halvings before one is built
+    # certifies, one per polynomial, this request only
     sequences = {}
-    halvings = SIGN_HALVINGS + max(0, DEFAULT_PRECISION_BITS - precision_bits)
     F = None
     for cell in exact + cells:
         sign = partial(sign_at_root, c=remaining, cell=cell,
-                       sequences=sequences, halvings=halvings)
+                       sequences=sequences)
         inv = _classifier_invariant_on_curve(n, (etak, detgrad), sign)
         if inv is None:
             stable = False
@@ -1028,12 +1003,11 @@ def _tu_names(nvars):
 # ---------------------------------------------------------------------------
 
 def _rat_decimal(x, places=12):
-    """Fixed-precision decimal string of a rational (deterministic)."""
+    """Fixed-precision decimal string of a rational (deterministic): the
+    digits of floor(|x| 10^places), on the integers of x."""
     x = rat(x)
     sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x * 10 ** places
-    whole = scaled.numerator // scaled.denominator
+    whole = abs(x.numerator) * 10 ** places // x.denominator
     s = str(whole).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, s[:-places], s[-places:])
 

@@ -64,7 +64,6 @@ def rational_roots(c):
 
 def sign_at_root(g, constraint, root, sequences=None):
     """The sign of g at a root of the constraint, given as a rational or
-    an isolating interval, with ``pt.SIGN_HALVINGS`` halvings."""
+    an isolating interval."""
     return pt.sign_at_root(pt.up_integer(g), pt.up_integer(constraint),
-                           cell(root), {} if sequences is None else sequences,
-                           pt.SIGN_HALVINGS)
+                           cell(root), {} if sequences is None else sequences)

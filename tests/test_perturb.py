@@ -131,16 +131,16 @@ def test_certified_sign_agrees_with_the_refinement_oracle(h, roots, d, bits):
     ([-2, 0, 1], None, 0),
     ([-2, -2, 1, 1], None, 0),
     # at the isolating interval (0, 3] of sqrt(2), unrefined, g has a root
-    # inside, and inside each of the SIGN_HALVINGS halvings that keep
-    # sqrt(2), down to (45/32, 363/256]: 100x - 141 is positive at
-    # sqrt(2), and 1000x - 1417 negative although it is positive at 3
+    # inside: 100x - 141 is positive at sqrt(2), 1000x - 1417 negative
+    # although it is positive at 3, x - 1 positive and 2x - 3 negative
     ([-141, 100], (F(0), F(3)), 1),
     ([-1417, 1000], (F(0), F(3)), -1),
+    ([-1, 1], (F(0), F(3)), 1),
+    ([-3, 2], (F(0), F(3)), -1),
 ])
 def test_uncertified_sign_is_the_tarski_query(g, interval, sign):
-    """Where g vanishes in the interval, and in every halving of it that
-    holds the root, the certificate cannot hold: the sign is the Tarski
-    query's, built once under g's key."""
+    """Where g vanishes in the interval, one evaluation cannot certify its
+    sign: the sign is the Tarski query's, built once under g's key."""
     c = [-2, 0, 1]
     if interval is None:
         interval = fv.isolate_real_roots(c, width=F(1, 2 ** 40))[1]
@@ -153,31 +153,11 @@ def test_uncertified_sign_is_the_tarski_query(g, interval, sign):
     assert list(sequences) == [tuple(g)]
 
 
-@pytest.mark.parametrize("g,sign,halvings", [
-    ([-1, 1], 1, 3),    # x - 1 at sqrt(2): certified on (9/8, 3/2]
-    ([-3, 2], -1, 7),   # 2x - 3, positive at 3: on (45/32, 183/128]
-])
-def test_sign_certified_after_halvings_builds_no_sequence(monkeypatch, g,
-                                                          sign, halvings):
-    """On the unrefined interval (0, 3] of sqrt(2), g has a root: one
-    evaluation cannot certify its sign there, but it can on a half of a
-    half ... that still holds sqrt(2), with no Tarski sequence; one
-    halving fewer would not do."""
-    c, interval = [-2, 0, 1], (F(0), F(3))
-    assert pt._certified_sign(g, *fv.cell(interval)) is None
-    sequences = {}
-    assert fv.sign_at_root(g, c, interval, sequences) == sign
-    assert oracles.sign_at_root([F(x) for x in g], c, interval) == sign
-    assert sequences == {}
-    monkeypatch.setattr(pt, "SIGN_HALVINGS", halvings - 1)
-    assert fv.sign_at_root(g, c, interval, sequences) == sign
-    assert list(sequences) == [tuple(g)]
-
-
 def test_a_root_the_constraint_keeps_its_sign_across_is_not_halved():
     """(x - 1)^2 has its one root in (0, 3] at 1 and is positive on both
-    sides, so halving on its signs would follow the wrong half, where
-    2x - 1 is negative.  The sign of 2x - 1 at 1 is the Tarski query's."""
+    sides, so no bisection on its signs could find that root.  2x - 1 is
+    negative on part of the interval, so one evaluation cannot certify
+    its sign at 1: the sign is the Tarski query's."""
     g, c, interval = [-1, 2], [1, -2, 1], (F(0), F(3))
     assert pt._certified_sign(g, *fv.cell(interval)) is None
     sequences = {}
@@ -185,34 +165,34 @@ def test_a_root_the_constraint_keeps_its_sign_across_is_not_halved():
     assert list(sequences) == [tuple(g)]
 
 
-def test_chebyshev_signs_certified_by_halvings(monkeypatch):
-    """Family A, n = 4, l = 32 at the monic Chebyshev parameters: their
-    large cancelling coefficients defeat one evaluation at some roots,
-    and halvings of those roots' intervals certify every sign, so the
-    request builds no Tarski sequence, only its constraint's Sturm chain
-    (g = 1).  At 20 bits the intervals are 2^20 times wider than at the
-    default 40 and get 20 more halvings, 28 in all: one sign there needs
-    21, where at 40 bits none needs more than 1.  Each report is the one
-    the Tarski queries give, with no halvings at all."""
+@pytest.mark.parametrize("bits", [20, 40, 120])
+def test_chebyshev_signs_take_one_evaluation_each(monkeypatch, bits):
+    """Family A, n = 4, l = 32 at the monic Chebyshev parameters: 32
+    interval roots, and two polynomials of degree 31 to sign at each, det
+    grad and a slot of the inv row, whose large cancelling coefficients
+    defeat the certificate at some roots.  Each of those 64 signs takes
+    one evaluation, and a sign it cannot certify is the Tarski query,
+    whose sequence is built at most once per polynomial."""
     spec = pt.UnfoldingSpec("A", 4, _params(monic_chebyshev_params(32)),
                             l=32)
-    built = []
+    certified, built = [], []
 
-    def counted(c, g, original=pt.tarski_sequence):
-        built.append(list(g))
+    def certify(g, *cell, original=pt._certified_sign):
+        certified.append(tuple(g))
+        return original(g, *cell)
+
+    def sequence(c, g, original=pt.tarski_sequence):
+        built.append(tuple(g))
         return original(c, g)
-    monkeypatch.setattr(pt, "tarski_sequence", counted)
-    reports = {}
-    for bits in (40, 20):
-        built.clear()
-        reports[bits] = pt.report_to_dict(pt.morin_points(spec, bits))
-        assert built == [[1]], bits
-    monkeypatch.setattr(pt, "SIGN_HALVINGS", 0)
-    for bits in (40, 20):
-        monkeypatch.setattr(pt, "DEFAULT_PRECISION_BITS", bits)
-        built.clear()
-        assert pt.report_to_dict(pt.morin_points(spec, bits)) == reports[bits]
-        assert len(built) > 1, bits
+    monkeypatch.setattr(pt, "_certified_sign", certify)
+    monkeypatch.setattr(pt, "tarski_sequence", sequence)
+    report = pt.morin_points(spec, bits)
+    assert report.count == 32
+    assert len(certified) == 64
+    queried = [g for g in built if g != (1,)]
+    assert len(queried) == len(set(queried))
+    keys = {tuple(v if g[-1] > 0 else -v for v in g) for g in certified}
+    assert keys >= set(queried)
 
 
 @settings(max_examples=30, deadline=None)
