@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -266,7 +265,7 @@ def cmd_tables(args):
     for fam in ("A", "B", "C"):
         for n in (2, 3, 4, 5):
             spec = _REFERENCE_SPECS[fam](n)
-            rep = pt.morin_points(spec, precision_bits=args.precision)
+            rep = pt.morin_points(spec)
             families.append({
                 "family": fam,
                 "n": n,
@@ -292,12 +291,21 @@ def cmd_tables(args):
     return EXIT_OK
 
 
+def _precision(text):
+    """``perturb --precision``: an integer number of bits in [20, 120]."""
+    try:
+        if 20 <= int(text) <= 120:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be an integer in [20, 120], got %r"
+                                     % text)
+
+
 @functools.cache
 def build_parser():
     """(parser, commands): the top-level argument parser and its
-    subcommand parsers by name, built on first use and then shared.  They
-    hold no per-call state: ``--precision`` defaults to None, and ``main``
-    resolves that from GERMLAB_PRECISION on every call."""
+    subcommand parsers by name, built on first use and then shared."""
     ap = argparse.ArgumentParser(
         prog="germlab",
         description="Exact classification of polynomial map-germs up to "
@@ -307,8 +315,6 @@ def build_parser():
     def common(p, germ_arg=False):
         p.add_argument("--json", action="store_true",
                        help="deterministic JSON output")
-        p.add_argument("--precision", type=int, default=None,
-                       help="root isolation precision exponent (bits, 20-120)")
         if germ_arg:
             p.add_argument("germ", nargs="?", help="inline germ text")
             p.add_argument("--input", "-i",
@@ -329,10 +335,14 @@ def build_parser():
     pp.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
     pp.add_argument("--l", type=int,
                     help="family A degree (2 <= l <= %d)" % pt.MAX_L)
-    pp.add_argument("--params", help="comma-separated rational parameters "
+    pp.add_argument("--precision", type=_precision,
+                    default=pt.DEFAULT_PRECISION_BITS, help="root isolation "
+                    "precision exponent (bits, 20-120, default %(default)s)")
+    pg = pp.add_mutually_exclusive_group()   # one tuple, or a sweep grid
+    pg.add_argument("--params", help="comma-separated rational parameters "
                     "written as in germ text (3, -1/2), at most %d bits in "
                     "all (MAX_PARAM_BITS)" % pt.MAX_PARAM_BITS)
-    pp.add_argument("--grid", help="sweep grid 'lo:hi:step[,lo:hi:step...]', "
+    pg.add_argument("--grid", help="sweep grid 'lo:hi:step[,lo:hi:step...]', "
                     "numbers as in --params")
 
     pts = sub.add_parser("tables", help="machine-readable golden tables")
@@ -353,17 +363,6 @@ def main(argv=None):
     else:
         args = parser.parse_args(argv[1:])
         args.command = argv[0]
-    if args.precision is None:
-        env = os.environ.get("GERMLAB_PRECISION")
-        if env is None:
-            args.precision = pt.DEFAULT_PRECISION_BITS
-        else:
-            try:
-                args.precision = int(env)
-            except ValueError:
-                ap.error("GERMLAB_PRECISION must be an integer, got %r" % env)
-    if not 20 <= args.precision <= 120:
-        ap.error("--precision must be in [20, 120]")
     try:
         if args.command == "classify":
             return cmd_classify(args)

@@ -1002,24 +1002,24 @@ def _tu_names(nvars):
 # report serialization (deterministic, JSON-compatible)
 # ---------------------------------------------------------------------------
 
-def _rat_decimal(x, places=12):
-    """Fixed-precision decimal string of a rational (deterministic): the
-    digits of floor(|x| 10^places), on the integers of x."""
-    x = rat(x)
-    sign = "-" if x < 0 else ""
-    whole = abs(x.numerator) * 10 ** places // x.denominator
-    s = str(whole).rjust(places + 1, "0")
+def _rat_decimal(num, den, places=12):
+    """num/den, den > 0, truncated to ``places`` decimals, on integers."""
+    sign = "-" if num < 0 else ""
+    s = str(abs(num) * 10 ** places // den).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, s[:-places], s[-places:])
 
 
 def point_to_dict(p):
     if p.exact:
-        t_field = {"exact": _rat_str(p.t), "approx": _rat_decimal(p.t)}
+        t_field = {"exact": _rat_str(p.t),
+                   "approx": _rat_decimal(p.t.numerator, p.t.denominator)}
         loc = [_rat_str(v) for v in p.location]
     else:
         lo, hi = p.t
         t_field = {"interval": [_rat_str(lo), _rat_str(hi)],
-                   "approx": _rat_decimal((lo + hi) / 2)}
+                   "approx": _rat_decimal(lo.numerator * hi.denominator +
+                                          hi.numerator * lo.denominator,
+                                          2 * lo.denominator * hi.denominator)}
         loc = None
     return {
         "t": t_field,

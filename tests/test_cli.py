@@ -431,8 +431,45 @@ def test_tables(capsys):
 
 
 def test_precision_flag_validation(capsys):
-    with pytest.raises(SystemExit):
-        main(["classify", "--precision", "5", "x1^2 ; x2"])
+    """``perturb --precision`` outside [20, 120], or not an integer, is a
+    usage error of the perturb parser: exit 2, one line naming the flag
+    and its range."""
+    for value in ("19", "121", "abc", "5", "", "7" * 5000):
+        with pytest.raises(SystemExit) as info:
+            main(["perturb", "--precision", value, "--family", "B", "--n",
+                  "3", "--params=-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        named = [line for line in err.splitlines() if "[20, 120]" in line]
+        assert named == ["germlab perturb: error: argument --precision: "
+                         "must be an integer in [20, 120], got %r" % value]
+        assert err.endswith(named[0] + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "x1^2 ; x2"],
+    ["verify", "--claim", "fold", "x1^2 ; x2"],
+    ["tables"],
+])
+def test_only_perturb_takes_precision(capsys, argv):
+    """``--precision`` sets the width of perturb's intervals, and only
+    perturb has it: any other command's own parser refuses it."""
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--precision", "40"] + argv[1:])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "germlab %s: error: unrecognized arguments: --precision" % argv[0])
+
+
+def test_perturb_params_and_grid_are_exclusive(capsys):
+    """One perturb request is a parameter tuple or a grid, never both."""
+    with pytest.raises(SystemExit) as info:
+        main(["perturb", "--family", "B", "--n", "3", "--params=-1",
+              "--grid=-1:1:1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "germlab perturb: error: argument --grid: not allowed with "
+        "argument --params")
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -625,64 +662,45 @@ def test_no_route_returns_a_label_of_no_class(monkeypatch):
     assert "unrecognized" not in families
 
 
-# ---- GERMLAB_PRECISION and the shared parser -----------------------------
+# ---- the environment and the shared parser ------------------------------
 
-def _record_precision(monkeypatch):
-    """Replace cmd_classify by a stub that records args.precision."""
-    import germlab.cli as cli
-    seen = []
-
-    def stub(args):
-        seen.append(args.precision)
-        return 0
-    monkeypatch.setattr(cli, "cmd_classify", stub)
-    return seen
-
-
-def test_precision_env_read_on_every_call(monkeypatch):
-    seen = _record_precision(monkeypatch)
+def test_perturb_ignores_the_precision_environment(capsys, monkeypatch):
+    """Precision is read from argv alone: a ``GERMLAB_PRECISION`` in the
+    environment leaves perturb's bytes as they are without it."""
+    argv = ["perturb", "--json", "--family", "C", "--n", "4",
+            "--params=-1,1/2"]
     monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
-    assert main(["classify", "x1 ; x2"]) == 0
-    monkeypatch.setenv("GERMLAB_PRECISION", "30")
-    assert main(["classify", "x1 ; x2"]) == 0
-    monkeypatch.setenv("GERMLAB_PRECISION", "90")
-    assert main(["classify", "x1 ; x2"]) == 0
-    assert main(["classify", "--precision", "50", "x1 ; x2"]) == 0
-    assert seen == [40, 30, 90, 50]
-
-
-@pytest.mark.parametrize("value,message", [
-    ("abc", "GERMLAB_PRECISION must be an integer, got 'abc'"),
-    ("", "GERMLAB_PRECISION must be an integer, got ''"),
-    ("500", "--precision must be in [20, 120]"),
-    ("19", "--precision must be in [20, 120]"),
-])
-def test_bad_precision_env_is_a_usage_error(capsys, monkeypatch, value,
-                                            message):
-    monkeypatch.setenv("GERMLAB_PRECISION", value)
-    with pytest.raises(SystemExit) as info:
-        main(["tables"])
-    assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("GERMLAB_PRECISION", "20")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    assert main(argv + ["--precision", "20"]) == 0
+    assert capsys.readouterr().out != unset
 
 
 def test_help_text_does_not_depend_on_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    texts = []
-    for env in (None, "90", "abc"):
-        if env is None:
-            monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
-        else:
-            monkeypatch.setenv("GERMLAB_PRECISION", env)
-        with pytest.raises(SystemExit) as info:
-            main(["classify", "--help"])
-        assert info.value.code == 0
-        texts.append(capsys.readouterr().out)
-    assert texts[0] == texts[1] == texts[2]
-    assert texts[0].startswith(
-        "usage: germlab classify [-h] [--json] [--precision PRECISION]")
-    assert "root isolation precision exponent (bits, 20-120)\n" in texts[0]
-    assert "None" not in texts[0]
+    texts = {}
+    for command in ("classify", "perturb"):
+        for env in (None, "90", "abc"):
+            if env is None:
+                monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+            else:
+                monkeypatch.setenv("GERMLAB_PRECISION", env)
+            with pytest.raises(SystemExit) as info:
+                main([command, "--help"])
+            assert info.value.code == 0
+            texts.setdefault(command, set()).add(capsys.readouterr().out)
+    (classify,), (perturb,) = texts["classify"], texts["perturb"]
+    assert classify.startswith(
+        "usage: germlab classify [-h] [--json] [--input INPUT] [germ]")
+    assert "--precision" not in classify
+    words = " ".join(perturb.split())
+    assert words.startswith("usage: germlab perturb [-h] [--json] --family")
+    assert "[--precision PRECISION] [--params PARAMS | --grid GRID]" in words
+    assert "(bits, 20-120, default 40)" in words
+    assert "None" not in classify + perturb
 
 
 

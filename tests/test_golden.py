@@ -31,14 +31,12 @@ def _stdout_sha256(capsys, argvs):
     return digest.hexdigest()
 
 
-def test_classify_json_over_corpus_is_golden(capsys, monkeypatch):
-    monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+def test_classify_json_over_corpus_is_golden(capsys):
     argvs = [["classify", "--json", render_map(f)] for f in corpus_30()]
     assert _stdout_sha256(capsys, argvs) == CLASSIFY_CORPUS_SHA256
 
 
-def test_tables_json_is_golden(capsys, monkeypatch):
-    monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+def test_tables_json_is_golden(capsys):
     assert _stdout_sha256(capsys, [["tables", "--json"]]) == TABLES_SHA256
 
 
@@ -67,8 +65,7 @@ def perturb_argvs():
     return argvs
 
 
-def test_perturb_json_is_golden(capsys, monkeypatch):
-    monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
+def test_perturb_json_is_golden(capsys):
     assert _stdout_sha256(capsys, perturb_argvs()) == PERTURB_SHA256
 
 
@@ -78,11 +75,10 @@ def test_table_discrepancy_report_is_golden():
         DISCREPANCY_REPORT_SHA256
 
 
-def test_perturb_json_same_cold_and_warm(capsys, monkeypatch):
+def test_perturb_json_same_cold_and_warm(capsys):
     """The first request after the cached curve and criteria are dropped
     derives them afresh; its bytes equal those of the request that reuses
     them."""
-    monkeypatch.delenv("GERMLAB_PRECISION", raising=False)
     for argv in (["perturb", "--json", "--family", "B", "--n", "5",
                   "--params=-1"],
                  ["perturb", "--json", "--family", "C", "--n", "4",

@@ -829,6 +829,25 @@ def test_report_serialization_deterministic():
         assert "approx" in p["t"]
 
 
+@given(st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 9)),
+       st.builds(F, st.integers(0, 10 ** 30), st.integers(1, 10 ** 20)),
+       st.booleans())
+@example(F(-1, 3), F(2, 3), False)          # midpoint 0
+@example(F(-1, 10 ** 13), F(0), True)       # -0.000000000000
+@example(F(-3, 10 ** 13), F(1, 10 ** 13), False)
+def test_point_approx_is_the_fraction_midpoint(lo, width, exact):
+    """A point's ``approx``, taken on the integers of its ends, is the
+    Fraction formula's: the digits of floor(|x| 10^12), x = (lo + hi) / 2
+    (x = t for an exact point), with the sign of x."""
+    hi = lo if exact else lo + width
+    t = lo if exact else (lo, hi)
+    p = pt.MorinPoint(t, exact, [lo], 2, ("none",), ("none",), True)
+    x = (lo + hi) / 2
+    digits = str(math.floor(abs(x) * 10 ** 12)).rjust(13, "0")
+    want = "%s%s.%s" % ("-" if x < 0 else "", digits[:-12], digits[-12:])
+    assert pt.point_to_dict(p)["t"]["approx"] == want
+
+
 def test_precision_controls_interval_width():
     spec = pt.UnfoldingSpec("C", 2, [F(-1), F(0)])
     rep = pt.morin_points(spec, precision_bits=60)
