@@ -3,8 +3,8 @@ orientation-preserving A-equivalence (A-isotopy), plus a perturbation lab
 that enumerates the Morin points of stable perturbations of simple germs.
 """
 
-from .polyring import Poly, PolyMatrix, Rat, rat, dir_deriv, DimensionError
-from .germ import (MapGerm, VecField, GermAnalysis, analyze, null_field,
+from .polyring import Poly, PolyMatrix, rat, dir_deriv, DimensionError
+from .germ import (MapGerm, GermAnalysis, analyze, null_field,
                    PreparedForm, prepared_form, translate, GermError,
                    NotCorankOneError, DegenerateGermError)
 from .morin import (ClassLabel, recognize_morin, morin_invariants,

@@ -220,22 +220,21 @@ def _parse_grid(text, nparams):
 
 
 def cmd_perturb(args):
-    family = args.family.upper()
     if args.grid:
-        grid = _parse_grid(args.grid, pt.param_count(family, args.l))
-        reports, summary = pt.sweep(family, args.n, grid, l=args.l,
+        grid = _parse_grid(args.grid, pt.param_count(args.family, args.l))
+        reports, summary = pt.sweep(args.family, args.n, grid, l=args.l,
                                     precision_bits=args.precision)
         payload = {"summary": summary,
                    "reports": [pt.report_to_dict(r) for r in reports]}
         human = ["sweep %s n=%d: %d grid points, max count %d (c(f)=%s%s)" %
-                 (family, args.n, summary["grid_size"], summary["max_count"],
-                  summary["c_f_bound"],
+                 (args.family, args.n, summary["grid_size"],
+                  summary["max_count"], summary["c_f_bound"],
                   ", attained" if summary["attained"] else ""),
                  "all points verified: %s" % summary["all_verified"]]
         _emit(payload, args.json, human)
         return EXIT_OK
     params = args.params.split(",") if args.params else ()
-    spec = pt.UnfoldingSpec(family, args.n, params, l=args.l)
+    spec = pt.UnfoldingSpec(args.family, args.n, params, l=args.l)
     rep = pt.morin_points(spec, precision_bits=args.precision)
     payload = pt.report_to_dict(rep)
     human = ["%r: %d Morin point(s), bound c(f)=%d, stable=%s" %
@@ -330,8 +329,8 @@ def build_parser():
 
     pp = sub.add_parser("perturb", help="Morin points of a perturbation")
     common(pp)
-    pp.add_argument("--family", required=True, choices=["A", "B", "C",
-                                                        "a", "b", "c"])
+    pp.add_argument("--family", required=True, type=str.upper,
+                    choices=("A", "B", "C"))
     pp.add_argument("--n", type=int, required=True, choices=[2, 3, 4, 5])
     pp.add_argument("--l", type=int,
                     help="family A degree (2 <= l <= %d)" % pt.MAX_L)

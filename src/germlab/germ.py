@@ -15,8 +15,8 @@ D = jet_degree(n), for the test references.
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
-from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, dir_deriv,
-                       rat, _sum_of_products, clear_denominators,
+from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, rat,
+                       _sum_of_products, clear_denominators,
                        integer_adjugate, integer_kernel, _series_mul)
 
 
@@ -40,57 +40,12 @@ class DegenerateGermError(GermError):
     """The germ fails the non-degeneracy (rank) part of the criteria."""
 
 
-class VecField(_Frozen):
-    """A polynomial vector field, e.g. the null field eta or the frame
-    partner xi.  Components are Polys in the source variables."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple(components)
-        if comps:
-            nv = comps[0].nvars
-            for c in comps:
-                if c.nvars != nv:
-                    raise DimensionError("vector field components disagree on nvars")
-        _Frozen.__init__(self, comps)
-
-    @classmethod
-    def constant(cls, values, nvars):
-        return cls([Poly.const(v, nvars) for v in values])
-
-    def __neg__(self):
-        return VecField([-c for c in self.components])
-
-    def scale(self, c):
-        return VecField([comp.scale(c) for comp in self.components])
-
-    def at_zero(self):
-        n = len(self.components)
-        origin = [Fraction(0)] * (self.components[0].nvars if n else 0)
-        return [c.eval(origin) for c in self.components]
-
-    def apply(self, p, cap=None):
-        """Directional derivative of p along this field, truncated at
-        degree ``cap`` when one is given."""
-        return dir_deriv(p, self, cap)
-
-    def __eq__(self, other):
-        if not isinstance(other, VecField):
-            return NotImplemented
-        return self.components == other.components
-
-    def __repr__(self):
-        return "VecField(%r)" % (list(self.components),)
-
-
 class MapGerm(_Frozen):
     """A polynomial map-germ (R^n, 0) -> (R^m, 0).
 
     The germ condition f(0) = 0 is enforced at construction: any constant
-    terms are dropped (``translate`` relies on this).  ``prepared_form``
-    writes the PreparedForm into the slot ``_prepared`` once, and
-    ``__hash__`` its value into ``_hash``.
+    terms are dropped.  ``prepared_form`` writes the PreparedForm into the
+    slot ``_prepared`` once, and ``__hash__`` its value into ``_hash``.
     """
 
     __slots__ = ("src_dim", "tgt_dim", "components", "_prepared", "_hash")
@@ -130,13 +85,14 @@ class MapGerm(_Frozen):
 class GermAnalysis(_Frozen):
     """Exact Jacobian and rank data at 0.  ``lam`` is the jet of
     lambda = det J at degree D = jet_degree(n), i.e. det J mod m^(D+1)
-    (None when n != m); ``eta`` is null_field's eta (else None)."""
+    (None when n != m); ``eta`` is null_field's eta, a tuple of Polys
+    (else None)."""
 
-    __slots__ = ("germ", "jacobian", "lam", "rank0", "corank0", "eta")
+    __slots__ = ("jacobian", "lam", "rank0", "corank0", "eta")
 
-    def __init__(self, germ, jacobian, lam, rank0, eta=None):
-        _Frozen.__init__(self, germ, jacobian, lam, rank0,
-                         germ.src_dim - rank0, eta)
+    def __init__(self, jacobian, lam, rank0, eta=None):
+        _Frozen.__init__(self, jacobian, lam, rank0, jacobian.cols - rank0,
+                         eta)
 
 
 def jacobian(f):
@@ -170,20 +126,20 @@ def analyze(f):
         col = J.adjugate_column(j, D)
         lam = _sum_of_products(n, list(zip(J.row(j), col)), D)
         if rank0 == n - 1:
-            eta = VecField(c.truncate(D - 1) for c in col)
-    return GermAnalysis(f, J, lam, rank0, eta)
+            eta = tuple(c.truncate(D - 1) for c in col)
+    return GermAnalysis(J, lam, rank0, eta)
 
 
-def null_field(f, analysis=None):
-    """Null vector field for an equidimensional corank-one germ: the
-    adjugate column j of the Jacobian that ``analyze`` expands for lambda,
-    kept mod m^D.  Column j of adj(J)(0) = adj(J(0)) holds the maximal
-    minors of J(0) without row j, so it is nonzero, and J * eta =
-    lambda * e_j mod m^D: eta(0) != 0 lies in ker df(0), and eta is exact
-    wherever the classifiers read it."""
+def null_field(f):
+    """Null vector field for an equidimensional corank-one germ, a tuple
+    of Polys: the adjugate column j of the Jacobian that ``analyze``
+    expands for lambda, kept mod m^D.  Column j of adj(J)(0) = adj(J(0))
+    holds the maximal minors of J(0) without row j, so it is nonzero, and
+    J * eta = lambda * e_j mod m^D: eta(0) != 0 lies in ker df(0), and eta
+    is exact wherever the classifiers read it."""
     if f.src_dim != f.tgt_dim:
         raise NotCorankOneError("null field needs an equidimensional germ")
-    ana = analysis or analyze(f)
+    ana = analyze(f)
     if ana.corank0 != 1:
         raise NotCorankOneError("not corank one at 0 (corank %d)" % ana.corank0)
     return ana.eta

@@ -15,7 +15,7 @@ normal-form representative is attached for reference.
 
 import functools
 
-from .polyring import Poly, _Frozen, integer_det, integer_kernel
+from .polyring import Poly, _Frozen, dir_deriv, integer_det, integer_kernel
 from .germ import (MapGerm, prepared_form, NotCorankOneError,
                    DegenerateGermError)
 
@@ -118,7 +118,7 @@ def eta_lambda_chain(lam, eta, count):
     reference route of the tests builds the chain here."""
     chain = [lam.truncate(count)]
     for j in range(1, count + 1):
-        chain.append(eta.apply(chain[-1], count - j))
+        chain.append(dir_deriv(chain[-1], eta, count - j))
     return chain
 
 

@@ -1002,11 +1002,11 @@ def _tu_names(nvars):
 # report serialization (deterministic, JSON-compatible)
 # ---------------------------------------------------------------------------
 
-def _rat_decimal(num, den, places=12):
-    """num/den, den > 0, truncated to ``places`` decimals, on integers."""
+def _rat_decimal(num, den):
+    """num/den, den > 0, truncated to 12 decimals, on integers."""
     sign = "-" if num < 0 else ""
-    s = str(abs(num) * 10 ** places // den).rjust(places + 1, "0")
-    return "%s%s.%s" % (sign, s[:-places], s[-places:])
+    s = str(abs(num) * 10 ** 12 // den).rjust(13, "0")
+    return "%s%s.%s" % (sign, s[:-12], s[-12:])
 
 
 def point_to_dict(p):

@@ -2,8 +2,8 @@
 integer linear algebra below it.
 
 Everything downstream (germ analysis, classifiers, the perturbation lab)
-runs on these types.  Coefficients are `fractions.Fraction` ("Rat"), terms
-are stored sparsely keyed by exponent vector.  Every rank, kernel,
+runs on these types.  Coefficients are `fractions.Fraction`, terms are
+stored sparsely keyed by exponent vector.  Every rank, kernel,
 determinant and adjugate of a scalar matrix comes from one fraction-free
 (Bareiss) elimination on integers, each row scaled by the lcm of its
 denominators: every sign and rank test is exact, with no tolerances.
@@ -16,7 +16,6 @@ from itertools import repeat
 from math import gcd, lcm
 
 
-Rat = Fraction
 _ZERO = Fraction(0)     # the constant term of a Poly without one
 
 
@@ -314,7 +313,7 @@ def _packed_terms(p, weights):
 def _sum_of_products(nvars, pairs, cap=None):
     """The sum of a * b over the (a, b) pairs of Polys in ``nvars``
     variables; with a degree ``cap``, truncated at ``cap`` (terms above it
-    are never formed).  This is the one product loop of the package.
+    are never formed).  Every product of two Polys goes through it.
 
     Each factor is scaled to integer coefficients, and each exponent
     vector e is packed into the int sum_i e_i * base^i.  No exponent of a
@@ -376,17 +375,15 @@ def _rat_str(c):
 
 
 def dir_deriv(p, v, cap=None):
-    """Directional derivative sum_i v_i * dp/dx_i; v is a sequence of Polys
-    or rationals (or anything with .components, e.g. a vector field).
-    With a degree ``cap`` the result is truncated at ``cap``."""
-    comps = getattr(v, "components", v)
-    if len(comps) != p.nvars:
+    """Directional derivative sum_i v_i * dp/dx_i along the vector field
+    v, a sequence of Polys in p's variables or rationals.  With a degree
+    ``cap`` the result is truncated at ``cap``."""
+    if len(v) != p.nvars:
         raise DimensionError("vector field has %d components, poly has %d vars"
-                             % (len(comps), p.nvars))
+                             % (len(v), p.nvars))
     pairs = []
-    for i, vi in enumerate(comps, start=1):
-        if not isinstance(vi, Poly):
-            vi = Poly.const(vi, p.nvars)
+    for i, vi in enumerate(v, start=1):
+        vi = p._coerce(vi)
         if not vi.is_zero():
             pairs.append((vi, p.partial(i)))
     return _sum_of_products(p.nvars, pairs, cap)

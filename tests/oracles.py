@@ -63,12 +63,11 @@ from math import ceil, lcm
 from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
-                          GermAnalysis, MapGerm, VecField, analyze, jacobian,
-                          null_field)
+                          GermAnalysis, MapGerm, analyze, jacobian, null_field)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
-                              clear_denominators, integer_adjugate,
+                              clear_denominators, dir_deriv, integer_adjugate,
                               integer_kernel)
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import (DegenerateSigmaError, elli_normal_form,
@@ -243,7 +242,7 @@ def eta_chain_label(f, analysis=None, eta=None):
     if ana.corank0 >= 2:
         raise NotCorankOneError("not corank one at 0 (corank %d)"
                                 % ana.corank0)
-    eta = eta or null_field(f, ana)
+    eta = eta or ana.eta
     chain = eta_lambda_chain(ana.lam, eta, n)
     origin = f.origin()
     values = [c.eval(origin) for c in chain]
@@ -295,14 +294,15 @@ def target_normalize(f, analysis=None):
 
 def kernel_frame(f, analysis=None):
     """Deterministic exact basis (xi, eta) of ker df(0) as constant
-    fields: the primitive integer vectors of ``integer_kernel``, positive
-    multiples of the RREF nullspace vectors."""
+    fields, lists of ints: the primitive integer vectors of
+    ``integer_kernel``, positive multiples of the RREF nullspace
+    vectors."""
     ana = analysis or analyze(f)
     if ana.corank0 != 2:
         raise GermError("corank at 0 must be 2, got %d" % ana.corank0)
     J0 = ana.jacobian.eval(f.origin())
     basis = integer_kernel([clear_denominators(row) for row in J0])[1]
-    return (VecField.constant(basis[0], 4), VecField.constant(basis[1], 4))
+    return basis[0], basis[1]
 
 
 def classify_sigma20(f):
@@ -314,21 +314,21 @@ def classify_sigma20(f):
     ana_f = analyze(f)
     g, B = target_normalize(f, ana_f)
     det_b = integer_adjugate(B)[0]
-    ana = GermAnalysis(g, jacobian(g), ana_f.lam.scale(det_b), ana_f.rank0)
+    ana = GermAnalysis(jacobian(g), ana_f.lam.scale(det_b), ana_f.rank0)
     xi, eta = kernel_frame(g, ana)
     lam = ana.lam
     origin = g.origin()
-    h11 = xi.apply(xi.apply(lam)).eval(origin)
-    h12 = xi.apply(eta.apply(lam)).eval(origin)
-    h21 = eta.apply(xi.apply(lam)).eval(origin)
-    h22 = eta.apply(eta.apply(lam)).eval(origin)
+    h11 = dir_deriv(dir_deriv(lam, xi), xi).eval(origin)
+    h12 = dir_deriv(dir_deriv(lam, eta), xi).eval(origin)
+    h21 = dir_deriv(dir_deriv(lam, xi), eta).eval(origin)
+    h22 = dir_deriv(dir_deriv(lam, eta), eta).eval(origin)
     hess_det = h11 * h22 - h12 * h21
     if hess_det == 0:
         raise DegenerateSigmaError("det hess lambda(0) = 0: degenerate germ")
     grads = []
     for field in (xi, eta):
         for comp in g.components[:2]:
-            grads.append(gradient_at(field.apply(comp), origin))
+            grads.append(gradient_at(dir_deriv(comp, field), origin))
     big_det = integer_adjugate([clear_denominators(r) for r in grads])[0]
     if big_det == 0:
         raise DegenerateSigmaError("the 4x4 determinant vanishes: not stable")
@@ -354,9 +354,9 @@ def classify_sigma20(f):
 
 def surface_w(f, xi=None, eta=None):
     """w = det(xi f, eta f, eta eta f) in full for a corank-one germ
-    (R^2,0) -> (R^3,0), with the given fields or else the deterministic
-    constant frame (rank and kernel from ``analyze``).  Returns (w, xi,
-    eta)."""
+    (R^2,0) -> (R^3,0), with the given constant fields (pairs of
+    rationals) or else the deterministic constant frame (rank and kernel
+    from ``analyze``).  Returns (w, xi, eta)."""
     if f.src_dim != 2 or f.tgt_dim != 3:
         raise GermError("needs a germ (R^2,0) -> (R^3,0)")
     if eta is None:
@@ -364,19 +364,18 @@ def surface_w(f, xi=None, eta=None):
         if ana.rank0 != 1:
             raise NotCorankOneError("not corank one at 0 (rank %d)" % ana.rank0)
         J0 = ana.jacobian.eval(f.origin())
-        vec = integer_kernel([clear_denominators(r) for r in J0])[1][0]
+        eta = integer_kernel([clear_denominators(r) for r in J0])[1][0]
         # deterministic direction: first nonzero entry positive
-        lead = next(v for v in vec if v != 0)
+        lead = next(v for v in eta if v != 0)
         if lead < 0:
-            vec = [-v for v in vec]
-        eta = VecField.constant(vec, 2)
+            eta = [-v for v in eta]
     if xi is None:
-        a, b = eta.at_zero()
-        xi = VecField.constant([-b, a], 2)
+        a, b = eta
+        xi = [-b, a]
     cols = []
     for field in (xi, eta):
-        cols.append([field.apply(c) for c in f.components])
-    cols.append([eta.apply(g) for g in cols[1]])  # eta eta f
+        cols.append([dir_deriv(c, field) for c in f.components])
+    cols.append([dir_deriv(g, eta) for g in cols[1]])  # eta eta f
     ents = []
     for i in range(3):
         for j in range(3):
@@ -396,7 +395,7 @@ def classify_surface(f, eta=None):
     (a, b), (c, d) = [[w.partial(i).partial(j).eval(origin) for j in (1, 2)]
                       for i in (1, 2)]
     det_h = a * d - b * c
-    eew0 = eta.apply(eta.apply(w)).eval(origin)
+    eew0 = dir_deriv(dir_deriv(w, eta), eta).eval(origin)
     if det_h < 0 and eew0 != 0:
         eps = _sign(eew0)
         return ClassLabel("S1+", (eps, None), _surface_normal_form("S1+", eps),
@@ -413,11 +412,11 @@ def classify_degenerate_plane(f, analysis=None, eta=None):
     ``analysis`` is analyze(f) and ``eta`` a null field of f, each built
     when not given."""
     ana = analysis or analyze(f)
-    eta = eta or null_field(f, ana)
+    eta = eta or null_field(f)
     lam = ana.lam
     origin = f.origin()
     dlam0 = gradient_at(lam, origin)
-    eel = eta.apply(eta.apply(lam))
+    eel = dir_deriv(dir_deriv(lam, eta), eta)
     eel0 = eel.eval(origin)
     if all(v == 0 for v in dlam0):
         (a, b), (c, d) = [[lam.partial(i).partial(j).eval(origin)
@@ -434,12 +433,11 @@ def classify_degenerate_plane(f, analysis=None, eta=None):
                               _plane_normal_form("beaks", eps), None,
                               ("etaetalam", eps))
         raise DegenerateGermError("no plane criterion matched")
-    el0 = eta.apply(lam).eval(origin)
-    eeel0 = eta.apply(eel).eval(origin)
+    el0 = dir_deriv(lam, eta).eval(origin)
+    eeel0 = dir_deriv(eel, eta).eval(origin)
     if el0 == 0 and eel0 == 0 and eeel0 != 0:
-        a, b = eta.at_zero()
-        xi = VecField.constant([-b, a], 2)
-        eps = _sign(xi.apply(lam).eval(origin) * eeel0)
+        a, b = [c.constant_term() for c in eta]
+        eps = _sign(dir_deriv(lam, [-b, a]).eval(origin) * eeel0)
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),
                           None, ("xilam-eta3lam", eps))

@@ -4,8 +4,8 @@ pass/fail line under ``pytest -v``) per criterion."""
 import random
 from fractions import Fraction
 
-from germlab.polyring import Poly
-from germlab.germ import MapGerm, analyze, null_field, translate
+from germlab.polyring import Poly, dir_deriv
+from germlab.germ import MapGerm, analyze, translate
 from germlab.morin import recognize_morin, normal_form, class_count
 from germlab.lowdim import (classify_plane, classify_surface,
                             _plane_normal_form, _surface_normal_form)
@@ -62,9 +62,8 @@ def test_criterion_03_sign_identities():
     the kernel field oriented as +d/dx1 (the orientation the identities
     are stated in; the class labels themselves are orientation-robust).
     The signs are read by the eta-chain reference, which takes that field."""
-    from germlab.germ import VecField
     for n in range(1, 7):
-        eta = VecField.constant([1] + [0] * (n - 1), n)
+        eta = [1] + [0] * (n - 1)
         for f, e1, e2 in _signed(n, n):
             res = eta_chain_label(f, eta=eta)
             assert res == recognize_morin(f)
@@ -195,11 +194,11 @@ def test_criterion_08_sigma20():
     ana = analyze(g)
     xi, eta = oracles.kernel_frame(g, ana)
     o = g.origin()
-    h = [[f1.apply(f2.apply(ana.lam)).eval(o) for f2 in (xi, eta)]
+    h = [[dir_deriv(dir_deriv(ana.lam, f2), f1).eval(o) for f2 in (xi, eta)]
          for f1 in (xi, eta)]
     assert h[0][0] * h[1][1] - h[0][1] * h[1][0] == -16
     from oracles import rational_det
-    grads = [gradient_at(fld.apply(c), o)
+    grads = [gradient_at(dir_deriv(c, fld), o)
              for fld in (xi, eta) for c in g.components[:2]]
     assert rational_det(grads) == -4
     print("ACCEPTANCE 8: PASS - sigma20 2+4 classes, hess det -16, det -4")
@@ -250,8 +249,8 @@ def test_criterion_10_eta_invariance():
             ana = analyze(f)
             if ana.corank0 != 1:
                 continue
-            eta = null_field(f, ana)
-            variants = [-eta, eta.scale(F(7, 3))]
+            eta = ana.eta
+            variants = [[-c for c in eta], [c.scale(F(7, 3)) for c in eta]]
             if f.src_dim == 2 and classify_plane(f).k is None:
                 reference = oracles.classify_degenerate_plane
                 base = reference(f, ana, eta)
@@ -268,7 +267,7 @@ def test_criterion_10_eta_invariance():
             _, _, eta = oracles.surface_w(f)
             base = oracles.classify_surface(f, eta=eta)
             assert classify_surface(f) == base
-            for v in (-eta, eta.scale(F(7, 3))):
+            for v in ([-c for c in eta], [c * F(7, 3) for c in eta]):
                 assert oracles.classify_surface(f, eta=v) == base
             checked += 1
     assert checked >= 20

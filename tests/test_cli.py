@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from germlab.cli import (main, classify_any, UnrecognizedError, _parse_grid,
-                         MAX_GRID_POINTS)
+from germlab.cli import (main, build_parser, classify_any, UnrecognizedError,
+                         _parse_grid, MAX_GRID_POINTS)
 from germlab.germ import MapGerm, jet_degree
 from germlab.germparse import parse_map, render_map
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
@@ -123,6 +123,16 @@ def test_perturb_json_deterministic(capsys):
     assert a == b
     payload = json.loads(a)
     assert payload["count"] == 4
+
+
+def test_perturb_family_is_read_in_either_case(capsys):
+    """--family c prints the bytes of --family C, and the help lists the
+    three families once each."""
+    args = ("--n", "4", "--params=-1,1/2", "--json")
+    _, lower, _ = run(capsys, "perturb", "--family", "c", *args)
+    _, upper, _ = run(capsys, "perturb", "--family", "C", *args)
+    assert lower == upper
+    assert "{A,B,C}" in build_parser()[1]["perturb"].format_help()
 
 
 # ---- perturb / tables --------------------------------------------------
@@ -975,25 +985,38 @@ CORPUS = corpus_30()
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_classify_reaches_no_cofactor_layer(capsys, monkeypatch, index):
     """No corpus germ reaches analyze, null_field, dir_deriv, a Poly
-    determinant, an adjugate column or a VecField: every route reads
-    integer coefficients of f."""
+    determinant or an adjugate column: every route reads integer
+    coefficients of f."""
     import germlab.germ as germ
     import germlab.polyring as polyring
     calls = [_count_calls(monkeypatch, germ.analyze),
              _count_calls(monkeypatch, germ.null_field),
              _count_calls(monkeypatch, polyring.dir_deriv)]
     cofactors = _count_cofactor_calls(monkeypatch)
-    fields = []
-    original = germ.VecField.__init__
-
-    def counted(self, components):
-        fields.append(self)
-        original(self, components)
-    monkeypatch.setattr(germ.VecField, "__init__", counted)
     assert run(capsys, "classify", "--json", render_map(CORPUS[index]))[0] == 0
     assert calls == [[], [], []]
     assert cofactors == []
-    assert fields == []
+
+
+def test_every_name_the_traced_benchmark_patches_resolves():
+    """The benchmark's tracer (bench/tracing.py) looks up the names it
+    patches with a bare getattr: each must still resolve, and after
+    enable() and disable() every patched attribute is the original
+    object again."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(__file__), "..", "bench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.prepare()
+    patches = tracer._patches
+    assert len(patches) >= len(tracing.FUNCTIONS) + len(tracing.METHODS) + 2
+    tracer.enable()
+    tracer.disable()
+    for owner, attr, original, _ in patches:
+        assert vars(owner)[attr] is original, (owner, attr)
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))

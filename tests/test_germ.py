@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germlab.polyring import Poly
-from germlab.germ import (MapGerm, VecField, analyze, null_field, translate,
+from germlab.germ import (MapGerm, analyze, null_field, translate,
                           jacobian, jet_degree, prepared_form,
                           NotCorankOneError)
 from germlab.morin import normal_form
@@ -74,14 +74,15 @@ def test_null_field_contract():
     """J * eta = lambda * e_j as a polynomial identity."""
     f = normal_form(3, 3, 1, 1)
     ana = analyze(f)
-    eta = null_field(f, ana)
-    assert any(v != 0 for v in eta.at_zero())
+    eta = null_field(f)
+    assert eta == ana.eta
+    assert any(c.constant_term() != 0 for c in eta)
     J = ana.jacobian
     prods = []
     for i in range(3):
         acc = Poly.zero(3)
         for j in range(3):
-            acc = acc + J.entry(i, j) * eta.components[j]
+            acc = acc + J.entry(i, j) * eta[j]
         prods.append(acc)
     hits = [i for i, p in enumerate(prods) if p == ana.lam]
     zeros = [i for i, p in enumerate(prods) if p.is_zero()]
@@ -163,8 +164,7 @@ def test_one_adjugate_column_agrees_with_the_reference_route(index):
         J0 = J.eval(g.origin())
         j = next(j for j in range(n)
                  if rational_rank(J0[:j] + J0[j + 1:]) == n - 1)
-        assert null_field(g, ana).components == tuple(
-            J.adjugate_column(j, D - 1))
+        assert ana.eta == tuple(J.adjugate_column(j, D - 1))
 
 
 def test_translate_recenter():
@@ -204,12 +204,3 @@ def test_translate_matches_the_subs_reference(data):
                 src_dim=n)
     p = data.draw(st.lists(_SHIFTS, min_size=n, max_size=n))
     assert translate(f, p) == oracles.translate(f, p)
-
-
-def test_vecfield_apply_and_neg():
-    x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
-    v = VecField.constant([1, 0], 2)
-    p = x1 ** 2 * x2
-    assert v.apply(p) == 2 * x1 * x2
-    assert (-v).apply(p) == -(2 * x1 * x2)
-    assert v.scale(Fraction(3)).apply(p) == 6 * x1 * x2

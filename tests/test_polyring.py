@@ -14,8 +14,7 @@ from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               integer_adjugate, integer_det, integer_kernel,
                               _series_mul, _sum_of_products)
 import germlab.germ as germ_module
-from germlab.germ import (MapGerm, PreparedForm, VecField, analyze,
-                           prepared_form)
+from germlab.germ import MapGerm, PreparedForm, analyze, prepared_form
 from germlab.morin import ClassLabel
 from germlab.perturb import UnfoldingSpec, morin_points
 from conftest import compose_linear
@@ -108,7 +107,6 @@ def _value_instances():
     return {
         "Poly": Poly.var(1, 1),
         "PolyMatrix": PolyMatrix(1, 1, [Poly.var(1, 1)]),
-        "VecField": VecField([Poly.one(1)]),
         "MapGerm": f,
         "GermAnalysis": analyze(f),
         "PreparedForm": prepared_form(f),
@@ -119,7 +117,7 @@ def _value_instances():
     }
 
 
-@pytest.mark.parametrize("name", ["Poly", "PolyMatrix", "VecField", "MapGerm",
+@pytest.mark.parametrize("name", ["Poly", "PolyMatrix", "MapGerm",
                                   "GermAnalysis", "PreparedForm", "ClassLabel",
                                   "UnfoldingSpec", "MorinPoint",
                                   "PerturbationReport"])
@@ -193,6 +191,17 @@ def test_dir_deriv():
     # field (x2, 1): x2 * dp/dx1 + dp/dx2
     v = [x2, Poly.one(2)]
     assert dir_deriv(p, v) == 2 * x1 * x2 ** 2 + x1 ** 2
+    # a constant field may be given by its rationals
+    assert dir_deriv(p, [Fraction(3), 0]) == 6 * x1 * x2
+
+
+def test_dir_deriv_refuses_a_field_in_other_variables():
+    """A Poly component in another number of variables than p is an
+    error, not a product taken with p's exponent packing."""
+    x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
+    field = [Poly.var(3, 3), Poly.var(1, 3)]
+    with pytest.raises(DimensionError):
+        dir_deriv(x1 ** 2 + x2 ** 3, field)
 
 
 def test_render_round_data():

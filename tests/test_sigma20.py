@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from germlab.polyring import Poly
+from germlab.polyring import Poly, dir_deriv
 from germlab.germ import MapGerm, analyze, GermError
 from germlab.sigma20 import (classify_sigma20, hyp_normal_form,
                              elli_normal_form, DegenerateSigmaError)
@@ -39,15 +39,15 @@ def test_hyperbolic_reference_values():
     ana = analyze(g)
     xi, eta = kernel_frame(g, ana)
     origin = g.origin()
-    h11 = xi.apply(xi.apply(ana.lam)).eval(origin)
-    h12 = xi.apply(eta.apply(ana.lam)).eval(origin)
-    h21 = eta.apply(xi.apply(ana.lam)).eval(origin)
-    h22 = eta.apply(eta.apply(ana.lam)).eval(origin)
+    h11 = dir_deriv(dir_deriv(ana.lam, xi), xi).eval(origin)
+    h12 = dir_deriv(dir_deriv(ana.lam, eta), xi).eval(origin)
+    h21 = dir_deriv(dir_deriv(ana.lam, xi), eta).eval(origin)
+    h22 = dir_deriv(dir_deriv(ana.lam, eta), eta).eval(origin)
     assert h11 * h22 - h12 * h21 == -16
     grads = []
     for field in (xi, eta):
         for comp in g.components[:2]:
-            grads.append(gradient_at(field.apply(comp), origin))
+            grads.append(gradient_at(dir_deriv(comp, field), origin))
     assert rational_det(grads) == -4
 
 
