@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlab.polyring import Poly
+from germlab.polyring import Poly, dir_deriv
 from germlab.germ import (MapGerm, analyze, null_field, translate,
                           jacobian, jet_degree, prepared_form,
                           NotCorankOneError)
@@ -204,3 +204,14 @@ def test_translate_matches_the_subs_reference(data):
                 src_dim=n)
     p = data.draw(st.lists(_SHIFTS, min_size=n, max_size=n))
     assert translate(f, p) == oracles.translate(f, p)
+
+
+def test_vecfield_apply_and_neg():
+    """A field is a tuple of Polys: its negation and scaling are taken
+    componentwise, and it acts on a Poly by ``dir_deriv``."""
+    x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
+    v = (Poly.one(2), Poly.zero(2))
+    p = x1 ** 2 * x2
+    assert dir_deriv(p, v) == 2 * x1 * x2
+    assert dir_deriv(p, tuple(-c for c in v)) == -(2 * x1 * x2)
+    assert dir_deriv(p, tuple(Fraction(3) * c for c in v)) == 6 * x1 * x2
