@@ -3,10 +3,9 @@ orientation-preserving A-equivalence (A-isotopy), plus a perturbation lab
 that enumerates the Morin points of stable perturbations of simple germs.
 """
 
-from .polyring import Poly, PolyMatrix, rat, dir_deriv, DimensionError
-from .germ import (MapGerm, GermAnalysis, analyze, null_field,
-                   PreparedForm, prepared_form, translate, GermError,
-                   NotCorankOneError, DegenerateGermError)
+from .polyring import Poly, rat, DimensionError
+from .germ import (MapGerm, PreparedForm, prepared_form, translate,
+                   GermError, NotCorankOneError, DegenerateGermError)
 from .morin import (ClassLabel, recognize_morin, morin_invariants,
                     normal_form, class_count, invariant_kind)
 from .lowdim import classify_plane, classify_surface

@@ -204,14 +204,19 @@ def _jet_deriv(jet, v, cap):
     return out
 
 
-def _jet_det(rows, cap):
-    """det mod m^(cap+1) of a square matrix of integer jets, expanded along
-    the first row: each entry meets its minor, already mod m^(cap+1), and
-    no term of degree above ``cap`` is formed."""
+def _jet_det(rows, cap=None):
+    """det of a square matrix of jets ({exponent: any exact rational}),
+    expanded along the first row: each nonzero entry meets its minor.
+    With a ``cap`` every minor is already mod m^(cap+1), so no term of
+    degree above ``cap`` is formed; with None the det is whole."""
+    if cap is None:
+        cap = float("inf")
     if len(rows) == 1:
         return {e: c for e, c in rows[0][0].items() if sum(e) <= cap}
     out = {}
     for j, entry in enumerate(rows[0]):
+        if not entry:
+            continue
         minor = _jet_det([row[:j] + row[j + 1:] for row in rows[1:]], cap)
         for e1, c1 in entry.items():
             for e2, c2 in minor.items():

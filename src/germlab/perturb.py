@@ -59,9 +59,9 @@ from functools import cache, partial
 from math import floor, gcd, ldexp, log2, prod
 from operator import getitem
 
-from .polyring import (Poly, PolyMatrix, _Frozen, rat, _rat_str,
+from .polyring import (Poly, _Frozen, rat, _rat_str,
                        clear_denominators, _series_mul)
-from .germ import MapGerm, translate, GermError
+from .germ import MapGerm, translate, GermError, _jet_det
 from .germparse import parse_poly, parse_number, ParseError
 from .morin import recognize_morin, invariant_kind, invariant_value
 
@@ -455,12 +455,14 @@ MAX_PARAM_BITS = 352
 
 def param_count(family, l):
     """Number of unfolding parameters of a family ('A', 'B' or 'C'):
-    l - 1 for family A (2 <= l <= MAX_L), one for B, two for C."""
+    l - 1 for family A (2 <= l <= MAX_L), one for B, two for C (no l)."""
     if family == "A":
         if l is None or not 2 <= l <= MAX_L:
             raise ValueError("family A needs 2 <= l <= %d (the cap), "
                              "got l = %s" % (MAX_L, l))
         return l - 1
+    if l is not None:
+        raise ValueError("family %s takes no l, got l = %s" % (family, l))
     return {"B": 1, "C": 2}[family]
 
 
@@ -502,8 +504,6 @@ class UnfoldingSpec(_Frozen):
         if len(u) != count:
             raise ValueError("family %s needs %d parameter(s), got %d"
                              % (family, count, len(u)))
-        if family != "A":
-            l = None
         _Frozen.__init__(self, family, n, l, u)
 
     @property
@@ -666,9 +666,9 @@ def curve_criteria(family, n, l):
     if not _vanishing_on_curve([p.subs(reps) for p in chain[:n]], constraint):
         raise GermError("internal error: curve does not satisfy the equations")
     # restricting each entry first gives the same determinant, smaller
-    grad = [chain[j].partial(i).subs(reps)
-            for j in range(n) for i in range(1, n + 1)]
-    criteria = (constraint, chain[n].subs(reps), PolyMatrix(n, n, grad).det())
+    grad = [[chain[j].partial(i).subs(reps).terms for i in range(1, n + 1)]
+            for j in range(n)]
+    criteria = (constraint, chain[n].subs(reps), Poly(m, _jet_det(grad)))
     return (sigma, *map(_integer_terms, criteria),
             tuple(map(_integer_terms, _inv_row(family, n, l))))
 

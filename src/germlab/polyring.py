@@ -390,8 +390,8 @@ def dir_deriv(p, v, cap=None):
 
 
 class PolyMatrix(_Frozen):
-    """A rows x cols matrix of Polys (row-major), used for Jacobians,
-    gradient stacks and Hessians."""
+    """A rows x cols matrix of Polys (row-major), a reference type: no
+    command builds one, only ``germ.jacobian`` for ``analyze``."""
 
     __slots__ = ("rows", "cols", "entries")
 

@@ -199,6 +199,34 @@ def test_perturb_grid_range_of_two_bounds_is_a_bad_value(capsys):
     assert err == "error: grid range '0:1' is not of the form lo:hi:step\n"
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (("classify",), 2, "parse error: no germ given (use --input or an "
+     "inline argument) (line 1, column 1)"),
+    (("verify", "--claim", "", "x1^3 + x1*x2 ; x2"), 3,
+     "error: empty claimed label"),
+    (("verify", "--claim", "cusp eps1", "x1^3 + x1*x2 ; x2"), 3,
+     "error: bad sign clause 'eps1'"),
+    (("verify", "--claim", "cusp eps3=1", "x1^3 + x1*x2 ; x2"), 3,
+     "error: unknown sign name 'eps3'"),
+    (("perturb", "--family", "B", "--n", "3", "--grid", "0:1:0"), 3,
+     "error: grid step must be positive"),
+    (("perturb", "--family", "B", "--n", "3", "--grid", "0:1:-1/2"), 3,
+     "error: grid step must be positive"),
+    (("perturb", "--family", "B", "--n", "2", "--l", "5", "--params", "-1"),
+     3, "error: family B takes no l, got l = 5"),
+    (("perturb", "--family", "C", "--n", "4", "--l", "7", "--grid=0:1:1"),
+     3, "error: family C takes no l, got l = 7"),
+    (("perturb", "--family", "B", "--n", "3", "--l", "2", "--grid", "1:0:1"),
+     3, "error: family B takes no l, got l = 2"),
+], ids=["no-germ", "empty-claim", "bad-sign-clause", "unknown-sign-name",
+        "grid-step-zero", "grid-step-negative", "l-for-B", "l-for-C-grid",
+        "l-for-B-empty-grid"])
+def test_a_refused_request_is_one_error_line(capsys, argv, code, err):
+    """Each refusal ends before any work with its exit code and one
+    stderr line; an l given for family B or C is refused, not dropped."""
+    assert run(capsys, *argv) == (code, "", err + "\n")
+
+
 @pytest.mark.parametrize("sign", ["x", "2", "0", "+2", "-1/1"])
 def test_verify_claim_sign_other_than_one_is_a_bad_value(capsys, sign):
     code, out, err = run(capsys, "verify", "--claim", "cusp eps1=%s" % sign,
@@ -982,20 +1010,43 @@ def test_reflection_orbits_of_the_other_families(f, size):
 CORPUS = corpus_30()
 
 
+def _reference_layer_calls(monkeypatch):
+    """The calls of analyze, null_field, dir_deriv, and of PolyMatrix.det
+    and adjugate_column, one list each, as they come."""
+    import germlab.germ as germ
+    import germlab.polyring as polyring
+    return [_count_calls(monkeypatch, germ.analyze),
+            _count_calls(monkeypatch, germ.null_field),
+            _count_calls(monkeypatch, polyring.dir_deriv),
+            _count_cofactor_calls(monkeypatch)]
+
+
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_classify_reaches_no_cofactor_layer(capsys, monkeypatch, index):
     """No corpus germ reaches analyze, null_field, dir_deriv, a Poly
     determinant or an adjugate column: every route reads integer
     coefficients of f."""
-    import germlab.germ as germ
-    import germlab.polyring as polyring
-    calls = [_count_calls(monkeypatch, germ.analyze),
-             _count_calls(monkeypatch, germ.null_field),
-             _count_calls(monkeypatch, polyring.dir_deriv)]
-    cofactors = _count_cofactor_calls(monkeypatch)
+    calls = _reference_layer_calls(monkeypatch)
     assert run(capsys, "classify", "--json", render_map(CORPUS[index]))[0] == 0
-    assert calls == [[], [], []]
-    assert cofactors == []
+    assert calls == [[], [], [], []]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--claim", "cusp eps1=1 eps2=1", "x1^3 + x1*x2 ; x2"),
+    ("perturb", "--json", "--family", "A", "--n", "5", "--l", "3",
+     "--params", "0,-1"),
+    ("perturb", "--json", "--family", "C", "--n", "4", "--grid=-1:1:1,1:2:1"),
+    ("tables", "--json"),
+], ids=["verify", "perturb-exact", "perturb-grid", "tables"])
+def test_commands_reach_no_cofactor_layer(capsys, monkeypatch, argv):
+    """No other command reaches the reference layer either: a cold
+    perturbation key takes det grad by ``germ._jet_det``, and the exact
+    points (t = -1, 0, 1 here) are checked by the integer classify
+    route."""
+    pt.curve_criteria.cache_clear()
+    calls = _reference_layer_calls(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [[], [], [], []]
 
 
 def test_every_name_the_traced_benchmark_patches_resolves():

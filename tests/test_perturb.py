@@ -457,6 +457,12 @@ def test_spec_validation():
         pt.UnfoldingSpec("B", 3, [0, 0])
     with pytest.raises(ValueError):
         pt.UnfoldingSpec("C", 6, [0, 0])
+    # only family A has a degree l: one given for B or C is refused
+    for family, u in (("B", [0]), ("C", [0, 0])):
+        with pytest.raises(ValueError, match="family %s takes no l" % family):
+            pt.param_count(family, 5)
+        with pytest.raises(ValueError, match="family %s takes no l" % family):
+            pt.UnfoldingSpec(family, 3, u, l=5)
     s = pt.UnfoldingSpec("A", 3, [1, 2], l=3)
     assert s.c_f_bound() == 3
     assert pt.UnfoldingSpec("B", 4, [1]).c_f_bound() == 2
@@ -598,6 +604,19 @@ def test_family_c_table_agreement_across_grid():
             for p in rep.points:
                 assert p.invariant_value == p.table_value
                 assert p.verified
+
+
+def test_a_cell_straddling_zero_is_halved_until_it_excludes_zero():
+    """Family C, n = 2 at u0 = 2^-100: two roots lie within 2^-50 of
+    t = 0, on either side, so their cells straddle 0 until halved.  No
+    printed cell may keep 0, which is not a Morin point."""
+    spec = pt.UnfoldingSpec("C", 2, [F(1, 2 ** 100), F(1)])
+    rep = pt.morin_points(spec)
+    assert rep.count == 4 == spec.c_f_bound()
+    assert all(p.verified and not p.exact for p in rep.points)
+    assert all(lo * hi > 0 for lo, hi in (p.t for p in rep.points))
+    near = [p.t for p in rep.points if max(map(abs, p.t)) < F(1, 2 ** 50)]
+    assert [lo > 0 for lo, _ in near] == [False, True]
 
 
 def test_degenerate_parameter_flagged():
