@@ -14,10 +14,11 @@ D = jet_degree(n), for the test references.
 
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, rat,
                        _sum_of_products, clear_denominators,
-                       integer_adjugate, integer_kernel, _series_mul)
+                       integer_adjugate, integer_kernel)
 
 
 def jet_degree(n):
@@ -297,13 +298,15 @@ def _prepare(f):
 
 
 def _substitute(polys, n, p, a, signs):
-    """For each (terms, weight) of ``polys``, {beta: [coefficient of
-    u^m y'^beta, m = 0..weight]} for the integer polynomial ``terms`` at
-    x_j = a_j u + signs_k y'_k (k the place of j among the coordinates
-    other than p) and x_p = a_p u.  The curve has y' = O(u^2), so a term
-    u^m y'^beta enters the coefficients read at degree m + 2|beta|; only
-    terms with m + 2|beta| <= weight are formed.  The expansion of each
-    power x_j^e is built once for all of ``polys``."""
+    """For each (terms, weight) of ``polys``, {beta: [(m, coefficient of
+    u^m y'^beta) for each nonzero one, m = 0..weight rising]} for the
+    integer polynomial ``terms`` at x_j = a_j u + signs_k y'_k (k the
+    place of j among the coordinates other than p) and x_p = a_p u.  The
+    curve has y' = O(u^2), so a term u^m y'^beta enters the coefficients
+    read at degree m + 2|beta|; only terms with m + 2|beta| <= weight are
+    formed.  A term of degree ``weight`` (room 0) gives u^weight alone,
+    evaluated once as coef * a^alpha.  The expansion of each power x_j^e
+    is built once for all of ``polys``."""
     place = {j: k for k, j in enumerate(j for j in range(n) if j != p)}
     base = max(weight for _, weight in polys) + 1
     expansions = {}
@@ -315,23 +318,26 @@ def _substitute(polys, n, p, a, signs):
             if deg > weight:
                 continue
             room = weight - deg         # the largest |beta| kept
-            partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed beta)
-            for j, e in enumerate(alpha):
-                if not e:
-                    continue
-                table = expansions.get((j, e))
-                if table is None:
-                    if j == p:
-                        table = [(0, a[j] ** e, 0)]
-                    else:
-                        k = place[j]
-                        table = [(b, comb(e, b) * a[j] ** (e - b) *
-                                  signs[k] ** b, b * base ** k)
-                                 for b in range(e + 1) if a[j] or b == e]
-                    expansions[(j, e)] = table
-                partial = [(c * t, size + b, key + packed)
-                           for c, size, key in partial
-                           for b, t, packed in table if size + b <= room]
+            if not room:
+                partial = [(coef * prod(map(pow, a, alpha)), 0, 0)]
+            else:
+                partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed)
+                for j, e in enumerate(alpha):
+                    if not e:
+                        continue
+                    table = expansions.get((j, e))
+                    if table is None:
+                        if j == p:
+                            table = [(0, a[j] ** e, 0)]
+                        else:
+                            k = place[j]
+                            table = [(b, comb(e, b) * a[j] ** (e - b) *
+                                      signs[k] ** b, b * base ** k)
+                                     for b in range(e + 1) if a[j] or b == e]
+                        expansions[(j, e)] = table
+                    partial = [(c * t, size + b, key + packed)
+                               for c, size, key in partial
+                               for b, t, packed in table if size + b <= room]
             for c, size, key in partial:
                 coefs = out.get(key)
                 if coefs is None:
@@ -343,12 +349,15 @@ def _substitute(polys, n, p, a, signs):
             for _ in range(n - 1):
                 key, b = divmod(key, base)
                 beta.append(b)
-            unpacked[tuple(beta)] = coefs
+            unpacked[tuple(beta)] = [(m, c) for m, c in enumerate(coefs)
+                                     if c]
         found.append(unpacked)
     return found
 
 
 def _exact_div(x, d):
+    if d == 1:
+        return x
     quo, rem = divmod(x, d)
     if rem:
         raise GermError("inexact division in the prepared form")
@@ -356,10 +365,12 @@ def _exact_div(x, d):
 
 
 def _read_prepared(n, top, d, adj, first, rest):
-    """(curve, transverse) from the substituted components: ``first`` is f1,
-    {beta: series in u to degree ``top``}, and ``rest`` the rows of f', to
-    degree top - 1 (see ``_substitute``); L = d'f'(0) has determinant
-    d > 0 and adjugate ``adj``."""
+    """(curve, transverse) from the substituted components: ``first`` is f1
+    and ``rest`` the rows of f', each {beta: nonzero (a, coefficient of
+    u^a y'^beta)}, a <= ``top`` in f1 and a <= top - 1 in f' (see
+    ``_substitute``); L = d'f'(0) has determinant d > 0 and adjugate
+    ``adj``.  Every sum runs over these nonzero pairs only; at d = 1
+    nothing is divided."""
     m1 = n - 1
     units = [tuple(int(i == k) for i in range(m1)) for k in range(m1)]
     # the powers Gamma^beta of the curve for every beta read and every
@@ -372,55 +383,68 @@ def _read_prepared(n, top, d, adj, first, rest):
         if beta not in powers:
             powers[beta] = [0] * (top + 1)
             stack.extend(_lower(beta, k) for k, b in enumerate(beta) if b)
-    # Gamma^beta = Gamma^(beta - e_k) Gamma_k, k the first place of beta
+    # Gamma^beta = Gamma^(beta - e_k) Gamma_k, k the first place of beta,
+    # summed over the nonzero coefficients (degree, value) of Gamma_k
+    nonzero = [[] for _ in units]
     products = []
     for beta, series in powers.items():
-        size = sum(beta)
-        if size >= 2:
+        if sum(beta) >= 2:
             k = next(k for k, b in enumerate(beta) if b)
-            products.append((series, 2 * (size - 1), powers[_lower(beta, k)],
-                             powers[units[k]]))
+            products.append((series, powers[_lower(beta, k)], nonzero[k]))
     gamma = [powers[e] for e in units]
+    # each nonzero term c u^a y'^beta of f1 and of the rows of f' enters
+    # h(d u, Gamma) from degree a + 2|beta| on
+    first_terms, *rest_terms = [
+        [(a + 2 * sum(beta), a, c, powers[beta])
+         for beta, pairs in h.items() for a, c in pairs]
+        for h in [first] + rest]
     # At degree m, Gamma^beta with |beta| >= 2 reads Gamma below degree
     # m - 1, and so does f1(d u, Gamma), which has no linear part;
     # f'(d u, Gamma) reads Gamma[m] only through L Gamma[m], left out
     # while Gamma[m] is still 0; so Gamma[m] = -L^-1 residual.
     curve = [0, 0]
     for m in range(2, top + 1):
-        for series, low, below, gk in products:
-            series[m] = sum(below[b] * gk[m - b] for b in range(low, m - 1))
-        curve.append(sum(c * powers[beta][m - a] for beta, s in first.items()
-                         for a, c in enumerate(s[:m + 1]) if c))
+        for series, below, found in products:
+            series[m] = sum(g * below[m - j] for j, g in found)
+        curve.append(sum(c * series[m - a]
+                         for start, a, c, series in first_terms
+                         if start <= m))
         if curve[m] or m == top:
             break
-        residual = [sum(c * powers[beta][m - a] for beta, s in h.items()
-                        for a, c in enumerate(s[:m + 1]) if c)
-                    for h in rest]
-        for k in range(m1):
-            gamma[k][m] = _exact_div(
-                -sum(x * r for x, r in zip(adj[k], residual)), d)
+        residual = [sum(c * series[m - a]
+                        for start, a, c, series in terms if start <= m)
+                    for terms in rest_terms]
+        for k, row in enumerate(adj):
+            g = _exact_div(-sum(map(mul, row, residual)), d)
+            if g:
+                gamma[k][m] = g
+                nonzero[k].append((m, g))
     # The routes read the gradient rows d(eta^j lambda)(0) for
     # j < min(k, n) - 1 (the plane route row 0 at k = 3 > n = 2), so the
     # transverse row to degree min(k, n) - 1; with no k, none of them.
     cap = min(m - 1, n) - 1 if curve[m] else 0
     # R = df1/dy' on the curve mod u^(cap+1), and L + M = df'/dy' on it
-    # mod u^cap; every coefficient of M is a multiple of d.  The
-    # transverse row B solves B (L + M) = d R one degree at a time:
+    # mod u^cap; every coefficient of M is a multiple of d, and M[c] is
+    # kept as its nonzero entries (r, k, M[c][r][k]).  The transverse row
+    # B solves B (L + M) = d R one degree at a time:
     # B[m] = (R[m] - sum_c B[m-c] M[c] / d) adj, which reads M[c] for
-    # c < m only.
+    # c < m only, and costs the nonzero entries of M[c] plus one product
+    # with each column of adj.
     R = _gradient_on_curve(first, powers, m1, cap)
     rows = [_gradient_on_curve(h, powers, m1, cap - 1) for h in rest]
-    M = [None] + [[[_exact_div(g[c], d) for g in row] for row in rows]
+    M = [None] + [[(r, k, _exact_div(g[c], d))
+                   for r, row in enumerate(rows)
+                   for k, g in enumerate(row) if g[c]]
                   for c in range(1, cap)]
+    columns = list(zip(*adj))
     transverse = [[0] * m1]
     for m in range(1, cap + 1):
         x = [R[k][m] for k in range(m1)]
         for c in range(1, m):
             prev = transverse[m - c]
-            for k in range(m1):
-                x[k] -= sum(prev[r] * M[c][r][k] for r in range(m1))
-        transverse.append([sum(x[k] * adj[k][r] for k in range(m1))
-                           for r in range(m1)])
+            for r, k, value in M[c]:
+                x[k] -= prev[r] * value
+        transverse.append([sum(map(mul, x, col)) for col in columns])
     return curve, transverse
 
 
@@ -430,15 +454,23 @@ def _lower(beta, k):
 
 
 def _gradient_on_curve(h, powers, m1, cap):
-    """[dh/dy'_k at y' = Gamma(u), mod u^(cap+1), for each k]."""
+    """[dh/dy'_k at y' = Gamma(u), mod u^(cap+1), for each k], h as
+    {beta: nonzero (a, coefficient of u^a y'^beta)}.  Gamma = O(u^2), so
+    Gamma^(beta - e_k) starts at degree 2(|beta| - 1): a beta with
+    2(|beta| - 1) > cap adds nothing and is skipped, and each term
+    c u^a meets Gamma^(beta - e_k) from that degree to cap - a only."""
     out = [[0] * (cap + 1) for _ in range(m1)]
-    for beta, s in h.items():
+    for beta, pairs in h.items():
+        low = 2 * (sum(beta) - 1)
+        if low > cap:
+            continue
         for k, b in enumerate(beta):
             if b:
-                acc = out[k]
-                for a, c in enumerate(_series_mul(s, powers[_lower(beta, k)],
-                                                  cap)):
-                    acc[a] += b * c
+                acc, below = out[k], powers[_lower(beta, k)]
+                for a, c in pairs:
+                    bc = b * c
+                    for i in range(low, cap + 1 - a):
+                        acc[a + i] += bc * below[i]
     return out
 
 

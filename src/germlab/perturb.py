@@ -477,6 +477,16 @@ def parse_rational(text):
         raise ValueError("%s in %r" % (e.message, text)) from None
 
 
+def _checked_count(family, n, l):
+    """param_count(family, l) for a family 'A', 'B' or 'C' and n in 2..5;
+    a ValueError names the first argument out of range."""
+    if family not in ("A", "B", "C"):
+        raise ValueError("family must be A, B or C")
+    if not 2 <= n <= 5:
+        raise ValueError("n must be in 2..5")
+    return param_count(family, l)
+
+
 class UnfoldingSpec(_Frozen):
     """family 'A' | 'B' | 'C'; n in 2..5; 2 <= l <= MAX_L (family A only);
     u = parameter values (length l-1 for A, 1 for B, 2 for C), of at most
@@ -488,10 +498,7 @@ class UnfoldingSpec(_Frozen):
 
     def __init__(self, family, n, u, l=None):
         family = family.upper()
-        if family not in ("A", "B", "C"):
-            raise ValueError("family must be A, B or C")
-        if not 2 <= n <= 5:
-            raise ValueError("n must be in 2..5")
+        count = _checked_count(family, n, l)
         u = tuple(parse_rational(v) if isinstance(v, str) else rat(v)
                   for v in u)
         bits = sum(v.numerator.bit_length() + v.denominator.bit_length() - 1
@@ -500,7 +507,6 @@ class UnfoldingSpec(_Frozen):
             raise ValueError("parameters of %d bits in all, over the limit "
                              "of %d (numerators plus denominators)"
                              % (bits, MAX_PARAM_BITS))
-        count = param_count(family, l)
         if len(u) != count:
             raise ValueError("family %s needs %d parameter(s), got %d"
                              % (family, count, len(u)))
@@ -903,7 +909,9 @@ def sweep(family, n, grid, l=None, precision_bits=DEFAULT_PRECISION_BITS):
 
     Returns (reports, summary); summary gives the max count observed and
     whether the family bound c(f) was attained.  Degenerate grid points
-    are flagged in their reports, never fatal."""
+    are flagged in their reports, never fatal.  family, n and l are
+    checked as UnfoldingSpec checks them, also when the grid is empty."""
+    _checked_count(family.upper(), n, l)
     specs = [UnfoldingSpec(family, n, u, l=l) for u in grid]
     reports = [morin_points(spec, precision_bits=precision_bits)
                for spec in specs]

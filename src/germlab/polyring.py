@@ -357,8 +357,7 @@ def _sum_of_products(nvars, pairs, cap=None):
 def _series_mul(a, b, cap):
     """The product of two univariate series (coefficient lists, index =
     degree) truncated at degree ``cap``: terms above it are never formed.
-    The prepared-form route multiplies its integer curve series with it,
-    and ``perturb.up_mul`` takes it to full degree."""
+    ``perturb.up_mul`` takes it to full degree."""
     out = [0] * (cap + 1)
     for i, x in enumerate(a[:cap + 1]):
         if x:

@@ -8,6 +8,12 @@ the germ in its own coordinates, with any null field a test passes, and
 shares with the library's prepared-form route only the invariant rule
 ``morin.morin_invariants``.
 
+``prepared_form_reference`` is ``germ._prepare`` as it read the curve
+and the transverse row from dense series: ``_substitute`` gives each
+component as {beta: [coefficient of u^m y'^beta, m = 0..weight]},
+``_read_prepared`` sums over every slot of these series and of Gamma^beta
+at every degree, and keeps M[c] as a full (n-1) x (n-1) matrix.
+
 ``classify_sigma20``, ``classify_surface`` and ``classify_degenerate_plane``
 are the umbilic, surface and plane routes as they ran on the
 cofactor/vector-field layer before they read integer coefficients of f.
@@ -59,16 +65,17 @@ were read in one loop on int coefficients."""
 
 import re
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, comb, lcm
 from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
-                          GermAnalysis, MapGerm, analyze, jacobian, null_field)
+                          GermAnalysis, MapGerm, PreparedForm, analyze,
+                          jacobian, jet_degree, null_field)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
                               clear_denominators, dir_deriv, integer_adjugate,
-                              integer_kernel)
+                              integer_kernel, _series_mul)
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import (DegenerateSigmaError, elli_normal_form,
                              hyp_normal_form)
@@ -258,6 +265,218 @@ def eta_chain_label(f, analysis=None, eta=None):
         m = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (m // x.denominator) for x in row])
     return morin_invariants(n, k, values[k], scaled)
+
+
+# ---- the prepared form's series stage on dense series --------------------
+
+def prepared_form_reference(f):
+    """The PreparedForm of f, on integers only, read no further than the
+    kernels when n != m or the corank is not one.
+
+    At corank one, v = kernel[0] spans ker df(0) and w = left[0] its left
+    kernel; P = [v | e_j, j != p] and T = [w; e_i, i != q] put f in the
+    shape T f(P y) = (f1, f'), where df1(0) = 0 and d'f'(0) = (0 | L).
+    One complement column of P is negated if det L < 0, and then v or w,
+    so that det P, det T and d = det L are positive.  L is eliminated once:
+    the negated column takes d to -d and negates every row of adj L but
+    the first.  With y1 = d u every coefficient below stays an integer:
+      * the curve y' = Gamma(u) with f'(d u, Gamma(u)) = 0, solved one
+        degree per step with the constant matrix L;
+      * g(u, 0) = f1(d u, Gamma(u)), one degree per step as well: f1 has
+        no linear part, so its coefficient of u^m reads Gamma below
+        degree m.  The steps stop at the first m >= 2 with a nonzero
+        coefficient, m = k + 1, or at m = t = jet_degree(n) + 1 =
+        max(n + 1, 4);
+      * the transverse row d * df1/dy' (df'/dy')^-1 at (d u, Gamma(u))
+        to degree min(k, n) - 1, the derivative of g along z' = d * zeta'.
+    Terms of f of degree above t never reach these coefficients.  A
+    division by d that leaves a remainder raises GermError; by the
+    construction it is always exact."""
+    n = f.src_dim
+    comps = [dict(zip(c.terms, clear_denominators(c.terms.values())))
+             for c in f.components]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    J0 = [[c.get(e, 0) for e in units] for c in comps]
+    rank, kernel = integer_kernel(J0)
+    left = (integer_kernel([list(col) for col in zip(*J0)])[1]
+            if f.tgt_dim == n and rank in (n - 1, n - 2) else None)
+    if rank != n - 1 or left is None:
+        return PreparedForm(n - rank, comps, kernel, left)
+    top = jet_degree(n) + 1
+    v, w = kernel[0], left[0]
+    p = min((abs(x), j) for j, x in enumerate(v) if x)[1]
+    q = min((abs(x), i) for i, x in enumerate(w) if x)[1]
+    cols = [j for j in range(n) if j != p]
+    rows = [i for i in range(n) if i != q]
+    L = [[J0[i][j] for j in cols] for i in rows]
+    d, adj = integer_adjugate(L)
+    signs = [1] * (n - 1)
+    if d < 0:
+        signs[0] = -1
+        d = -d
+        adj = adj[:1] + [[-x for x in row] for row in adj[1:]]
+    if (-1) ** p * v[p] * (signs[0] if cols else 1) < 0:
+        v = [-x for x in v]
+    if (-1) ** q * w[q] < 0:
+        w = [-x for x in w]
+    f1 = {}
+    for wi, c in zip(w, comps):
+        if wi:
+            for e, coef in c.items():
+                f1[e] = f1.get(e, 0) + wi * coef
+    # the rows of f' are read only below degree t: by the curve's steps
+    # and, to degree min(k, n) - 2 <= t - 3, by the transverse row
+    first, *rest = _substitute(
+        [(f1, top)] + [(comps[i], top - 1) for i in rows],
+        n, p, [x * d for x in v], signs)
+    curve, transverse = _read_prepared(n, top, d, adj, first, rest)
+    return PreparedForm(1, comps, kernel, left, curve, transverse)
+
+
+def _substitute(polys, n, p, a, signs):
+    """For each (terms, weight) of ``polys``, {beta: [coefficient of
+    u^m y'^beta, m = 0..weight]} for the integer polynomial ``terms`` at
+    x_j = a_j u + signs_k y'_k (k the place of j among the coordinates
+    other than p) and x_p = a_p u.  The curve has y' = O(u^2), so a term
+    u^m y'^beta enters the coefficients read at degree m + 2|beta|; only
+    terms with m + 2|beta| <= weight are formed.  The expansion of each
+    power x_j^e is built once for all of ``polys``."""
+    place = {j: k for k, j in enumerate(j for j in range(n) if j != p)}
+    base = max(weight for _, weight in polys) + 1
+    expansions = {}
+    found = []
+    for terms, weight in polys:
+        out = {}
+        for alpha, coef in terms.items():
+            deg = sum(alpha)
+            if deg > weight:
+                continue
+            room = weight - deg         # the largest |beta| kept
+            partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed beta)
+            for j, e in enumerate(alpha):
+                if not e:
+                    continue
+                table = expansions.get((j, e))
+                if table is None:
+                    if j == p:
+                        table = [(0, a[j] ** e, 0)]
+                    else:
+                        k = place[j]
+                        table = [(b, comb(e, b) * a[j] ** (e - b) *
+                                  signs[k] ** b, b * base ** k)
+                                 for b in range(e + 1) if a[j] or b == e]
+                    expansions[(j, e)] = table
+                partial = [(c * t, size + b, key + packed)
+                           for c, size, key in partial
+                           for b, t, packed in table if size + b <= room]
+            for c, size, key in partial:
+                coefs = out.get(key)
+                if coefs is None:
+                    coefs = out[key] = [0] * (weight + 1)
+                coefs[deg - size] += c
+        unpacked = {}
+        for key, coefs in out.items():
+            beta = []
+            for _ in range(n - 1):
+                key, b = divmod(key, base)
+                beta.append(b)
+            unpacked[tuple(beta)] = coefs
+        found.append(unpacked)
+    return found
+
+
+def _exact_div(x, d):
+    quo, rem = divmod(x, d)
+    if rem:
+        raise GermError("inexact division in the prepared form")
+    return quo
+
+
+def _read_prepared(n, top, d, adj, first, rest):
+    """(curve, transverse) from the substituted components: ``first`` is f1,
+    {beta: series in u to degree ``top``}, and ``rest`` the rows of f', to
+    degree top - 1 (see ``_substitute``); L = d'f'(0) has determinant
+    d > 0 and adjugate ``adj``."""
+    m1 = n - 1
+    units = [tuple(int(i == k) for i in range(m1)) for k in range(m1)]
+    # the powers Gamma^beta of the curve for every beta read and every
+    # beta below one (the derivatives read Gamma^(beta - e_k)), all 0 for
+    # now: Gamma = O(u^2) is found one degree at a time below
+    powers = {(0,) * m1: [1] + [0] * top}
+    stack = units + [beta for h in [first] + rest for beta in h]
+    while stack:
+        beta = stack.pop()
+        if beta not in powers:
+            powers[beta] = [0] * (top + 1)
+            stack.extend(_lower(beta, k) for k, b in enumerate(beta) if b)
+    # Gamma^beta = Gamma^(beta - e_k) Gamma_k, k the first place of beta
+    products = []
+    for beta, series in powers.items():
+        size = sum(beta)
+        if size >= 2:
+            k = next(k for k, b in enumerate(beta) if b)
+            products.append((series, 2 * (size - 1), powers[_lower(beta, k)],
+                             powers[units[k]]))
+    gamma = [powers[e] for e in units]
+    # At degree m, Gamma^beta with |beta| >= 2 reads Gamma below degree
+    # m - 1, and so does f1(d u, Gamma), which has no linear part;
+    # f'(d u, Gamma) reads Gamma[m] only through L Gamma[m], left out
+    # while Gamma[m] is still 0; so Gamma[m] = -L^-1 residual.
+    curve = [0, 0]
+    for m in range(2, top + 1):
+        for series, low, below, gk in products:
+            series[m] = sum(below[b] * gk[m - b] for b in range(low, m - 1))
+        curve.append(sum(c * powers[beta][m - a] for beta, s in first.items()
+                         for a, c in enumerate(s[:m + 1]) if c))
+        if curve[m] or m == top:
+            break
+        residual = [sum(c * powers[beta][m - a] for beta, s in h.items()
+                        for a, c in enumerate(s[:m + 1]) if c)
+                    for h in rest]
+        for k in range(m1):
+            gamma[k][m] = _exact_div(
+                -sum(x * r for x, r in zip(adj[k], residual)), d)
+    # The routes read the gradient rows d(eta^j lambda)(0) for
+    # j < min(k, n) - 1 (the plane route row 0 at k = 3 > n = 2), so the
+    # transverse row to degree min(k, n) - 1; with no k, none of them.
+    cap = min(m - 1, n) - 1 if curve[m] else 0
+    # R = df1/dy' on the curve mod u^(cap+1), and L + M = df'/dy' on it
+    # mod u^cap; every coefficient of M is a multiple of d.  The
+    # transverse row B solves B (L + M) = d R one degree at a time:
+    # B[m] = (R[m] - sum_c B[m-c] M[c] / d) adj, which reads M[c] for
+    # c < m only.
+    R = _gradient_on_curve(first, powers, m1, cap)
+    rows = [_gradient_on_curve(h, powers, m1, cap - 1) for h in rest]
+    M = [None] + [[[_exact_div(g[c], d) for g in row] for row in rows]
+                  for c in range(1, cap)]
+    transverse = [[0] * m1]
+    for m in range(1, cap + 1):
+        x = [R[k][m] for k in range(m1)]
+        for c in range(1, m):
+            prev = transverse[m - c]
+            for k in range(m1):
+                x[k] -= sum(prev[r] * M[c][r][k] for r in range(m1))
+        transverse.append([sum(x[k] * adj[k][r] for k in range(m1))
+                           for r in range(m1)])
+    return curve, transverse
+
+
+def _lower(beta, k):
+    """beta - e_k."""
+    return beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+
+
+def _gradient_on_curve(h, powers, m1, cap):
+    """[dh/dy'_k at y' = Gamma(u), mod u^(cap+1), for each k]."""
+    out = [[0] * (cap + 1) for _ in range(m1)]
+    for beta, s in h.items():
+        for k, b in enumerate(beta):
+            if b:
+                acc = out[k]
+                for a, c in enumerate(_series_mul(s, powers[_lower(beta, k)],
+                                                  cap)):
+                    acc[a] += b * c
+    return out
 
 
 # ---- the umbilic and surface routes on the cofactor/vector-field layer ----

@@ -133,6 +133,87 @@ def test_prepared_form_reads_the_kernels_and_the_integer_components(n):
                 assert prep.left is None
 
 
+def _read(prep):
+    return (prep.corank, prep.kernel, prep.left, prep.curve, prep.transverse)
+
+
+def test_prepared_form_matches_the_dense_reference(monkeypatch):
+    """The series stage reads only nonzero coefficients and gives the same
+    integers as the dense one (``oracles.prepared_form_reference``) on
+    signed k <= n forms in n = 1..5 variables, each component scaled by a
+    positive rational, under random rational orientation-preserving
+    changes on both sides.  Under linear changes alone the curve Gamma is
+    0 to the degree read, so half the draws first bend the source,
+    x_j -> x_j + c_j x1^2 for j >= 2, which makes it nonzero from degree 2
+    on.  The draws include d = |det L| > 1 and k < n."""
+    import germlab.germ as germ
+    dets = []
+    original = germ.integer_adjugate
+
+    def recorded(mat):
+        det, adj = original(mat)
+        dets.append(abs(det))
+        return det, adj
+    monkeypatch.setattr(germ, "integer_adjugate", recorded)
+    drawn = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, n))
+        e1, e2 = data.draw(st.sampled_from([(1, 1), (1, -1), (-1, 1),
+                                            (-1, -1)]))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        f = normal_form(k, n, e1, e2)
+        if data.draw(st.booleans()):
+            x = [Poly.var(i, n) for i in range(1, n + 1)]
+            bend = [x[0]] + [xi + x[0] ** 2 * rng.randint(-2, 2)
+                             for xi in x[1:]]
+            f = MapGerm([c.subs(bend) for c in f.components], src_dim=n)
+        f = MapGerm([c.scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+                     for c in f.components], src_dim=n)
+        g = change_coordinates(f, random_rational_gl_pos(rng, n),
+                               random_rational_gl_pos(rng, n))
+        del dets[:]
+        assert _read(prepared_form(g)) == \
+            _read(oracles.prepared_form_reference(g))
+        drawn.append((k, n, dets[0]))
+
+    check()
+    assert any(d > 1 for _, _, d in drawn)
+    assert any(k < n for k, n, _ in drawn)
+
+
+@pytest.mark.parametrize("index", range(30))
+def test_prepared_form_matches_the_dense_reference_on_the_corpus(index):
+    """The same on each corpus form, as given and under one rational
+    change on each side."""
+    f = corpus_30()[index]
+    rng = random.Random(3100 + index)
+    g = change_coordinates(f, random_rational_gl_pos(rng, f.src_dim),
+                           random_rational_gl_pos(rng, f.tgt_dim))
+    for h in (f, g):
+        assert _read(prepared_form(h)) == \
+            _read(oracles.prepared_form_reference(h))
+
+
+def test_substitute_by_hand():
+    """x1 = 3u (the column p = 0), x2 = y1 (a_2 = 0) and x3 = 2u - y2 in
+    f = x1^2 x3 + x2 x3 + 5 x2^3 + x1 x3 - x3^2 + x1^4 at weight 3, and in
+    x3^2 + x2^2 at weight 2.  The room-0 terms are x1^2 x3 = 18 u^3 and
+    5 x2^3 = 0 (a_2 = 0), and x3^2 = 4 u^2 and x2^2 = 0; x1^4 is past the
+    weight, and terms u^m y'^beta with m + 2|beta| > weight are dropped:
+    x1 x3 - x3^2 = 2u^2 + u y2 and x2 x3 = 2u y1 up to such terms."""
+    from germlab.germ import _substitute
+    f = {(2, 0, 1): 1, (0, 1, 1): 1, (0, 3, 0): 5, (1, 0, 1): 1,
+         (0, 0, 2): -1, (4, 0, 0): 1}
+    h = {(0, 0, 2): 1, (0, 2, 0): 1}
+    assert _substitute([(f, 3), (h, 2)], 3, 0, [3, 0, 2], [1, -1]) == [
+        {(0, 0): [(2, 2), (3, 18)], (1, 0): [(1, 2)], (0, 1): [(1, 1)]},
+        {(0, 0): [(2, 4)]}]
+
+
 def test_null_field_requires_corank_one():
     x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
     with pytest.raises(NotCorankOneError):

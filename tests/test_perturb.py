@@ -635,6 +635,22 @@ def test_sweep_summary():
     assert summary["all_verified"]
 
 
+@pytest.mark.parametrize("family,n,l", [("D", 9, 5), ("B", 9, None),
+                                        ("B", 2, 5), ("A", 3, None)])
+def test_sweep_checks_its_arguments_on_an_empty_grid(family, n, l):
+    """An unknown family, an n out of range, an l given to family B or
+    none to family A is refused with UnfoldingSpec's message, whether or
+    not the grid has a point."""
+    with pytest.raises(ValueError) as swept:
+        pt.sweep(family, n, [], l=l)
+    with pytest.raises(ValueError) as spec:
+        pt.UnfoldingSpec(family, n, [], l=l)
+    assert str(swept.value) == str(spec.value)
+    reports, summary = pt.sweep("B", 2, [])
+    assert reports == [] and summary["grid_size"] == 0
+    assert summary["c_f_bound"] is None and not summary["attained"]
+
+
 # ---- the cached curve criteria against the per-request reference ---------
 
 def _params(text):
