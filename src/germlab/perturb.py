@@ -7,17 +7,18 @@ the null field is d/dt and lambda = q_t): the rows of q are printed in
 ``Q_FORMULAS``, family A's with qbar(xn, u) = xn^l + u0 + u1*xn + ... +
 u_{l-2}*xn^{l-2}.
 
-Morin points are found exactly: for families B and C the defining
-equations lambda = eta lambda = ... = eta^{n-1} lambda = 0 are eliminated
-by back substitution into a one-parameter curve sigma(t) plus a single
-constraint (``eliminate_curve``); family A's points lie on t = x2 = ... =
-x_{n-1} = 0, xn = s with the constraint qbar(s, u).  ``curve_criteria``
-works once per (family, n), or (n, l) for A, with the parameters
-symbolic: it checks that the curve satisfies the equations, an identity
-in Q[t, u], and restricts the classifier's criteria to it, cleared of
-denominators.  Each request only puts in its parameter values, on
-integers (``curve_data``).  Real roots of the constraint are isolated by
-Sturm sequences (``isolate_real_roots``).  Each isolating interval is
+Morin points are found exactly.  For families B and C the defining
+equations lambda = eta lambda = ... = eta^{n-1} lambda = 0 reduce, by back
+substitution, to a one-parameter curve sigma(t) plus a single constraint;
+family A's points lie on t = x2 = ... = x_{n-1} = 0, xn = s with the
+constraint qbar(s, u).  The curve, the constraint and the classifier's
+criteria restricted to the curve are printed rows in the parameters kept
+symbolic (``CRITERIA_FORMULAS``), read once per (family, n), or (n, l) for
+A, and cleared of denominators (``curve_criteria``); the elimination that
+derives them is a test reference (tests/oracles.py), compared with every
+row.  Each request only puts in its parameter values, on integers
+(``curve_data``).  Real roots of the constraint are isolated by Sturm
+sequences (``isolate_real_roots``).  Each isolating interval is
 refined once, by a bisection whose first halvings doubles may skip by
 proposing the dyadic cell of the root, kept only where two exact signs
 confirm it (``refine_root``), and the one rational candidate it holds is
@@ -45,13 +46,14 @@ built with its parameters put in term by term (``_with_params``) and
 re-centered by an integer Taylor shift (``germ.translate``), with no
 Poly product.
 
-Every published row is read by ``parse_poly`` from the text it is
-printed as: the q rows (``Q_FORMULAS``), the inv rows (``INV_FORMULAS``),
-whose signs at each root are the table's expected invariant, and the B
-and C tables' constraints and coordinates (``_PRINTED``).  Those tables
-contain a few inconsistent entries; ``table_discrepancy_report``
-compares each with the same cached curve and lists printed vs derived,
-so discrepancies are surfaced rather than silently absorbed.
+Every row the lab reads is read by ``parse_poly`` from the text it is
+printed as: the q rows (``Q_FORMULAS``), the curve and criteria rows
+(``CRITERIA_FORMULAS``), the inv rows (``INV_FORMULAS``), whose signs at
+each root are the table's expected invariant, and the published B and C
+tables' constraints and coordinates (``_PRINTED``).  Those tables contain
+a few inconsistent entries; ``table_discrepancy_report`` compares each
+with the lab's curve and lists printed vs derived, so discrepancies are
+surfaced rather than silently absorbed.
 """
 
 from fractions import Fraction
@@ -61,7 +63,7 @@ from operator import getitem
 
 from .polyring import (Poly, _Frozen, rat, _rat_str,
                        clear_denominators, _series_mul)
-from .germ import MapGerm, translate, GermError, _jet_det
+from .germ import MapGerm, translate
 from .germparse import parse_poly, parse_number, ParseError
 from .morin import recognize_morin, invariant_kind, invariant_value
 
@@ -549,14 +551,14 @@ Q_FORMULAS = {
 def _q(family, n, l):
     """The first unfolding component q, the row ``Q_FORMULAS[(family,
     n)]``, as a Poly in (t, x2, ..., xn, u0, ...).  A family A row names
-    qbar, the constraint of ``family_a_curve`` at s = xn."""
+    qbar, family A's constraint ``_qbar(l)`` at s = xn."""
     names = ["t"] + ["x%d" % i for i in range(2, n + 1)] + \
         ["u%d" % i for i in range(param_count(family, l))]
+    if family != "A":
+        return parse_poly(Q_FORMULAS[(family, n)], names)
     reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
-    if family == "A":
-        names.append("qbar")
-        reps.append(family_a_curve(n, l)[1].subs(reps[n - 1:]))
-    return parse_poly(Q_FORMULAS[(family, n)], names).subs(reps)
+    reps.append(_qbar(l).subs(reps[n - 1:]))
+    return parse_poly(Q_FORMULAS[(family, n)], names + ["qbar"]).subs(reps)
 
 
 def build_unfolding(spec):
@@ -570,115 +572,86 @@ def build_unfolding(spec):
 
 
 # ---------------------------------------------------------------------------
-# elimination: Morin-point curve sigma(t) + univariate constraint
+# the Morin-point curve and the criteria on it, as printed rows
 # ---------------------------------------------------------------------------
 
-def _lambda_chain(q, n):
-    """lambda = q_t and its t-derivatives up to order n (eta = d/dt)."""
-    chain = [q.partial(1)]
-    for _ in range(n):
-        chain.append(chain[-1].partial(1))
-    return chain
+# What the Morin points of one (family, n) share, as printed, in (t, u0[,
+# u1]): the curve's source coordinates (t, x2, ..., xn), the constraint,
+# and the classifier's criteria eta^n lambda and det grad(lambda, ...,
+# eta^{n-1} lambda) restricted to the curve.  Family A's curve is t = x2 =
+# ... = x_{n-1} = 0, xn = s, with t standing for s; its rows name qbar, the
+# constraint qbar(s, u), and qbar_x<n>, its derivative d/ds (``_qbar``).
+CRITERIA_FORMULAS = {
+    ("A", 2): (("0", "t"), "qbar", "6", "-6*qbar_x2"),
+    ("A", 3): (("0", "0", "t"), "qbar", "24", "48*qbar_x3"),
+    ("A", 4): (("0", "0", "0", "t"), "qbar", "120", "-1440*qbar_x4"),
+    ("A", 5): (("0", "0", "0", "0", "t"), "qbar", "720", "207360*qbar_x5"),
+    ("B", 2): (("t", "-4*t^3 - 2*t*u0"), "12*t^2 + 2*u0", "24*t", "-24*t"),
+    ("B", 3): (("t", "15*t^4 + 3*t^2*u0", "-10*t^3 - 3*t*u0"),
+               "60*t^2 + 6*u0", "120*t", "240*t"),
+    ("B", 4): (("t", "-36*t^5 - 4*t^3*u0", "45*t^4 + 6*t^2*u0",
+                "-20*t^3 - 4*t*u0"),
+               "360*t^2 + 24*u0", "720*t", "-8640*t"),
+    ("B", 5): (("t", "70*t^6 + 5*t^4*u0", "-126*t^5 - 10*t^3*u0",
+                "105*t^4 + 10*t^2*u0", "-35*t^3 - 5*t*u0"),
+               "2520*t^2 + 120*u0", "5040*t", "1451520*t"),
+    ("C", 2): (("t", "-6*t^2"),
+               "36*t^4 - 8*t^3 - 6*t^2*u1 + u0", "24*t",
+               "288*t^3 - 48*t^2 - 24*t*u1"),
+    ("C", 3): (("t", "-200*t^5 + 25*t^4 + 20*t^3*u1 - 2*t*u0", "-10*t^2"),
+               "200*t^4 - 40*t^3 - 20*t^2*u1 + 2*u0", "120*t",
+               "-4800*t^3 + 720*t^2 + 240*t*u1"),
+    ("C", 4): (("t", "675*t^6 - 96*t^5 - 45*t^4*u1 + 3*t^2*u0",
+                "-675*t^5 + 75*t^4 + 45*t^3*u1 - 3*t*u0", "-15*t^2"),
+               "1350*t^4 - 240*t^3 - 90*t^2*u1 + 6*u0", "720*t",
+               "259200*t^3 - 34560*t^2 - 8640*t*u1"),
+    ("C", 5): (("t", "-1764*t^7 + 245*t^6 + 84*t^5*u1 - 4*t^3*u0",
+                "2646*t^6 - 336*t^5 - 126*t^4*u1 + 6*t^2*u0",
+                "-1764*t^5 + 175*t^4 + 84*t^3*u1 - 4*t*u0", "-21*t^2"),
+               "10584*t^4 - 1680*t^3 - 504*t^2*u1 + 24*u0", "5040*t",
+               "-60963840*t^3 + 7257600*t^2 + 1451520*t*u1"),
+}
 
 
-@cache
-def eliminate_curve(family, n):
-    """Back-substitute the system lambda = ... = eta^{n-1} lambda = 0 of
-    family B or C with its parameters kept symbolic.
-
-    Returns (coords, constraint), both in the variables (t, u0[, u1]):
-    ``coords`` is the tuple of solutions x2(t, u), ..., xn(t, u), and
-    ``constraint`` the single remaining equation.  Only families B and C
-    have this one-curve structure.  Cached: each (family, n) is derived
-    once per process and specialised per request by ``curve_data``.
-    """
-    if family == "A":
-        raise GermError("family A points are not a one-parameter curve")
-    q = _q(family, n, None)
-    reps = [Poly.var(i, q.nvars) for i in range(1, q.nvars + 1)]
-    constraint = None
-    for eq in reversed(_lambda_chain(q, n - 1)):
-        e = eq.subs(reps)
-        present = [j for j in range(2, n + 1) if e.degree_in(j) > 0]
-        if not present:
-            if not e.is_zero():
-                if constraint is not None:
-                    raise GermError("elimination produced two constraints")
-                constraint = e
-            continue
-        if len(present) != 1:
-            raise GermError("equation involves several unknowns: %s" % present)
-        j = present[0]
-        reps[j - 1] = _solve_linear(e, j, "x%d" % j)
-    if constraint is None:
-        raise GermError("elimination produced no constraint")
-    return (tuple(_drop_x_vars(x, n) for x in reps[1:n]),
-            _drop_x_vars(constraint, n))
-
-
-def _solve_linear(e, i, name):
-    """The solution x_i = -b/a of e = a*x_i + b = 0 (i is 1-based), where
-    a must be a nonzero constant."""
-    if e.degree_in(i) != 1:
-        raise GermError("equation not linear in %s" % name)
-    a = e.partial(i)
-    if not a.is_constant():
-        raise GermError("coefficient of %s is not constant" % name)
-    b = Poly(e.nvars, {expo: coef for expo, coef in e.terms.items()
-                       if expo[i - 1] == 0})
-    return b.scale(Fraction(-1) / a.constant_term())
-
-
-def _drop_x_vars(p, n):
-    """Re-express a Poly in (t, x2..xn, u...) that does not involve the
-    x's as a Poly in (t, u...)."""
-    out = {}
-    for expo, coef in p.terms.items():
-        assert all(e == 0 for e in expo[1:n]), "polynomial still involves x's"
-        out[(expo[0],) + expo[n:]] = coef
-    return Poly(p.nvars - n + 1, out)
-
-
-def family_a_curve(n, l):
-    """(sigma, constraint) of family A in (s, u0, ..., u_{l-2}): the
-    curve t = x2 = ... = x_{n-1} = 0, xn = s, and qbar(s, u)."""
-    s = Poly.var(1, l)
-    qbar = s ** l
+def _qbar(l):
+    """Family A's qbar(s, u) = s^l + u0 + u1*s + ... + u_{l-2}*s^{l-2}, a
+    Poly in (s, u0, ..., u_{l-2})."""
+    terms = {(l,) + (0,) * (l - 1): Fraction(1)}
     for i in range(l - 1):
-        qbar = qbar + Poly.var(i + 2, l) * s ** i
-    return (Poly.zero(l),) * (n - 1) + (s,), qbar
+        terms[(i,) + (0,) * i + (1,) + (0,) * (l - 2 - i)] = Fraction(1)
+    return Poly._trusted(l, terms)
+
+
+def _read_rows(family, n, l, texts):
+    """The printed rows ``texts`` as Polys in (t, u0, u1, ...), each read by
+    ``parse_poly``.  A family A row may name qbar and qbar_x<n>
+    (``CRITERIA_FORMULAS``), which stand for ``_qbar(l)`` and its d/ds."""
+    names = ["t"] + ["u%d" % i for i in range(param_count(family, l))]
+    if family != "A":
+        return tuple(parse_poly(text, names) for text in texts)
+    qbar = _qbar(l)
+    reps = [Poly.var(i, l) for i in range(1, l + 1)] + [qbar, qbar.partial(1)]
+    names += ["qbar", "qbar_x%d" % n]
+    return tuple(parse_poly(text, names).subs(reps) for text in texts)
 
 
 @cache
 def curve_criteria(family, n, l):
     """What the Morin points of one (family, n[, l]) share, whatever the
-    parameter values: (sigma, constraint, etak, detgrad, row), all in
-    (t, u...) (t is s for family A).  ``sigma`` is the curve's n source
-    coordinates, as Polys.  etak and detgrad are eta^n lambda and det
-    grad (lambda, ..., eta^{n-1} lambda) restricted to it, and ``row`` is
-    the inv row (``_inv_row``); these, the constraint and each slot of
-    the row are cleared of denominators for ``_at_params``
-    (``_integer_terms``).  Raises GermError unless the curve satisfies
-    the equations (``_vanishing_on_curve``)."""
-    if family == "A":
-        sigma, constraint = family_a_curve(n, l)
-    else:
-        coords, constraint = eliminate_curve(family, n)
-        sigma = (Poly.var(1, constraint.nvars),) + coords
-    m = constraint.nvars
-    chain = _lambda_chain(_q(family, n, l), n)
-    # x_i -> sigma_i, and the parameters stay themselves
-    reps = list(sigma) + [Poly.var(i, m) for i in range(2, m + 1)]
-    if not _vanishing_on_curve([p.subs(reps) for p in chain[:n]], constraint):
-        raise GermError("internal error: curve does not satisfy the equations")
-    # restricting each entry first gives the same determinant, smaller
-    grad = [[chain[j].partial(i).subs(reps).terms for i in range(1, n + 1)]
-            for j in range(n)]
-    criteria = (constraint, chain[n].subs(reps), Poly(m, _jet_det(grad)))
-    return (sigma, *map(_integer_terms, criteria),
+    parameter values: (sigma, constraint, etak, detgrad, row), the rows
+    ``CRITERIA_FORMULAS[(family, n)]`` and ``INV_FORMULAS[(family, n)]``
+    read once per key (``_read_rows``), all in (t, u...).  ``sigma`` is
+    the curve's n source coordinates, as Polys; the constraint, eta^n
+    lambda, det grad and each slot of the inv row (``_inv_row``) are
+    cleared of denominators for ``_at_params`` (``_integer_terms``)."""
+    coords, *criteria = CRITERIA_FORMULAS[(family, n)]
+    return (_read_rows(family, n, l, coords),
+            *map(_integer_terms, _read_rows(family, n, l, criteria)),
             tuple(map(_integer_terms, _inv_row(family, n, l))))
 
 
+# No caller: the benchmark's tracer (bench/tracing.py) patches this name
+# by lookup, so it stays until the tracer stops naming it.
 def _vanishing_on_curve(on_curve, constraint):
     """True when every Poly of ``on_curve`` is 0 or a rational constant
     times ``constraint``: an identity in Q[t, u], so the curve satisfies
@@ -709,13 +682,14 @@ def _integer_terms(p):
     """A Poly in (t, u0, u1, ...) cleared of denominators, a positive
     multiple, as (size, degrees, terms): ``size`` its length in t,
     ``degrees`` its degree D_i in each u_i, and ``terms`` one (power of
-    t, int coefficient, exponents in u) per term."""
-    expos = list(p.terms)
+    t, int coefficient, exponents in u) per term, in the order of their
+    exponents, so that equal Polys give equal forms."""
+    expos = sorted(p.terms)
     degrees = tuple(max(e[i] for e in expos) if expos else 0
                     for i in range(1, p.nvars))
     return (p.degree_in(1) + 1, degrees,
             [(e[0], c, e[1:]) for e, c in
-             zip(expos, clear_denominators(list(p.terms.values())))])
+             zip(expos, clear_denominators([p.terms[e] for e in expos]))])
 
 
 def _at_params(form, u):
@@ -761,19 +735,12 @@ INV_FORMULAS = {
 
 def _inv_row(family, n, l):
     """The slots of the printed row ``INV_FORMULAS[(family, n)]`` as Polys
-    in (t, u0[, u1, ...]), each slot parsed by ``parse_poly``, once per key
-    (``curve_criteria``).  A family A
-    row may name qbar_x<n>, which stands for d/ds of the family's
-    constraint qbar(s, u) (t is s there, ``family_a_curve``)."""
-    names = ["t"] + ["u%d" % i for i in range(param_count(family, l))]
-    reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
-    if family == "A":
-        names.append("qbar_x%d" % n)
-        reps.append(family_a_curve(n, l)[1].partial(1))
+    in (t, u0[, u1, ...]), each slot read by ``_read_rows``.  A family A
+    row may name qbar_x<n>, d/ds of the family's constraint."""
     text = INV_FORMULAS[(family, n)]
     # a row with a comma is a pair "(a, b)": no polynomial holds a comma
-    slots = text[1:-1].split(",") if "," in text else [text]
-    return tuple(parse_poly(slot, names).subs(reps) for slot in slots)
+    return _read_rows(family, n, l,
+                      text[1:-1].split(",") if "," in text else [text])
 
 
 def table_invariant(spec, row, sign):
@@ -911,7 +878,8 @@ def sweep(family, n, grid, l=None, precision_bits=DEFAULT_PRECISION_BITS):
     whether the family bound c(f) was attained.  Degenerate grid points
     are flagged in their reports, never fatal.  family, n and l are
     checked as UnfoldingSpec checks them, also when the grid is empty."""
-    _checked_count(family.upper(), n, l)
+    family = family.upper()
+    _checked_count(family, n, l)
     specs = [UnfoldingSpec(family, n, u, l=l) for u in grid]
     reports = [morin_points(spec, precision_bits=precision_bits)
                for spec in specs]
@@ -961,23 +929,25 @@ _PRINTED = {
 
 def table_discrepancy_report():
     """Compare every constraint equation and coordinate formula of the
-    printed family B and C tables (``_PRINTED``) with the curve
-    ``eliminate_curve`` derives, the one the lab itself uses.  Coordinates
-    are compared with u0 solved from the constraint.  Returns a list of
-    entries {family, n, item, printed, derived, match}; mismatches are the
-    published typos, surfaced rather than silently corrected."""
+    printed family B and C tables (``_PRINTED``) with the curve the lab
+    itself uses (``CRITERIA_FORMULAS``).  Coordinates are compared with u0
+    solved from the constraint, a*u0 + b with a constant.  Returns a list
+    of entries {family, n, item, printed, derived, match}; mismatches are
+    the published typos, surfaced rather than silently corrected."""
     entries = []
     for (family, n), printed in _PRINTED.items():
-        coords, constraint = eliminate_curve(family, n)
+        coords, equation = CRITERIA_FORMULAS[(family, n)][:2]
+        constraint, *sigma = _read_rows(family, n, None, (equation,) + coords)
         names = _tu_names(constraint.nvars)
         reps = [Poly.var(i, len(names)) for i in range(1, len(names) + 1)]
-        reps[1] = _solve_linear(constraint, 2, "u0")
+        reps[1] = reps[1] - constraint.scale(
+            1 / constraint.partial(2).constant_term())
         for item, text in printed.items():
             p = parse_poly(text, names)
             if item == "constraint":
                 pair = _normalize_primitive(p), _normalize_primitive(constraint)
             else:
-                pair = p.subs(reps), coords[int(item[1:]) - 2].subs(reps)
+                pair = p.subs(reps), sigma[int(item[1:]) - 1].subs(reps)
             entries.append(_compare(family, n, item, *pair))
     return entries
 

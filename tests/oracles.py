@@ -33,6 +33,13 @@ code with the library's integer signs and Tarski queries.  This module's
 library ran before it bisected on integer cells, and its
 ``rational_roots`` tests one candidate per interval refined by them.
 
+``curve_criteria_reference`` derives what the lab reads from its printed
+curve and criteria rows: for families B and C it eliminates lambda = ... =
+eta^{n-1} lambda = 0 by back substitution (``eliminate_curve``), for
+family A it builds qbar by Poly arithmetic (``family_a_curve``), checks
+that the curve satisfies the equations, and restricts eta^n lambda and
+det grad to it, all with the parameters symbolic.
+
 ``translate`` re-centers a germ by ``Poly.subs`` of x_i + p_i, and
 ``build_unfolding`` puts the parameter values into the library's cached q
 by ``Poly.subs``: the Poly-product bodies the library ran before its
@@ -65,12 +72,13 @@ were read in one loop on int coefficients."""
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import ceil, comb, lcm
 from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
                           GermAnalysis, MapGerm, PreparedForm, analyze,
-                          jacobian, jet_degree, null_field)
+                          jacobian, jet_degree, null_field, _jet_det)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
@@ -83,8 +91,8 @@ from germlab.germparse import (ParseError, MAX_TERM_PRODUCTS, MAX_POWER_BITS,
                                _EOF, _OTHER, _PUNCT, _TOKEN, _bits, _blocks)
 from germlab.perturb import (DEFAULT_PRECISION_BITS, MorinPoint,
                              PerturbationReport, _classifier_invariant_on_curve,
-                             _lambda_chain, _q, eliminate_curve, up_deg,
-                             up_deriv, up_neg, up_trim)
+                             _integer_terms, _inv_row, _q, up_deg, up_deriv,
+                             up_neg, up_trim)
 
 
 # ---- rational Gauss-Jordan elimination (plain lists of Fractions) --------
@@ -784,6 +792,124 @@ def sign_at_root(g, constraint, root, max_iter=200):
         if lo == hi:
             return _sign(up_eval(g, lo))
     raise GermError("sign isolation did not converge")  # pragma: no cover
+
+
+# ---- reference curve and criteria: the symbolic elimination -------------
+#
+# The derivation the lab ran once per (family, n[, l]) before it read its
+# curve and criteria as printed rows (``CRITERIA_FORMULAS``): back
+# substitution of lambda = ... = eta^{n-1} lambda = 0 with the parameters
+# symbolic, the check that the curve satisfies the equations, and the
+# criteria restricted to the curve, det grad by ``germ._jet_det``.
+
+def _lambda_chain(q, n):
+    """lambda = q_t and its t-derivatives up to order n (eta = d/dt)."""
+    chain = [q.partial(1)]
+    for _ in range(n):
+        chain.append(chain[-1].partial(1))
+    return chain
+
+
+@cache
+def eliminate_curve(family, n):
+    """Back-substitute the system lambda = ... = eta^{n-1} lambda = 0 of
+    family B or C with its parameters kept symbolic.
+
+    Returns (coords, constraint), both in the variables (t, u0[, u1]):
+    ``coords`` is the tuple of solutions x2(t, u), ..., xn(t, u), and
+    ``constraint`` the single remaining equation.  Only families B and C
+    have this one-curve structure."""
+    if family == "A":
+        raise GermError("family A points are not a one-parameter curve")
+    q = _q(family, n, None)
+    reps = [Poly.var(i, q.nvars) for i in range(1, q.nvars + 1)]
+    constraint = None
+    for eq in reversed(_lambda_chain(q, n - 1)):
+        e = eq.subs(reps)
+        present = [j for j in range(2, n + 1) if e.degree_in(j) > 0]
+        if not present:
+            if not e.is_zero():
+                if constraint is not None:
+                    raise GermError("elimination produced two constraints")
+                constraint = e
+            continue
+        if len(present) != 1:
+            raise GermError("equation involves several unknowns: %s" % present)
+        j = present[0]
+        reps[j - 1] = _solve_linear(e, j, "x%d" % j)
+    if constraint is None:
+        raise GermError("elimination produced no constraint")
+    return (tuple(_drop_x_vars(x, n) for x in reps[1:n]),
+            _drop_x_vars(constraint, n))
+
+
+def _solve_linear(e, i, name):
+    """The solution x_i = -b/a of e = a*x_i + b = 0 (i is 1-based), where
+    a must be a nonzero constant."""
+    if e.degree_in(i) != 1:
+        raise GermError("equation not linear in %s" % name)
+    a = e.partial(i)
+    if not a.is_constant():
+        raise GermError("coefficient of %s is not constant" % name)
+    b = Poly(e.nvars, {expo: coef for expo, coef in e.terms.items()
+                       if expo[i - 1] == 0})
+    return b.scale(Fraction(-1) / a.constant_term())
+
+
+def _drop_x_vars(p, n):
+    """Re-express a Poly in (t, x2..xn, u...) that does not involve the
+    x's as a Poly in (t, u...)."""
+    out = {}
+    for expo, coef in p.terms.items():
+        assert all(e == 0 for e in expo[1:n]), "polynomial still involves x's"
+        out[(expo[0],) + expo[n:]] = coef
+    return Poly(p.nvars - n + 1, out)
+
+
+def family_a_curve(n, l):
+    """(sigma, constraint) of family A in (s, u0, ..., u_{l-2}): the
+    curve t = x2 = ... = x_{n-1} = 0, xn = s, and qbar(s, u)."""
+    s = Poly.var(1, l)
+    qbar = s ** l
+    for i in range(l - 1):
+        qbar = qbar + Poly.var(i + 2, l) * s ** i
+    return (Poly.zero(l),) * (n - 1) + (s,), qbar
+
+
+def _vanishing_on_curve(on_curve, constraint):
+    """True when every Poly of ``on_curve`` is 0 or a rational constant
+    times ``constraint``: an identity in Q[t, u], so the curve satisfies
+    the equations at every parameter value."""
+    lead = max(constraint.terms)
+    return all(p == constraint.scale(p.terms.get(lead, 0) /
+                                     constraint.terms[lead])
+               for p in on_curve)
+
+
+@cache
+def curve_criteria_reference(family, n, l):
+    """The library's ``curve_criteria`` tuple (sigma, constraint, etak,
+    detgrad, row), derived: the curve by ``eliminate_curve`` (or
+    ``family_a_curve``), checked to satisfy the equations
+    (``_vanishing_on_curve``), and eta^n lambda and det grad restricted
+    to it.  The inv row is the library's, read from its printed text."""
+    if family == "A":
+        sigma, constraint = family_a_curve(n, l)
+    else:
+        coords, constraint = eliminate_curve(family, n)
+        sigma = (Poly.var(1, constraint.nvars),) + coords
+    m = constraint.nvars
+    chain = _lambda_chain(_q(family, n, l), n)
+    # x_i -> sigma_i, and the parameters stay themselves
+    reps = list(sigma) + [Poly.var(i, m) for i in range(2, m + 1)]
+    if not _vanishing_on_curve([p.subs(reps) for p in chain[:n]], constraint):
+        raise GermError("internal error: curve does not satisfy the equations")
+    # restricting each entry first gives the same determinant, smaller
+    grad = [[chain[j].partial(i).subs(reps).terms for i in range(1, n + 1)]
+            for j in range(n)]
+    criteria = (constraint, chain[n].subs(reps), Poly(m, _jet_det(grad)))
+    return (sigma, *map(_integer_terms, criteria),
+            tuple(map(_integer_terms, _inv_row(family, n, l))))
 
 
 # ---- reference Morin-point enumeration -----------------------------------

@@ -1040,7 +1040,7 @@ def test_classify_reaches_no_cofactor_layer(capsys, monkeypatch, index):
 ], ids=["verify", "perturb-exact", "perturb-grid", "tables"])
 def test_commands_reach_no_cofactor_layer(capsys, monkeypatch, argv):
     """No other command reaches the reference layer either: a cold
-    perturbation key takes det grad by ``germ._jet_det``, and the exact
+    perturbation key reads its criteria from printed rows, and the exact
     points (t = -1, 0, 1 here) are checked by the integer classify
     route."""
     pt.curve_criteria.cache_clear()

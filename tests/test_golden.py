@@ -13,9 +13,10 @@ import pytest
 
 from germlab.cli import main
 from germlab.germparse import render_map
-from germlab.perturb import (FAMILY_B_CN, curve_criteria, eliminate_curve,
+from germlab.perturb import (FAMILY_B_CN, curve_criteria,
                              table_discrepancy_report)
 from conftest import corpus_30, monic_chebyshev_params
+from oracles import curve_criteria_reference
 
 CLASSIFY_CORPUS_SHA256 = \
     "cdb23e926d591d716e41a2297bb0b5a0ed96a934820059a01cd89dc321c9bd6f"
@@ -136,18 +137,18 @@ def test_table_discrepancy_report_is_golden():
 
 def test_perturb_json_same_cold_and_warm(capsys):
     """The first request after the cached curve and criteria are dropped
-    derives them afresh; its bytes equal those of the request that reuses
-    them."""
-    for argv in (["perturb", "--json", "--family", "B", "--n", "5",
-                  "--params=-1"],
-                 ["perturb", "--json", "--family", "C", "--n", "4",
-                  "--params=-1,1/2"],
-                 ["perturb", "--json", "--family", "A", "--n", "4",
-                  "--l", "3", "--params=0,-2"]):
-        eliminate_curve.cache_clear()
+    reads them afresh; its bytes equal those of the request that reuses
+    them, and the one key it read equals the reference derivation."""
+    for argv, key in (
+            (["perturb", "--json", "--family", "B", "--n", "5",
+              "--params=-1"], ("B", 5, None)),
+            (["perturb", "--json", "--family", "C", "--n", "4",
+              "--params=-1,1/2"], ("C", 4, None)),
+            (["perturb", "--json", "--family", "A", "--n", "4",
+              "--l", "3", "--params=0,-2"], ("A", 4, 3))):
         curve_criteria.cache_clear()
         cold = _stdout_sha256(capsys, [argv])
         assert curve_criteria.cache_info().currsize == 1
-        assert eliminate_curve.cache_info().currsize == \
-            (0 if "A" in argv else 1)
+        assert curve_criteria(*key) == curve_criteria_reference(*key)
+        assert curve_criteria.cache_info().currsize == 1
         assert _stdout_sha256(capsys, [argv]) == cold

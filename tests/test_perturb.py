@@ -519,11 +519,12 @@ def test_q_rows_match_the_poly_arithmetic(family, l, n):
 
 
 def test_eliminate_curve_consistency():
-    """For families B and C and n = 2..5, the curve specialised from the
-    cached symbolic elimination satisfies the equations of the unfolding
-    built independently with the parameters substituted: every lambda,
-    ..., eta^{n-1} lambda restricted to sigma is 0 modulo the constraint,
-    at stable and non-stable parameters alike."""
+    """For families B and C and n = 2..5, the lab's curve, read from its
+    printed rows and specialised to the parameters, satisfies the
+    equations of the unfolding built with the parameters substituted:
+    every lambda, ..., eta^{n-1} lambda (the reference chain) restricted
+    to sigma is 0 modulo the constraint, at stable and non-stable
+    parameters alike."""
     params = {"B": [[F(-3)], [F(0)], [F(5, 2)]],
               "C": [[F(1, 4), F(2)], [F(-1), F(1, 2)], [F(0), F(0)]]}
     for family, grid in params.items():
@@ -537,14 +538,14 @@ def test_eliminate_curve_consistency():
                 at_u = [Poly.var(1, 1)] + [Poly.const(v, 1) for v in u]
                 sigma = [x.subs(at_u) for x in sigma]
                 q = pt.build_unfolding(spec).components[0]
-                for eq in pt._lambda_chain(q, n - 1):
+                for eq in oracles._lambda_chain(q, n - 1):
                     on_curve = oracles.poly_to_coeffs(eq.subs(sigma))
                     assert not oracles.up_rem(on_curve, con), (family, n, u)
 
 
 def test_family_a_not_a_curve():
     with pytest.raises(GermError):
-        pt.eliminate_curve("A", 3)
+        oracles.eliminate_curve("A", 3)
 
 
 # ---- Morin point enumeration -------------------------------------------
@@ -635,6 +636,13 @@ def test_sweep_summary():
     assert summary["all_verified"]
 
 
+def test_sweep_reads_the_family_once():
+    """A lower-case family is read as its capital letter once, so the
+    summary names the family that each report's spec does."""
+    reports, summary = pt.sweep("b", 2, [(-1,)])
+    assert summary["family"] == "B" == reports[0].spec.family
+
+
 @pytest.mark.parametrize("family,n,l", [("D", 9, 5), ("B", 9, None),
                                         ("B", 2, 5), ("A", 3, None)])
 def test_sweep_checks_its_arguments_on_an_empty_grid(family, n, l):
@@ -698,50 +706,69 @@ def test_family_a_chebyshev_agrees_with_the_reference(l, n, precision_bits):
     assert _agree(spec, precision_bits)["count"] == l
 
 
+# every key the lab reads its curve and criteria for
+CRITERIA_KEYS = [(family, n, None) for family in "BC" for n in (2, 3, 4, 5)] \
+    + [("A", n, l) for n in (2, 3, 4, 5) for l in range(2, pt.MAX_L + 1)]
+
+
+def _keys_off_the_reference(keys):
+    """The keys among ``keys`` whose curve and criteria, read from the
+    printed rows, differ from the reference derivation's."""
+    pt.curve_criteria.cache_clear()
+    try:
+        return [key for key in keys if pt.curve_criteria(*key)
+                != oracles.curve_criteria_reference(*key)]
+    finally:
+        pt.curve_criteria.cache_clear()
+
+
+def test_printed_criteria_equal_the_derivation_on_every_key():
+    """The curve, constraint, eta^n lambda and det grad that the lab
+    reads from ``CRITERIA_FORMULAS`` equal those the symbolic elimination
+    derives, on all 132 keys: families B and C at n = 2..5, and family A
+    at n = 2..5 with l = 2..MAX_L."""
+    assert len(CRITERIA_KEYS) == 132
+    assert set(pt.CRITERIA_FORMULAS) == {
+        (f, n) for f in "ABC" for n in (2, 3, 4, 5)}
+    assert _keys_off_the_reference(CRITERIA_KEYS) == []
+
+
 @pytest.mark.parametrize("family,n", [
     (family, n) for family in "ABC" for n in (2, 3, 4, 5)])
 def test_a_corrupted_curve_is_an_internal_error(monkeypatch, family, n):
-    """The once-per-key check rejects a curve that leaves an equation
-    nonzero: t^(n+3) added to one coordinate of the B or C curve, or
-    s^(l+1) to the family A constraint."""
+    """A planted wrong row is named by the comparison with the reference
+    derivation, and no other key is: t^(n+3) added to one coordinate of
+    the B or C curve, or s^(l+1) to the family A constraint at l = 3."""
     l = 3 if family == "A" else None
+    coords, constraint, *criteria = pt.CRITERIA_FORMULAS[(family, n)]
     if family == "A":
-        def corrupted(n, l, original=pt.family_a_curve):
-            sigma, constraint = original(n, l)
-            s = Poly.var(1, constraint.nvars)
-            return sigma, constraint + s ** (l + 1)
-        monkeypatch.setattr(pt, "family_a_curve", corrupted)
-        u = [F(0), F(-1)]
+        constraint = "%s + t^%d" % (constraint, l + 1)
     else:
-        def corrupted(family, n, original=pt.eliminate_curve):
-            coords, constraint = original(family, n)
-            t = Poly.var(1, constraint.nvars)
-            j = n % len(coords)
-            return (coords[:j] + (coords[j] + t ** (n + 3),)
-                    + coords[j + 1:], constraint)
-        monkeypatch.setattr(pt, "eliminate_curve", corrupted)
-        u = [F(-1)] if family == "B" else [F(1, 4), F(2)]
-    pt.curve_criteria.cache_clear()
-    try:
-        with pytest.raises(GermError, match="does not satisfy the equations"):
-            pt.morin_points(pt.UnfoldingSpec(family, n, u, l=l))
-    finally:
-        pt.curve_criteria.cache_clear()
+        j = n % (n - 1) + 1
+        coords = coords[:j] + ("%s + t^%d" % (coords[j], n + 3),) \
+            + coords[j + 1:]
+    monkeypatch.setitem(pt.CRITERIA_FORMULAS, (family, n),
+                        (coords, constraint, *criteria))
+    keys = [(family, m, l) for m in (2, 3, 4, 5)]
+    assert _keys_off_the_reference(keys) == [(family, n, l)]
+
 
 # ---- symbolic identities and table cross-check -------------------------
 
 def family_b_symbolic_identity(n):
     """Symbolic check of the family B curve: the whole chain lambda, ...,
-    eta^{n-1} lambda of the unfolding with u0 kept symbolic, composed with
-    the cached solved coordinates, vanishes identically once
-    u0 = -c_n t^2 is substituted, and so does the constraint."""
-    coords, constraint = pt.eliminate_curve("B", n)
+    eta^{n-1} lambda of the unfolding with u0 kept symbolic, composed
+    with the reference elimination's solved coordinates, vanishes
+    identically once u0 = -c_n t^2 is substituted, and so does the
+    constraint."""
+    coords, constraint = oracles.eliminate_curve("B", n)
     t = Poly.var(1, 2)
     u0 = (t * t).scale(-pt.FAMILY_B_CN[n])
     on_curve = [t] + [x.subs([t, u0]) for x in coords] + [u0]
     q = pt._q("B", n, None)
     return constraint.subs([t, u0]).is_zero() and all(
-        eq.subs(on_curve).is_zero() for eq in pt._lambda_chain(q, n - 1))
+        eq.subs(on_curve).is_zero()
+        for eq in oracles._lambda_chain(q, n - 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -793,7 +820,7 @@ def test_table_invariant_matches_the_hand_coded_rows(n):
         if family == "B":
             grid = grid + [[-pt.FAMILY_B_CN[n]], [-4 * pt.FAMILY_B_CN[n]]]
         if family == "C":   # the constraint is linear in u0
-            con = pt.eliminate_curve("C", n)[1]
+            con = oracles.eliminate_curve("C", n)[1]
             at = con.eval([1, 0, 1])
             grid = grid + [[-at / (con.eval([1, 1, 1]) - at), 1]]
         for u in grid:
