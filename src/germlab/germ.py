@@ -163,9 +163,12 @@ class PreparedForm(_Frozen):
     a = k + 1 for the k with eta^k lambda(0) != 0 = eta^j lambda(0), j < k,
     or else up to max(n + 1, 4).  ``transverse[a][i]`` is that of
     u^a z_(i+2), read for a <= min(k, n) - 1 (only a = 0, a row of zeros,
-    when no k was found).  Otherwise, or if n != m, both are None.  The
+    when no k was found).  Otherwise, or if n != m, both are None.  So
+    eta^j lambda(0) = (j+1)! curve[j+1], and for j < k - 1 the gradient
+    d(eta^j lambda)(0) is (j+1)! (0, transverse[j+1]): the Morin criteria
+    read the rank and the sign of det of the block transverse[1:k].  The
     lengths of the two lists record how far the form was read, and
-    ``chain_value`` and ``chain_gradient`` raise GermError past them.
+    ``chain_value`` raises GermError past the curve's.
     """
 
     __slots__ = ("corank", "comps", "kernel", "left", "curve", "transverse")
@@ -182,16 +185,6 @@ class PreparedForm(_Frozen):
                             % (j, len(self.curve) - 1))
         return factorial(j + 1) * self.curve[j + 1]
 
-    def chain_gradient(self, j):
-        """d(eta^j lambda)(0) in the coordinates (u, z_2, ..., z_n):
-        [(j+2)! curve[j+2], (j+1)! transverse[j+1][i] ...]."""
-        if j + 2 >= len(self.curve) or j + 1 >= len(self.transverse):
-            raise GermError("d(eta^%d lambda)(0) is past the degree read"
-                            % j)
-        f = factorial(j + 1)
-        return [(j + 2) * f * self.curve[j + 2]] + \
-            [f * b for b in self.transverse[j + 1]]
-
 
 def _jet_deriv(jet, v, cap):
     """The derivative along the integer vector v of the integer jet
@@ -205,13 +198,11 @@ def _jet_deriv(jet, v, cap):
     return out
 
 
-def _jet_det(rows, cap=None):
-    """det of a square matrix of jets ({exponent: any exact rational}),
-    expanded along the first row: each nonzero entry meets its minor.
-    With a ``cap`` every minor is already mod m^(cap+1), so no term of
-    degree above ``cap`` is formed; with None the det is whole."""
-    if cap is None:
-        cap = float("inf")
+def _jet_det(rows, cap):
+    """det of a square matrix of jets ({exponent: any exact rational})
+    mod m^(cap+1), expanded along the first row: each nonzero entry meets
+    its minor, already mod m^(cap+1), so no term of degree above ``cap``
+    is formed."""
     if len(rows) == 1:
         return {e: c for e, c in rows[0][0].items() if sum(e) <= cap}
     out = {}
@@ -419,9 +410,9 @@ def _read_prepared(n, top, d, adj, first, rest):
             if g:
                 gamma[k][m] = g
                 nonzero[k].append((m, g))
-    # The routes read the gradient rows d(eta^j lambda)(0) for
-    # j < min(k, n) - 1 (the plane route row 0 at k = 3 > n = 2), so the
-    # transverse row to degree min(k, n) - 1; with no k, none of them.
+    # The routes read the transverse row to degree min(k, n) - 1: the
+    # Morin block transverse[1:k], and xi lambda(0) = transverse[1][0]
+    # at k = 3 > n = 2 (the plane route); with no k, none of it.
     cap = min(m - 1, n) - 1 if curve[m] else 0
     # R = df1/dy' on the curve mod u^(cap+1), and L + M = df'/dy' on it
     # mod u^cap; every coefficient of M is a multiple of d, and M[c] is

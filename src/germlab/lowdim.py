@@ -98,7 +98,7 @@ def classify_degenerate_plane(f):
                               ("etaetalam", eps))
     elif (prep.chain_value(1) == 0 and prep.chain_value(2) == 0 and
           prep.chain_value(3) != 0):
-        eps = _sign(prep.chain_gradient(0)[1] * prep.chain_value(3))
+        eps = _sign(prep.transverse[1][0] * prep.chain_value(3))
         return ClassLabel("planar-swallowtail", (eps, None),
                           _plane_normal_form("planar-swallowtail", eps),
                           None, ("xilam-eta3lam", eps))

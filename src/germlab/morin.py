@@ -142,29 +142,29 @@ def recognize_morin(f):
     if k is None:
         raise DegenerateGermError(
             "no k <= n with eta^k lambda(0) != 0; not a Morin singularity")
-    # Row j < k - 1 of the gradients starts with (j+2)! curve[j+2] =
-    # eta^(j+1) lambda(0) = 0, and row k - 1 with eta^k lambda(0): by a
-    # Laplace expansion along that column, the rank and the determinant
-    # are those of the rows j < k - 1 and (eta^k lambda(0), 0, ..., 0).
-    eta_k_lambda = prep.chain_value(k)
-    return morin_invariants(n, k, eta_k_lambda,
-                            [prep.chain_gradient(j) for j in range(k - 1)] +
-                            [[eta_k_lambda] + [0] * (n - 1)])
-
-
-def morin_invariants(n, k, eta_k_lambda, grad_rows):
-    """The ClassLabel of a k-Morin germ in n variables from its criterion
-    values: eta_k_lambda = eta^k lambda(0) != 0 and ``grad_rows``, the
-    integer rows d(eta^j lambda)(0) for j < k (positive multiples of them
-    do as well: only signs are read).  Its invariant (see
-    ``invariant_kind``) and the signed normal form that carries it.
-    Raises DegenerateGermError if the rows have rank below k; at k = n
-    that is det = 0, read from the one elimination that gives the sign."""
-    s_etak = _sign(eta_k_lambda)
-    s_det = _sign(integer_det(grad_rows)) if k == n else None
-    if s_det == 0 or k < n and integer_kernel(grad_rows)[0] < k:
+    # Row j < k - 1 of d(lambda, ..., eta^(k-1) lambda)(0) is
+    # (j+1)! (0, transverse[j+1]), and row k - 1 starts with
+    # eta^k lambda(0) != 0: by a Laplace expansion along the u column the
+    # rows have rank 1 + rank T, T = transverse[1:k], and at k = n the
+    # sign (-1)^(k-1) sign eta^k lambda(0) sign det T.
+    s_etak = _sign(prep.chain_value(k))
+    T = prep.transverse[1:k]
+    s_det = None
+    if k == n:
+        det_t = integer_det(T) if k > 1 else 1
+        s_det = (-1) ** (k - 1) * s_etak * _sign(det_t)
+    if s_det == 0 or 1 < k < n and integer_kernel(T)[0] < k - 1:
         raise DegenerateGermError(
             "rank d(lambda,...,eta^{k-1} lambda)(0) < k; not Morin (degenerate)")
+    return morin_invariants(n, k, s_etak, s_det)
+
+
+def morin_invariants(n, k, s_etak, s_det):
+    """The ClassLabel of a k-Morin germ in n variables from its criterion
+    signs: s_etak = sign eta^k lambda(0) (+1 or -1) and, at k = n,
+    s_det = sign det d(lambda, ..., eta^(k-1) lambda)(0) (+1 or -1; None
+    when k < n).  Its invariant (see ``invariant_kind``) and the signed
+    normal form that carries it."""
     kind = invariant_kind(k, n)
     invariant = invariant_value(kind, s_etak, s_det)
     signs = _NORMAL_FORM_SIGNS[kind](invariant[-1])

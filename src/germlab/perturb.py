@@ -61,8 +61,7 @@ from functools import cache, partial
 from math import floor, gcd, ldexp, log2, prod
 from operator import getitem
 
-from .polyring import (Poly, _Frozen, rat, _rat_str,
-                       clear_denominators, _series_mul)
+from .polyring import Poly, _Frozen, rat, _rat_str, clear_denominators
 from .germ import MapGerm, translate
 from .germparse import parse_poly, parse_number, ParseError
 from .morin import recognize_morin, invariant_kind, invariant_value
@@ -95,7 +94,12 @@ def up_neg(c):
 def up_mul(a, b):
     if not a or not b:
         return []
-    return up_trim(_series_mul(a, b, len(a) + len(b) - 2))
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return up_trim(out)
 
 
 # Signs, gcds and quotients are taken on integer polynomials.  Each one is

@@ -354,19 +354,6 @@ def _sum_of_products(nvars, pairs, cap=None):
     return Poly._trusted(nvars, terms)
 
 
-def _series_mul(a, b, cap):
-    """The product of two univariate series (coefficient lists, index =
-    degree) truncated at degree ``cap``: terms above it are never formed.
-    ``perturb.up_mul`` takes it to full degree."""
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a[:cap + 1]):
-        if x:
-            for j, y in enumerate(b[:cap + 1 - i], i):
-                if y:
-                    out[j] += x * y
-    return out
-
-
 def _rat_str(c):
     if c.denominator == 1:
         return str(c.numerator)

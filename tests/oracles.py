@@ -3,10 +3,11 @@
 ``eta_chain_label`` is the Morin recognition of the eta-chain route: lambda
 and the null field eta from one adjugate column of the Jacobian
 (``germ.analyze``), the chain lambda, eta lambda, ..., eta^n lambda as
-polynomial jets, and its values and gradients at the origin.  It reads
-the germ in its own coordinates, with any null field a test passes, and
-shares with the library's prepared-form route only the invariant rule
-``morin.morin_invariants``.
+polynomial jets, and its values and gradients at the origin, whose rank
+and determinant it takes by ``rational_rank`` and ``rational_det``.  It
+reads the germ in its own coordinates, with any null field a test
+passes, and shares with the library's prepared-form route only the sign
+rule ``morin.morin_invariants``.
 
 ``prepared_form_reference`` is ``germ._prepare`` as it read the curve
 and the transverse row from dense series: ``_substitute`` gives each
@@ -83,7 +84,7 @@ from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
                               clear_denominators, dir_deriv, integer_adjugate,
-                              integer_kernel, _series_mul)
+                              integer_kernel)
 from germlab.lowdim import _plane_normal_form, _surface_normal_form
 from germlab.sigma20 import (DegenerateSigmaError, elli_normal_form,
                              hyp_normal_form)
@@ -267,12 +268,8 @@ def eta_chain_label(f, analysis=None, eta=None):
     rows = [gradient_at(chain[j], origin) for j in range(k)]
     if rational_rank(rows) != k:
         raise DegenerateGermError("rank d(lambda,...,eta^{k-1} lambda)(0) < k")
-    # each row times the positive lcm of its denominators: same det sign
-    scaled = []
-    for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (m // x.denominator) for x in row])
-    return morin_invariants(n, k, values[k], scaled)
+    s_det = _sign(rational_det(rows)) if k == n else None
+    return morin_invariants(n, k, _sign(values[k]), s_det)
 
 
 # ---- the prepared form's series stage on dense series --------------------
@@ -472,6 +469,18 @@ def _read_prepared(n, top, d, adj, first, rest):
 def _lower(beta, k):
     """beta - e_k."""
     return beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+
+
+def _series_mul(a, b, cap):
+    """The product of two univariate series (coefficient lists, index =
+    degree) truncated at degree ``cap``: terms above it are never formed."""
+    out = [0] * (cap + 1)
+    for i, x in enumerate(a[:cap + 1]):
+        if x:
+            for j, y in enumerate(b[:cap + 1 - i], i):
+                if y:
+                    out[j] += x * y
+    return out
 
 
 def _gradient_on_curve(h, powers, m1, cap):
@@ -907,7 +916,12 @@ def curve_criteria_reference(family, n, l):
     # restricting each entry first gives the same determinant, smaller
     grad = [[chain[j].partial(i).subs(reps).terms for i in range(1, n + 1)]
             for j in range(n)]
-    criteria = (constraint, chain[n].subs(reps), Poly(m, _jet_det(grad)))
+    # no product in the expansion has a degree above the sum of each
+    # row's largest entry degree, so the cap truncates nothing
+    whole = sum(max((sum(e) for entry in row for e in entry), default=0)
+                for row in grad)
+    criteria = (constraint, chain[n].subs(reps),
+                Poly(m, _jet_det(grad, whole)))
     return (sigma, *map(_integer_terms, criteria),
             tuple(map(_integer_terms, _inv_row(family, n, l))))
 

@@ -185,6 +185,14 @@ def test_prepared_form_matches_the_dense_reference(monkeypatch):
     assert any(k < n for k, n, _ in drawn)
 
 
+def test_series_product_is_truncated():
+    """The dense reference's product of two series forms no term above
+    its cap."""
+    assert oracles._series_mul([1, 2, 3], [0, 1, 1], 3) == [0, 1, 3, 5]
+    assert oracles._series_mul([1, 1], [1, 1], 0) == [1]
+    assert oracles._series_mul([0, 0, 5], [0, 7], 2) == [0, 0, 0]
+
+
 @pytest.mark.parametrize("index", range(30))
 def test_prepared_form_matches_the_dense_reference_on_the_corpus(index):
     """The same on each corpus form, as given and under one rational

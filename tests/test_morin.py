@@ -288,13 +288,15 @@ def test_prepared_form_eliminates_l_once(monkeypatch):
     monkeypatch.setattr(germ, "integer_adjugate", recorded)
     prep = prepared_form(parse_map("x1^3 + x1*x2 ; -x2"))
     assert dets == [-1]
-    assert prep.chain_value(2) == -6 and prep.chain_gradient(0) == [0, 1]
+    assert prep.chain_value(2) == -6 and prep.transverse[1] == [1]
 
 
 def test_recognize_morin_eliminates_each_matrix_once(monkeypatch):
-    """One integer elimination each for J(0), its transpose, L and the
-    gradient rows, at every k <= n and either sign of det L: at k = n
-    one elimination gives both the rank check and the sign of det."""
+    """One integer elimination each for J(0), its transpose, L and, at
+    k >= 2, the transverse block, at every k <= n and either sign of
+    det L: at k = n one elimination gives both the rank check and the
+    sign of det.  At k = 1 the one gradient row starts with
+    eta lambda(0) != 0, so nothing is eliminated for it."""
     import germlab.polyring as polyring
     pivots = []
     original = polyring._bareiss
@@ -313,10 +315,57 @@ def test_recognize_morin_eliminates_each_matrix_once(monkeypatch):
                                        random_gl_pos(rng, n))
                 pivots.clear()
                 label = recognize_morin(g)
-                assert len(pivots) == 4
+                assert len(pivots) == (3 if k == 1 else 4)
                 flipped += pivots[2] < 0    # the third is L, with det L
                 assert label == recognize_morin(f)
     assert flipped > 0
+
+
+def test_gradient_elimination_is_the_transverse_block(monkeypatch):
+    """Past the prepared form, recognition eliminates the block
+    transverse[1:k] itself, (k-1) x (n-1), with no factorials and no u
+    column, and nothing at k = 1: at k = n its determinant gives the
+    sign of det grad."""
+    import germlab.polyring as polyring
+    seen = []
+    original = polyring._bareiss
+
+    def recorded(mat, width):
+        seen.append(([list(row) for row in mat], width))
+        return original(mat, width)
+    rng = random.Random(33)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for f, _, _ in all_signed(k, n):
+                g = change_coordinates(f, random_gl_pos(rng, n),
+                                       random_gl_pos(rng, n))
+                prep, label = prepared_form(g), recognize_morin(f)
+                monkeypatch.setattr(polyring, "_bareiss", recorded)
+                seen.clear()
+                assert recognize_morin(g) == label
+                monkeypatch.setattr(polyring, "_bareiss", original)
+                assert seen == ([(prep.transverse[1:k], n - 1)] if k > 1
+                                else [])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grad_det_sign_is_the_eta_chain_determinant(n):
+    """The witness sign of det grad read from the transverse block is the
+    sign of the eta-chain reference's own ``rational_det`` of the
+    gradient rows, under bent source changes x -> A x + Q(x) (det A > 0,
+    the target kept, so the reference's null field points as d/du does).
+    At n = 2 mod 4 the label carries sign eta^n lambda(0) alone, so only
+    this witness shows a wrong sign of det there."""
+    from conftest import random_quadratic_diffeo
+    rng = random.Random(3300 + n)
+    cap = jet_degree(n) + 1
+    for f, _, _ in all_signed(n, n):
+        phi = random_quadratic_diffeo(rng, n)
+        g = MapGerm([c.subs(phi).truncate(cap) for c in f.components])
+        got, expected = recognize_morin(g), eta_chain_label(g)
+        assert got == expected
+        assert got.witness == expected.witness
+        assert got.witness["grad_det_sign"] in (1, -1)
 
 
 def test_an_inexact_division_raises():
@@ -354,9 +403,9 @@ def test_prepared_form_of_the_signed_forms():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_prepared_form_is_read_to_degree_k_plus_one(n):
     """A changed k-Morin form is read to curve degree k + 1 and transverse
-    degree k - 1 (k <= n): every chain value and gradient row the criteria
-    read is there, and chain_value(k + 1) and chain_gradient(k - 1), past
-    the degree read, raise GermError rather than give a wrong 0."""
+    degree k - 1 (k <= n): every chain value and transverse row the
+    criteria read is there, and chain_value(k + 1), past the degree read,
+    raises GermError rather than give a wrong 0."""
     rng = random.Random(2020 + n)
     for k in range(1, n + 1):
         g = change_coordinates(normal_form(k, n), random_gl_pos(rng, n),
@@ -365,11 +414,9 @@ def test_prepared_form_is_read_to_degree_k_plus_one(n):
         assert (len(prep.curve), len(prep.transverse)) == (k + 2, k)
         assert [prep.chain_value(j) != 0 for j in range(k + 1)] == \
             [False] * k + [True]
-        assert all(len(prep.chain_gradient(j)) == n for j in range(k - 1))
+        assert all(len(row) == n - 1 for row in prep.transverse)
         with pytest.raises(GermError):
             prep.chain_value(k + 1)
-        with pytest.raises(GermError):
-            prep.chain_gradient(k - 1)
 
 
 def test_prepared_form_of_germs_that_are_not_morin():
@@ -378,17 +425,13 @@ def test_prepared_form_of_germs_that_are_not_morin():
     max(n + 1, 4) and no transverse row past degree 0."""
     prep = prepared_form(_plane_normal_form("planar-swallowtail", 1))
     assert (len(prep.curve), len(prep.transverse)) == (5, 2)
-    assert prep.chain_value(3) and prep.chain_gradient(0)
-    with pytest.raises(GermError):
-        prep.chain_gradient(1)
+    assert prep.chain_value(3) and prep.transverse[1] != [0]
     y = [Poly.var(i, 3) for i in (1, 2, 3)]
     prep = prepared_form(MapGerm([y[0] ** 9, y[1], y[2]]))
     assert (prep.curve, prep.transverse) == ([0] * 5, [[0, 0]])
     assert prep.chain_value(3) == 0
     with pytest.raises(GermError):
         prep.chain_value(4)
-    with pytest.raises(GermError):
-        prep.chain_gradient(0)
 
 
 @pytest.mark.parametrize("make,args", [

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from germlab.polyring import (Poly, PolyMatrix, rat, dir_deriv,
                               DimensionError, clear_denominators,
                               integer_adjugate, integer_det, integer_kernel,
-                              _series_mul, _sum_of_products)
+                              _sum_of_products)
 import germlab.germ as germ_module
 from germlab.germ import MapGerm, PreparedForm, analyze, prepared_form
 from germlab.morin import ClassLabel
@@ -533,9 +533,3 @@ def test_clear_denominators_scales_by_the_lcm():
     assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == \
         [3, -4, 30]
     assert clear_denominators([]) == []
-
-
-def test_series_product_is_truncated():
-    assert _series_mul([1, 2, 3], [0, 1, 1], 3) == [0, 1, 3, 5]
-    assert _series_mul([1, 1], [1, 1], 0) == [1]
-    assert _series_mul([0, 0, 5], [0, 7], 2) == [0, 0, 0]
