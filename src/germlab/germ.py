@@ -292,14 +292,15 @@ def _substitute(polys, n, p, a, signs):
     """For each (terms, weight) of ``polys``, {beta: [(m, coefficient of
     u^m y'^beta) for each nonzero one, m = 0..weight rising]} for the
     integer polynomial ``terms`` at x_j = a_j u + signs_k y'_k (k the
-    place of j among the coordinates other than p) and x_p = a_p u.  The
-    curve has y' = O(u^2), so a term u^m y'^beta enters the coefficients
-    read at degree m + 2|beta|; only terms with m + 2|beta| <= weight are
-    formed.  A term of degree ``weight`` (room 0) gives u^weight alone,
-    evaluated once as coef * a^alpha.  The expansion of each power x_j^e
-    is built once for all of ``polys``."""
+    place of j among the coordinates other than p) and x_p = a_p u, beta
+    the sorted tuple of the places of y'^beta, each repeated by its
+    exponent (y'_0^2 y'_3 is (0, 0, 3), 1 is ()); places rise with j, so
+    keys are built sorted.  The curve has y' = O(u^2), so a term u^m y'^beta
+    enters the coefficients read at degree m + 2|beta|; only terms with
+    m + 2|beta| <= weight are formed.  A term of degree ``weight`` (room
+    0) gives u^weight alone, evaluated once as coef * a^alpha.  The
+    expansion of each power x_j^e is built once for all of ``polys``."""
     place = {j: k for k, j in enumerate(j for j in range(n) if j != p)}
-    base = max(weight for _, weight in polys) + 1
     expansions = {}
     found = []
     for terms, weight in polys:
@@ -310,39 +311,33 @@ def _substitute(polys, n, p, a, signs):
                 continue
             room = weight - deg         # the largest |beta| kept
             if not room:
-                partial = [(coef * prod(map(pow, a, alpha)), 0, 0)]
+                partial = [(coef * prod(map(pow, a, alpha)), ())]
             else:
-                partial = [(coef, 0, 0)]    # (coefficient, |beta|, packed)
+                partial = [(coef, ())]
                 for j, e in enumerate(alpha):
                     if not e:
                         continue
                     table = expansions.get((j, e))
                     if table is None:
                         if j == p:
-                            table = [(0, a[j] ** e, 0)]
+                            table = [(a[j] ** e, ())]
                         else:
                             k = place[j]
-                            table = [(b, comb(e, b) * a[j] ** (e - b) *
-                                      signs[k] ** b, b * base ** k)
+                            table = [(comb(e, b) * a[j] ** (e - b) *
+                                      signs[k] ** b, (k,) * b)
                                      for b in range(e + 1) if a[j] or b == e]
                         expansions[(j, e)] = table
-                    partial = [(c * t, size + b, key + packed)
-                               for c, size, key in partial
-                               for b, t, packed in table if size + b <= room]
-            for c, size, key in partial:
-                coefs = out.get(key)
+                    partial = [(c * t, beta + more)
+                               for c, beta in partial
+                               for t, more in table
+                               if len(beta) + len(more) <= room]
+            for c, beta in partial:
+                coefs = out.get(beta)
                 if coefs is None:
-                    coefs = out[key] = [0] * (weight + 1)
-                coefs[deg - size] += c
-        unpacked = {}
-        for key, coefs in out.items():
-            beta = []
-            for _ in range(n - 1):
-                key, b = divmod(key, base)
-                beta.append(b)
-            unpacked[tuple(beta)] = [(m, c) for m, c in enumerate(coefs)
-                                     if c]
-        found.append(unpacked)
+                    coefs = out[beta] = [0] * (weight + 1)
+                coefs[deg - len(beta)] += c
+        found.append({beta: [(m, c) for m, c in enumerate(coefs) if c]
+                      for beta, coefs in out.items()})
     return found
 
 
@@ -358,35 +353,32 @@ def _exact_div(x, d):
 def _read_prepared(n, top, d, adj, first, rest):
     """(curve, transverse) from the substituted components: ``first`` is f1
     and ``rest`` the rows of f', each {beta: nonzero (a, coefficient of
-    u^a y'^beta)}, a <= ``top`` in f1 and a <= top - 1 in f' (see
-    ``_substitute``); L = d'f'(0) has determinant d > 0 and adjugate
-    ``adj``.  Every sum runs over these nonzero pairs only; at d = 1
-    nothing is divided."""
+    u^a y'^beta)}, a <= ``top`` in f1 and a <= top - 1 in f', beta the
+    sorted tuple of the places of y'^beta (see ``_substitute``);
+    L = d'f'(0) has determinant d > 0 and adjugate ``adj``.  Every sum
+    runs over these nonzero pairs only; at d = 1 nothing is divided."""
     m1 = n - 1
-    units = [tuple(int(i == k) for i in range(m1)) for k in range(m1)]
+    units = [(k,) for k in range(m1)]
     # the powers Gamma^beta of the curve for every beta read and every
     # beta below one (the derivatives read Gamma^(beta - e_k)), all 0 for
     # now: Gamma = O(u^2) is found one degree at a time below
-    powers = {(0,) * m1: [1] + [0] * top}
+    powers = {(): [1] + [0] * top}
     stack = units + [beta for h in [first] + rest for beta in h]
     while stack:
         beta = stack.pop()
         if beta not in powers:
             powers[beta] = [0] * (top + 1)
-            stack.extend(_lower(beta, k) for k, b in enumerate(beta) if b)
-    # Gamma^beta = Gamma^(beta - e_k) Gamma_k, k the first place of beta,
+            stack.extend(_lower(beta, k) for k in set(beta))
+    # Gamma^beta = Gamma^(beta - e_k) Gamma_k, k = beta[0] the first place,
     # summed over the nonzero coefficients (degree, value) of Gamma_k
     nonzero = [[] for _ in units]
-    products = []
-    for beta, series in powers.items():
-        if sum(beta) >= 2:
-            k = next(k for k, b in enumerate(beta) if b)
-            products.append((series, powers[_lower(beta, k)], nonzero[k]))
+    products = [(series, powers[beta[1:]], nonzero[beta[0]])
+                for beta, series in powers.items() if len(beta) >= 2]
     gamma = [powers[e] for e in units]
     # each nonzero term c u^a y'^beta of f1 and of the rows of f' enters
     # h(d u, Gamma) from degree a + 2|beta| on
     first_terms, *rest_terms = [
-        [(a + 2 * sum(beta), a, c, powers[beta])
+        [(a + 2 * len(beta), a, c, powers[beta])
          for beta, pairs in h.items() for a, c in pairs]
         for h in [first] + rest]
     # At degree m, Gamma^beta with |beta| >= 2 reads Gamma below degree
@@ -440,28 +432,31 @@ def _read_prepared(n, top, d, adj, first, rest):
 
 
 def _lower(beta, k):
-    """beta - e_k."""
-    return beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+    """beta - e_k: beta with one occurrence of the place k dropped."""
+    i = beta.index(k)
+    return beta[:i] + beta[i + 1:]
 
 
 def _gradient_on_curve(h, powers, m1, cap):
     """[dh/dy'_k at y' = Gamma(u), mod u^(cap+1), for each k], h as
-    {beta: nonzero (a, coefficient of u^a y'^beta)}.  Gamma = O(u^2), so
+    {beta: nonzero (a, coefficient of u^a y'^beta)}, beta the sorted
+    tuple of its places: only the distinct places k of beta are visited,
+    with exponent b = beta.count(k).  Gamma = O(u^2), so
     Gamma^(beta - e_k) starts at degree 2(|beta| - 1): a beta with
     2(|beta| - 1) > cap adds nothing and is skipped, and each term
     c u^a meets Gamma^(beta - e_k) from that degree to cap - a only."""
     out = [[0] * (cap + 1) for _ in range(m1)]
     for beta, pairs in h.items():
-        low = 2 * (sum(beta) - 1)
+        low = 2 * (len(beta) - 1)
         if low > cap:
             continue
-        for k, b in enumerate(beta):
-            if b:
-                acc, below = out[k], powers[_lower(beta, k)]
-                for a, c in pairs:
-                    bc = b * c
-                    for i in range(low, cap + 1 - a):
-                        acc[a + i] += bc * below[i]
+        for k in set(beta):
+            b = beta.count(k)
+            acc, below = out[k], powers[_lower(beta, k)]
+            for a, c in pairs:
+                bc = b * c
+                for i in range(low, cap + 1 - a):
+                    acc[a + i] += bc * below[i]
     return out
 
 

@@ -266,6 +266,9 @@ class Poly(_Frozen):
         return NotImplemented
 
     def __hash__(self):
+        # a Poly equal to a number (no nonconstant term) hashes as it
+        if len(self.terms) <= 1 and not any(next(iter(self.terms), ())):
+            return hash(self.constant_term())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):

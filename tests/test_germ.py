@@ -137,6 +137,21 @@ def _read(prep):
     return (prep.corank, prep.kernel, prep.left, prep.curve, prep.transverse)
 
 
+def _dense_change(rng, f, bend):
+    """f, its source first bent by x_j -> x_j + c_j x1^2 for j >= 2 when
+    ``bend``, each component scaled by a positive rational, under random
+    rational orientation-preserving changes on both sides."""
+    n = f.src_dim
+    if bend:
+        x = [Poly.var(i, n) for i in range(1, n + 1)]
+        bent = [x[0]] + [xi + x[0] ** 2 * rng.randint(-2, 2) for xi in x[1:]]
+        f = MapGerm([c.subs(bent) for c in f.components], src_dim=n)
+    f = MapGerm([c.scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+                 for c in f.components], src_dim=n)
+    return change_coordinates(f, random_rational_gl_pos(rng, n),
+                              random_rational_gl_pos(rng, n))
+
+
 def test_prepared_form_matches_the_dense_reference(monkeypatch):
     """The series stage reads only nonzero coefficients and gives the same
     integers as the dense one (``oracles.prepared_form_reference``) on
@@ -165,16 +180,8 @@ def test_prepared_form_matches_the_dense_reference(monkeypatch):
         e1, e2 = data.draw(st.sampled_from([(1, 1), (1, -1), (-1, 1),
                                             (-1, -1)]))
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
-        f = normal_form(k, n, e1, e2)
-        if data.draw(st.booleans()):
-            x = [Poly.var(i, n) for i in range(1, n + 1)]
-            bend = [x[0]] + [xi + x[0] ** 2 * rng.randint(-2, 2)
-                             for xi in x[1:]]
-            f = MapGerm([c.subs(bend) for c in f.components], src_dim=n)
-        f = MapGerm([c.scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
-                     for c in f.components], src_dim=n)
-        g = change_coordinates(f, random_rational_gl_pos(rng, n),
-                               random_rational_gl_pos(rng, n))
+        g = _dense_change(rng, normal_form(k, n, e1, e2),
+                          data.draw(st.booleans()))
         del dets[:]
         assert _read(prepared_form(g)) == \
             _read(oracles.prepared_form_reference(g))
@@ -183,6 +190,18 @@ def test_prepared_form_matches_the_dense_reference(monkeypatch):
     check()
     assert any(d > 1 for _, _, d in drawn)
     assert any(k < n for k, n, _ in drawn)
+
+
+@pytest.mark.parametrize("n, k, e1, e2", [(6, 6, -1, 1), (7, 3, 1, 1),
+                                          (8, 4, 1, -1), (10, 2, -1, -1)])
+def test_prepared_form_matches_the_dense_reference_past_n_5(n, k, e1, e2):
+    """The same on one bent draw each past the n <= 5 of the random
+    draws, where the keys y'^beta of the substituted rows mix up to n - 1
+    places."""
+    g = _dense_change(random.Random(3200 + n), normal_form(k, n, e1, e2),
+                      True)
+    assert _read(prepared_form(g)) == \
+        _read(oracles.prepared_form_reference(g))
 
 
 def test_series_product_is_truncated():
@@ -208,18 +227,25 @@ def test_prepared_form_matches_the_dense_reference_on_the_corpus(index):
 
 def test_substitute_by_hand():
     """x1 = 3u (the column p = 0), x2 = y1 (a_2 = 0) and x3 = 2u - y2 in
-    f = x1^2 x3 + x2 x3 + 5 x2^3 + x1 x3 - x3^2 + x1^4 at weight 3, and in
-    x3^2 + x2^2 at weight 2.  The room-0 terms are x1^2 x3 = 18 u^3 and
-    5 x2^3 = 0 (a_2 = 0), and x3^2 = 4 u^2 and x2^2 = 0; x1^4 is past the
-    weight, and terms u^m y'^beta with m + 2|beta| > weight are dropped:
-    x1 x3 - x3^2 = 2u^2 + u y2 and x2 x3 = 2u y1 up to such terms."""
+    f = x1^2 x3 + x2 x3 + 5 x2^3 + x1 x3 - x3^2 + x1^4 at weight 3, in
+    x3^2 + x2^2 at weight 2, and in x2^2 x3 + x3^2 at weight 6.  The
+    room-0 terms are x1^2 x3 = 18 u^3 and 5 x2^3 = 0 (a_2 = 0), and
+    x3^2 = 4 u^2 and x2^2 = 0; x1^4 is past the weight, and terms
+    u^m y'^beta with m + 2|beta| > weight are dropped: x1 x3 - x3^2 =
+    2u^2 + u y2 and x2 x3 = 2u y1 up to such terms.  At weight 6 nothing
+    is dropped: x2^2 x3 = 2u y1^2 - y1^2 y2 and x3^2 = 4u^2 - 4u y2 + y2^2.
+    y'^beta is keyed by its places, each repeated by its exponent."""
     from germlab.germ import _substitute
     f = {(2, 0, 1): 1, (0, 1, 1): 1, (0, 3, 0): 5, (1, 0, 1): 1,
          (0, 0, 2): -1, (4, 0, 0): 1}
     h = {(0, 0, 2): 1, (0, 2, 0): 1}
-    assert _substitute([(f, 3), (h, 2)], 3, 0, [3, 0, 2], [1, -1]) == [
-        {(0, 0): [(2, 2), (3, 18)], (1, 0): [(1, 2)], (0, 1): [(1, 1)]},
-        {(0, 0): [(2, 4)]}]
+    g = {(0, 2, 1): 1, (0, 0, 2): 1}
+    assert _substitute([(f, 3), (h, 2), (g, 6)], 3, 0, [3, 0, 2],
+                       [1, -1]) == [
+        {(): [(2, 2), (3, 18)], (0,): [(1, 2)], (1,): [(1, 1)]},
+        {(): [(2, 4)]},
+        {(0, 0): [(1, 2)], (0, 0, 1): [(0, -1)], (): [(2, 4)],
+         (1,): [(1, -4)], (1, 1): [(0, 1)]}]
 
 
 def test_null_field_requires_corank_one():

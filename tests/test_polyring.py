@@ -40,6 +40,19 @@ def test_var_and_const():
     assert Poly.const("2/3", 1).constant_term() == Fraction(2, 3)
 
 
+def test_a_poly_equal_to_a_number_hashes_as_it():
+    """Poly.const(c, n) == c, so the two hash alike: a set or dict holds
+    them as one key.  Equal Polys still hash alike."""
+    three = Poly.const(3, 2)
+    assert three == 3 and hash(three) == hash(3)
+    assert len({3, three}) == 1
+    assert {3: "a"}.get(Poly.const(3, 1)) == "a"
+    assert {Fraction(1, 2): "b"}.get(Poly.const("1/2", 4)) == "b"
+    assert hash(Poly.zero(3)) == hash(0) and Poly.zero(3) == 0
+    x1 = Poly.var(1, 2)
+    assert hash(x1 + 3) == hash(3 + x1) and x1 + 3 != 3
+
+
 def test_basic_arithmetic():
     x1, x2 = Poly.var(1, 2), Poly.var(2, 2)
     p = (x1 + x2) * (x1 - x2)
