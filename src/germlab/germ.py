@@ -1,8 +1,13 @@
 """Map-germ container and the shared geometric primitives:
 Jacobian, the prepared form (the one integer reading of a germ that
-every classify route reads, kept on the germ), integer jets, lambda
-(= det Jacobian) and the null vector field eta from one adjugate
-column, and point translation.
+every classify route reads, kept on the germ), lambda (= det Jacobian)
+and the null vector field eta from one adjugate column, and point
+translation.
+
+The plane, surface and corank-two routes read the prepared form's
+integer components as dense jets, lists of ints over the monomials of
+degree <= cap of a ``jet_table`` (n <= 4, cap <= 3), with ``jet_deriv``
+and ``jet_det``; the Morin route reads the sparse prepared form.
 
 The values eta^j lambda(0) up to the first that is not 0 (at most
 j = jet_degree(n)) and the gradients at 0 of eta^j lambda below it are
@@ -13,8 +18,10 @@ D = jet_degree(n), for the test references.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .polyring import (Poly, PolyMatrix, DimensionError, _Frozen, rat,
                        _sum_of_products, clear_denominators,
@@ -186,35 +193,84 @@ class PreparedForm(_Frozen):
         return factorial(j + 1) * self.curve[j + 1]
 
 
-def _jet_deriv(jet, v, cap):
-    """The derivative along the integer vector v of the integer jet
-    ``jet`` ({exponent: int}) mod m^(cap+2), taken mod m^(cap+1)."""
-    out = {}
-    for e, c in jet.items():
-        for i, (vi, ei) in enumerate(zip(v, e)):
-            if vi and ei and sum(e) <= cap + 1:
-                low = e[:i] + (ei - 1,) + e[i + 1:]
-                out[low] = out.get(low, 0) + vi * ei * c
+@cache
+def jet_table(n, cap):
+    """The dense-jet table of n variables to degree ``cap``, a tuple
+    (monomials, index, products, derivatives).  A jet is a list of ints,
+    the coefficients of ``monomials``: the exponents of degree <= cap,
+    by degree, x_1, ..., x_n first among the linear ones, so a jet's
+    terms of degree <= c are its prefix of comb(n + c, n) entries.
+    ``index`` maps each exponent to its place; ``products[i]`` holds
+    (j, k) for every monomial j whose product with monomial i has degree
+    <= cap, k the place of that product; ``derivatives[v]`` holds
+    (i, e, k) for every monomial i with e > 0 factors x_(v+1), k the
+    place of its quotient by x_(v+1).  A table has comb(n + cap, n)
+    monomials, so it suits small n and cap."""
+    monomials = [tuple(places.count(v) for v in range(n))
+                 for d in range(cap + 1)
+                 for places in combinations_with_replacement(range(n), d)]
+    index = {e: i for i, e in enumerate(monomials)}
+    products = [[(j, index[tuple(map(add, a, b))])
+                 for j, b in enumerate(monomials) if sum(a) + sum(b) <= cap]
+                for a in monomials]
+    derivatives = [[(i, e[v], index[e[:v] + (e[v] - 1,) + e[v + 1:]])
+                    for i, e in enumerate(monomials) if e[v]]
+                   for v in range(n)]
+    return monomials, index, products, derivatives
+
+
+def dense_jet(terms, table):
+    """The jet in ``table`` of the integer polynomial ``terms``
+    ({exponent: int}): its terms of degree above the cap are dropped."""
+    index = table[1]
+    jet = [0] * len(index)
+    for e, c in terms.items():
+        i = index.get(e)
+        if i is not None:
+            jet[i] = c
+    return jet
+
+
+def jet_terms(jet, table):
+    """{exponent: coefficient} of the nonzero entries of a jet."""
+    return {e: c for e, c in zip(table[0], jet) if c}
+
+
+def jet_deriv(jet, v, table):
+    """The derivative of a jet along the integer vector v.  The terms of
+    degree cap contribute only below it, so of a jet mod m^(cap+1) it is
+    exact mod m^cap: its entries of degree cap are 0."""
+    out = [0] * len(jet)
+    for vi, triples in zip(v, table[3]):
+        if vi:
+            for i, e, k in triples:
+                c = jet[i]
+                if c:
+                    out[k] += vi * e * c
     return out
 
 
-def _jet_det(rows, cap):
-    """det of a square matrix of jets ({exponent: any exact rational})
-    mod m^(cap+1), expanded along the first row: each nonzero entry meets
-    its minor, already mod m^(cap+1), so no term of degree above ``cap``
-    is formed."""
+def jet_det(rows, table):
+    """det of a square matrix of jets mod m^(cap+1), expanded along the
+    first row: each nonzero entry meets its minor, already mod m^(cap+1),
+    over the product table, so no term of degree above the cap is
+    formed."""
     if len(rows) == 1:
-        return {e: c for e, c in rows[0][0].items() if sum(e) <= cap}
-    out = {}
+        return list(rows[0][0])
+    products = table[2]
+    out = [0] * len(products)
     for j, entry in enumerate(rows[0]):
-        if not entry:
+        if not any(entry):
             continue
-        minor = _jet_det([row[:j] + row[j + 1:] for row in rows[1:]], cap)
-        for e1, c1 in entry.items():
-            for e2, c2 in minor.items():
-                if sum(e1) + sum(e2) <= cap:
-                    e = tuple(map(sum, zip(e1, e2)))
-                    out[e] = out.get(e, 0) + (-1) ** j * c1 * c2
+        minor = jet_det([row[:j] + row[j + 1:] for row in rows[1:]], table)
+        for i, x in enumerate(entry):
+            if x:
+                if j % 2:
+                    x = -x
+                for m, k in products[i]:
+                    y = minor[m]
+                    if y:
+                        out[k] += x * y
     return out
 
 

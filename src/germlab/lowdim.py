@@ -8,7 +8,11 @@ integer Taylor coefficients of f and the kernel of df(0) in its prepared form:
 * plane-to-3-space (n = 2, m = 3): Whitney umbrella and the S1+ / S1-
   singularities, recognized through w = det(xi f, eta f, eta eta f) mod
   m^3, with a constant eta read from the linear coefficients of f and
-  only the 3-jet of f read: lambda and w are integer-jet determinants.
+  only the 3-jet of f read.
+
+lambda mod m^3 and w mod m^3 are determinants of dense integer jets
+(``germ.jet_det``) of the derivatives of the 3-jets of f
+(``_derivatives_mod_m3``).
 
 Frame convention.  Given the kernel field eta with eta(0) = (a, b), the
 partner field xi is the constant field with xi(0) = (-b, a) (eta rotated
@@ -28,8 +32,9 @@ and with det hess w(0) = -24 h_{x2x2}(0) h_{x1}(0).
 import functools
 
 from .polyring import Poly
-from .germ import (MapGerm, prepared_form, _jet_deriv, _jet_det, GermError,
-                   NotCorankOneError, DegenerateGermError)
+from .germ import (MapGerm, prepared_form, jet_table, dense_jet, jet_terms,
+                   jet_deriv, jet_det, GermError, NotCorankOneError,
+                   DegenerateGermError)
 from .morin import ClassLabel, recognize_morin, _sign
 
 
@@ -49,6 +54,20 @@ def _plane_normal_form(family, eps):
     if family == "planar-swallowtail":
         first = first + x1 ** 4
     return MapGerm([first, x2], src_dim=2)
+
+
+def _derivatives_mod_m3(comps, vectors):
+    """[[the derivative of c along a mod m^3 for a in ``vectors``] for c
+    in ``comps``], the integer components of a germ in two variables:
+    each taken on the 3-jet of c (table (2, 3)) and cut to its prefix of
+    degree <= 2, a jet of the table (2, 2)."""
+    cubic = jet_table(2, 3)
+    size = len(jet_table(2, 2)[0])
+    out = []
+    for c in comps:
+        jet = dense_jet(c, cubic)
+        out.append([jet_deriv(jet, a, cubic)[:size] for a in vectors])
+    return out
 
 
 def classify_plane(f):
@@ -85,8 +104,9 @@ def classify_degenerate_plane(f):
         raise NotCorankOneError("not corank one at 0 (corank %d)"
                                 % prep.corank)
     # lambda mod m^3: the determinant of the partials of the 3-jets
-    lam = _jet_det([[_jet_deriv(c, e, 2) for e in ((1, 0), (0, 1))]
-                    for c in prep.comps], 2)
+    quadratic = jet_table(2, 2)
+    lam = jet_terms(jet_det(_derivatives_mod_m3(prep.comps, ((1, 0), (0, 1))),
+                            quadratic), quadratic)
     if not lam.get((1, 0)) and not lam.get((0, 1)):
         # det_h > 0 (lips): hess lambda(0) is definite, so eel0 != 0
         det_h, eel0 = _second_order(lam, prep.kernel[0])
@@ -130,10 +150,10 @@ def surface_w(f):
     v = prep.kernel[0]
     if next(x for x in v if x) < 0:
         v = [-x for x in v]
-    xif = [_jet_deriv(c, [-v[1], v[0]], 2) for c in prep.comps]
-    vf = [_jet_deriv(c, v, 2) for c in prep.comps]
-    vvf = [_jet_deriv(c, v, 2) for c in vf]
-    return Poly(2, _jet_det(list(zip(xif, vf, vvf)), 2)), v
+    quadratic = jet_table(2, 2)
+    rows = [[xif, vf, jet_deriv(vf, v, quadratic)]
+            for xif, vf in _derivatives_mod_m3(prep.comps, ([-v[1], v[0]], v))]
+    return Poly(2, jet_terms(jet_det(rows, quadratic), quadratic)), v
 
 
 def classify_surface(f):

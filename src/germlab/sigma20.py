@@ -15,16 +15,20 @@ With G_k = sum_i B_ki hess f_i(0) and r_k row k of B df(0), dg(x) =
 Hessian of lambda along a, b is det[G1 a; G2 b; r3; r4] + det[G1 b; G2 a;
 r3; r4].  Each sign is insensitive to the choice of kernel basis and of
 B, so one deterministic choice suffices; the tests exercise this.
-On the integer components of f's prepared form, G_k a is the linear
-part of the derivative along a (``germ._jet_deriv``) of the 2-jet of g_k,
-r_k that of g_k; the form also holds (xi, eta) and B's first two rows.
+On the integer components of f's prepared form, the g_k are dense
+2-jets in 4 variables (``germ.jet_table(4, 2)``): G_k a = H_k a is the
+linear part of the derivative of g_k along a (``germ.jet_deriv``), so it
+reads only g_k's quadratic coefficients, once per kernel vector a and
+k = 1, 2, and r_k is the linear part of g_k; the form also holds
+(xi, eta) and B's first two rows.
 """
 
 import functools
+from operator import mul
 
 from .polyring import Poly, integer_det, integer_kernel
 from .germ import (MapGerm, GermError, DegenerateGermError, prepared_form,
-                   _jet_deriv)
+                   jet_table, dense_jet, jet_deriv)
 from .morin import ClassLabel, _sign
 
 
@@ -70,18 +74,16 @@ def classify_sigma20(f):
             B = cand
         elif len(B) == 3 and (det_b := integer_det(cand)):
             B = cand[:3] + [[_sign(det_b) * v for v in cand[3]]]
-    # the 2-jets of g_k = sum_i B_ki f_i
-    g = [{} for _ in B]
-    for jet, row in zip(g, B):
-        for bi, c in zip(row, prep.comps):
-            for e, coef in c.items():
-                if bi and sum(e) <= 2:
-                    jet[e] = jet.get(e, 0) + bi * coef
-    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
-    # G_k a = grad(a g_k)(0) for a in the kernel basis (xi, eta)
-    (p1, p2), (q1, q2) = [[[_jet_deriv(g[k], a, 1).get(e, 0) for e in units]
-                           for k in (0, 1)] for a in prep.kernel]
-    rest = [[g[k].get(e, 0) for e in units] for k in (2, 3)]
+    # the 2-jets of g_k = sum_i B_ki f_i, dense in 4 variables: entries
+    # 1..4 are the linear coefficients
+    table = jet_table(4, 2)
+    jets = [dense_jet(c, table) for c in prep.comps]
+    g = [[sum(map(mul, row, coefs)) for coefs in zip(*jets)] for row in B]
+    # G_k a = grad(a g_k)(0) = H_k a for a in the kernel basis (xi, eta):
+    # the linear part of the derivative along a, one per a and k
+    (p1, p2), (q1, q2) = [[jet_deriv(g[k], a, table)[1:5] for k in (0, 1)]
+                          for a in prep.kernel]
+    rest = [g[k][1:5] for k in (2, 3)]
     h11 = 2 * integer_det([p1, p2] + rest)
     h22 = 2 * integer_det([q1, q2] + rest)
     h12 = integer_det([p1, q2] + rest) + integer_det([q1, p2] + rest)

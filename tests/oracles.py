@@ -39,7 +39,10 @@ curve and criteria rows: for families B and C it eliminates lambda = ... =
 eta^{n-1} lambda = 0 by back substitution (``eliminate_curve``), for
 family A it builds qbar by Poly arithmetic (``family_a_curve``), checks
 that the curve satisfies the equations, and restricts eta^n lambda and
-det grad to it, all with the parameters symbolic.
+det grad to it, all with the parameters symbolic.  It takes det grad by
+``jet_det_reference``, the determinant of a square matrix of jets held
+as {exponent: coefficient} dicts, which is also the reference for the
+dense-jet kernel of ``germ`` (``jet_table``, ``jet_deriv``, ``jet_det``).
 
 ``translate`` re-centers a germ by ``Poly.subs`` of x_i + p_i, and
 ``build_unfolding`` puts the parameter values into the library's cached q
@@ -79,7 +82,7 @@ from operator import add
 
 from germlab.germ import (GermError, NotCorankOneError, DegenerateGermError,
                           GermAnalysis, MapGerm, PreparedForm, analyze,
-                          jacobian, jet_degree, null_field, _jet_det)
+                          jacobian, jet_degree, null_field)
 from germlab.morin import (ClassLabel, _sign, eta_lambda_chain,
                            invariant_kind, morin_invariants, recognize_morin)
 from germlab.polyring import (DimensionError, Poly, PolyMatrix, rat,
@@ -809,7 +812,29 @@ def sign_at_root(g, constraint, root, max_iter=200):
 # curve and criteria as printed rows (``CRITERIA_FORMULAS``): back
 # substitution of lambda = ... = eta^{n-1} lambda = 0 with the parameters
 # symbolic, the check that the curve satisfies the equations, and the
-# criteria restricted to the curve, det grad by ``germ._jet_det``.
+# criteria restricted to the curve, det grad by ``jet_det_reference``.
+
+def jet_det_reference(rows, cap):
+    """det of a square matrix of jets ({exponent: any exact rational})
+    mod m^(cap+1), expanded along the first row: each nonzero entry meets
+    its minor, already mod m^(cap+1), so no term of degree above ``cap``
+    is formed.  It works on exponent dicts and shares no code with the
+    dense kernel of ``germ``, which the tests check against it."""
+    if len(rows) == 1:
+        return {e: c for e, c in rows[0][0].items() if sum(e) <= cap}
+    out = {}
+    for j, entry in enumerate(rows[0]):
+        if not entry:
+            continue
+        minor = jet_det_reference([row[:j] + row[j + 1:] for row in rows[1:]],
+                                  cap)
+        for e1, c1 in entry.items():
+            for e2, c2 in minor.items():
+                if sum(e1) + sum(e2) <= cap:
+                    e = tuple(map(sum, zip(e1, e2)))
+                    out[e] = out.get(e, 0) + (-1) ** j * c1 * c2
+    return out
+
 
 def _lambda_chain(q, n):
     """lambda = q_t and its t-derivatives up to order n (eta = d/dt)."""
@@ -921,7 +946,7 @@ def curve_criteria_reference(family, n, l):
     whole = sum(max((sum(e) for entry in row for e in entry), default=0)
                 for row in grad)
     criteria = (constraint, chain[n].subs(reps),
-                Poly(m, _jet_det(grad, whole)))
+                Poly(m, jet_det_reference(grad, whole)))
     return (sigma, *map(_integer_terms, criteria),
             tuple(map(_integer_terms, _inv_row(family, n, l))))
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -781,6 +782,28 @@ def test_usage_errors_exit_2_naming_the_parser(capsys, argv, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines()[-1].startswith(message)
+
+
+def _readme_cli_examples():
+    """The ``germlab ...`` lines of the first sh block of README's CLI
+    section, backslash continuations joined, each as its argv."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        section = handle.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("germlab ")]
+
+
+def test_every_readme_cli_example_exits_0(capsys):
+    """Each command line README shows under "CLI" runs through
+    ``cli.main`` with exit code 0."""
+    examples = _readme_cli_examples()
+    assert len(examples) == 8
+    for argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 # ---- no cofactor layer on any classify request --------------------------

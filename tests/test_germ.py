@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from germlab.polyring import Poly, dir_deriv
 from germlab.germ import (MapGerm, analyze, null_field, translate,
                           jacobian, jet_degree, prepared_form,
-                          NotCorankOneError)
+                          NotCorankOneError, jet_table, dense_jet, jet_terms,
+                          jet_deriv, jet_det)
 from germlab.morin import normal_form
 from conftest import (change_coordinates, corpus_30, random_gl_pos,
                       random_rational_gl_pos)
@@ -319,6 +320,45 @@ def test_translate_matches_the_subs_reference(data):
                 src_dim=n)
     p = data.draw(st.lists(_SHIFTS, min_size=n, max_size=n))
     assert translate(f, p) == oracles.translate(f, p)
+
+
+def _integer_jets(n, cap):
+    """Integer polynomials {exponent: int} in n variables with terms up to
+    degree cap + 2, so that some lie above the cap."""
+    def exponent(places):
+        return tuple(places.count(v) for v in range(n))
+    monomials = st.lists(st.integers(0, n - 1), max_size=cap + 2).map(exponent)
+    return st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
+                           max_size=8)
+
+
+@pytest.mark.parametrize("n, cap", [(2, 2), (2, 3), (4, 1), (4, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_jets_match_the_dict_reference(n, cap, data):
+    """The dense-jet kernel against ``Poly`` and the exponent-dict
+    determinant ``oracles.jet_det_reference``, on integer jets with terms
+    above the cap: a jet keeps exactly the terms of degree <= cap, a
+    derivative along an integer vector is exact below the cap, and the
+    determinants of 1 x 1 to 3 x 3 matrices agree mod m^(cap+1)."""
+    table = jet_table(n, cap)
+    terms = data.draw(_integer_jets(n, cap))
+    assert jet_terms(dense_jet(terms, table), table) == {
+        e: c for e, c in terms.items() if sum(e) <= cap}
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    p = Poly(n, terms)
+    along = Poly(n)
+    for i, vi in enumerate(v):
+        along = along + p.partial(i + 1).scale(vi)
+    assert Poly(n, jet_terms(jet_deriv(dense_jet(terms, table), v, table),
+                             table)) == along.truncate(cap - 1)
+    size = data.draw(st.integers(1, 3))
+    rows = [[data.draw(_integer_jets(n, cap)) for _ in range(size)]
+            for _ in range(size)]
+    dense = [[dense_jet(t, table) for t in row] for row in rows]
+    assert (jet_terms(jet_det(dense, table), table) ==
+            {e: c for e, c in oracles.jet_det_reference(rows, cap).items()
+             if c})
 
 
 def test_vecfield_apply_and_neg():
